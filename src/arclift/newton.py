@@ -11,6 +11,14 @@ blindly: the quadratic-and-higher Taylor terms are collected so that each
 order-k term carries (t*det)^k explicitly, which makes the key congruence
 a statement about exact divisibility by t*det^2 checked through Laurent
 division with a strict-factorization certificate.
+
+The correction v0 solves v + t*h(v) = v1 for the adjugate remainder h.
+``fixed_point_solve`` does this by Newton iteration, whose Jacobian
+Id + t*Dh is the identity mod t: each round doubles the certified
+precision, works only at that precision and takes Dh from calls of h
+itself, so a lift to t^N evaluates h O(n log N) times.  Every round checks
+that its residual vanishes to the precision already certified, and the
+result is certified against v1 by one last evaluation at full precision.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ def embed_scalar(ring, c) -> "RingElement":
 class PolyMap:
     """A polynomial map A^m -> A^n with integer or rational coefficients."""
 
-    __slots__ = ("var_names", "split", "polys")
+    __slots__ = ("var_names", "split", "polys", "_jacobian")
 
     def __init__(self, var_names, split: int, polys):
         var_names = tuple(var_names)
@@ -63,6 +71,15 @@ class PolyMap:
         self.var_names = var_names
         self.split = split
         self.polys = polys
+        self._jacobian = None
+
+    @property
+    def jacobian(self) -> "JacobianData":
+        """``jacobian_data(self)``, computed on first use and kept; a
+        degenerate map raises on every access."""
+        if self._jacobian is None:
+            self._jacobian = jacobian_data(self)
+        return self._jacobian
 
     @property
     def m(self):
@@ -152,7 +169,7 @@ class ArcPoint:
         self.map = pm
         self.components = components
         self.ring = ring
-        self.jacobian = jacobian_data(pm)
+        self.jacobian = pm.jacobian
 
     @property
     def precision(self):
@@ -313,31 +330,106 @@ def check_congruence(arc: ArcPoint):
     return tuple(p.truncate(prec) for p in parts)
 
 
-def fixed_point_solve(h, v1, precision: int):
-    """The unique v0 with v0 + t*h(v0) = v1, by contraction iteration.
+def _solve_near_identity(mat, rhs):
+    """Solve mat * x = rhs for a series matrix with mat == Id mod t.
 
-    Each pass computes v <- v1 - t*h(v); because of the leading t the
-    iterates agree one order deeper every time (checked), so the loop is
-    exact mod t^precision after at most ``precision`` passes.
+    Plain elimination: every pivot stays 1 mod t, so it is a unit.
+    """
+    n = len(rhs)
+    a = [list(row) for row in mat]
+    b = list(rhs)
+    inv = []
+    for k in range(n):
+        inv.append(a[k][k].invert())
+        for i in range(k + 1, n):
+            f = a[i][k] * inv[k]
+            for j in range(k + 1, n):
+                a[i][j] = a[i][j] - f * a[k][j]
+            b[i] = b[i] - f * b[k]
+    x = [None] * n
+    for k in reversed(range(n)):
+        acc = b[k]
+        for j in range(k + 1, n):
+            acc = acc - a[k][j] * x[j]
+        x[k] = acc * inv[k]
+    return x
+
+
+def fixed_point_solve(h, v1, precision: int):
+    """The unique v0 with v0 + t*h(v0) = v1 mod t^precision, by Newton
+    iteration on F(v) = v + t*h(v) - v1 with precision doubling.
+
+    h must be a t-adic power-series map (h(v) mod t^k depends on v mod t^k
+    only); it is called on series truncated to the working precision and
+    must return one component per equation, each known that far.
+
+    Each round lifts v from certified mod t^p to certified mod t^q,
+    q = min(2p, precision):
+
+    * the residual r = v1 - v - t*h(v) at precision q must vanish mod t^p
+      (checked);
+    * h(v + t^p e_j) - h(v) = t^p Dh(v) e_j + O(t^(2p)) gives the Jacobian
+      columns mod t^(q-p-1) exactly, from n more calls of h;
+    * (Id + t*Dh) e = r / t^p mod t^(q-p), and v <- v + t^p e.
+
+    So h is called at most (n+1) * ceil(log2 precision) + 1 times.  The
+    last call evaluates h at the result at full precision and certifies
+    v0 + t*h(v0) = v1 mod t^precision coefficient by coefficient.
     """
     v1 = tuple(v1)
+    n = len(v1)
+    if not n:
+        raise ArityMismatch("the fixed-point system needs at least one component")
     if min(x.precision for x in v1) < precision:
         raise InsufficientPrecision("v1 is not known to the requested precision")
-    v = tuple(x.truncate(precision) for x in v1)
-    for j in range(precision + 1):
-        hv = h(v)
-        nxt = tuple(
-            (v1[i].truncate(precision) - hv[i].shift(1).truncate(precision))
-            for i in range(len(v))
-        )
-        stable = min(j + 1, precision)
-        for a, b in zip(nxt, v):
-            if not a.agrees(b, stable):
-                raise RuntimeError("contraction certificate failed; this is a bug")
-        if all(a.agrees(b) for a, b in zip(nxt, v)):
-            return nxt
-        v = nxt
-    raise RuntimeError("fixed point iteration exceeded the precision bound; this is a bug")
+    ring = v1[0].ring
+
+    def h_at(v, k):
+        """h(v mod t^k) truncated to precision k; ``truncate`` raises
+        InsufficientPrecision if h returned fewer orders."""
+        out = tuple(h(tuple(x.truncate(k) for x in v)))
+        if len(out) != n:
+            raise ArityMismatch(f"h returned {len(out)} components for {n} equations")
+        return tuple(x.truncate(k) for x in out)
+
+    v = tuple(x.truncate(1) for x in v1)  # F(v) = v - v1 mod t
+    p = 1
+    while p < precision:
+        q = min(2 * p, precision)
+        v = tuple(TruncatedSeries(ring, x.coeffs, q) for x in v)  # zero-padded
+        hv = h_at(v, q - 1)
+        rho = []
+        for i in range(n):
+            r = v1[i].truncate(q) - v[i] - hv[i].shift(1)
+            if any(r.coeffs[:p]):
+                raise RuntimeError(
+                    "Newton residual certificate failed: h is not a t-adic "
+                    "power-series map, or this is a bug"
+                )
+            rho.append(TruncatedSeries(ring, r.coeffs[p:], q - p))
+        if q - p == 1:
+            eps = rho  # Id + t*Dh = Id mod t
+        else:
+            # mat = Id + t*Dh(v) mod t^(q-p), column j from a probe along e_j
+            one = TruncatedSeries.constant(ring.one, q - p)
+            bump = TruncatedSeries.t_power(ring, p, q - 1)
+            mat = [[None] * n for _ in range(n)]
+            for j in range(n):
+                hj = h_at(tuple(x + bump if i == j else x for i, x in enumerate(v)), q - 1)
+                for i in range(n):
+                    t_dh = TruncatedSeries(ring, (hj[i] - hv[i]).coeffs[p:], q - p - 1).shift(1)
+                    mat[i][j] = t_dh + one if i == j else t_dh
+            eps = _solve_near_identity(mat, rho)
+        v = tuple(TruncatedSeries(ring, v[i].coeffs[:p] + eps[i].coeffs, q) for i in range(n))
+        p = q
+    hv = h_at(v, precision)
+    for i in range(n):
+        if not (v[i] + hv[i].shift(1).truncate(precision)).agrees(v1[i], precision):
+            raise RuntimeError(
+                "Newton certificate failed: v0 + t*h(v0) != v1; h is not a t-adic "
+                "power-series map, or this is a bug"
+            )
+    return v
 
 
 def congruence_forward(arc: ArcPoint, v0):

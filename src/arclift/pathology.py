@@ -111,6 +111,10 @@ class ColimitRing(Ring):
         pa, pb, _ = self._common(a, b)
         return pa[1] == pb[1] and pa[2] == pb[2]
 
+    def payload_hash(self, a):
+        # raising the level rewrites the x-part but never the constant part
+        return hash(a[1])
+
     @property
     def is_local(self):
         return False

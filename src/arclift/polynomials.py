@@ -113,9 +113,6 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree_in(self, i):
-        return max((e[i] for e in self.terms), default=0)
-
     def derivative(self, i):
         """Partial derivative in variable i; coefficients must accept int *."""
         out = {}

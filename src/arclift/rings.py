@@ -124,9 +124,7 @@ class RingElement:
         return not self.ring.payload_is_zero(self.value)
 
     def __hash__(self):
-        if isinstance(self.value, dict):
-            return hash((self.ring, tuple(sorted(self.value.items()))))
-        return hash((self.ring, self.value))
+        return hash((self.ring, self.ring.payload_hash(self.value)))
 
     def __repr__(self):
         return self.ring.format_element(self.value)
@@ -157,6 +155,12 @@ class Ring:
         """Representational equality; overridden where payloads carry a
         presentation level that must be aligned first."""
         return a == b
+
+    def payload_hash(self, a) -> int:
+        """A hash that agrees with ``payload_eq``."""
+        if isinstance(a, dict):
+            return hash(tuple(sorted(a.items())))
+        return hash(a)
 
     # -- element layer ---------------------------------------------------
     def element(self, value) -> RingElement:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,9 +6,11 @@ import pytest
 
 from arclift import (
     ArcPoint,
+    ArityMismatch,
     ArtinianLocalRing,
     CongruenceFailed,
     DegenerateJacobian,
+    InsufficientPrecision,
     IntegersMod,
     MultiPoly,
     PolyMap,
@@ -20,6 +23,7 @@ from arclift import (
     congruence_forward,
     fixed_point_solve,
     jacobian_data,
+    newton,
     taylor_remainder,
 )
 
@@ -216,6 +220,140 @@ def test_fixed_point_generates_signed_catalan_numbers():
     expected = [(-1) ** k * cs[k] for k in range(10)]
     assert v0 == TruncatedSeries.from_ints(q, expected, 10)
     assert expected == [1, -1, 2, -5, 14, -42, 132, -429, 1430, -4862]
+
+
+def contraction_solve(h, v1, precision):
+    """Oracle: v <- v1 - t*h(v); pass k is exact mod t^k, so it runs there."""
+    v = [x.truncate(1) for x in v1]
+    for k in range(2, precision + 1):
+        hv = h([TruncatedSeries(x.ring, x.coeffs, k - 1) for x in v])
+        v = [v1[i].truncate(k) - hv[i].shift(1) for i in range(len(v))]
+    return tuple(v)
+
+
+def random_series(ring, precision, rng):
+    # small integers over Q: random fractions make the oracle's cost explode
+    if ring == RationalRing():
+        return TruncatedSeries.from_ints(ring, [rng.randint(-3, 3) for _ in range(precision)])
+    return TruncatedSeries(ring, [ring.random_element(rng) for _ in range(precision)])
+
+
+def random_polynomial_h(ring, n, precision, rng):
+    """A random quadratic h: R[[t]]^n -> R[[t]]^n with series coefficients."""
+    monomials = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    polys = [
+        {
+            e: random_series(ring, precision, rng)
+            for e in rng.sample(monomials, min(len(monomials), 4))
+        }
+        for _ in range(n)
+    ]
+
+    def h(v):
+        k = min(x.precision for x in v)
+        out = []
+        for terms in polys:
+            acc = TruncatedSeries(ring, [], k)
+            for e, c in terms.items():
+                term = c.truncate(k)
+                for var, power in enumerate(e):
+                    for _ in range(power):
+                        term = term * v[var]
+                acc = acc + term
+            out.append(acc)
+        return tuple(out)
+
+    return h
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RationalRing(), PrimeFieldRing(5), ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2)],
+    ids=repr,
+)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("precision", [1, 2, 3, 17, 64])
+def test_fixed_point_matches_contraction_oracle(ring, n, precision):
+    rng = random.Random(1000 * n + precision)
+    for _ in range(2 if precision < 64 else 1):
+        h = random_polynomial_h(ring, n, precision, rng)
+        v1 = tuple(random_series(ring, precision, rng) for _ in range(n))
+        assert fixed_point_solve(h, v1, precision) == contraction_solve(h, v1, precision)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fixed_point_calls_h_logarithmically(n):
+    ring = PrimeFieldRing(5)
+    rng = random.Random(7)
+    inner = random_polynomial_h(ring, n, 128, rng)
+    calls = []
+
+    def h(v):
+        calls.append(min(x.precision for x in v))
+        return inner(v)
+
+    v1 = tuple(random_series(ring, 128, rng) for _ in range(n))
+    fixed_point_solve(h, v1, 128)
+    assert len(calls) <= (n + 1) * 7 + 1  # ceil(log2 128) = 7 rounds
+    assert calls[-1] == 128 and max(calls[:-1]) < 128
+
+
+def test_fixed_point_final_certificate_can_fail():
+    # h is not a power-series map: it only shows t^6 once given 8 known
+    # coefficients, so every Newton round agrees and the final check fails
+    q = RationalRing()
+
+    def h(v):
+        k = v[0].precision
+        return (TruncatedSeries.t_power(q, 6, k) if k == 8 else TruncatedSeries(q, [], k),)
+
+    with pytest.raises(RuntimeError, match="Newton certificate failed"):
+        fixed_point_solve(h, (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
+
+
+def test_fixed_point_residual_certificate_can_fail():
+    # h(v) = t^(k-1) at precision k moves with the truncation, so a later
+    # round's residual no longer vanishes to the order already certified
+    q = RationalRing()
+
+    def h(v):
+        k = v[0].precision
+        return (TruncatedSeries.t_power(q, k - 1, k),)
+
+    with pytest.raises(RuntimeError, match="residual"):
+        fixed_point_solve(h, (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
+
+
+def test_fixed_point_validates_h():
+    q = RationalRing()
+    v1 = (TruncatedSeries.from_ints(q, [1, 2], 8),) * 2
+    with pytest.raises(ArityMismatch):
+        fixed_point_solve(lambda v: (v[0],), v1, 8)
+    with pytest.raises(ArityMismatch):
+        fixed_point_solve(lambda v: v + v, v1, 8)
+    with pytest.raises(InsufficientPrecision):
+        fixed_point_solve(lambda v: tuple(x.truncate(1) for x in v), v1, 8)
+    with pytest.raises(ArityMismatch):
+        fixed_point_solve(lambda v: v, (), 8)
+
+
+def test_jacobian_data_is_cached_per_map(monkeypatch):
+    calls = []
+    real = newton.jacobian_data
+    monkeypatch.setattr(newton, "jacobian_data", lambda pm: calls.append(pm) or real(pm))
+    arc = cusp_arc(RationalRing(), [0, 0, 0, 1, 1], 16)
+    result = arc_lift(arc, 14)
+    assert len(calls) == 1
+    assert result.arc.jacobian is arc.jacobian is arc.map.jacobian
+
+
+def test_degenerate_map_raises_on_every_access():
+    pm = PolyMap(("x1", "y1"), 1, [MultiPoly(2, {(1, 0): 1})])
+    q = RationalRing()
+    arc = (TruncatedSeries.t_power(q, 1, 4), TruncatedSeries.from_ints(q, [1], 4))
+    for _ in range(2):
+        with pytest.raises(DegenerateJacobian):
+            ArcPoint(pm, arc)
 
 
 @pytest.mark.parametrize(

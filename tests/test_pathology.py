@@ -31,6 +31,15 @@ def test_descent_relation():
     assert r.x(2) == (r.q0() ** 2) * r.x(4)  # two transitions, sign (+1)^2
 
 
+def test_hash_agrees_with_equality_across_levels():
+    r = arc_kernel_ring(RationalRing())
+    a, b = r.x(0), -r.q0() * r.x(1)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert len({r.x(2), (r.q0() ** 2) * r.x(4), r.x(3)}) == 2
+
+
 def test_generators_are_nonzero():
     r = kernel_ring()
     assert r.x(3) != r.from_int(0)
