@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidDescriptor, MixedFamilies, NonLocalRing
 from .polynomials import MultiPoly
-from .rings import IntegersMod, Ring, RingElement, is_prime
+from .rings import IntegersMod, RationalRing, Ring, RingElement, is_prime
 from .series import TruncatedSeries
+from .weierstrass import MonicPoly, divide_by_monic
 
 
 def _q0_poly(field, coeff_map):
@@ -229,8 +230,8 @@ def check_identities(bound: int, field=None) -> IdentityReport:
         rows.append(IdentityRow(f"x{n} != 0", n, bool(ring.x(n))))
     for c in _sample_units(field):
         for n in (0, bound // 2, bound):
-            power = c ** (n + 1)
-            ok = bool(power)  # c^{n+1} invertible, so c^{n+1} x_n = 0 kills x_n
+            # the level relation q0^{n+1} x_n = 0 with q0^{n+1} -> c^{n+1} a unit
+            ok = not (q0 ** (n + 1) * ring.x(n)) and field.is_unit(c ** (n + 1))
             rows.append(
                 IdentityRow(
                     f"q0 -> {field.format_element(c.value)} kills x{n}", n, ok
@@ -270,8 +271,6 @@ def sawed_completion(n: int, field=None) -> SawedCompletion:
     if n < 1:
         raise InvalidDescriptor("completion order must be >= 1")
     if field is None:
-        from .rings import RationalRing
-
         field = RationalRing()
     ring = sawed_plane_ring(field)
     q0 = ring.q0()
@@ -322,22 +321,21 @@ def integer_completion(p: int, n: int) -> IntegerCompletion:
         raise InvalidDescriptor(f"{p} is not prime")
     if n < 1:
         raise InvalidDescriptor("completion order must be >= 1")
-    remainder = 1
-    for _ in range(n):
-        remainder *= p  # synthetic division of t^n by t - p evaluates at t = p
-    ring = IntegersMod(remainder)
+    rationals = RationalRing()
+    t_power = [rationals.zero] * n + [rationals.one]
+    _, (remainder,) = divide_by_monic(t_power, MonicPoly.from_ints(rationals, [-p]))
+    modulus = int(remainder.value)
+    ring = IntegersMod(modulus)
     t_image = ring.from_int(p)
     checks = [
         t_image ** n == ring.zero,  # t^n dies at level n
         t_image - ring.from_int(p) == ring.zero,  # t - p dies
         n == 1 or bool(t_image ** (n - 1)),  # and no earlier power does
     ]
-    if remainder <= 100_000:
-        checks.append(len({k % remainder for k in range(remainder)}) == remainder)
     return IntegerCompletion(
         prime=p,
         order=n,
-        modulus=remainder,
+        modulus=modulus,
         t_image=t_image,
         ring=ring,
         verified=all(checks),

@@ -4,6 +4,9 @@ Precision is explicit data.  Every operation states the precision of its
 output and never claims a coefficient beyond it: sums and products follow
 the min-precision rule, shifts gain orders, and Laurent division records
 exactly how many orders the strict-factorization certificate consumed.
+
+``convolve`` is the package's only loop that multiplies two t-polynomials:
+series products, ``times_poly`` and ``weierstrass.poly_mul`` all call it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,28 @@ from .errors import (
     PrecisionExhausted,
 )
 from .rings import RingElement
+
+
+def convolve(ring, a, b, n):
+    """Payloads of a*b mod t^n, for ascending payload lists a and b.
+
+    Terms with a zero factor (by ``payload_is_zero``) are skipped, never
+    added: besides saving work, this keeps each colimit-ring coefficient at
+    the presentation level of its nonzero terms, where a zero raised to a
+    higher level would otherwise re-express it (x3 printing as q0^2*x5).
+    """
+    padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
+    out = [ring.payload_from_int(0)] * n
+    b = [(j, bj) for j, bj in enumerate(b[:n]) if not pzero(bj)]
+    for i, ai in enumerate(a[:n]):
+        if pzero(ai):
+            continue
+        for j, bj in b:
+            k = i + j
+            if k >= n:
+                break
+            out[k] = padd(out[k], pmul(ai, bj))
+    return out
 
 
 class TruncatedSeries:
@@ -47,6 +72,15 @@ class TruncatedSeries:
         self.coeffs = tuple(coerced)
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def _wrap(cls, ring, payloads, precision):
+        """Unchecked constructor for exactly ``precision`` payloads of ``ring``."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.precision = precision
+        self.coeffs = tuple(RingElement(ring, v) for v in payloads)
+        return self
+
     @classmethod
     def from_ints(cls, ring, ints, precision=None):
         return cls(ring, [ring.from_int(k) for k in ints], precision)
@@ -123,22 +157,10 @@ class TruncatedSeries:
         if isinstance(other, RingElement):
             return self.scale(other)
         self._check(other)
-        ring = self.ring
         n = min(self.precision, other.precision)
         a = [c.value for c in self.coeffs]
         b = [c.value for c in other.coeffs]
-        padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
-        out = [ring.payload_from_int(0)] * n
-        for i in range(n):
-            ai = a[i]
-            if pzero(ai):
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if pzero(bj):
-                    continue
-                out[i + j] = padd(out[i + j], pmul(ai, bj))
-        return TruncatedSeries(ring, [RingElement(ring, v) for v in out], n)
+        return TruncatedSeries._wrap(self.ring, convolve(self.ring, a, b, n), n)
 
     def scale(self, c: RingElement):
         return TruncatedSeries(self.ring, [c * x for x in self.coeffs], self.precision)
@@ -149,22 +171,10 @@ class TruncatedSeries:
         The polynomial carries no truncation, so the output precision equals
         this series' precision.
         """
-        ring = self.ring
         n = self.precision
-        padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
-        out = [ring.payload_from_int(0)] * n
-        for i, p in enumerate(poly_coeffs):
-            if i >= n:
-                break
-            pv = p.value
-            if pzero(pv):
-                continue
-            for j in range(n - i):
-                sv = self.coeffs[j].value
-                if pzero(sv):
-                    continue
-                out[i + j] = padd(out[i + j], pmul(pv, sv))
-        return TruncatedSeries(ring, [RingElement(ring, v) for v in out], n)
+        p = [c.value for c in poly_coeffs]
+        s = [c.value for c in self.coeffs]
+        return TruncatedSeries._wrap(self.ring, convolve(self.ring, p, s, n), n)
 
     def shift(self, k):
         """Multiply by t^k (k >= 0); gains k orders of precision."""
@@ -199,7 +209,7 @@ class TruncatedSeries:
                 term = pmul(a[i], out[k - i])
                 acc = term if acc is None else padd(acc, term)
             out.append(pmul(neg_inv0, acc))
-        return TruncatedSeries(ring, [RingElement(ring, v) for v in out], n)
+        return TruncatedSeries._wrap(ring, out, n)
 
     # -- residue diagnostics ---------------------------------------------
     def residue_series(self):

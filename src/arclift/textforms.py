@@ -274,10 +274,6 @@ def parse_ring(text: str) -> Ring:
     raise ParseError(f"unrecognized ring descriptor {text!r}")
 
 
-def format_ring(ring: Ring) -> str:
-    return repr(ring)
-
-
 # -- elements and t-polynomials --------------------------------------------
 
 def parse_t_poly(text: str, ring) -> list:

@@ -13,6 +13,9 @@ absorbs the remainder into q and the quotient into u.  The defect shrinks
 by at least one power of the maximal ideal per round (quadratically away
 from the truncation boundary), so at most e rounds are needed and the exit
 test is exact equality u * q = x mod t^N.
+
+``divide_by_monic`` is the package's only Euclidean-division loop; every
+reduction by a monic polynomial, here and in ``jets``, goes through it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     NotAUnit,
 )
 from .rings import RingElement
-from .series import TruncatedSeries, laurent_divide, reduced_order
+from .series import TruncatedSeries, convolve, laurent_divide, reduced_order
 
 
 class MonicPoly:
@@ -153,14 +156,8 @@ def poly_mul(a, b, ring):
     """Exact product of two coefficient lists."""
     if not a or not b:
         return []
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+    out = convolve(ring, [c.value for c in a], [c.value for c in b], len(a) + len(b) - 1)
+    return [RingElement(ring, v) for v in out]
 
 
 def divide_by_monic(coeffs, q: MonicPoly):
@@ -171,20 +168,20 @@ def divide_by_monic(coeffs, q: MonicPoly):
     """
     d = q.degree
     ring = q.ring
-    rem = list(coeffs)
-    if len(rem) <= d:
-        rem += [ring.zero] * (d - len(rem))
-        return [], rem
-    quot = [ring.zero] * (len(rem) - d)
+    padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
+    zero = ring.payload_from_int(0)
+    rem = [c.value for c in coeffs]
+    rem += [zero] * (d - len(rem))
+    quot = [zero] * (len(rem) - d)
+    neg_low = [(j, ring.payload_neg(c.value)) for j, c in enumerate(q.low) if c]
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
-        if not c:
+        if pzero(c):
             continue
         quot[i - d] = c
-        for j, qj in enumerate(q.low):
-            if qj:
-                rem[i - d + j] = rem[i - d + j] - c * qj
-    return quot, rem[:d]
+        for j, nqj in neg_low:
+            rem[i - d + j] = padd(rem[i - d + j], pmul(c, nqj))
+    return [RingElement(ring, v) for v in quot], [RingElement(ring, v) for v in rem[:d]]
 
 
 def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
@@ -206,27 +203,17 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
         raise InsufficientPrecision(
             f"strict preparation of order {d} over m^{e}=0 needs N >= {d * (e + 1)}, got {big_n}"
         )
-    ulen = big_n - d
-    u = list(x.coeffs[d:])
+    u = TruncatedSeries(ring, x.coeffs[d:], big_n - d)
     q = MonicPoly.t_power(ring, d)
-    target = list(x.coeffs)
     for _ in range(e + 1):
-        uq = poly_mul(u, q.coeff_list(), ring)
-        uq += [ring.zero] * (big_n - len(uq))
-        defect = [target[i] - uq[i] for i in range(big_n)]
-        if all(not c for c in defect):
-            return StrictFactorization(
-                u=TruncatedSeries(ring, u, ulen),
-                q=q,
-                certificate_n=d * e,
-                precision=big_n,
-            )
-        u_series = TruncatedSeries(ring, u, big_n)
-        w = u_series.invert() * TruncatedSeries(ring, defect, big_n)
-        g, dq = divide_by_monic(w.coeffs, q)
-        q = MonicPoly(ring, [q.low[j] + dq[j] for j in range(d)])
-        du = poly_mul(u, g, ring)[:ulen]
-        u = [u[i] + (du[i] if i < len(du) else ring.zero) for i in range(ulen)]
+        # u has degree < N - d, so u * q is exact at precision N
+        u_padded = TruncatedSeries(ring, u.coeffs, big_n)
+        defect = x - u_padded.times_poly(q.coeff_list())
+        if defect.is_zero():
+            return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n)
+        g, dq = divide_by_monic((u_padded.invert() * defect).coeffs, q)
+        q = MonicPoly(ring, [a + b for a, b in zip(q.low, dq)])
+        u = u + u.times_poly(g)
     raise RuntimeError("strict preparation did not converge; this is a bug")
 
 

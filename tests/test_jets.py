@@ -17,7 +17,6 @@ from arclift import (
 )
 from arclift.errors import ArityMismatch, InsufficientPrecision
 from arclift.jets import ModQVector
-from arclift.weierstrass import poly_mul
 
 
 def test_reduce_power_past_modulus():

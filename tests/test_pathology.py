@@ -107,6 +107,16 @@ def test_check_identities_over_q7_localization_row():
     assert kills and kills[0].ok
 
 
+def test_localization_rows_fail_without_the_level_relation(monkeypatch):
+    from arclift import pathology
+
+    kills = [r for r in check_identities(4).rows if " kills x" in r.statement]
+    assert kills and all(r.ok for r in kills)
+    monkeypatch.setattr(pathology, "arc_kernel_ring", sawed_plane_ring)
+    kills = [r for r in check_identities(4).rows if " kills x" in r.statement]
+    assert kills and not any(r.ok for r in kills)
+
+
 def test_check_identities_bound_guard():
     with pytest.raises(InvalidDescriptor):
         check_identities(13)

@@ -7,16 +7,19 @@ from arclift import (
     Indeterminate,
     IntegersMod,
     MixedRings,
+    MonicPoly,
     NotAUnit,
     PrimeFieldRing,
     RationalRing,
     TruncatedSeries,
+    arc_kernel_ring,
     is_nondegenerate,
     laurent_divide,
     reduced_order,
 )
+from arclift.weierstrass import divide_by_monic, poly_mul
 
-from _helpers import acceptance_rings, random_nondegenerate
+from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product
 
 
 def F5eps():
@@ -167,3 +170,84 @@ def test_reduced_order_is_additive(ring):
         prod = x * y
         if dx + dy < prod.precision:
             assert reduced_order(prod) == dx + dy
+
+
+# -- the product and division kernel against schoolbook oracles -------------
+
+def _sparse(ring, rng, count):
+    """A zero-heavy list: about half the entries are exactly zero."""
+    return [ring.zero if rng.random() < 0.5 else ring.random_element(rng) for _ in range(count)]
+
+
+def _long_division(f, low, ring):
+    """f = (t^d + low) * quot + rem by repeatedly cancelling the top term."""
+    d = len(low)
+    rem = list(f)
+    quot = [ring.zero] * max(len(f) - d, 0)
+    while len(rem) > d:
+        top = rem.pop()
+        k = len(rem) - d
+        quot[k] = top
+        for j, c in enumerate(low):
+            rem[k + j] = rem[k + j] - top * c
+    return quot, rem + [ring.zero] * (d - len(rem))
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_products_match_schoolbook(ring):
+    rng = random.Random(17)
+    for _ in range(40):
+        na, nb = rng.randint(1, 9), rng.randint(1, 9)
+        a = TruncatedSeries(ring, _sparse(ring, rng, na), na)
+        b = TruncatedSeries(ring, _sparse(ring, rng, nb), nb)
+        n = min(na, nb)
+        expected = schoolbook_product(list(a.coeffs), list(b.coeffs), ring)[:n]
+        assert a * b == TruncatedSeries(ring, expected, n)
+
+        poly = _sparse(ring, rng, na + rng.randint(1, 4))  # longer than a
+        expected = schoolbook_product(poly, list(a.coeffs), ring)[:na]
+        assert a.times_poly(poly) == TruncatedSeries(ring, expected, na)
+
+        f, g = _sparse(ring, rng, na), _sparse(ring, rng, nb)
+        assert poly_mul(f, g, ring) == schoolbook_product(f, g, ring)
+        assert poly_mul([], g, ring) == [] and poly_mul(f, [], ring) == []
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_monic_division_matches_long_division(ring):
+    rng = random.Random(19)
+    for _ in range(40):
+        d = rng.randint(0, 4)
+        lows = [
+            _sparse(ring, rng, d),  # arbitrary low coefficients
+            [ring.zero] * d,  # q = t^d
+            [ring.random_nilpotent(rng) for _ in range(d)],  # strict q
+        ]
+        for low in lows:
+            q = MonicPoly(ring, low)
+            for length in (rng.randint(0, d), rng.randint(d + 1, d + 9)):
+                f = _sparse(ring, rng, length)
+                quot, rem = divide_by_monic(f, q)
+                assert (quot, rem) == _long_division(f, low, ring)
+                assert len(rem) == d
+                if quot:
+                    back = schoolbook_product(quot, q.coeff_list(), ring)
+                    back = [c + (rem[i] if i < d else ring.zero) for i, c in enumerate(back)]
+                    assert back == f
+
+
+def test_product_over_arc_kernel_ring():
+    ring = arc_kernel_ring(PrimeFieldRing(5))
+    rng = random.Random(23)
+    # x5 - x5 is a zero presented at level 5; adding it would re-level a sum
+    gens = [ring.zero, ring.x(5) - ring.x(5), ring.one, ring.q0(), -ring.q0()]
+    gens += [ring.x(i) for i in range(5)]
+    for _ in range(30):
+        na, nb = rng.randint(1, 7), rng.randint(1, 7)
+        a = [rng.choice(gens) for _ in range(na)]
+        b = [rng.choice(gens) for _ in range(nb)]
+        n = min(na, nb)
+        expected = TruncatedSeries(ring, schoolbook_product(a, b, ring)[:n], n)
+        product = TruncatedSeries(ring, a, na) * TruncatedSeries(ring, b, nb)
+        assert product == expected and repr(product) == repr(expected)
+        assert repr(poly_mul(a, b, ring)) == repr(schoolbook_product(a, b, ring))
