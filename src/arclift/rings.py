@@ -11,6 +11,9 @@ that equality is plain representational equality:
   m^e = 0.  Elements are finite maps from exponent multi-indices to nonzero
   base coefficients.
 
+Fp, Z/n and Q also give payload lists an integer form (``integer_form``),
+on which ``series.convolve`` multiplies with plain Python ints.
+
 Every ring is immutable and every operation is a pure function, so values
 can be shared freely across threads.
 """
@@ -162,6 +165,23 @@ class Ring:
             return hash(tuple(sorted(a.items())))
         return hash(a)
 
+    def integer_form(self, payloads):
+        """``(ints, scale)`` with payloads[i] = ints[i] / scale, or None.
+
+        Rings whose payloads are integers, or integers over one common
+        denominator, return this form so that ``series.convolve`` can
+        multiply on plain Python ints; ``scale`` is a positive int.  Such a
+        ring also implements ``from_integer_form``.  The default, None,
+        keeps products on the payload-level loop.
+        """
+        return None
+
+    def from_integer_form(self, ints, scale):
+        """The canonical payloads of ints[i] / scale (reduced residues,
+        reduced fractions), for any Python ints and a product of scales
+        that this ring's ``integer_form`` returned."""
+        raise NotImplementedError
+
     # -- element layer ---------------------------------------------------
     def element(self, value) -> RingElement:
         return RingElement(self, value)
@@ -269,6 +289,13 @@ class PrimeFieldRing(Ring):
     def payload_is_zero(self, a):
         return a == 0
 
+    def integer_form(self, payloads):
+        return payloads, 1
+
+    def from_integer_form(self, ints, scale):
+        m = self.p
+        return [c % m for c in ints]
+
     def is_unit(self, a):
         return a.value != 0
 
@@ -326,6 +353,13 @@ class RationalRing(Ring):
 
     def payload_is_zero(self, a):
         return a == 0
+
+    def integer_form(self, payloads):
+        scale = math.lcm(*[x.denominator for x in payloads])
+        return [x.numerator * (scale // x.denominator) for x in payloads], scale
+
+    def from_integer_form(self, ints, scale):
+        return [Fraction(c, scale) for c in ints]
 
     def is_unit(self, a):
         return a.value != 0
@@ -387,6 +421,13 @@ class IntegersMod(Ring):
 
     def payload_is_zero(self, a):
         return a == 0
+
+    def integer_form(self, payloads):
+        return payloads, 1
+
+    def from_integer_form(self, ints, scale):
+        m = self.n
+        return [c % m for c in ints]
 
     def is_unit(self, a):
         return math.gcd(a.value, self.n) == 1

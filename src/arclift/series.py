@@ -7,6 +7,9 @@ exactly how many orders the strict-factorization certificate consumed.
 
 ``convolve`` is the package's only loop that multiplies two t-polynomials:
 series products, ``times_poly`` and ``weierstrass.poly_mul`` all call it.
+It has two paths, fixed by the ring's type: Fp, Z/n and Q multiply on
+Python ints and reduce once per output coefficient; Artinian and colimit
+rings add payload products term by term, skipping zero factors.
 """
 
 from __future__ import annotations
@@ -24,23 +27,46 @@ from .rings import RingElement
 def convolve(ring, a, b, n):
     """Payloads of a*b mod t^n, for ascending payload lists a and b.
 
-    Terms with a zero factor (by ``payload_is_zero``) are skipped, never
-    added: besides saving work, this keeps each colimit-ring coefficient at
-    the presentation level of its nonzero terms, where a zero raised to a
-    higher level would otherwise re-express it (x3 printing as q0^2*x5).
+    Two paths, chosen by the ring's type through ``Ring.integer_form``:
+
+    * Fp, Z/n and Q multiply on Python ints: Fp and Z/n residues as they
+      are, Q numerators over each list's lcm of denominators.  Each output
+      coefficient is mapped back once (``% p``, ``% n`` or one reduced
+      ``Fraction``) instead of normalising after every term.
+    * Artinian and colimit rings run the payload loop.  There, terms with a
+      zero factor (by ``payload_is_zero``) are skipped, never added: besides
+      saving work, this keeps each colimit-ring coefficient at the
+      presentation level of its nonzero terms, where a zero raised to a
+      higher level would otherwise re-express it (x3 printing as q0^2*x5).
     """
-    padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
-    out = [ring.payload_from_int(0)] * n
-    b = [(j, bj) for j, bj in enumerate(b[:n]) if not pzero(bj)]
-    for i, ai in enumerate(a[:n]):
-        if pzero(ai):
+    a, b = a[:n], b[:n]
+    form = ring.integer_form(a)
+    if form is None:
+        padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
+        out = [ring.payload_from_int(0)] * n
+        b = [(j, bj) for j, bj in enumerate(b) if not pzero(bj)]
+        for i, ai in enumerate(a):
+            if pzero(ai):
+                continue
+            for j, bj in b:
+                k = i + j
+                if k >= n:
+                    break
+                out[k] = padd(out[k], pmul(ai, bj))
+        return out
+    a, scale_a = form
+    b, scale_b = ring.integer_form(b)
+    out = [0] * n
+    b = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if not ai:
             continue
         for j, bj in b:
             k = i + j
             if k >= n:
                 break
-            out[k] = padd(out[k], pmul(ai, bj))
-    return out
+            out[k] += ai * bj
+    return ring.from_integer_form(out, scale_a * scale_b)
 
 
 class TruncatedSeries:

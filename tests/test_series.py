@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from arclift import (
     laurent_divide,
     reduced_order,
 )
+from arclift.series import convolve
 from arclift.weierstrass import divide_by_monic, poly_mul
 
 from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product
@@ -251,3 +253,104 @@ def test_product_over_arc_kernel_ring():
         product = TruncatedSeries(ring, a, na) * TruncatedSeries(ring, b, nb)
         assert product == expected and repr(product) == repr(expected)
         assert repr(poly_mul(a, b, ring)) == repr(schoolbook_product(a, b, ring))
+
+
+# -- the integer path of the kernel (Fp, Z/n, Q) ---------------------------
+
+def _plain_product(a, b, n, modulus=None):
+    """a*b mod t^n on bare ints or Fractions, reduced mod ``modulus`` if given."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return [c % modulus for c in out] if modulus else out
+
+
+def _modulus(ring):
+    """p or n for Fp and Z/n; None for Q."""
+    if isinstance(ring, RationalRing):
+        return None
+    return ring.p if isinstance(ring, PrimeFieldRing) else ring.n
+
+
+def _integer_cases(ring, rng):
+    """(a, b) payload pairs: edge shapes first, then random lists."""
+    m = _modulus(ring)
+    if m is None:
+        def draw(count):
+            return [Fraction(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(count)]
+        yield [Fraction(1, k) for k in range(1, 41)], [Fraction(-k, k + 1) for k in range(1, 31)]
+        yield [Fraction(1, 3**40), Fraction(-2, 7), Fraction(5)], [Fraction(-1, 3**40)] * 4
+        yield [Fraction(-7, 9), Fraction(0), Fraction(-1, 2)], [Fraction(2, 3), Fraction(-3, 4)]
+    else:
+        def draw(count):
+            return [rng.randrange(m) for _ in range(count)]
+        yield [m - 1] * 12, [m - 1] * 12  # a large sum before the one reduction
+    zero = ring.payload_from_int(0)
+    yield [zero] * 5, draw(6)
+    yield draw(4), [zero] * 3
+    yield [], draw(3)
+    yield [], []
+    for _ in range(25):
+        yield draw(rng.randint(1, 12)), draw(rng.randint(1, 12))
+
+
+def _canonical_values(ring, elements):
+    """The payloads of ``elements``, after asserting each is canonical."""
+    m = _modulus(ring)
+    values = [c.value for c in elements]
+    if m is None:
+        assert all(type(v) is Fraction for v in values)
+    else:
+        assert all(type(v) is int and 0 <= v < m for v in values)
+    return values
+
+
+INTEGER_RINGS = [RationalRing(), PrimeFieldRing(2), PrimeFieldRing(5), IntegersMod(9), IntegersMod(27)]
+
+
+@pytest.mark.parametrize("ring", INTEGER_RINGS, ids=repr)
+def test_integer_path_matches_plain_product(ring):
+    rng = random.Random(29)
+    m = _modulus(ring)
+    for a, b in _integer_cases(ring, rng):
+        f, g = [ring.element(v) for v in a], [ring.element(v) for v in b]
+        for n in {0, 1, 3, min(len(a), len(b)), max(len(a) + len(b) - 1, 0), len(a) + len(b) + 2}:
+            out = convolve(ring, a, b, n)
+            assert _canonical_values(ring, [ring.element(v) for v in out]) == _plain_product(a, b, n, m)
+
+        full = _canonical_values(ring, poly_mul(f, g, ring))
+        assert full == _plain_product(a, b, len(a) + len(b) - 1 if a and b else 0, m)
+        if not (a and b):
+            continue
+
+        n = min(len(a), len(b))
+        product = TruncatedSeries(ring, f, len(a)) * TruncatedSeries(ring, g, len(b))
+        expected = TruncatedSeries(ring, [ring.element(v) for v in _plain_product(a, b, n, m)], n)
+        assert _canonical_values(ring, product.coeffs) == [c.value for c in expected.coeffs]
+        assert product == expected and hash(product) == hash(expected)
+        assert [hash(c) for c in product.coeffs] == [hash(c) for c in expected.coeffs]
+
+        n = max(1, len(a) // 2)  # g may be longer than the series
+        got = TruncatedSeries(ring, f, n).times_poly(g)
+        assert _canonical_values(ring, got.coeffs) == _plain_product(a[:n], b, n, m)
+
+
+@pytest.mark.parametrize("ring", INTEGER_RINGS, ids=repr)
+def test_integer_rings_never_touch_payload_ops_in_products(ring, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("payload op called on the integer path")
+
+    a = [ring.payload_from_int(k) for k in (3, 0, -2, 7)]
+    b = [ring.payload_from_int(k) for k in (1, 5, 0)]
+    expected = convolve(ring, a, b, 5)
+    monkeypatch.setattr(ring, "payload_add", refuse)
+    monkeypatch.setattr(ring, "payload_mul", refuse)
+    assert convolve(ring, a, b, 5) == expected
+
+
+def test_artinian_and_colimit_rings_keep_the_payload_loop():
+    for ring in (F5eps(), ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
+                 arc_kernel_ring(PrimeFieldRing(5))):
+        assert ring.integer_form([ring.payload_from_int(1)]) is None
