@@ -81,5 +81,27 @@ from .weierstrass import (
     weierstrass_divide,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The documented API: every name imported above.  The submodules stay
+# reachable as attributes (``arclift.series``) but are not exported.
+__all__ = [
+    "ArcliftError", "ArityMismatch", "CongruenceFailed", "DegenerateJacobian",
+    "Indeterminate", "InsufficientPrecision", "InvalidDescriptor", "MixedFamilies",
+    "MixedRings", "NoDivide", "NonLocalRing", "NotAUnit", "ParseError",
+    "PrecisionExhausted", "ResidualNonzero", "Verdict",
+    "Expansion", "ModQReduction", "ModQVector", "expand_around", "map_mod_poly",
+    "mod_q_reduce",
+    "ArcPoint", "JacobianData", "LiftResult", "PolyMap", "arc_lift", "check_congruence",
+    "congruence_forward", "fixed_point_solve", "jacobian_data", "taylor_remainder",
+    "arc_kernel_ring", "check_identities", "integer_completion", "sawed_completion",
+    "sawed_plane_ring", "xy_arc_counterexample",
+    "MultiPoly",
+    "ArtinianLocalRing", "IntegersMod", "PrimeFieldRing", "RationalRing", "Ring",
+    "RingElement", "make_ring",
+    "LaurentSeries", "TruncatedSeries", "is_nondegenerate", "laurent_divide",
+    "reduced_order",
+    "INFINITE_WITHIN_PRECISION", "LowPoly", "MonicPoly", "StrictFactorization",
+    "WeierstrassDivision", "divides_power_of_t", "kernel_fiber_basis", "ord_at_point",
+    "recombine_division", "recombine_factorization", "strict_prepare",
+    "weierstrass_divide",
+]
 __version__ = "0.1.0"

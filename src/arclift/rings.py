@@ -11,8 +11,12 @@ that equality is plain representational equality:
   m^e = 0.  Elements are finite maps from exponent multi-indices to nonzero
   base coefficients.
 
-Fp, Z/n and Q also give payload lists an integer form (``integer_form``),
-on which ``series.convolve`` multiplies with plain Python ints.
+``series.convolve`` picks one of three product paths by ring family.  Fp,
+Z/n and Q give payload lists an integer form (``integer_form``), on which
+it multiplies with plain Python ints.  Artinian rings split payload lists
+by monomial into base-ring t-polynomials (``slice_form``), which it
+multiplies pairwise on the base ring's integer path.  Every other ring (the
+colimit models in ``pathology``) keeps the payload-level loop.
 
 Every ring is immutable and every operation is a pure function, so values
 can be shared freely across threads.
@@ -180,6 +184,25 @@ class Ring:
         """The canonical payloads of ints[i] / scale (reduced residues,
         reduced fractions), for any Python ints and a product of scales
         that this ring's ``integer_form`` returned."""
+        raise NotImplementedError
+
+    def slice_form(self, payloads):
+        """``{exps: base payload list}`` splitting payloads by monomial, or None.
+
+        A ring whose payloads map exponent tuples to coefficients of a base
+        ring returns, for each monomial present, the t-polynomial of its
+        base coefficients (zero where a payload lacks it), so that
+        ``series.convolve`` multiplies slice by slice over the base ring.
+        Such a ring also has ``base``, the truncation order ``e`` (a slice
+        product lands on the summed exponents, or vanishes once their total
+        degree reaches ``e``) and ``from_slice_form``.  The default, None,
+        keeps products on the payload-level loop.
+        """
+        return None
+
+    def from_slice_form(self, slices, n):
+        """The n canonical payloads whose monomial ``exps`` carries the base
+        coefficients ``slices[exps]`` (each a list of n base payloads)."""
         raise NotImplementedError
 
     # -- element layer ---------------------------------------------------
@@ -558,6 +581,26 @@ class ArtinianLocalRing(Ring):
 
     def payload_is_zero(self, a):
         return not a
+
+    def slice_form(self, payloads):
+        zero = self.base.payload_from_int(0)
+        slices = {}
+        for i, a in enumerate(payloads):
+            for exps, c in a.items():
+                s = slices.get(exps)
+                if s is None:
+                    s = slices[exps] = [zero] * len(payloads)
+                s[i] = c
+        return slices
+
+    def from_slice_form(self, slices, n):
+        pzero = self.base.payload_is_zero
+        out = [{} for _ in range(n)]
+        for exps, s in slices.items():
+            for a, c in zip(out, s):
+                if not pzero(c):
+                    a[exps] = c
+        return out
 
     def generators(self):
         out = {}

@@ -354,3 +354,118 @@ def test_artinian_and_colimit_rings_keep_the_payload_loop():
     for ring in (F5eps(), ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
                  arc_kernel_ring(PrimeFieldRing(5))):
         assert ring.integer_form([ring.payload_from_int(1)]) is None
+
+
+# -- the sliced path of the kernel (Artinian rings) -------------------------
+
+ARTIN_RINGS = [
+    F5eps(),
+    ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
+    ArtinianLocalRing(RationalRing(), ["a", "b"], 3),
+    ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 1),
+]
+
+
+def _artin_element(ring, rng, density, top_only=False):
+    """Each monomial (only those of degree e-1 if ``top_only``) present with
+    probability ``density``, with a nonzero and, over Q, fractional coefficient."""
+    out = {}
+    for exps in ring.monomials():
+        if (top_only and sum(exps) < ring.e - 1) or rng.random() >= density:
+            continue
+        if isinstance(ring.base, RationalRing):
+            out[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 40))
+        else:
+            out[exps] = rng.randrange(1, ring.base.p)
+    return ring.element(out)
+
+
+def _artin_cases(ring, rng):
+    """(f, g) element-list pairs: edge shapes first, then random lists."""
+    def draw(count, density=0.4, zeros=0.5, top_only=False):
+        return [ring.zero if rng.random() < zeros else _artin_element(ring, rng, density, top_only)
+                for _ in range(count)]
+
+    yield draw(9, density=1.0, zeros=0.0), draw(7, density=1.0, zeros=0.0)  # dense
+    yield draw(8, top_only=True, zeros=0.0), draw(8, top_only=True, zeros=0.0)  # products vanish
+    yield [ring.zero] * 5, draw(6)
+    yield draw(4), [ring.zero] * 3
+    yield [], draw(3)
+    yield [], []
+    if isinstance(ring.base, RationalRing):
+        one = (0,) * ring.m
+        tiny = [ring.element({one: Fraction(1, 3**20)}), ring.element({one: Fraction(-2, 7)})]
+        yield tiny, [ring.element({one: Fraction(-1, 3**20)})] * 4
+    for _ in range(25):
+        yield draw(rng.randint(1, 12)), draw(rng.randint(1, 12), density=rng.random())
+
+
+def _canonical_artin(ring, elements):
+    """The payloads of ``elements``, after asserting each is canonical."""
+    values = [c.value for c in elements]
+    for v in values:
+        for exps, c in v.items():
+            assert len(exps) == ring.m and sum(exps) < ring.e
+            assert not ring.base.payload_is_zero(c)
+            if isinstance(ring.base, RationalRing):
+                assert type(c) is Fraction
+            else:
+                assert type(c) is int and 0 <= c < ring.base.p
+    return values
+
+
+@pytest.mark.parametrize("ring", ARTIN_RINGS, ids=repr)
+def test_sliced_path_matches_schoolbook(ring):
+    rng = random.Random(31)
+    for f, g in _artin_cases(ring, rng):
+        a, b = [c.value for c in f], [c.value for c in g]
+        full = schoolbook_product(f, g, ring)
+        for n in {0, 1, 3, min(len(f), len(g)), len(full), len(f) + len(g) + 2}:
+            expected = (full + [ring.zero] * n)[:n]
+            got = [ring.element(v) for v in convolve(ring, a, b, n)]
+            assert _canonical_artin(ring, got) == [c.value for c in expected]
+        assert _canonical_artin(ring, poly_mul(f, g, ring)) == [c.value for c in full]
+        if not (f and g):
+            continue
+
+        n = min(len(f), len(g))
+        product = TruncatedSeries(ring, f, len(f)) * TruncatedSeries(ring, g, len(g))
+        expected = TruncatedSeries(ring, full[:n], n)
+        assert _canonical_artin(ring, product.coeffs) == [c.value for c in expected.coeffs]
+        assert product == expected and hash(product) == hash(expected)
+        assert [hash(c) for c in product.coeffs] == [hash(c) for c in expected.coeffs]
+
+        n = max(1, len(f) // 2)  # g may be longer than the series
+        got = TruncatedSeries(ring, f, n).times_poly(g)
+        expected = schoolbook_product(f[:n], g, ring)[:n]
+        assert _canonical_artin(ring, got.coeffs) == [c.value for c in expected]
+
+
+def test_artinian_products_skip_payload_ops_and_colimit_products_keep_them(monkeypatch):
+    rng = random.Random(37)
+    cases = []
+    for ring in ARTIN_RINGS:
+        f = [_artin_element(ring, rng, 0.7) for _ in range(6)]
+        g = [_artin_element(ring, rng, 0.7) for _ in range(5)]
+        cases.append((ring, f, g, schoolbook_product(f, g, ring)))
+
+    def refuse(*args):
+        raise AssertionError("Artinian payload op called in a product")
+
+    monkeypatch.setattr(ArtinianLocalRing, "payload_mul", refuse)
+    monkeypatch.setattr(ArtinianLocalRing, "payload_add", refuse)
+    for ring, f, g, full in cases:
+        a, b = [c.value for c in f], [c.value for c in g]
+        assert convolve(ring, a, b, len(full)) == [c.value for c in full]
+        assert poly_mul(f, g, ring) == full
+        product = TruncatedSeries(ring, f, 6) * TruncatedSeries(ring, g, 5)
+        assert product == TruncatedSeries(ring, full[:5], 5)
+        assert TruncatedSeries(ring, f, 6).times_poly(g) == TruncatedSeries(ring, full[:6], 6)
+
+    ring = arc_kernel_ring(PrimeFieldRing(5))
+    calls = []
+    mul = ring.payload_mul
+    monkeypatch.setattr(ring, "payload_mul", lambda x, y: calls.append(1) or mul(x, y))
+    a = TruncatedSeries(ring, [ring.x(1), ring.one], 2)
+    product = a * TruncatedSeries(ring, [ring.q0(), ring.x(2)], 2)
+    assert calls and product.coefficient(0) == ring.x(1) * ring.q0()

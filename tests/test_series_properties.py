@@ -1,7 +1,8 @@
-"""Property tests of series products and inverses against sympy.
+"""Property tests of series products, inverses and monic division against sympy.
 
-``hypothesis`` draws the series; ``sympy`` polynomial arithmetic mod t^n is
-the oracle, so nothing here runs arclift's own kernel twice.  Both packages
+``hypothesis`` draws the series; ``sympy`` polynomial arithmetic mod t^n
+(and mod eps^2 over Artin(Fp(5); eps; 2)) and ``sympy.div`` are the
+oracles, so nothing here runs arclift's own kernel twice.  Both packages
 are optional: the module is skipped where either is missing.
 """
 
@@ -15,9 +16,17 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from arclift import PrimeFieldRing, RationalRing, TruncatedSeries  # noqa: E402
+from arclift import (  # noqa: E402
+    ArtinianLocalRing,
+    MonicPoly,
+    PrimeFieldRing,
+    RationalRing,
+    TruncatedSeries,
+)
+from arclift.weierstrass import divide_by_monic  # noqa: E402
 
 T = sympy.Symbol("t")
+EPS = sympy.Symbol("eps")
 SETTINGS = settings(max_examples=30, derandomize=True, deadline=None)
 
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 30))
@@ -82,3 +91,56 @@ def test_inverse_matches_sympy(name):
         assert _payloads(_series(ring, a).invert()) == expected
 
     check()
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_monic_division_matches_sympy(name):
+    ring, values = RINGS[name]
+
+    @SETTINGS
+    @given(st.lists(values, max_size=14), st.lists(values, max_size=5))
+    def check(f, low):
+        d = len(low)
+        q = MonicPoly(ring, [ring.element(v) for v in low])
+        quot, rem = divide_by_monic([ring.element(v) for v in f], q)
+        expected_quot, expected_rem = sympy.div(_poly(f, ring), _poly(low + [1], ring))
+        assert [c.value for c in quot] == _coefficients(expected_quot, max(len(f) - d, 0), ring)
+        assert [c.value for c in rem] == _coefficients(expected_rem, d, ring)
+
+    check()
+
+
+# -- Artin(Fp(5); eps; 2): an element is a pair (c0, c1) meaning c0 + c1*eps --
+
+F5EPS = ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2)
+pairs = st.tuples(residues, residues)
+
+
+def _eps_series(pairs):
+    payloads = [{k: c for k, c in (((0,), c0), ((1,), c1)) if c} for c0, c1 in pairs]
+    return _series(F5EPS, payloads)
+
+
+def _eps_poly(pairs):
+    """sum (c0 + c1 eps) t^i in GF(5)[t, eps]."""
+    expr = sum(((c0 + c1 * EPS) * T**i for i, (c0, c1) in enumerate(pairs)), sympy.Integer(0))
+    return sympy.Poly(expr, T, EPS, modulus=5)
+
+
+def _eps_truncated(poly, n):
+    """The first n coefficients of a polynomial in (t, eps), mod (eps^2, t^n), as pairs."""
+    out = [[0, 0] for _ in range(n)]
+    for (i, k), c in poly.terms():
+        if i < n and k < 2:
+            out[i][k] = int(c) % 5
+    return [tuple(p) for p in out]
+
+
+@SETTINGS
+@given(st.lists(pairs, min_size=1, max_size=12), st.lists(pairs, min_size=1, max_size=12))
+def test_artinian_products_match_sympy(a, b):
+    product = _eps_poly(a) * _eps_poly(b)
+    n = min(len(a), len(b))
+    assert _eps_series(a) * _eps_series(b) == _eps_series(_eps_truncated(product, n))
+    times = _eps_series(a).times_poly(list(_eps_series(b).coeffs))
+    assert times == _eps_series(_eps_truncated(product, len(a)))
