@@ -10,6 +10,8 @@ executable models of the pathological rings whose elements vanish at every
 point to infinite order.
 """
 
+import types
+
 from .errors import (
     ArcliftError,
     ArityMismatch,
@@ -81,27 +83,10 @@ from .weierstrass import (
     weierstrass_divide,
 )
 
-# The documented API: every name imported above.  The submodules stay
-# reachable as attributes (``arclift.series``) but are not exported.
+# Every name imported above; the submodules stay reachable as attributes
+# (``arclift.series``) but are not exported.
 __all__ = [
-    "ArcliftError", "ArityMismatch", "CongruenceFailed", "DegenerateJacobian",
-    "Indeterminate", "InsufficientPrecision", "InvalidDescriptor", "MixedFamilies",
-    "MixedRings", "NoDivide", "NonLocalRing", "NotAUnit", "ParseError",
-    "PrecisionExhausted", "ResidualNonzero", "Verdict",
-    "Expansion", "ModQReduction", "ModQVector", "expand_around", "map_mod_poly",
-    "mod_q_reduce",
-    "ArcPoint", "JacobianData", "LiftResult", "PolyMap", "arc_lift", "check_congruence",
-    "congruence_forward", "fixed_point_solve", "jacobian_data", "taylor_remainder",
-    "arc_kernel_ring", "check_identities", "integer_completion", "sawed_completion",
-    "sawed_plane_ring", "xy_arc_counterexample",
-    "MultiPoly",
-    "ArtinianLocalRing", "IntegersMod", "PrimeFieldRing", "RationalRing", "Ring",
-    "RingElement", "make_ring",
-    "LaurentSeries", "TruncatedSeries", "is_nondegenerate", "laurent_divide",
-    "reduced_order",
-    "INFINITE_WITHIN_PRECISION", "LowPoly", "MonicPoly", "StrictFactorization",
-    "WeierstrassDivision", "divides_power_of_t", "kernel_fiber_basis", "ord_at_point",
-    "recombine_division", "recombine_factorization", "strict_prepare",
-    "weierstrass_divide",
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]
 __version__ = "0.1.0"

@@ -13,10 +13,10 @@ that equality is plain representational equality:
 
 ``series.convolve`` picks one of three product paths by ring family.  Fp,
 Z/n and Q give payload lists an integer form (``integer_form``), on which
-it multiplies with plain Python ints.  Artinian rings split payload lists
-by monomial into base-ring t-polynomials (``slice_form``), which it
-multiplies pairwise on the base ring's integer path.  Every other ring (the
-colimit models in ``pathology``) keeps the payload-level loop.
+it multiplies with plain Python ints.  Artinian rings multiply t-polynomials
+themselves (``ArtinianLocalRing.convolve``): slice by monomial, on the base
+ring's integer form.  Every other ring (the colimit models in
+``pathology``) keeps the payload-level loop.
 
 Every ring is immutable and every operation is a pure function, so values
 can be shared freely across threads.
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
+from operator import add
 
 from .errors import InvalidDescriptor, MixedRings, NonLocalRing, NotAUnit
 
@@ -184,25 +186,6 @@ class Ring:
         """The canonical payloads of ints[i] / scale (reduced residues,
         reduced fractions), for any Python ints and a product of scales
         that this ring's ``integer_form`` returned."""
-        raise NotImplementedError
-
-    def slice_form(self, payloads):
-        """``{exps: base payload list}`` splitting payloads by monomial, or None.
-
-        A ring whose payloads map exponent tuples to coefficients of a base
-        ring returns, for each monomial present, the t-polynomial of its
-        base coefficients (zero where a payload lacks it), so that
-        ``series.convolve`` multiplies slice by slice over the base ring.
-        Such a ring also has ``base``, the truncation order ``e`` (a slice
-        product lands on the summed exponents, or vanishes once their total
-        degree reaches ``e``) and ``from_slice_form``.  The default, None,
-        keeps products on the payload-level loop.
-        """
-        return None
-
-    def from_slice_form(self, slices, n):
-        """The n canonical payloads whose monomial ``exps`` carries the base
-        coefficients ``slices[exps]`` (each a list of n base payloads)."""
         raise NotImplementedError
 
     # -- element layer ---------------------------------------------------
@@ -582,25 +565,64 @@ class ArtinianLocalRing(Ring):
     def payload_is_zero(self, a):
         return not a
 
-    def slice_form(self, payloads):
-        zero = self.base.payload_from_int(0)
-        slices = {}
-        for i, a in enumerate(payloads):
-            for exps, c in a.items():
-                s = slices.get(exps)
-                if s is None:
-                    s = slices[exps] = [zero] * len(payloads)
-                s[i] = c
-        return slices
+    def convolve(self, a, b, n):
+        """Payloads of a*b mod t^n, for ascending payload lists a and b.
 
-    def from_slice_form(self, slices, n):
+        Each list is split by monomial into sparse slices of (t-degree,
+        int) terms on the base ring's integer form, one scale per list.
+        The exponent sum and the truncation check then run once per slice
+        pair (slices come by ascending degree, so the first pair reaching
+        degree e ends the row), and each product monomial sums plain ints
+        in a length-n accumulator that is mapped back once per output
+        coefficient.  The grouping pays off when monomials recur across
+        t-degrees, so that slices hold several terms; when every slice
+        holds one term, the O(n) accumulator per product monomial makes
+        this slower than multiplying term by term.
+        """
+        slices_a, scale_a = self._integer_slices(a)
+        slices_b, scale_b = self._integer_slices(b)
+        e = self.e
+        slots = {}
+        for db, xb, sb in slices_b:
+            jb = sb[0][0]
+            for da, xa, sa in slices_a:
+                if da + db >= e:
+                    break
+                if sa[0][0] + jb >= n:
+                    continue
+                x = tuple(map(add, xa, xb))
+                acc = slots.get(x)
+                if acc is None:
+                    acc = slots[x] = [0] * n
+                for j, cb in sb:
+                    for i, ca in sa:
+                        k = i + j
+                        if k >= n:
+                            break
+                        acc[k] += ca * cb
+        terms = [(k, x) for x, acc in slots.items() for k in compress(range(n), acc)]
+        ints = [c for acc in slots.values() for c in compress(acc, acc)]
         pzero = self.base.payload_is_zero
         out = [{} for _ in range(n)]
-        for exps, s in slices.items():
-            for a, c in zip(out, s):
-                if not pzero(c):
-                    a[exps] = c
+        for (k, x), c in zip(terms, self.base.from_integer_form(ints, scale_a * scale_b)):
+            if not pzero(c):
+                out[k][x] = c
         return out
+
+    def _integer_slices(self, payloads):
+        """``([(deg, exps, [(i, int), ...]), ...], scale)`` by ascending
+        total degree: the base coefficient of the monomial exps in
+        payloads[i] is int / scale, with i ascending."""
+        ints, scale = self.base.integer_form([c for a in payloads for c in a.values()])
+        ints = iter(ints)
+        slices = {}
+        for i, a in enumerate(payloads):
+            for exps in a:
+                s = slices.get(exps)
+                if s is None:
+                    s = slices[exps] = []
+                s.append((i, next(ints)))
+        return sorted((sum(x), x, s) for x, s in slices.items()), scale
 
     def generators(self):
         out = {}

@@ -9,8 +9,8 @@ exactly how many orders the strict-factorization certificate consumed.
 series products, ``times_poly`` and ``weierstrass.poly_mul`` all call it.
 It has three paths, fixed by the ring's family: Fp, Z/n and Q multiply on
 Python ints and reduce once per output coefficient; Artinian rings
-multiply their per-monomial base-ring slices on that integer path; the
-colimit rings add payload products term by term, skipping zero factors.
+multiply per-monomial slices on their base ring's ints; the colimit rings
+add payload products term by term, skipping zero factors.
 """
 
 from __future__ import annotations
@@ -22,24 +22,22 @@ from .errors import (
     NotAUnit,
     PrecisionExhausted,
 )
-from .rings import RingElement
+from .rings import ArtinianLocalRing, RingElement
 
 
 def convolve(ring, a, b, n):
     """Payloads of a*b mod t^n, for ascending payload lists a and b.
 
-    Three paths, chosen by the ring's family through ``Ring.integer_form``
-    and ``Ring.slice_form``:
+    Three paths, chosen by the ring's family:
 
-    * Fp, Z/n and Q multiply on Python ints: Fp and Z/n residues as they
-      are, Q numerators over each list's lcm of denominators.  Each output
-      coefficient is mapped back once (``% p``, ``% n`` or one reduced
-      ``Fraction``) instead of normalising after every term.
-    * Artinian rings split each list by monomial into base-ring
-      t-polynomials.  Every slice pair whose monomials multiply below the
-      truncation order is multiplied by a recursive call over the base
-      ring (Fp or Q, so on the integer path) and added into the slot of the
-      product monomial; the slots are put back together as dict payloads.
+    * Fp, Z/n and Q multiply on Python ints (``Ring.integer_form``): Fp
+      and Z/n residues as they are, Q numerators over each list's lcm of
+      denominators.  Each output coefficient is mapped back once (``% p``,
+      ``% n`` or one reduced ``Fraction``) instead of normalising after
+      every term.
+    * Artinian rings run ``ArtinianLocalRing.convolve``, which splits each
+      list by monomial and multiplies slice pairs on the base ring's
+      integer form.
     * Every other ring (the colimit models) runs the payload loop.  There,
       terms with a zero factor (by ``payload_is_zero``) are skipped, never
       added: besides saving work, this keeps each colimit-ring coefficient
@@ -48,22 +46,10 @@ def convolve(ring, a, b, n):
       q0^2*x5).
     """
     a, b = a[:n], b[:n]
+    if isinstance(ring, ArtinianLocalRing):
+        return ring.convolve(a, b, n)
     form = ring.integer_form(a)
     if form is None:
-        slices_a = ring.slice_form(a)
-        if slices_a is not None:
-            base, e, padd = ring.base, ring.e, ring.base.payload_add
-            slots = {}
-            for xb, sb in ring.slice_form(b).items():
-                db = sum(xb)
-                for xa, sa in slices_a.items():
-                    if sum(xa) + db >= e:
-                        continue
-                    x = tuple(i + j for i, j in zip(xa, xb))
-                    p = convolve(base, sa, sb, n)
-                    acc = slots.get(x)
-                    slots[x] = p if acc is None else [padd(u, v) for u, v in zip(acc, p)]
-            return ring.from_slice_form(slots, n)
         padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
         out = [ring.payload_from_int(0)] * n
         b = [(j, bj) for j, bj in enumerate(b) if not pzero(bj)]

@@ -363,6 +363,7 @@ ARTIN_RINGS = [
     ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
     ArtinianLocalRing(RationalRing(), ["a", "b"], 3),
     ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 1),
+    ArtinianLocalRing(PrimeFieldRing(3), ["a", "b", "c"], 4),
 ]
 
 
@@ -388,6 +389,7 @@ def _artin_cases(ring, rng):
 
     yield draw(9, density=1.0, zeros=0.0), draw(7, density=1.0, zeros=0.0)  # dense
     yield draw(8, top_only=True, zeros=0.0), draw(8, top_only=True, zeros=0.0)  # products vanish
+    yield draw(10, density=0.1), draw(11, density=0.1)  # slices of one or two terms
     yield [ring.zero] * 5, draw(6)
     yield draw(4), [ring.zero] * 3
     yield [], draw(3)
