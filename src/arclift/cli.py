@@ -17,6 +17,7 @@ from .errors import ArcliftError, ParseError, Verdict
 from .newton import ArcPoint, arc_lift
 from .series import format_series
 from .textforms import (
+    check_precision,
     format_factorization,
     format_low,
     format_monic,
@@ -40,9 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def precision(text):
+    """``--N``: an int no larger than ``textforms.MAX_PRECISION``."""
+    return check_precision(int(text))
+
+
 def _series_json(s):
     return {
-        "coeffs": [s.ring.format_element(c.value) for c in s.coeffs],
+        "coeffs": [s.ring.format_element(v) for v in s.payloads],
         "precision": s.precision,
     }
 
@@ -222,7 +228,9 @@ def build_parser():
     p = sub.add_parser("prepare", help="strict Weierstrass factorization of a series")
     common(p)
     p.add_argument("--series", required=True)
-    p.add_argument("--N", type=int, default=None, help="precision when the series has no O-tail")
+    p.add_argument(
+        "--N", type=precision, default=None, help="precision when the series has no O-tail"
+    )
     p.add_argument(
         "--certify",
         type=int,
@@ -235,20 +243,20 @@ def build_parser():
     common(p)
     p.add_argument("--series", required=True, help="the dividend f")
     p.add_argument("--poly", required=True, help="the monic divisor q")
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=precision, default=None)
     p.set_defaults(fn=_cmd_divide)
 
     p = sub.add_parser("lift", help="Newton arc lifting for a polynomial system")
     common(p)
     p.add_argument("--map", required=True, help="vars: [...]; split: k; eqs: [...]")
     p.add_argument("--arc", required=True, help="semicolon-separated series")
-    p.add_argument("--N", type=int, required=True, help="working precision")
+    p.add_argument("--N", type=precision, required=True, help="working precision")
     p.set_defaults(fn=_cmd_lift)
 
     p = sub.add_parser("fiber", help="basis of the division kernel fiber over a field")
     common(p)
     p.add_argument("--poly", required=True, help="the monic q")
-    p.add_argument("--N", type=int, default=12)
+    p.add_argument("--N", type=precision, default=12)
     p.set_defaults(fn=_cmd_fiber)
 
     p = sub.add_parser("patho", help="pathological-ring identity reports")
@@ -256,7 +264,7 @@ def build_parser():
     p.add_argument("--check", choices=("identities", "sawed", "xy"), required=True)
     p.add_argument("--bound", type=int, default=8, help="index bound for identities")
     p.add_argument("--order", type=int, default=3, help="completion order for sawed")
-    p.add_argument("--N", type=int, default=10, help="precision for the xy arc")
+    p.add_argument("--N", type=precision, default=10, help="precision for the xy arc")
     p.set_defaults(fn=_cmd_patho)
 
     p = sub.add_parser("completion", help="t-completion of the integer model Z, t acting as p")

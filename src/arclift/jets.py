@@ -16,7 +16,15 @@ from .errors import ArityMismatch, InsufficientPrecision, MixedRings
 from .newton import PolyMap, embed_scalar
 from .polynomials import MultiPoly
 from .series import TruncatedSeries
-from .weierstrass import LowPoly, MonicPoly, _remainder_exact, divide_by_monic, poly_mul
+from .rings import RingElement
+from .weierstrass import (
+    LowPoly,
+    MonicPoly,
+    _divide_payloads,
+    _remainder_exact,
+    divide_by_monic,
+    poly_mul,
+)
 
 
 class ModQVector:
@@ -61,7 +69,8 @@ def mod_q_reduce(x: TruncatedSeries, q: MonicPoly) -> ModQReduction:
         raise InsufficientPrecision(
             f"reduction mod degree {q.degree} needs {q.degree} known orders, got {x.precision}"
         )
-    _, rem = divide_by_monic(x.coeffs, q)
+    _, rem = _divide_payloads(x.payloads, q)
+    rem = [RingElement(x.ring, v) for v in rem]
     return ModQReduction(
         value=LowPoly(x.ring, q.degree, rem), exact=_remainder_exact(q, x.precision)
     )
@@ -149,7 +158,7 @@ def expand_around(g: PolyMap, q: MonicPoly, xbar: ModQVector, xprime) -> Expansi
         w = poly.evaluate_or(
             moved, zero, embed=lambda c: TruncatedSeries.constant(embed_scalar(ring, c), w_prec)
         )
-        quot, rem = divide_by_monic(w.coeffs, tq)
-        heads.append(LowPoly(ring, d + 1, rem))
-        tails.append(TruncatedSeries(ring, quot, w.precision - (d + 1)))
+        quot, rem = _divide_payloads(w.payloads, tq)
+        heads.append(LowPoly(ring, d + 1, [RingElement(ring, v) for v in rem]))
+        tails.append(TruncatedSeries._wrap(ring, quot, w.precision - (d + 1)))
     return Expansion(head=ModQVector(tq, heads), tail=tuple(tails))

@@ -39,7 +39,7 @@ from .errors import (
     ResidualNonzero,
 )
 from .polynomials import MultiPoly
-from .series import TruncatedSeries, laurent_divide, reduced_order
+from .series import TruncatedSeries, laurent_divider, reduced_order
 
 
 def embed_scalar(ring, c) -> "RingElement":
@@ -317,11 +317,11 @@ def check_congruence(arc: ArcPoint):
         raise PrecisionExhausted(
             f"congruence at det order {rho} over m^{e}=0 needs N >= {need}, got {big_n}"
         )
-    divisor = (det_series * det_series).shift(1)
+    divide = laurent_divider((det_series * det_series).shift(1))
     defect = _apply_matrix(arc.adjugate_at, arc.values)
     parts = []
     for i, a in enumerate(defect):
-        quotient = laurent_divide(a, divisor)
+        quotient = divide(a)
         ps = quotient.power_series_part()
         if ps is None:
             raise CongruenceFailed(i, quotient.normalize())
@@ -383,6 +383,7 @@ def fixed_point_solve(h, v1, precision: int):
     if min(x.precision for x in v1) < precision:
         raise InsufficientPrecision("v1 is not known to the requested precision")
     ring = v1[0].ring
+    pzero = ring.payload_is_zero
 
     def h_at(v, k):
         """h(v mod t^k) truncated to precision k; ``truncate`` raises
@@ -396,17 +397,17 @@ def fixed_point_solve(h, v1, precision: int):
     p = 1
     while p < precision:
         q = min(2 * p, precision)
-        v = tuple(TruncatedSeries(ring, x.coeffs, q) for x in v)  # zero-padded
+        v = tuple(TruncatedSeries._wrap(ring, x.payloads, q) for x in v)  # zero-padded
         hv = h_at(v, q - 1)
         rho = []
         for i in range(n):
             r = v1[i].truncate(q) - v[i] - hv[i].shift(1)
-            if any(r.coeffs[:p]):
+            if not all(map(pzero, r.payloads[:p])):
                 raise RuntimeError(
                     "Newton residual certificate failed: h is not a t-adic "
                     "power-series map, or this is a bug"
                 )
-            rho.append(TruncatedSeries(ring, r.coeffs[p:], q - p))
+            rho.append(TruncatedSeries._wrap(ring, r.payloads[p:], q - p))
         if q - p == 1:
             eps = rho  # Id + t*Dh = Id mod t
         else:
@@ -417,10 +418,13 @@ def fixed_point_solve(h, v1, precision: int):
             for j in range(n):
                 hj = h_at(tuple(x + bump if i == j else x for i, x in enumerate(v)), q - 1)
                 for i in range(n):
-                    t_dh = TruncatedSeries(ring, (hj[i] - hv[i]).coeffs[p:], q - p - 1).shift(1)
+                    dh = (hj[i] - hv[i]).payloads[p:]
+                    t_dh = TruncatedSeries._wrap(ring, dh, q - p - 1).shift(1)
                     mat[i][j] = t_dh + one if i == j else t_dh
             eps = _solve_near_identity(mat, rho)
-        v = tuple(TruncatedSeries(ring, v[i].coeffs[:p] + eps[i].coeffs, q) for i in range(n))
+        v = tuple(
+            TruncatedSeries._wrap(ring, v[i].payloads[:p] + eps[i].payloads, q) for i in range(n)
+        )
         p = q
     hv = h_at(v, precision)
     for i in range(n):
@@ -479,8 +483,9 @@ def arc_lift(arc: ArcPoint, working_precision=None) -> LiftResult:
             min(out_prec + 1, arc.precision)
         )
     lifted = ArcPoint(pm, new_components)
+    pzero = arc.ring.payload_is_zero
     for value in lifted.values:
-        if any(value.coeffs[i] for i in range(min(out_prec, value.precision))):
+        if not all(map(pzero, value.payloads[:out_prec])):
             raise ResidualNonzero(
                 f"f(lifted arc) != 0 mod t^{out_prec}; the coefficient ring must "
                 "have elements vanishing to infinite order, or this is a bug"

@@ -382,8 +382,10 @@ def xy_arc_counterexample(precision: int, field=None) -> CrossArcReport:
     rows = []
     for k in range(precision):
         label = "q0*x0" if k == 0 else f"x{k - 1} + q0*x{k}"
-        rows.append(IdentityRow(f"coefficient t^{k} of q*x: {label} = 0", k, not product.coeffs[k]))
-    rows.append(IdentityRow("x0 != 0 (x is a nonzero series)", 0, bool(x.coeffs[0])))
+        rows.append(
+            IdentityRow(f"coefficient t^{k} of q*x: {label} = 0", k, not product.coefficient(k))
+        )
+    rows.append(IdentityRow("x0 != 0 (x is a nonzero series)", 0, bool(x.coefficient(0))))
     constant_one = any(
         len(ring.reduced_polynomial(c).terms) == 1
         and (0,) in ring.reduced_polynomial(c).terms

@@ -1,5 +1,10 @@
 """Truncated power series R[[t]] mod t^N and Laurent series.
 
+A series stores its coefficients as canonical ring payloads (see
+``rings``), and sums, products, shifts and truncations run on those
+payloads; ``RingElement`` wrappers are built only where a coefficient
+leaves the series API (``coefficient``, the ``coeffs`` view).
+
 Precision is explicit data.  Every operation states the precision of its
 output and never claims a coefficient beyond it: sums and products follow
 the min-precision rule, shifts gain orders, and Laurent division records
@@ -77,66 +82,82 @@ def convolve(ring, a, b, n):
     return ring.from_integer_form(out, scale_a * scale_b)
 
 
-class TruncatedSeries:
-    """c_0 + c_1 t + ... + c_{N-1} t^{N-1} + O(t^N) with exact coefficients."""
+def _payload(ring, c):
+    """The payload of a coefficient given as an element of ``ring`` or an int."""
+    if isinstance(c, RingElement):
+        if c.ring is not ring and c.ring != ring:
+            raise MixedRings(f"coefficient from {c.ring}, series over {ring}")
+        return c.value
+    if isinstance(c, int):
+        return ring.payload_from_int(c)
+    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
-    __slots__ = ("ring", "precision", "coeffs")
+
+class TruncatedSeries:
+    """c_0 + c_1 t + ... + c_{N-1} t^{N-1} + O(t^N) with exact coefficients.
+
+    Coefficients are stored as canonical ring payloads: ``payloads`` is a
+    tuple of exactly ``precision`` of them, and every operation here works
+    on it without building ``RingElement``s.  Payloads are immutable values,
+    so slices and zero padding share them.  ``coeffs`` (a read-only tuple)
+    and ``coefficient`` wrap payloads for callers outside the series layer.
+    """
+
+    __slots__ = ("ring", "precision", "payloads")
 
     def __init__(self, ring, coeffs, precision=None):
-        coerced = []
-        for c in coeffs:
-            if isinstance(c, RingElement):
-                if c.ring != ring:
-                    raise MixedRings(f"coefficient from {c.ring}, series over {ring}")
-                coerced.append(c)
-            elif isinstance(c, int):
-                coerced.append(ring.from_int(c))
-            else:
-                raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-        if precision is None:
-            precision = len(coerced)
+        payloads = [_payload(ring, c) for c in coeffs]
+        self._init(ring, payloads, len(payloads) if precision is None else precision)
+
+    def _init(self, ring, payloads, precision):
         if precision < 1:
             raise InsufficientPrecision("a series needs at least one known coefficient")
-        if len(coerced) > precision:
-            coerced = coerced[:precision]
-        while len(coerced) < precision:
-            coerced.append(ring.zero)
+        n = len(payloads)
+        payloads = tuple(payloads[:precision] if n > precision else payloads)
+        if n < precision:
+            payloads += (ring.payload_from_int(0),) * (precision - n)
         self.ring = ring
         self.precision = precision
-        self.coeffs = tuple(coerced)
+        self.payloads = payloads
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def _wrap(cls, ring, payloads, precision):
-        """Unchecked constructor for exactly ``precision`` payloads of ``ring``."""
+        """Unchecked constructor from payloads of ``ring``, cut to
+        ``precision`` or padded with zeros up to it."""
         self = object.__new__(cls)
-        self.ring = ring
-        self.precision = precision
-        self.coeffs = tuple(RingElement(ring, v) for v in payloads)
+        self._init(ring, payloads, precision)
         return self
 
     @classmethod
     def from_ints(cls, ring, ints, precision=None):
-        return cls(ring, [ring.from_int(k) for k in ints], precision)
+        return cls(ring, list(ints), precision)
 
     @classmethod
     def constant(cls, value: RingElement, precision):
-        return cls(value.ring, [value], precision)
+        return cls._wrap(value.ring, (value.value,), precision)
 
     @classmethod
     def t_power(cls, ring, k, precision):
         if k >= precision:
             raise InsufficientPrecision(f"t^{k} is invisible at precision {precision}")
-        return cls(ring, [ring.zero] * k + [ring.one], precision)
+        zero = ring.payload_from_int(0)
+        return cls._wrap(ring, (zero,) * k + (ring.payload_from_int(1),), precision)
 
     # -- basics --------------------------------------------------------------
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of ``RingElement``s."""
+        ring = self.ring
+        return tuple(RingElement(ring, v) for v in self.payloads)
+
     def coefficient(self, i) -> RingElement:
         if i >= self.precision:
             raise InsufficientPrecision(f"coefficient {i} beyond precision {self.precision}")
-        return self.coeffs[i]
+        return RingElement(self.ring, self.payloads[i])
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return all(map(self.ring.payload_is_zero, self.payloads))
 
     def __bool__(self):
         return not self.is_zero()
@@ -153,11 +174,11 @@ class TruncatedSeries:
         return (
             self.ring == other.ring
             and self.precision == other.precision
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            and all(map(self.ring.payload_eq, self.payloads, other.payloads))
         )
 
     def __hash__(self):
-        return hash((self.ring, self.precision, len(self.coeffs)))
+        return hash((self.ring, self.precision, len(self.payloads)))
 
     def agrees(self, other, upto=None) -> bool:
         """Coefficientwise equality on the common known window (or ``upto``)."""
@@ -167,37 +188,39 @@ class TruncatedSeries:
             if upto > n:
                 raise InsufficientPrecision(f"cannot compare {upto} orders at precision {n}")
             n = upto
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n))
+        return all(map(self.ring.payload_eq, self.payloads[:n], other.payloads[:n]))
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
         self._check(other)
         n = min(self.precision, other.precision)
-        return TruncatedSeries(
-            self.ring, [self.coeffs[i] + other.coeffs[i] for i in range(n)], n
-        )
+        out = map(self.ring.payload_add, self.payloads, other.payloads)
+        return TruncatedSeries._wrap(self.ring, list(out), n)
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, [-c for c in self.coeffs], self.precision)
+        out = map(self.ring.payload_neg, self.payloads)
+        return TruncatedSeries._wrap(self.ring, list(out), self.precision)
 
     def __sub__(self, other):
         self._check(other)
         n = min(self.precision, other.precision)
-        return TruncatedSeries(
-            self.ring, [self.coeffs[i] - other.coeffs[i] for i in range(n)], n
-        )
+        padd, pneg = self.ring.payload_add, self.ring.payload_neg
+        out = [padd(a, pneg(b)) for a, b in zip(self.payloads, other.payloads)]
+        return TruncatedSeries._wrap(self.ring, out, n)
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
             return self.scale(other)
         self._check(other)
         n = min(self.precision, other.precision)
-        a = [c.value for c in self.coeffs]
-        b = [c.value for c in other.coeffs]
-        return TruncatedSeries._wrap(self.ring, convolve(self.ring, a, b, n), n)
+        return TruncatedSeries._wrap(
+            self.ring, convolve(self.ring, self.payloads, other.payloads, n), n
+        )
 
     def scale(self, c: RingElement):
-        return TruncatedSeries(self.ring, [c * x for x in self.coeffs], self.precision)
+        ring = self.ring
+        pmul, v = ring.payload_mul, _payload(ring, c)
+        return TruncatedSeries._wrap(ring, [pmul(v, x) for x in self.payloads], self.precision)
 
     def times_poly(self, poly_coeffs):
         """Multiply by an exact polynomial (ascending coefficient list).
@@ -207,8 +230,7 @@ class TruncatedSeries:
         """
         n = self.precision
         p = [c.value for c in poly_coeffs]
-        s = [c.value for c in self.coeffs]
-        return TruncatedSeries._wrap(self.ring, convolve(self.ring, p, s, n), n)
+        return TruncatedSeries._wrap(self.ring, convolve(self.ring, p, self.payloads, n), n)
 
     def shift(self, k):
         """Multiply by t^k (k >= 0); gains k orders of precision."""
@@ -216,27 +238,28 @@ class TruncatedSeries:
             raise ValueError("negative shifts live in LaurentSeries")
         if k == 0:
             return self
-        return TruncatedSeries(
-            self.ring, [self.ring.zero] * k + list(self.coeffs), self.precision + k
-        )
+        zeros = (self.ring.payload_from_int(0),) * k
+        return TruncatedSeries._wrap(self.ring, zeros + self.payloads, self.precision + k)
 
     def truncate(self, n):
         if n > self.precision:
             raise InsufficientPrecision(f"cannot extend precision {self.precision} to {n}")
-        return TruncatedSeries(self.ring, self.coeffs[:n], n)
+        if n == self.precision:
+            return self
+        return TruncatedSeries._wrap(self.ring, self.payloads[:n], n)
 
     def invert(self):
         """Inverse by the standard recurrence; needs a unit constant term."""
         ring = self.ring
-        c0 = self.coeffs[0]
+        c0 = self.coefficient(0)
         if not ring.is_unit(c0):
             raise NotAUnit("constant coefficient is not a unit")
         n = self.precision
         inv0 = ring.invert(c0)
         out = [inv0.value]
         padd, pmul = ring.payload_add, ring.payload_mul
-        neg_inv0 = (-inv0).value
-        a = [c.value for c in self.coeffs]
+        neg_inv0 = ring.payload_neg(inv0.value)
+        a = self.payloads
         for k in range(1, n):
             acc = None
             for i in range(1, k + 1):
@@ -257,7 +280,7 @@ class TruncatedSeries:
 
 
 def format_series(x: TruncatedSeries) -> str:
-    body = ", ".join(x.ring.format_element(c.value) for c in x.coeffs)
+    body = ", ".join(map(x.ring.format_element, x.payloads))
     return f"[{body}] + O(t^{x.precision})"
 
 
@@ -280,9 +303,9 @@ def is_nondegenerate(x: TruncatedSeries) -> bool:
 
 def reduced_order(x: TruncatedSeries) -> int:
     """Smallest d whose coefficient has nonzero residue (vanishing order)."""
-    xbar = x.residue_series()
-    for d, c in enumerate(xbar.coeffs):
-        if c:
+    ring = x.ring
+    for d, v in enumerate(x.payloads):
+        if ring.residue(RingElement(ring, v)):
             return d
     raise Indeterminate(
         f"all {x.precision} known coefficients are nilpotent; order is invisible"
@@ -313,12 +336,16 @@ class LaurentSeries:
         return self.offset + self.body.precision
 
     def normalize(self):
-        offset, body = self.offset, self.body
-        coeffs = list(body.coeffs)
-        while len(coeffs) > 1 and not coeffs[0]:
-            coeffs.pop(0)
-            offset += 1
-        return LaurentSeries(offset, TruncatedSeries(body.ring, coeffs, len(coeffs)))
+        body = self.body
+        payloads, pzero = body.payloads, body.ring.payload_is_zero
+        k = 0
+        while k < len(payloads) - 1 and pzero(payloads[k]):
+            k += 1
+        if not k:
+            return self
+        return LaurentSeries(
+            self.offset + k, TruncatedSeries._wrap(body.ring, payloads[k:], len(payloads) - k)
+        )
 
     def coefficient(self, exponent: int) -> RingElement:
         i = exponent - self.offset
@@ -333,20 +360,20 @@ class LaurentSeries:
         """Return an equal TruncatedSeries, or None if a negative exponent
         carries a nonzero coefficient (the witness is ``first_pole()``)."""
         norm = self.normalize()
-        if norm.offset < 0 and norm.body.coeffs[0]:
+        if norm.offset < 0 and norm.body.coefficient(0):
             return None
         if norm.offset < 0:
             # all-zero body stuck below 0: shift the window up
             n = norm.precision_bound
             if n < 1:
                 raise PrecisionExhausted("no non-negative exponent is certified")
-            return TruncatedSeries(norm.ring, [], n)
+            return TruncatedSeries._wrap(norm.ring, (), n)
         return norm.body.shift(norm.offset)
 
     def first_pole(self):
         norm = self.normalize()
-        if norm.offset < 0 and norm.body.coeffs[0]:
-            return norm.offset, norm.body.coeffs[0]
+        if norm.offset < 0 and norm.body.coefficient(0):
+            return norm.offset, norm.body.coefficient(0)
         return None
 
     def times_series(self, s: TruncatedSeries):
@@ -357,13 +384,15 @@ class LaurentSeries:
 
     def agrees_with_series(self, s: TruncatedSeries, upto=None) -> bool:
         """Compare against a plain power series on the common window."""
+        self.body._check(s)
         n = min(self.precision_bound, s.precision)
         if upto is not None:
             n = min(n, upto)
-        lo = min(self.offset, 0)
-        for k in range(lo, n):
-            sc = s.coeffs[k] if k >= 0 else s.ring.zero
-            if self.coefficient(k) != sc:
+        peq, zero = s.ring.payload_eq, s.ring.payload_from_int(0)
+        body, theirs = self.body.payloads, s.payloads
+        for k in range(min(self.offset, 0), n):
+            i = k - self.offset
+            if not peq(body[i] if i >= 0 else zero, theirs[k] if k >= 0 else zero):
                 return False
         return True
 
@@ -379,16 +408,30 @@ def laurent_divide(a: TruncatedSeries, b: TruncatedSeries) -> LaurentSeries:
     polynomial q' first and normalized before the unit inverse is applied,
     so the certified window is as wide as the data allows.
     """
+    a._check(b)
+    return laurent_divider(b)(a)
+
+
+def laurent_divider(b: TruncatedSeries):
+    """The map a -> ``laurent_divide(a, b)``, for dividends over b's ring.
+
+    The strict factorization of b, the certificate q' and u^{-1} are
+    computed once here, so dividing several series by one b repeats none of
+    them.
+    """
     from .weierstrass import divides_power_of_t, strict_prepare
 
-    a._check(b)
     fact = strict_prepare(b)
-    qprime = divides_power_of_t(fact.q, fact.certificate_n)
-    numerator = a.times_poly(qprime.coeff_list())
-    out = LaurentSeries(-fact.certificate_n, numerator).normalize()
-    out = out.times_series(fact.u.invert()).normalize()
-    if out.precision_bound < 1:
-        raise PrecisionExhausted(
-            f"certificate consumed {fact.certificate_n} orders, none remain"
-        )
-    return out
+    n = fact.certificate_n
+    qprime = divides_power_of_t(fact.q, n).coeff_list()
+    u_inv = fact.u.invert()
+
+    def divide(a: TruncatedSeries) -> LaurentSeries:
+        b._check(a)
+        out = LaurentSeries(-n, a.times_poly(qprime)).normalize()
+        out = out.times_series(u_inv).normalize()
+        if out.precision_bound < 1:
+            raise PrecisionExhausted(f"certificate consumed {n} orders, none remain")
+        return out
+
+    return divide

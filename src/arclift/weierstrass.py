@@ -14,8 +14,9 @@ by at least one power of the maximal ideal per round (quadratically away
 from the truncation boundary), so at most e rounds are needed and the exit
 test is exact equality u * q = x mod t^N.
 
-``divide_by_monic`` is the package's only Euclidean-division loop; every
-reduction by a monic polynomial, here and in ``jets``, goes through it.
+``_divide_payloads`` is the package's only Euclidean-division loop; every
+reduction by a monic polynomial, here and in ``jets``, goes through it, on
+payloads for series and through ``divide_by_monic`` for element lists.
 """
 
 from __future__ import annotations
@@ -166,11 +167,18 @@ def divide_by_monic(coeffs, q: MonicPoly):
     Exact synthetic division on coefficient lists; returns (quot, rem) with
     len(rem) == deg q.  No inversions are needed because q is monic.
     """
+    quot, rem = _divide_payloads([c.value for c in coeffs], q)
+    ring = q.ring
+    return [RingElement(ring, v) for v in quot], [RingElement(ring, v) for v in rem]
+
+
+def _divide_payloads(payloads, q: MonicPoly):
+    """``divide_by_monic`` on a payload sequence; returns payload lists."""
     d = q.degree
     ring = q.ring
     padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
     zero = ring.payload_from_int(0)
-    rem = [c.value for c in coeffs]
+    rem = list(payloads)
     rem += [zero] * (d - len(rem))
     quot = [zero] * (len(rem) - d)
     neg_low = [(j, ring.payload_neg(c.value)) for j, c in enumerate(q.low) if c]
@@ -181,7 +189,7 @@ def divide_by_monic(coeffs, q: MonicPoly):
         quot[i - d] = c
         for j, nqj in neg_low:
             rem[i - d + j] = padd(rem[i - d + j], pmul(c, nqj))
-    return [RingElement(ring, v) for v in quot], [RingElement(ring, v) for v in rem[:d]]
+    return quot, rem[:d]
 
 
 def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
@@ -203,17 +211,18 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
         raise InsufficientPrecision(
             f"strict preparation of order {d} over m^{e}=0 needs N >= {d * (e + 1)}, got {big_n}"
         )
-    u = TruncatedSeries(ring, x.coeffs[d:], big_n - d)
+    u = TruncatedSeries._wrap(ring, x.payloads[d:], big_n - d)
     q = MonicPoly.t_power(ring, d)
     for _ in range(e + 1):
         # u has degree < N - d, so u * q is exact at precision N
-        u_padded = TruncatedSeries(ring, u.coeffs, big_n)
+        u_padded = TruncatedSeries._wrap(ring, u.payloads, big_n)
         defect = x - u_padded.times_poly(q.coeff_list())
         if defect.is_zero():
             return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n)
-        g, dq = divide_by_monic((u_padded.invert() * defect).coeffs, q)
-        q = MonicPoly(ring, [a + b for a, b in zip(q.low, dq)])
-        u = u + u.times_poly(g)
+        g, dq = _divide_payloads((u_padded.invert() * defect).payloads, q)
+        q = MonicPoly(ring, [a + RingElement(ring, b) for a, b in zip(q.low, dq)])
+        n = u.precision
+        u = u + TruncatedSeries._wrap(ring, convolve(ring, g, u.payloads, n), n)
     raise RuntimeError("strict preparation did not converge; this is a bug")
 
 
@@ -251,9 +260,9 @@ def weierstrass_divide(f: TruncatedSeries, q: MonicPoly) -> WeierstrassDivision:
         raise InsufficientPrecision(
             f"division by degree {d} needs at least {d + 1} known orders, got {f.precision}"
         )
-    quot, rem = divide_by_monic(f.coeffs, q)
-    h = TruncatedSeries(f.ring, quot, f.precision - d)
-    a = LowPoly(f.ring, d, rem)
+    quot, rem = _divide_payloads(f.payloads, q)
+    h = TruncatedSeries._wrap(f.ring, quot, f.precision - d)
+    a = LowPoly(f.ring, d, [RingElement(f.ring, v) for v in rem])
     return WeierstrassDivision(h=h, a=a, exact=_remainder_exact(q, f.precision))
 
 
@@ -281,7 +290,7 @@ def recombine_factorization(q: MonicPoly, u: TruncatedSeries) -> TruncatedSeries
     """u * q: reassemble a factorization; u must be a unit series."""
     if q.ring != u.ring:
         raise MixedRings(f"{q.ring} vs {u.ring}")
-    if not u.ring.is_unit(u.coeffs[0]):
+    if not u.ring.is_unit(u.coefficient(0)):
         raise NotAUnit("constant coefficient of u is not a unit")
     return u.times_poly(q.coeff_list())
 

@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 from arclift.cli import main
-from arclift.textforms import parse_factorization, parse_ring, parse_series
+from arclift.textforms import MAX_PRECISION, parse_factorization, parse_ring, parse_series
 
 
 def run_cli(capsys, *argv):
@@ -215,3 +216,38 @@ def test_json_mirrors_text_fields(capsys):
     assert payload["residual_precision"] == 9
     assert payload["v0"][0]["coeffs"][0] == "-1/2"
     assert payload["x_new"]["y1"]["coeffs"][3] == "1"
+
+
+CUSP_MAP = "vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lift", "--ring", "Q", "--map", CUSP_MAP, "--arc", "t^2; t^3 + t^4", "--N", "100000000"),
+        ("prepare", "--ring", "Fp(5)", "--series", "[1] + O(t^100000000)"),
+        ("prepare", "--ring", "Fp(5)", "--series", "1 + t", "--N", "100000000"),
+        ("divide", "--ring", "Q", "--series", "[1] + O(t^100000000)", "--poly", "t"),
+        ("lift", "--ring", "Q", "--map", CUSP_MAP, "--arc", "t^2; t^3 + O(t^100000000)",
+         "--N", "16"),
+        ("fiber", "--ring", "Fp(7)", "--poly", "t^2", "--N", "100000000"),
+        ("prepare", "--ring", "Fp(5)", "--series", "1 + t", "--N", str(MAX_PRECISION + 1)),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_oversized_precision_is_refused_before_any_series_is_built(capsys, argv):
+    # Building a 10^8-term series takes far longer than the limit below.
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"exceeds the ceiling {MAX_PRECISION}" in captured.err
+    assert elapsed < 0.5
+
+
+def test_precision_at_the_ceiling_is_accepted(capsys):
+    code, out = run_cli(
+        capsys, "prepare", "--ring", "Fp(5)", "--series", "1 + t", "--N", str(MAX_PRECISION)
+    )
+    assert code == 0 and out.endswith(f"N: {MAX_PRECISION}}}\n")

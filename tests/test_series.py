@@ -12,8 +12,10 @@ from arclift import (
     NotAUnit,
     PrimeFieldRing,
     RationalRing,
+    RingElement,
     TruncatedSeries,
     arc_kernel_ring,
+    fixed_point_solve,
     is_nondegenerate,
     laurent_divide,
     reduced_order,
@@ -471,3 +473,75 @@ def test_artinian_products_skip_payload_ops_and_colimit_products_keep_them(monke
     a = TruncatedSeries(ring, [ring.x(1), ring.one], 2)
     product = a * TruncatedSeries(ring, [ring.q0(), ring.x(2)], 2)
     assert calls and product.coefficient(0) == ring.x(1) * ring.q0()
+
+
+# -- payload storage: series arithmetic builds no RingElement ----------------
+
+WRAPPER_RINGS = [RationalRing(), PrimeFieldRing(5), F5eps()]
+
+
+def _random_series(ring, rng, n):
+    return TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+
+
+def _count_wrappers(monkeypatch, fn):
+    """How many RingElements fn() constructs."""
+    count = [0]
+    init = RingElement.__init__
+
+    def counting(self, ring, value):
+        count[0] += 1
+        init(self, ring, value)
+
+    with monkeypatch.context() as m:
+        m.setattr(RingElement, "__init__", counting)
+        fn()
+    return count[0]
+
+
+@pytest.mark.parametrize("ring", WRAPPER_RINGS, ids=repr)
+def test_series_arithmetic_builds_no_wrappers(ring, monkeypatch):
+    for n in (16, 64):
+        rng = random.Random(n)
+        a, b = _random_series(ring, rng, n), _random_series(ring, rng, n)
+        c = ring.random_element(rng)
+
+        def ops():
+            a * b, a + b, a - b, -a, a.truncate(n // 2), a.shift(3)
+            TruncatedSeries.constant(c, n)
+
+        assert _count_wrappers(monkeypatch, ops) == 0
+
+
+@pytest.mark.parametrize("ring", WRAPPER_RINGS, ids=repr)
+def test_fixed_point_solve_wraps_per_round_not_per_coefficient(ring, monkeypatch):
+    def h(v):
+        return v[0] * v[1], v[0] + v[1] * v[1]
+
+    counts = {}
+    for n in (16, 64):
+        rng = random.Random(n)
+        v1 = (_random_series(ring, rng, n), _random_series(ring, rng, n))
+        counts[n] = _count_wrappers(monkeypatch, lambda: fixed_point_solve(h, v1, n))
+    # Wrappers come only from each round's pivot inverses and identity
+    # matrix: 3 rounds solve a system at N=16 (the first needs none) and 5
+    # at N=64, so the count per round must not depend on N.
+    assert counts[16] > 0 and counts[16] * 5 == counts[64] * 3
+
+
+@pytest.mark.parametrize("ring", WRAPPER_RINGS, ids=repr)
+def test_coeffs_is_a_wrapped_view_and_the_constructor_checks(ring):
+    rng = random.Random(5)
+    a = _random_series(ring, rng, 8)
+    assert isinstance(a.coeffs, tuple) and len(a.coeffs) == a.precision
+    for i, c in enumerate(a.coeffs):
+        assert isinstance(c, RingElement) and c.ring is ring
+        assert c == a.coefficient(i) and c.value == a.payloads[i]
+    with pytest.raises(AttributeError):
+        a.coeffs = ()
+    other = PrimeFieldRing(7)
+    with pytest.raises(MixedRings):
+        TruncatedSeries(ring, [ring.one, other.one], 3)
+    with pytest.raises(TypeError):
+        TruncatedSeries(ring, [ring.one, 0.5], 3)
+    assert TruncatedSeries(ring, [1, ring.one], 4) == TruncatedSeries(ring, [ring.one, 1, 0], 4)

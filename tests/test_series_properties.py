@@ -1,4 +1,5 @@
-"""Property tests of series products, inverses and monic division against sympy.
+"""Property tests of series products, inverses, monic division and cusp
+arc lifts against sympy.
 
 ``hypothesis`` draws the series; ``sympy`` polynomial arithmetic mod t^n
 (and mod eps^2 over Artin(Fp(5); eps; 2)) and ``sympy.div`` are the
@@ -17,11 +18,15 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from arclift import (  # noqa: E402
+    ArcPoint,
     ArtinianLocalRing,
     MonicPoly,
+    MultiPoly,
+    PolyMap,
     PrimeFieldRing,
     RationalRing,
     TruncatedSeries,
+    arc_lift,
 )
 from arclift.weierstrass import divide_by_monic  # noqa: E402
 
@@ -144,3 +149,31 @@ def test_artinian_products_match_sympy(a, b):
     assert _eps_series(a) * _eps_series(b) == _eps_series(_eps_truncated(product, n))
     times = _eps_series(a).times_poly(list(_eps_series(b).coeffs))
     assert times == _eps_series(_eps_truncated(product, len(a)))
+
+
+# -- arc_lift on the cusp y^2 = x^3 ---------------------------------------------
+
+CUSP = PolyMap(["x", "y"], 1, [MultiPoly(2, {(0, 2): 1, (3, 0): -1})])
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_cusp_lift_residual_vanishes(name):
+    """x = t^2, y = t^3 + p with ord p >= 4: det = 2y has order 3, so the
+    lifted arc must solve y^2 = x^3 mod t^(N - 2*3 - 1)."""
+    ring, values = RINGS[name]
+
+    @SETTINGS
+    @given(st.integers(13, 28), st.lists(values, min_size=1, max_size=24))
+    def check(n, perturbation):
+        zero, one = ring.payload_from_int(0), ring.payload_from_int(1)
+        x = [zero, zero, one] + [zero] * (n - 3)
+        y = ([zero, zero, zero, one] + perturbation + [zero] * n)[:n]
+        result = arc_lift(ArcPoint(CUSP, [_series(ring, x), _series(ring, y)]))
+        n_out = n - 2 * 3 - 1
+        assert result.precision == n_out
+        x_new, y_new = (_payloads(c) for c in result.arc.components)
+        assert x_new == _payloads(_series(ring, x)) and y_new[:4] == [0, 0, 0, 1]
+        residual = _poly(y_new, ring) ** 2 - _poly(x_new, ring) ** 3
+        assert _coefficients(residual, n_out, ring) == [0] * n_out
+
+    check()
