@@ -42,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def precision(text):
-    """``--N``: an int no larger than ``textforms.MAX_PRECISION``."""
+    """``--N``, ``--certify``, ``--order``, ``--n``: an int no larger than
+    ``textforms.MAX_PRECISION``."""
     return check_precision(int(text))
 
 
@@ -233,7 +234,7 @@ def build_parser():
     )
     p.add_argument(
         "--certify",
-        type=int,
+        type=precision,
         default=None,
         help="verify q divides t^certify instead of the default d*e exponent",
     )
@@ -263,13 +264,13 @@ def build_parser():
     common(p, ring_default="Fp(5)")
     p.add_argument("--check", choices=("identities", "sawed", "xy"), required=True)
     p.add_argument("--bound", type=int, default=8, help="index bound for identities")
-    p.add_argument("--order", type=int, default=3, help="completion order for sawed")
+    p.add_argument("--order", type=precision, default=3, help="completion order for sawed")
     p.add_argument("--N", type=precision, default=10, help="precision for the xy arc")
     p.set_defaults(fn=_cmd_patho)
 
     p = sub.add_parser("completion", help="t-completion of the integer model Z, t acting as p")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=precision, required=True)
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_completion)
     return parser

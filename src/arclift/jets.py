@@ -13,18 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, InsufficientPrecision, MixedRings
-from .newton import PolyMap, embed_scalar
-from .polynomials import MultiPoly
+from .newton import PolyMap
 from .series import TruncatedSeries
 from .rings import RingElement
-from .weierstrass import (
-    LowPoly,
-    MonicPoly,
-    _divide_payloads,
-    _remainder_exact,
-    divide_by_monic,
-    poly_mul,
-)
+from .weierstrass import LowPoly, MonicPoly, _remainder_exact, divide_by_monic, poly_mul
 
 
 class ModQVector:
@@ -69,7 +61,7 @@ def mod_q_reduce(x: TruncatedSeries, q: MonicPoly) -> ModQReduction:
         raise InsufficientPrecision(
             f"reduction mod degree {q.degree} needs {q.degree} known orders, got {x.precision}"
         )
-    _, rem = _divide_payloads(x.payloads, q)
+    _, rem = divide_by_monic(x.payloads, q)
     rem = [RingElement(x.ring, v) for v in rem]
     return ModQReduction(
         value=LowPoly(x.ring, q.degree, rem), exact=_remainder_exact(q, x.precision)
@@ -91,9 +83,10 @@ class _QuotientValue:
         )
 
     def __mul__(self, other):
-        prod = poly_mul(self.coeffs, other.coeffs, self.modulus.ring)
-        _, rem = divide_by_monic(prod, self.modulus)
-        return _QuotientValue(self.modulus, rem)
+        ring = self.modulus.ring
+        prod = poly_mul(self.coeffs, other.coeffs, ring)
+        _, rem = divide_by_monic([c.value for c in prod], self.modulus)
+        return _QuotientValue(self.modulus, [RingElement(ring, v) for v in rem])
 
 
 def map_mod_poly(f: PolyMap, q: MonicPoly, xbar: ModQVector) -> ModQVector:
@@ -108,7 +101,7 @@ def map_mod_poly(f: PolyMap, q: MonicPoly, xbar: ModQVector) -> ModQVector:
     zero = _QuotientValue(q, [ring.zero] * d)
 
     def embed(c):
-        return _QuotientValue(q, [embed_scalar(ring, c)] + [ring.zero] * (d - 1))
+        return _QuotientValue(q, [ring.from_fraction(c)] + [ring.zero] * (d - 1))
 
     out = []
     for poly in f.polys:
@@ -156,9 +149,9 @@ def expand_around(g: PolyMap, q: MonicPoly, xbar: ModQVector, xprime) -> Expansi
     tails = []
     for poly in g.polys:
         w = poly.evaluate_or(
-            moved, zero, embed=lambda c: TruncatedSeries.constant(embed_scalar(ring, c), w_prec)
+            moved, zero, embed=lambda c: TruncatedSeries.constant(ring.from_fraction(c), w_prec)
         )
-        quot, rem = _divide_payloads(w.payloads, tq)
+        quot, rem = divide_by_monic(w.payloads, tq)
         heads.append(LowPoly(ring, d + 1, [RingElement(ring, v) for v in rem]))
         tails.append(TruncatedSeries._wrap(ring, quot, w.precision - (d + 1)))
     return Expansion(head=ModQVector(tq, heads), tail=tuple(tails))

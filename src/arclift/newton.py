@@ -24,7 +24,6 @@ result is certified against v1 by one last evaluation at full precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -40,12 +39,6 @@ from .errors import (
 )
 from .polynomials import MultiPoly
 from .series import TruncatedSeries, laurent_divider, reduced_order
-
-
-def embed_scalar(ring, c) -> "RingElement":
-    if isinstance(c, Fraction):
-        return ring.from_fraction(c)
-    return ring.from_int(c)
 
 
 class PolyMap:
@@ -184,7 +177,7 @@ class ArcPoint:
         return poly.evaluate_or(
             self.components,
             zero,
-            embed=lambda c: TruncatedSeries.constant(embed_scalar(ring, c), n),
+            embed=lambda c: TruncatedSeries.constant(ring.from_fraction(c), n),
         )
 
     @cached_property
@@ -244,7 +237,7 @@ def taylor_remainder(arc: ArcPoint):
     zero_poly = MultiPoly(n, {})
 
     def embed(c):
-        return MultiPoly.constant(n, TruncatedSeries.constant(embed_scalar(ring, c), prec))
+        return MultiPoly.constant(n, TruncatedSeries.constant(ring.from_fraction(c), prec))
 
     tdet = arc.det_at.truncate(prec).shift(1)
     out = []

@@ -79,7 +79,8 @@ class ColimitRing(Ring):
             raise ValueError("levels only go up")
         if level == lv or xp.is_zero():
             return self._canon(level, const, xp)
-        step = MultiPoly(1, {(1,): -self.field.one}) ** (level - lv)
+        k = level - lv
+        step = MultiPoly(1, {(k,): -self.field.one if k % 2 else self.field.one})  # (-q0)^k
         return self._canon(level, const, xp * step)
 
     def _common(self, a, b):
@@ -322,9 +323,9 @@ def integer_completion(p: int, n: int) -> IntegerCompletion:
     if n < 1:
         raise InvalidDescriptor("completion order must be >= 1")
     rationals = RationalRing()
-    t_power = [rationals.zero] * n + [rationals.one]
+    t_power = [rationals.payload_from_int(0)] * n + [rationals.payload_from_int(1)]
     _, (remainder,) = divide_by_monic(t_power, MonicPoly.from_ints(rationals, [-p]))
-    modulus = int(remainder.value)
+    modulus = int(remainder)
     ring = IntegersMod(modulus)
     t_image = ring.from_int(p)
     checks = [

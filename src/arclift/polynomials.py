@@ -86,22 +86,6 @@ class MultiPoly:
     def scale(self, c):
         return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                break
-            base = base * base
-        if result is None:
-            raise ValueError("use an explicit constant for p**0")
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented

@@ -27,9 +27,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import add
+from operator import add, mul
 
 from .errors import InvalidDescriptor, MixedRings, NonLocalRing, NotAUnit
+from .polynomials import MultiPoly
 
 
 def is_prime(n: int) -> bool:
@@ -45,6 +46,19 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def power(x, k, mul, one):
+    """x^k for an int k >= 0 by square-and-multiply: O(log k) calls of
+    ``mul``; ``one`` is returned for k = 0."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return one if out is None else out
 
 
 def prime_power(n: int):
@@ -114,14 +128,7 @@ class RingElement:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, mul, self.ring.one)
 
     def __eq__(self, other):
         v = self._coerce(other)
@@ -167,8 +174,6 @@ class Ring:
 
     def payload_hash(self, a) -> int:
         """A hash that agrees with ``payload_eq``."""
-        if isinstance(a, dict):
-            return hash(tuple(sorted(a.items())))
         return hash(a)
 
     def integer_form(self, payloads):
@@ -195,7 +200,8 @@ class Ring:
     def from_int(self, k: int) -> RingElement:
         return RingElement(self, self.payload_from_int(k))
 
-    def from_fraction(self, q: Fraction) -> RingElement:
+    def from_fraction(self, q: Fraction | int) -> RingElement:
+        """The image of a rational number, given as a Fraction or an int."""
         num = self.from_int(q.numerator)
         if q.denominator == 1:
             return num
@@ -479,10 +485,6 @@ class IntegersMod(Ring):
         return str(value)
 
 
-def _monomial_key(exps):
-    return (sum(exps), exps)
-
-
 class ArtinianLocalRing(Ring):
     """base[s_1..s_m] / (all monomials of total degree >= e).
 
@@ -564,6 +566,9 @@ class ArtinianLocalRing(Ring):
 
     def payload_is_zero(self, a):
         return not a
+
+    def payload_hash(self, a):
+        return hash(tuple(sorted(a.items())))
 
     def convolve(self, a, b, n):
         """Payloads of a*b mod t^n, for ascending payload lists a and b.
@@ -699,34 +704,11 @@ class ArtinianLocalRing(Ring):
                 yield from rec(prefix + (k,), remaining - 1, budget - k)
 
         out = list(rec((), self.m, self.e - 1))
-        out.sort(key=_monomial_key)
+        out.sort(key=lambda x: (sum(x), x))
         return out
 
     def format_element(self, value):
-        if not value:
-            return "0"
-        parts = []
-        for exps in sorted(value, key=_monomial_key):
-            c = value[exps]
-            factors = []
-            for name, k in zip(self.names, exps):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            cs = self.base.format_element(c)
-            if not factors:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append("*".join(factors))
-            elif cs == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(cs + "*" + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return MultiPoly(self.m, value).format(self.names, self.base.format_element)
 
 
 def make_ring(descriptor):

@@ -268,13 +268,6 @@ class TruncatedSeries:
             out.append(pmul(neg_inv0, acc))
         return TruncatedSeries._wrap(ring, out, n)
 
-    # -- residue diagnostics ---------------------------------------------
-    def residue_series(self):
-        """Reduction to the residue field k[[t]] (local rings only)."""
-        ring = self.ring
-        k = ring.residue_field()
-        return TruncatedSeries(k, [ring.residue(c) for c in self.coeffs], self.precision)
-
     def __repr__(self):
         return format_series(self)
 
@@ -293,11 +286,7 @@ def is_nondegenerate(x: TruncatedSeries) -> bool:
     the truncation cannot certify either answer, and that is deliberately
     distinct from "no".
     """
-    xbar = x.residue_series()
-    if xbar.is_zero():
-        raise Indeterminate(
-            f"all {x.precision} known coefficients are nilpotent; cannot classify"
-        )
+    reduced_order(x)
     return True
 
 

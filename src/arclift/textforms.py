@@ -15,6 +15,10 @@ polynomials (names = declared variables).  Division is restricted to
 scalars; it extends the published grammar so rational literals like
 ``1/2`` are expressible.
 
+Every exponent ``INT`` after ``^`` is at most ``MAX_PRECISION`` (512) and
+is checked before the power is formed, which then costs O(log INT)
+products (``rings.power``); a larger exponent is a ``ParseError``.
+
 All formatters order monomials by degree (then lexicographically) and
 print canonical coefficient forms, so identical values serialize to
 identical bytes.
@@ -28,7 +32,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .newton import PolyMap
 from .polynomials import MultiPoly
-from .rings import ArtinianLocalRing, IntegersMod, PrimeFieldRing, RationalRing, Ring
+from .rings import ArtinianLocalRing, IntegersMod, PrimeFieldRing, RationalRing, Ring, power
 from .series import TruncatedSeries, format_series
 from .weierstrass import LowPoly, MonicPoly, StrictFactorization, poly_mul
 
@@ -114,7 +118,8 @@ class _Parser:
             kind, k = self.take()
             if kind != "int":
                 raise ParseError(f"exponent must be an integer in {self.source!r}")
-            value = self.algebra.pow(value, k)
+            check_precision(k, "exponent")
+            value = power(value, k, self.algebra.mul, self.algebra.from_int(1))
         return value
 
     def atom(self):
@@ -179,12 +184,6 @@ class _TPolyAlgebra:
         inv = self.ring.invert(b[0])
         return [c * inv for c in a]
 
-    def pow(self, a, k):
-        out = self.from_int(1)
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
-
 
 class _MapAlgebra:
     """Values are MultiPoly with int/Fraction coefficients."""
@@ -219,12 +218,6 @@ class _MapAlgebra:
         if len(b.terms) > (1 if c else 0) or not c:
             raise ParseError("division is only allowed by scalar constants")
         return a.scale(Fraction(1, 1) / c)
-
-    def pow(self, a, k):
-        out = self.from_int(1)
-        for _ in range(k):
-            out = out * a
-        return out
 
 
 def _split_top(text, sep=","):
@@ -291,17 +284,19 @@ def parse_element(text: str, ring):
 _O_TAIL = re.compile(r"\+\s*O\(\s*t\^(\d+)\s*\)\s*$")
 
 # The largest precision a series literal may state in its O-tail or take
-# by default; a series is built at its full precision, so larger values are
-# refused before any coefficient is parsed.  At this N the CLI's cusp lift
+# by default, and the largest exponent any literal may use; a series is
+# built at its full precision, so larger values are refused before any
+# coefficient is parsed.  At this N the CLI's cusp lift
 # y^2 = x^3 over Q took 45 s with a dense rational perturbation (1.4 s with
 # t^4 alone) on a 2-vCPU VM, against 6.6 s at N = 256.
 MAX_PRECISION = 512
 
 
-def check_precision(n: int) -> int:
-    """n itself, or ParseError when n exceeds ``MAX_PRECISION``."""
+def check_precision(n: int, what="precision") -> int:
+    """n itself, or ParseError when n exceeds ``MAX_PRECISION``; ``what``
+    names n in the message."""
     if n > MAX_PRECISION:
-        raise ParseError(f"precision {n} exceeds the ceiling {MAX_PRECISION}")
+        raise ParseError(f"{what} {n} exceeds the ceiling {MAX_PRECISION}")
     return n
 
 

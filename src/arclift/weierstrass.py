@@ -14,9 +14,9 @@ by at least one power of the maximal ideal per round (quadratically away
 from the truncation boundary), so at most e rounds are needed and the exit
 test is exact equality u * q = x mod t^N.
 
-``_divide_payloads`` is the package's only Euclidean-division loop; every
-reduction by a monic polynomial, here and in ``jets``, goes through it, on
-payloads for series and through ``divide_by_monic`` for element lists.
+``divide_by_monic`` is the package's only Euclidean division: every
+reduction by a monic polynomial, here, in ``jets`` and in ``pathology``,
+calls it on payload lists.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     NotAUnit,
 )
 from .rings import RingElement
-from .series import TruncatedSeries, convolve, laurent_divide, reduced_order
+from .series import TruncatedSeries, convolve, laurent_divider, reduced_order
 
 
 class MonicPoly:
@@ -161,19 +161,13 @@ def poly_mul(a, b, ring):
     return [RingElement(ring, v) for v in out]
 
 
-def divide_by_monic(coeffs, q: MonicPoly):
+def divide_by_monic(payloads, q: MonicPoly):
     """Euclidean division by a monic polynomial: f = q * quot + rem.
 
-    Exact synthetic division on coefficient lists; returns (quot, rem) with
-    len(rem) == deg q.  No inversions are needed because q is monic.
+    Exact synthetic division of an ascending payload sequence f over q's
+    ring; returns the payload lists (quot, rem) with len(rem) == deg q.  No
+    inversions are needed because q is monic.
     """
-    quot, rem = _divide_payloads([c.value for c in coeffs], q)
-    ring = q.ring
-    return [RingElement(ring, v) for v in quot], [RingElement(ring, v) for v in rem]
-
-
-def _divide_payloads(payloads, q: MonicPoly):
-    """``divide_by_monic`` on a payload sequence; returns payload lists."""
     d = q.degree
     ring = q.ring
     padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
@@ -219,7 +213,7 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
         defect = x - u_padded.times_poly(q.coeff_list())
         if defect.is_zero():
             return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n)
-        g, dq = _divide_payloads((u_padded.invert() * defect).payloads, q)
+        g, dq = divide_by_monic((u_padded.invert() * defect).payloads, q)
         q = MonicPoly(ring, [a + RingElement(ring, b) for a, b in zip(q.low, dq)])
         n = u.precision
         u = u + TruncatedSeries._wrap(ring, convolve(ring, g, u.payloads, n), n)
@@ -260,7 +254,7 @@ def weierstrass_divide(f: TruncatedSeries, q: MonicPoly) -> WeierstrassDivision:
         raise InsufficientPrecision(
             f"division by degree {d} needs at least {d + 1} known orders, got {f.precision}"
         )
-    quot, rem = _divide_payloads(f.payloads, q)
+    quot, rem = divide_by_monic(f.payloads, q)
     h = TruncatedSeries._wrap(f.ring, quot, f.precision - d)
     a = LowPoly(f.ring, d, [RingElement(f.ring, v) for v in rem])
     return WeierstrassDivision(h=h, a=a, exact=_remainder_exact(q, f.precision))
@@ -272,11 +266,11 @@ def divides_power_of_t(q: MonicPoly, n: int) -> MonicPoly:
     if n < d:
         raise InvalidDescriptor(f"t^{n} cannot be divisible by a degree {d} monic")
     ring = q.ring
-    tn = [ring.zero] * n + [ring.one]
+    tn = [ring.payload_from_int(0)] * n + [ring.payload_from_int(1)]
     quot, rem = divide_by_monic(tn, q)
-    if any(rem):
-        raise NoDivide(LowPoly(ring, d, rem))
-    return MonicPoly(ring, quot[:-1])
+    if not all(map(ring.payload_is_zero, rem)):
+        raise NoDivide(LowPoly(ring, d, [RingElement(ring, v) for v in rem]))
+    return MonicPoly(ring, [RingElement(ring, v) for v in quot[:-1]])
 
 
 def recombine_division(q: MonicPoly, a: LowPoly, v: TruncatedSeries) -> TruncatedSeries:
@@ -307,10 +301,13 @@ def kernel_fiber_basis(q: MonicPoly, precision: int):
         raise InvalidDescriptor("fiber computation requires field coefficients")
     d = q.degree
     e = q.t_multiplicity()
+    if e == d:
+        return []  # q = t^d: the fiber is zero, and nothing needs dividing
+    divide = laurent_divider(q.as_series(precision))
     out = []
     for i in range(e, d):
         a = LowPoly(ring, d, [ring.zero] * i + [ring.one])
-        quotient = laurent_divide((-a).as_series(precision), q.as_series(precision))
+        quotient = divide((-a).as_series(precision))
         v = quotient.power_series_part()
         if v is None:
             raise RuntimeError("t^e | a guarantees a power series quotient; this is a bug")

@@ -232,6 +232,12 @@ CUSP_MAP = "vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]"
          "--N", "16"),
         ("fiber", "--ring", "Fp(7)", "--poly", "t^2", "--N", "100000000"),
         ("prepare", "--ring", "Fp(5)", "--series", "1 + t", "--N", str(MAX_PRECISION + 1)),
+        ("prepare", "--ring", "Fp(5)", "--series", "t^100000000 + O(t^5)"),
+        ("lift", "--ring", "Q", "--N", "16", "--arc", "t^2; t^3",
+         "--map", "vars: [x1, y1]; split: 1; eqs: [y1^100000000 - x1^3]"),
+        ("prepare", "--ring", "Fp(5)", "--series", "[1] + O(t^4)", "--certify", "100000000"),
+        ("patho", "--check", "sawed", "--order", "100000000"),
+        ("completion", "--p", "3", "--n", "100000000"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

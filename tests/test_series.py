@@ -231,7 +231,8 @@ def test_monic_division_matches_long_division(ring):
             q = MonicPoly(ring, low)
             for length in (rng.randint(0, d), rng.randint(d + 1, d + 9)):
                 f = _sparse(ring, rng, length)
-                quot, rem = divide_by_monic(f, q)
+                quot, rem = divide_by_monic([c.value for c in f], q)
+                quot, rem = [ring.element(v) for v in quot], [ring.element(v) for v in rem]
                 assert (quot, rem) == _long_division(f, low, ring)
                 assert len(rem) == d
                 if quot:

@@ -107,7 +107,8 @@ def test_monic_division_matches_sympy(name):
     def check(f, low):
         d = len(low)
         q = MonicPoly(ring, [ring.element(v) for v in low])
-        quot, rem = divide_by_monic([ring.element(v) for v in f], q)
+        quot, rem = divide_by_monic(f, q)
+        quot, rem = [ring.element(v) for v in quot], [ring.element(v) for v in rem]
         expected_quot, expected_rem = sympy.div(_poly(f, ring), _poly(low + [1], ring))
         assert [c.value for c in quot] == _coefficients(expected_quot, max(len(f) - d, 0), ring)
         assert [c.value for c in rem] == _coefficients(expected_rem, d, ring)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from arclift.textforms import (
     format_low,
     format_monic,
     format_poly_map,
+    format_t_poly,
     parse_element,
     parse_factorization,
     parse_low,
@@ -27,8 +29,10 @@ from arclift.textforms import (
     parse_poly_map,
     parse_ring,
     parse_series,
+    parse_t_poly,
 )
 from arclift.series import format_series
+from arclift.weierstrass import poly_mul
 
 from _helpers import acceptance_rings
 
@@ -154,3 +158,28 @@ def test_poly_map_with_rational_coefficients():
     from fractions import Fraction
 
     assert pm.polys[0].terms[(2,)] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_parsed_powers_match_repeated_products(ring):
+    rng = random.Random(29)
+    for _ in range(6):
+        coeffs = [ring.random_element(rng) for _ in range(rng.randint(1, 4))]
+        text = format_t_poly(ring, coeffs)
+        base = parse_t_poly(text, ring)
+        expected = [ring.one]
+        for k in range(21):
+            assert parse_t_poly(f"({text})^{k}", ring) == expected, (text, k)
+            expected = poly_mul(expected, base, ring)
+            while expected and not expected[-1]:
+                expected.pop()
+
+
+def test_parsed_map_powers_match_explicit_products():
+    pm = parse_poly_map("vars: [x, y, z, w]; split: 1; eqs: [x^0, (x + 2*y)^1, (x - y/2)^7]")
+    x, y = (MultiPoly.variable(i, 4, 1) for i in range(2))
+    base = x - y.scale(Fraction(1, 2))
+    seventh = base
+    for _ in range(6):
+        seventh = seventh * base
+    assert pm.polys == (MultiPoly.constant(4, 1), x + y.scale(2), seventh)

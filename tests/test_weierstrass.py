@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -13,18 +14,25 @@ from arclift import (
     MultiPoly,
     NoDivide,
     NonLocalRing,
+    PolyMap,
     PrimeFieldRing,
     RationalRing,
     TruncatedSeries,
     divides_power_of_t,
+    expand_around,
+    integer_completion,
     kernel_fiber_basis,
+    map_mod_poly,
+    mod_q_reduce,
     ord_at_point,
     recombine_division,
     recombine_factorization,
     strict_prepare,
     weierstrass_divide,
 )
+from arclift import weierstrass
 from arclift.errors import ArityMismatch
+from arclift.jets import ModQVector
 
 from _helpers import (
     acceptance_rings,
@@ -232,6 +240,7 @@ def test_recombination_maps():
 def test_fiber_of_pure_power_is_trivial():
     f5 = PrimeFieldRing(5)
     assert kernel_fiber_basis(MonicPoly.t_power(f5, 3), 12) == []
+    assert kernel_fiber_basis(MonicPoly.t_power(f5, 3), 2) == []  # too short to prepare t^3
 
 
 def test_fiber_of_unit_constant_term_is_full():
@@ -285,3 +294,42 @@ def test_ord_at_point_arity_mismatch():
     one = MultiPoly.constant(2, f7.one)
     with pytest.raises(ArityMismatch):
         ord_at_point([one], (f7.one,))
+
+
+def test_every_monic_reduction_calls_divide_by_monic(monkeypatch):
+    # Rebind divide_by_monic in every arclift module that holds it, as an
+    # external tracer does, so that a second division loop would go unseen.
+    original = weierstrass.divide_by_monic
+    calls = []
+
+    def counted(payloads, q):
+        calls.append(q.degree)
+        return original(payloads, q)
+
+    for name, module in list(sys.modules.items()):
+        if name == "arclift" or name.startswith("arclift."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    r = F5eps()
+    eps = r.generators()["eps"]
+    x = TruncatedSeries(r, [eps, r.one, eps, r.one], 6)  # q = t + eps after one round
+    q = MonicPoly(r, [eps, r.one])
+    cusp = PolyMap(("x", "y"), 1, [MultiPoly(2, {(0, 2): 1, (3, 0): -1})])
+    xbar = ModQVector(q, [LowPoly(r, 2, [eps, r.one]), LowPoly(r, 2, [r.one, eps])])
+    tq = MonicPoly(r, [r.zero] + list(q.low))
+    xbar_tq = ModQVector(tq, [LowPoly(r, 3, [eps, r.one]), LowPoly(r, 3, [r.one])])
+    xprime = (x, x)
+    cases = {
+        "strict_prepare": lambda: strict_prepare(x),
+        "weierstrass_divide": lambda: weierstrass_divide(x, q),
+        "divides_power_of_t": lambda: divides_power_of_t(MonicPoly(r, [eps]), 2),
+        "mod_q_reduce": lambda: mod_q_reduce(x, q),
+        "map_mod_poly": lambda: map_mod_poly(cusp, q, xbar),
+        "expand_around": lambda: expand_around(cusp, q, xbar_tq, xprime),
+        "integer_completion": lambda: integer_completion(3, 4),
+    }
+    for name, run in cases.items():
+        calls.clear()
+        run()
+        assert calls, f"{name} divided without divide_by_monic"
