@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidDescriptor, MixedFamilies, NonLocalRing
 from .polynomials import MultiPoly
-from .rings import IntegersMod, RationalRing, Ring, RingElement, is_prime
+from .rings import IntegersMod, RationalRing, Ring, RingElement, check_modulus, is_prime
 from .series import TruncatedSeries
 from .weierstrass import MonicPoly, divide_by_monic
 
@@ -318,6 +318,7 @@ def integer_completion(p: int, n: int) -> IntegerCompletion:
     t^n under division by t - p is p^n (computed, not assumed), so the
     quotient is Z/p^n with t mapping to p.
     """
+    check_modulus(p, "prime")
     if not is_prime(p):
         raise InvalidDescriptor(f"{p} is not prime")
     if n < 1:
@@ -326,9 +327,10 @@ def integer_completion(p: int, n: int) -> IntegerCompletion:
     t_power = [rationals.payload_from_int(0)] * n + [rationals.payload_from_int(1)]
     _, (remainder,) = divide_by_monic(t_power, MonicPoly.from_ints(rationals, [-p]))
     modulus = int(remainder)
-    ring = IntegersMod(modulus)
+    ring = IntegersMod._of_prime_power(p, n)
     t_image = ring.from_int(p)
     checks = [
+        ring.n == modulus,  # the remainder is the modulus of Z/p^n
         t_image ** n == ring.zero,  # t^n dies at level n
         t_image - ring.from_int(p) == ring.zero,  # t - p dies
         n == 1 or bool(t_image ** (n - 1)),  # and no earlier power does

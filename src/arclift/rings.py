@@ -33,6 +33,18 @@ from .errors import InvalidDescriptor, MixedRings, NonLocalRing, NotAUnit
 from .polynomials import MultiPoly
 
 
+MAX_MODULUS = 2**40
+"""The largest prime or modulus a ring descriptor may name.  ``is_prime``
+and ``prime_power`` divide by trial up to the square root, so this keeps
+their work near 10^6 steps (about 0.1 s)."""
+
+
+def check_modulus(n: int, what: str) -> None:
+    """Refuse an n above ``MAX_MODULUS`` before any trial division runs."""
+    if n > MAX_MODULUS:
+        raise InvalidDescriptor(f"{what} {n} exceeds the ceiling {MAX_MODULUS}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -112,7 +124,7 @@ class RingElement:
         v = self._coerce(other)
         if v is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, self.ring.payload_add(self.value, self.ring.payload_neg(v)))
+        return RingElement(self.ring, self.ring.payload_sub(self.value, v))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -160,6 +172,10 @@ class Ring:
 
     def payload_neg(self, a):
         raise NotImplementedError
+
+    def payload_sub(self, a, b):
+        """a - b; rings with a one-step difference override this."""
+        return self.payload_add(a, self.payload_neg(b))
 
     def payload_mul(self, a, b):
         raise NotImplementedError
@@ -273,6 +289,7 @@ class PrimeFieldRing(Ring):
     is_field = True
 
     def __init__(self, p: int):
+        check_modulus(p, "prime")
         if not is_prime(p):
             raise InvalidDescriptor(f"{p} is not prime")
         self.p = p
@@ -294,6 +311,9 @@ class PrimeFieldRing(Ring):
 
     def payload_neg(self, a):
         return (-a) % self.p
+
+    def payload_sub(self, a, b):
+        return (a - b) % self.p
 
     def payload_mul(self, a, b):
         return (a * b) % self.p
@@ -360,6 +380,9 @@ class RationalRing(Ring):
     def payload_neg(self, a):
         return -a
 
+    def payload_sub(self, a, b):
+        return a - b
+
     def payload_mul(self, a, b):
         return a * b
 
@@ -407,8 +430,18 @@ class IntegersMod(Ring):
     def __init__(self, n: int):
         if n < 2:
             raise InvalidDescriptor("modulus must be >= 2")
+        check_modulus(n, "modulus")
         self.n = n
         self._pe = prime_power(n)
+
+    @classmethod
+    def _of_prime_power(cls, p: int, e: int):
+        """Unchecked constructor of Z/p^e for a prime p; p^e may exceed
+        ``MAX_MODULUS``, since no trial division runs."""
+        self = object.__new__(cls)
+        self.n = p**e
+        self._pe = (p, e)
+        return self
 
     def __eq__(self, other):
         return isinstance(other, IntegersMod) and other.n == self.n
@@ -427,6 +460,9 @@ class IntegersMod(Ring):
 
     def payload_neg(self, a):
         return (-a) % self.n
+
+    def payload_sub(self, a, b):
+        return (a - b) % self.n
 
     def payload_mul(self, a, b):
         return (a * b) % self.n

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from arclift.cli import main
+from arclift.rings import MAX_MODULUS
 from arclift.textforms import MAX_PRECISION, parse_factorization, parse_ring, parse_series
 
 
@@ -219,6 +220,7 @@ def test_json_mirrors_text_fields(capsys):
 
 
 CUSP_MAP = "vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]"
+BIG_PRIME = "100000000000031"  # trial division to its square root takes about a second
 
 
 @pytest.mark.parametrize(
@@ -238,6 +240,9 @@ CUSP_MAP = "vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]"
         ("prepare", "--ring", "Fp(5)", "--series", "[1] + O(t^4)", "--certify", "100000000"),
         ("patho", "--check", "sawed", "--order", "100000000"),
         ("completion", "--p", "3", "--n", "100000000"),
+        ("prepare", "--series", "1 + t", "--ring", f"Fp({BIG_PRIME})"),
+        ("prepare", "--series", "1 + t", "--ring", f"Zmod({BIG_PRIME})"),
+        ("completion", "--p", BIG_PRIME, "--n", "2"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -248,7 +253,8 @@ def test_oversized_precision_is_refused_before_any_series_is_built(capsys, argv)
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert f"exceeds the ceiling {MAX_PRECISION}" in captured.err
+    ceiling = MAX_MODULUS if any(BIG_PRIME in arg for arg in argv) else MAX_PRECISION
+    assert f"exceeds the ceiling {ceiling}" in captured.err
     assert elapsed < 0.5
 
 

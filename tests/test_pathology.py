@@ -167,6 +167,14 @@ def test_integer_completion_rejects_bad_input():
         integer_completion(4, 2)
     with pytest.raises(InvalidDescriptor):
         integer_completion(3, 0)
+    with pytest.raises(InvalidDescriptor, match="exceeds the ceiling"):
+        integer_completion(100000000000031, 2)
+
+
+def test_integer_completion_modulus_may_exceed_the_ceiling_on_primes():
+    r = integer_completion(2, 64)
+    assert r.modulus == 2**64 and r.ring.n == 2**64 and r.verified
+    assert r.ring.residue_field() == PrimeFieldRing(2) and r.ring.nilpotency_exponent() == 64
 
 
 def test_cross_arc_counterexample():

@@ -14,6 +14,7 @@ from arclift import (
     RationalRing,
     make_ring,
 )
+from arclift.rings import MAX_MODULUS
 
 from _helpers import acceptance_rings
 
@@ -101,6 +102,13 @@ def test_invalid_descriptors():
         IntegersMod(1)
 
 
+def test_moduli_above_the_ceiling_are_refused_before_trial_division():
+    assert IntegersMod(MAX_MODULUS).nilpotency_exponent() == 40
+    for make in (PrimeFieldRing, IntegersMod):
+        with pytest.raises(InvalidDescriptor, match=f"exceeds the ceiling {MAX_MODULUS}"):
+            make(100000000000031)  # prime: trial division would take about a second
+
+
 def test_non_prime_power_modulus_has_no_residue_theory():
     z6 = IntegersMod(6)
     assert not z6.is_local
@@ -168,3 +176,12 @@ def test_zmod_prime_power_matches_artinian_classification():
             if art.is_unit(a):
                 count_units += 1
     assert count_units == 6
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_difference_is_the_sum_with_the_negation(ring):
+    rng = random.Random(404)
+    for _ in range(200):
+        a, b = ring.random_element(rng), ring.random_element(rng)
+        assert ring.payload_sub(a.value, b.value) == ring.payload_add(a.value, ring.payload_neg(b.value))
+        assert a - b == a + (-b) and (a - b) + b == a

@@ -20,7 +20,8 @@ from arclift import (
     laurent_divide,
     reduced_order,
 )
-from arclift.series import convolve
+from arclift import series
+from arclift.series import KRONECKER_MIN_TERMS, convolve
 from arclift.weierstrass import divide_by_monic, poly_mul
 
 from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product
@@ -297,6 +298,28 @@ def _integer_cases(ring, rng):
     yield [], []
     for _ in range(25):
         yield draw(rng.randint(1, 12)), draw(rng.randint(1, 12))
+    # around the Kronecker crossover: the sparser operand has K-1, K or 3K
+    # nonzero terms
+    for terms in (KRONECKER_MIN_TERMS - 1, KRONECKER_MIN_TERMS, 3 * KRONECKER_MIN_TERMS):
+        if m is None:
+            # 26^2 * 48 = 32448: at 3K the middle coefficients sit just
+            # below 2^15, the top of a two-byte slot
+            yield [Fraction(-26)] * terms, [Fraction(-26)] * terms
+            yield [Fraction(-26)] * terms, [Fraction(26)] * (terms + 5)
+            # at K the middle coefficient is 32 * 64 * 16 = 2^15, one past a
+            # two-byte slot: the slot needs its sign bit
+            yield [Fraction(32)] * terms, [Fraction(64)] * terms
+            yield [Fraction(-k, k + 1) for k in range(1, terms + 1)], draw(terms)  # all negative
+            mixed = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), d)
+                     for d in rng.sample(range(1, 500), 2 * terms)]  # distinct denominators
+            yield mixed[:terms], mixed[terms:]
+        else:
+            yield [m - 1] * terms, [m - 1] * terms  # the largest sums before the one reduction
+            yield [m - 1] * terms, draw(2 * terms)
+        top = m - 1 if m else terms
+        sparse = [zero] * (2 * terms)
+        sparse[1::2] = [ring.payload_from_int(1 + k % top) for k in range(terms)]
+        yield sparse, sparse[::-1]  # nonzero terms, not length, pick the regime
 
 
 def _canonical_values(ring, elements):
@@ -338,6 +361,20 @@ def test_integer_path_matches_plain_product(ring):
         n = max(1, len(a) // 2)  # g may be longer than the series
         got = TruncatedSeries(ring, f, n).times_poly(g)
         assert _canonical_values(ring, got.coeffs) == _plain_product(a[:n], b, n, m)
+
+
+@pytest.mark.parametrize("ring", INTEGER_RINGS, ids=repr)
+def test_integer_path_takes_both_regimes(ring, monkeypatch):
+    packed = []
+    pack = series._pack
+    monkeypatch.setattr(series, "_pack", lambda ints, width: packed.append(ints) or pack(ints, width))
+    regimes = set()
+    for a, b in _integer_cases(ring, random.Random(29)):
+        before = len(packed)
+        convolve(ring, a, b, len(a) + len(b))
+        regimes.add(len(packed) > before)
+    assert regimes == {False, True}
+    assert min(len(ints) - ints.count(0) for ints in packed) == KRONECKER_MIN_TERMS
 
 
 @pytest.mark.parametrize("ring", INTEGER_RINGS, ids=repr)

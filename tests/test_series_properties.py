@@ -67,12 +67,10 @@ def _payloads(x):
 RINGS = {"Q": (RationalRing(), rationals), "Fp(5)": (PrimeFieldRing(5), residues)}
 
 
-@pytest.mark.parametrize("name", RINGS)
-def test_products_match_sympy(name):
-    ring, values = RINGS[name]
-
+def _check_products(ring, values, shortest, longest):
     @SETTINGS
-    @given(st.lists(values, min_size=1, max_size=14), st.lists(values, min_size=1, max_size=14))
+    @given(st.lists(values, min_size=shortest, max_size=longest),
+           st.lists(values, min_size=shortest, max_size=longest))
     def check(a, b):
         n = min(len(a), len(b))
         expected = _coefficients(_poly(a, ring) * _poly(b, ring), n, ring)
@@ -81,6 +79,17 @@ def test_products_match_sympy(name):
         assert _payloads(_series(ring, a).times_poly([ring.element(v) for v in b])) == full
 
     check()
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_products_match_sympy(name):
+    _check_products(*RINGS[name], shortest=1, longest=14)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_long_products_match_sympy(name):
+    """Lengths from 24 to 80 reach the integer path's Kronecker regime."""
+    _check_products(*RINGS[name], shortest=24, longest=80)
 
 
 @pytest.mark.parametrize("name", RINGS)
