@@ -22,6 +22,8 @@ kills them through the level relation, and at q0 = 0 they sit inside
 every power of the maximal ideal.  These are the witnesses that multiply
 degenerately (q * x = 0 with both factors nonzero) and thereby break the
 axis-decomposition bijection for arcs on the coordinate cross x*y = 0.
+Colimit payloads have no integer form: ``ColimitRing.convolve`` is the
+package's only payload-level t-polynomial product loop.
 """
 
 from __future__ import annotations
@@ -108,6 +110,25 @@ class ColimitRing(Ring):
 
     def payload_is_zero(self, a):
         return a[1].is_zero() and a[2].is_zero()
+
+    def convolve(self, a, b, n):
+        """``Ring.convolve`` by adding payload products term by term.  Terms
+        with a zero factor are skipped, never added: besides saving work,
+        this keeps each coefficient at the presentation level of its nonzero
+        terms, where a zero raised to a higher level would otherwise
+        re-express it (x3 printing as q0^2*x5)."""
+        padd, pmul, pzero = self.payload_add, self.payload_mul, self.payload_is_zero
+        out = [self.payload_from_int(0)] * n
+        b = [(j, bj) for j, bj in enumerate(b) if not pzero(bj)]
+        for i, ai in enumerate(a):
+            if pzero(ai):
+                continue
+            for j, bj in b:
+                k = i + j
+                if k >= n:
+                    break
+                out[k] = padd(out[k], pmul(ai, bj))
+        return out
 
     def payload_eq(self, a, b):
         pa, pb, _ = self._common(a, b)
@@ -206,8 +227,8 @@ def check_identities(bound: int, field=None) -> IdentityReport:
     inverting q0 (sampling unit values c) forces x_n = 0 through the level
     relation c^{n+1} x_n = 0.
     """
-    if bound > 12:
-        raise InvalidDescriptor("identity checks are desk-scale: bound <= 12")
+    if not 0 <= bound <= 12:
+        raise InvalidDescriptor("identity checks are desk-scale: 0 <= bound <= 12")
     if field is None:
         from .rings import PrimeFieldRing
 

@@ -10,28 +10,13 @@ output and never claims a coefficient beyond it: sums and products follow
 the min-precision rule, shifts gain orders, and Laurent division records
 exactly how many orders the strict-factorization certificate consumed.
 
-``convolve`` is the package's only loop that multiplies two t-polynomials:
-series products, ``times_poly`` and ``weierstrass.poly_mul`` all call it.
-It has three paths, fixed by the ring's family: Fp, Z/n and Q multiply on
-Python ints and reduce once per output coefficient; Artinian rings
-multiply per-monomial slices on their base ring's ints; the colimit rings
-add payload products term by term, skipping zero factors.
-
-The int product has two exact regimes, chosen by the sparser operand's
-count of nonzero ints.  Below ``KRONECKER_MIN_TERMS`` it is a schoolbook
-loop over the nonzero terms.  From there on it is Kronecker substitution:
-each list is packed into one Python int, w bits per coefficient, and a
-single big-int multiply (Karatsuba, in C) does the O(n^2) work (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, section 8.4; D. Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-J. Symb. Comp. 2009).  The threshold counts nonzero terms, not length:
-one-term and shifted operands are frequent in Newton lifting, and the
-schoolbook loop multiplies them in a few steps whatever their length.
+``convolve`` is the entry point of every t-polynomial product: series
+products, ``times_poly`` and ``weierstrass.poly_mul`` all call it.  It
+cuts both operands to the output length and hands them to the ring
+(``Ring.convolve``), so each ring family chooses its own product path.
 """
 
 from __future__ import annotations
-
-import struct
 
 from .errors import (
     Indeterminate,
@@ -40,140 +25,13 @@ from .errors import (
     NotAUnit,
     PrecisionExhausted,
 )
-from .rings import ArtinianLocalRing, RingElement
+from .rings import RingElement
 
 
 def convolve(ring, a, b, n):
-    """Payloads of a*b mod t^n, for ascending payload lists a and b.
-
-    Three paths, chosen by the ring's family:
-
-    * Fp, Z/n and Q multiply on Python ints (``Ring.integer_form``): Fp
-      and Z/n residues as they are, Q numerators over each list's lcm of
-      denominators.  Each output coefficient is mapped back once (``% p``,
-      ``% n`` or one reduced ``Fraction``) instead of normalising after
-      every term.  When both lists have at least ``KRONECKER_MIN_TERMS``
-      nonzero ints, the ints are multiplied by one Kronecker product,
-      otherwise term by term; both give the same ints, so the payloads
-      are the same.
-    * Artinian rings run ``ArtinianLocalRing.convolve``, which splits each
-      list by monomial and multiplies slice pairs on the base ring's
-      integer form.
-    * Every other ring (the colimit models) runs the payload loop.  There,
-      terms with a zero factor (by ``payload_is_zero``) are skipped, never
-      added: besides saving work, this keeps each colimit-ring coefficient
-      at the presentation level of its nonzero terms, where a zero raised
-      to a higher level would otherwise re-express it (x3 printing as
-      q0^2*x5).
-    """
-    a, b = a[:n], b[:n]
-    if isinstance(ring, ArtinianLocalRing):
-        return ring.convolve(a, b, n)
-    form = ring.integer_form(a)
-    if form is None:
-        padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
-        out = [ring.payload_from_int(0)] * n
-        b = [(j, bj) for j, bj in enumerate(b) if not pzero(bj)]
-        for i, ai in enumerate(a):
-            if pzero(ai):
-                continue
-            for j, bj in b:
-                k = i + j
-                if k >= n:
-                    break
-                out[k] = padd(out[k], pmul(ai, bj))
-        return out
-    a, scale_a = form
-    b, scale_b = ring.integer_form(b)
-    return ring.from_integer_form(_int_product(a, b, n), scale_a * scale_b)
-
-
-KRONECKER_MIN_TERMS = 16
-"""The sparser operand's nonzero count from which ``_int_product`` packs.
-
-Measured on CPython 3.11 (2-vCPU VM), schoolbook over Kronecker time on
-dense lists: with slots of up to 8 bytes (residues, 20-bit numerators)
-Kronecker breaks even near 10 nonzero terms and is 1.3-2.9x faster at 16;
-with 100-bit numerators it is 0.85-0.95x at 16 and wins from 32.  On the
-products of the ``lift`` and ``prepare`` benchmark workloads it breaks even
-near 9, so 12 instead of 16 would gain about 0.3% of a ``lift`` cycle.
-"""
-
-
-def _int_product(a, b, n):
-    """a*b mod t^n, as n Python ints, for int lists a and b no longer than n."""
-    terms = min(len(a) - a.count(0), len(b) - b.count(0))
-    if terms >= KRONECKER_MIN_TERMS:
-        return _kronecker_product(a, b, n, terms)
-    out = [0] * n
-    b = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in b:
-            k = i + j
-            if k >= n:
-                break
-            out[k] += ai * bj
-    return out
-
-
-def _kronecker_product(a, b, n, terms):
-    """``_int_product`` by one big-int multiply; ``terms`` is the smaller
-    operand's count of nonzero ints.
-
-    Each list is packed into sum c_i 2^(w i), w bits per slot, and the two
-    are multiplied once (CPython multiplies large ints by Karatsuba, in C).
-    Every product coefficient is a sum of at most ``terms`` products, so
-    |c_k| <= max|a| max|b| terms < 2^(w-1), and each of the first m slots of
-    the product holds exactly one coefficient.
-    """
-    m = min(n, len(a) + len(b) - 1)
-    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * terms
-    width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()  # a size ``struct`` packs
-    return _unpack(_pack(a, width) * _pack(b, width), width, m) + [0] * (n - m)
-
-
-_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
-def _top_bits(width, count):
-    """The int whose ``count`` slots of ``width`` bytes each hold 2^(8 width - 1)."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-
-
-def _pack(ints, width):
-    """sum ints[i] 2^(8 width i), for ints in [-2^(8 width - 1), 2^(8 width - 1)).
-
-    The slots are written in two's complement; flipping each slot's top bit
-    turns them into ints[i] + 2^(8 width - 1), a sum without carries."""
-    code = _STRUCT_CODES.get(width)
-    if code:
-        data = struct.pack(f"<{len(ints)}{code}", *ints)
-    else:
-        data = b"".join([c.to_bytes(width, "little", signed=True) for c in ints])
-    top = _top_bits(width, len(ints))
-    return (int.from_bytes(data, "little") ^ top) - top
-
-
-def _unpack(x, width, m):
-    """[c_0, ..., c_{m-1}] for x = sum c_k 2^(8 width k), |c_k| < 2^(8 width - 1).
-
-    Adding 2^(8 width - 1) to each of the m slots makes every slot
-    non-negative, so slot k holds c_k + 2^(8 width - 1) with no borrow from
-    below; the mask drops the slots from m on.  Flipping the top bits back
-    leaves c_k in two's complement."""
-    top = _top_bits(width, m)
-    data = (((x + top) & ((1 << (8 * width * m)) - 1)) ^ top).to_bytes(width * m, "little")
-    code = _STRUCT_CODES.get(width)
-    if code:
-        return list(struct.unpack(f"<{m}{code}", data))
-    return [
-        int.from_bytes(data[i : i + width], "little", signed=True)
-        for i in range(0, width * m, width)
-    ]
+    """Payloads of a*b mod t^n, for ascending payload lists a and b, by the
+    ring's own product (``Ring.convolve``)."""
+    return ring.convolve(a[:n], b[:n], n)
 
 
 def _payload(ring, c):

@@ -17,7 +17,9 @@ scalars; it extends the published grammar so rational literals like
 
 Every exponent ``INT`` after ``^`` is at most ``MAX_PRECISION`` (512) and
 is checked before the power is formed, which then costs O(log INT)
-products (``rings.power``); a larger exponent is a ``ParseError``.
+products (``rings.power``); a larger exponent is a ``ParseError``.  So are
+an integer of more than ``MAX_DIGITS`` digits, anywhere in a text input,
+and nesting (parentheses and unary minus) deeper than ``MAX_NESTING``.
 
 All formatters order monomials by degree (then lexicographically) and
 print canonical coefficient forms, so identical values serialize to
@@ -29,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InvalidDescriptor, ParseError
 from .newton import PolyMap
 from .polynomials import MultiPoly
 from .rings import ArtinianLocalRing, IntegersMod, PrimeFieldRing, RationalRing, Ring, power
@@ -37,6 +39,20 @@ from .series import TruncatedSeries, format_series
 from .weierstrass import LowPoly, MonicPoly, StrictFactorization, poly_mul
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+
+# CPython's default limit on the digits ``int`` converts from text.
+MAX_DIGITS = 4300
+# The parser recurses a few frames per level of nesting.
+MAX_NESTING = 100
+
+
+def parse_int(digits: str) -> int:
+    """int(digits), or ParseError beyond ``MAX_DIGITS`` digits."""
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(
+            f"an integer of {len(digits)} digits exceeds the ceiling {MAX_DIGITS} digits"
+        )
+    return int(digits)
 
 
 def _tokenize(text):
@@ -49,7 +65,7 @@ def _tokenize(text):
                 raise ParseError(f"unexpected character {text[pos]!r} in {text!r}")
             break
         if m.group(1) is not None:
-            out.append(("int", int(m.group(1))))
+            out.append(("int", parse_int(m.group(1))))
         elif m.group(2) is not None:
             out.append(("name", m.group(2)))
         else:
@@ -64,6 +80,7 @@ class _Parser:
         self.pos = 0
         self.algebra = algebra
         self.source = source
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -77,6 +94,15 @@ class _Parser:
         kind, val = self.take()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r} in {self.source!r}")
+
+    def nested(self, rule):
+        """``rule()`` inside a parenthesis or after a unary minus."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels in {self.source!r}")
+        self.depth += 1
+        value = rule()
+        self.depth -= 1
+        return value
 
     def parse(self):
         value = self.expr()
@@ -110,7 +136,7 @@ class _Parser:
         kind, val = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return self.algebra.neg(self.factor())
+            return self.algebra.neg(self.nested(self.factor))
         value = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
@@ -129,7 +155,7 @@ class _Parser:
         if kind == "name":
             return self.algebra.from_name(val)
         if kind == "op" and val == "(":
-            value = self.expr()
+            value = self.nested(self.expr)
             self.expect_op(")")
             return value
         raise ParseError(f"unexpected token in {self.source!r}")
@@ -248,15 +274,17 @@ def parse_ring(text: str) -> Ring:
         return RationalRing()
     m = re.fullmatch(r"Fp\(\s*(\d+)\s*\)", text)
     if m:
-        return PrimeFieldRing(int(m.group(1)))
+        return PrimeFieldRing(parse_int(m.group(1)))
     m = re.fullmatch(r"Zmod\(\s*(\d+)\s*\)", text)
     if m:
-        return IntegersMod(int(m.group(1)))
+        return IntegersMod(parse_int(m.group(1)))
     m = re.fullmatch(r"Artin\((.*)\)", text, re.DOTALL)
     if m:
         sections = _split_top(m.group(1), ";")
         if len(sections) != 3:
             raise ParseError("Artin descriptor needs base; generators; order")
+        if sections[0].lstrip().startswith("Artin("):  # refused before recursing
+            raise InvalidDescriptor("base must be a prime field or Q")
         base = parse_ring(sections[0])
         names = [s.strip() for s in sections[1].split(",") if s.strip()]
         try:
@@ -307,7 +335,7 @@ def parse_series(text: str, ring, default_precision=None) -> TruncatedSeries:
     m = _O_TAIL.search(text)
     precision = default_precision
     if m:
-        precision = int(m.group(1))
+        precision = parse_int(m.group(1))
         text = text[: m.start()].strip()
     if precision is not None:
         check_precision(precision)

@@ -5,7 +5,14 @@ import pytest
 
 from arclift.cli import main
 from arclift.rings import MAX_MODULUS
-from arclift.textforms import MAX_PRECISION, parse_factorization, parse_ring, parse_series
+from arclift.textforms import (
+    MAX_DIGITS,
+    MAX_NESTING,
+    MAX_PRECISION,
+    parse_factorization,
+    parse_ring,
+    parse_series,
+)
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +228,7 @@ def test_json_mirrors_text_fields(capsys):
 
 CUSP_MAP = "vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]"
 BIG_PRIME = "100000000000031"  # trial division to its square root takes about a second
+LONG_INT = "1" * (MAX_DIGITS + 1)  # int() of it raises ValueError
 
 
 @pytest.mark.parametrize(
@@ -243,6 +251,10 @@ BIG_PRIME = "100000000000031"  # trial division to its square root takes about a
         ("prepare", "--series", "1 + t", "--ring", f"Fp({BIG_PRIME})"),
         ("prepare", "--series", "1 + t", "--ring", f"Zmod({BIG_PRIME})"),
         ("completion", "--p", BIG_PRIME, "--n", "2"),
+        ("prepare", "--ring", f"Fp({LONG_INT})", "--series", "1 + t"),
+        ("prepare", "--ring", f"Zmod({LONG_INT})", "--series", "1 - t"),
+        ("prepare", "--series", f"{LONG_INT} + t + O(t^4)", "--ring", "Q"),
+        ("prepare", "--series", f"[1] + O(t^{LONG_INT})", "--ring", "Fp(3)"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -253,9 +265,38 @@ def test_oversized_precision_is_refused_before_any_series_is_built(capsys, argv)
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    ceiling = MAX_MODULUS if any(BIG_PRIME in arg for arg in argv) else MAX_PRECISION
+    if any(LONG_INT in arg for arg in argv):
+        ceiling = MAX_DIGITS
+    elif any(BIG_PRIME in arg for arg in argv):
+        ceiling = MAX_MODULUS
+    else:
+        ceiling = MAX_PRECISION
     assert f"exceeds the ceiling {ceiling}" in captured.err
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prepare", "--ring", "Fp(5)", "--series", "(" * 1000 + "1" + ")" * 1000 + " + O(t^3)"),
+        ("prepare", "--ring", "Fp(5)", "--series", "-" * 3000 + "1 + O(t^3)"),
+        ("lift", "--ring", "Q", "--arc", "t^2; t^3", "--N", "16",
+         "--map", "vars: [x1, y1]; split: 1; eqs: [" + "(" * 1000 + "y1" + ")" * 1000 + "^2 - x1^3]"),
+    ],
+    ids=["parentheses", "minus signs", "map"],
+)
+def test_deep_nesting_exits_1(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"nesting deeper than {MAX_NESTING} levels" in captured.err
+
+
+def test_negative_identity_bound_exits_1(capsys):
+    code = main(["patho", "--check", "identities", "--bound", "-3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "0 <= bound <= 12" in captured.err
 
 
 def test_precision_at_the_ceiling_is_accepted(capsys):

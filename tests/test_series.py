@@ -20,8 +20,9 @@ from arclift import (
     laurent_divide,
     reduced_order,
 )
-from arclift import series
-from arclift.series import KRONECKER_MIN_TERMS, convolve
+from arclift import rings
+from arclift.rings import KRONECKER_MIN_TERMS, Ring
+from arclift.series import convolve
 from arclift.weierstrass import divide_by_monic, poly_mul
 
 from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product
@@ -366,8 +367,8 @@ def test_integer_path_matches_plain_product(ring):
 @pytest.mark.parametrize("ring", INTEGER_RINGS, ids=repr)
 def test_integer_path_takes_both_regimes(ring, monkeypatch):
     packed = []
-    pack = series._pack
-    monkeypatch.setattr(series, "_pack", lambda ints, width: packed.append(ints) or pack(ints, width))
+    pack = rings._pack
+    monkeypatch.setattr(rings, "_pack", lambda ints, width: packed.append(ints) or pack(ints, width))
     regimes = set()
     for a, b in _integer_cases(ring, random.Random(29)):
         before = len(packed)
@@ -390,10 +391,12 @@ def test_integer_rings_never_touch_payload_ops_in_products(ring, monkeypatch):
     assert convolve(ring, a, b, 5) == expected
 
 
-def test_artinian_and_colimit_rings_keep_the_payload_loop():
+def test_artinian_and_colimit_rings_override_convolve():
+    for ring in INTEGER_RINGS:
+        assert type(ring).convolve is Ring.convolve
     for ring in (F5eps(), ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
                  arc_kernel_ring(PrimeFieldRing(5))):
-        assert ring.integer_form([ring.payload_from_int(1)]) is None
+        assert type(ring).convolve is not Ring.convolve
 
 
 # -- the sliced path of the kernel (Artinian rings) -------------------------
@@ -414,11 +417,14 @@ def _artin_element(ring, rng, density, top_only=False):
     for exps in ring.monomials():
         if (top_only and sum(exps) < ring.e - 1) or rng.random() >= density:
             continue
-        if isinstance(ring.base, RationalRing):
-            out[exps] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 40))
-        else:
-            out[exps] = rng.randrange(1, ring.base.p)
+        out[exps] = _artin_coefficient(ring, rng)
     return ring.element(out)
+
+
+def _artin_coefficient(ring, rng):
+    if isinstance(ring.base, RationalRing):
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 40))
+    return rng.randrange(1, ring.base.p)
 
 
 def _artin_cases(ring, rng):
@@ -440,6 +446,19 @@ def _artin_cases(ring, rng):
         yield tiny, [ring.element({one: Fraction(-1, 3**20)})] * 4
     for _ in range(25):
         yield draw(rng.randint(1, 12)), draw(rng.randint(1, 12), density=rng.random())
+    # around the Kronecker crossover: lists of 3K coefficients whose nonzero
+    # ones share a support of up to three monomials, 1 among them, so that
+    # each slice holds K-1, K or 3K nonzero ints
+    length = 3 * KRONECKER_MIN_TERMS
+    for terms in (KRONECKER_MIN_TERMS - 1, KRONECKER_MIN_TERMS, length):
+        def spread():
+            one, *monomials = ring.monomials()
+            support = [one] + rng.sample(monomials, min(2, len(monomials)))
+            out = [ring.zero] * length
+            for i in rng.sample(range(length), terms):
+                out[i] = ring.element({x: _artin_coefficient(ring, rng) for x in support})
+            return out
+        yield spread(), spread()
 
 
 def _canonical_artin(ring, elements):
@@ -481,6 +500,20 @@ def test_sliced_path_matches_schoolbook(ring):
         got = TruncatedSeries(ring, f, n).times_poly(g)
         expected = schoolbook_product(f[:n], g, ring)[:n]
         assert _canonical_artin(ring, got.coeffs) == [c.value for c in expected]
+
+
+@pytest.mark.parametrize("ring", ARTIN_RINGS, ids=repr)
+def test_sliced_path_takes_both_regimes(ring, monkeypatch):
+    packed = []
+    pack = rings._pack
+    monkeypatch.setattr(rings, "_pack", lambda ints, width: packed.append(ints) or pack(ints, width))
+    regimes = set()
+    for f, g in _artin_cases(ring, random.Random(31)):
+        before = len(packed)
+        convolve(ring, [c.value for c in f], [c.value for c in g], len(f) + len(g))
+        regimes.add(len(packed) > before)
+    assert regimes == {False, True}
+    assert min(len(ints) - ints.count(0) for ints in packed) == KRONECKER_MIN_TERMS
 
 
 def test_artinian_products_skip_payload_ops_and_colimit_products_keep_them(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from arclift import (
     ArtinianLocalRing,
     IntegersMod,
+    InvalidDescriptor,
     MonicPoly,
     MultiPoly,
     ParseError,
@@ -16,6 +17,7 @@ from arclift import (
     strict_prepare,
 )
 from arclift.textforms import (
+    MAX_NESTING,
     format_element,
     format_factorization,
     format_low,
@@ -57,6 +59,31 @@ def test_bad_descriptors_raise_parse_errors():
     for text in ["F(5)", "Artin(Fp(5); eps)", "Zmod(x)", ""]:
         with pytest.raises(ParseError):
             parse_ring(text)
+
+
+def test_nested_artinian_bases_are_refused_without_recursion():
+    for depth in (2, 1000):
+        with pytest.raises(InvalidDescriptor):
+            parse_ring("Artin(" * depth + "Q" + "; a; 2)" * depth)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 1000 + "1" + ")" * 1000 + " + O(t^3)",
+    "-" * 3000 + "1 + O(t^3)",
+    "(-" * MAX_NESTING + "t" + ")" * MAX_NESTING + " + O(t^3)",
+], ids=["parentheses", "minus signs", "both"])
+def test_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+        parse_series(text, PrimeFieldRing(5))
+
+
+def test_nesting_at_the_ceiling_is_accepted():
+    ring = PrimeFieldRing(5)
+    half = MAX_NESTING // 2
+    for text, plain in [("(" * MAX_NESTING + "1 + t" + ")" * MAX_NESTING, "1 + t"),
+                        ("-" * MAX_NESTING + "t", "t"),  # an even count of signs
+                        ("(-" * half + "t" + ")" * half, "t")]:
+        assert parse_t_poly(text, ring) == parse_t_poly(plain, ring)
 
 
 def test_element_literals():
