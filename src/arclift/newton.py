@@ -2,15 +2,17 @@
 
 Equations f = (f_1..f_n) on A^m come with a coordinate split: the first
 m-n coordinates are passive, the last n are the ones Newton corrections
-move (corrections never touch the passive block).  The Jacobian block B is
-taken in the moving coordinates, with adjugate satisfying the Cramer
-identity B * adj = adj * B = det * Id.
+move (corrections never touch the passive block).  Each map is expanded
+once, over its own int/Fraction coefficients, into a Taylor table: f(x + v)
+by degree in the corrections v.  Its degree-1 entries are the Jacobian block
+B, whose adjugate satisfies B * adj = adj * B = det * Id; its entries of
+degree >= 2 are the remainder H.
 
 The pipeline works with truncated series throughout and never divides
-blindly: the quadratic-and-higher Taylor terms are collected so that each
-order-k term carries (t*det)^k explicitly, which makes the key congruence
-a statement about exact divisibility by t*det^2 checked through Laurent
-division with a strict-factorization certificate.
+blindly: each arc evaluates the table's degree-k entries with the weight
+(t*det)^(k-2) explicitly, which makes the key congruence a statement about
+exact divisibility by t*det^2 checked through Laurent division with a
+strict-factorization certificate.
 
 The correction v0 solves v + t*h(v) = v1 for the adjugate remainder h.
 ``fixed_point_solve`` does this by Newton iteration, whose Jacobian
@@ -23,8 +25,10 @@ result is certified against v1 by one last evaluation at full precision.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb, prod
 
 from .errors import (
     ArityMismatch,
@@ -90,11 +94,14 @@ class PolyMap:
 
 @dataclass(frozen=True)
 class JacobianData:
-    """Jacobian block in the moving coordinates, its adjugate, and det."""
+    """Jacobian block in the moving coordinates, its adjugate, and det;
+    ``taylor[i]`` is f_i(x + v) for v on the moving block, a MultiPoly in v
+    with MultiPoly coefficients in x, whose v^{e_j} entries are ``matrix[i]``."""
 
     matrix: tuple
     adjugate: tuple
     det: MultiPoly
+    taylor: tuple
 
 
 def _mat_mul(a, b):
@@ -119,12 +126,27 @@ def _det(mat):
     return total
 
 
+def _taylor_table(f: MultiPoly, split: int) -> MultiPoly:
+    """f(x + v) with v added to the moving block x[split:], by binomials:
+    each term c*x^b and each a <= b[split:] add c*prod C(b_i, a_i)*x^(b-a)
+    to the coefficient of v^a.  For fixed a, b -> b - a is injective, so no
+    two terms land on the same monomial."""
+    table = {}
+    for b, c in f.terms.items():
+        moving = b[split:]
+        for a in itertools.product(*(range(k + 1) for k in moving)):
+            rest = b[:split] + tuple(k - i for k, i in zip(moving, a))
+            table.setdefault(a, {})[rest] = c * prod(map(comb, moving, a))
+    return MultiPoly(f.nvars - split, {a: MultiPoly(f.nvars, t) for a, t in table.items()})
+
+
 def jacobian_data(pm: PolyMap) -> JacobianData:
     n, m = pm.n, pm.m
     one = MultiPoly.constant(m, 1)
-    matrix = tuple(
-        tuple(pm.polys[i].derivative(pm.split + j) for j in range(n)) for i in range(n)
-    )
+    zero = MultiPoly(m, {})
+    taylor = tuple(_taylor_table(f, pm.split) for f in pm.polys)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    matrix = tuple(tuple(table.terms.get(e, zero) for e in unit) for table in taylor)
     if n == 1:
         adj = ((one,),)
     else:
@@ -141,11 +163,10 @@ def jacobian_data(pm: PolyMap) -> JacobianData:
     det = _det(matrix)
     if det.is_zero():
         raise DegenerateJacobian("Jacobian determinant is identically zero")
-    zero = MultiPoly(m, {})
     det_id = tuple(tuple(det if i == j else zero for j in range(n)) for i in range(n))
     if _mat_mul(matrix, adj) != det_id or _mat_mul(adj, matrix) != det_id:
         raise RuntimeError("Cramer identity failed symbolically; this is a bug")
-    return JacobianData(matrix=matrix, adjugate=adj, det=det)
+    return JacobianData(matrix=matrix, adjugate=adj, det=det, taylor=taylor)
 
 
 class ArcPoint:
@@ -221,43 +242,24 @@ def taylor_remainder(arc: ArcPoint):
 
         f(x + t*det*v) = f(x) + t*det*B(x; v) + (t*det)^2 * H(x; v)
 
-    identically: each B_k term is weighted by (t*det)^{k-2} at construction,
-    so no series division ever happens.
+    identically: each coefficient of B_k, read from the map's Taylor table
+    and evaluated along the arc, is weighted by (t*det)^{k-2}, so no series
+    division ever happens.
     """
-    pm, ring = arc.map, arc.ring
-    n, prec = pm.n, arc.precision
-    one = TruncatedSeries.constant(ring.one, prec)
-    values = []
-    for i, comp in enumerate(arc.components):
-        const = MultiPoly.constant(n, comp.truncate(prec))
-        if i < pm.split:
-            values.append(const)
-        else:
-            values.append(const + MultiPoly.variable(i - pm.split, n, one))
-    zero_poly = MultiPoly(n, {})
-
-    def embed(c):
-        return MultiPoly.constant(n, TruncatedSeries.constant(ring.from_fraction(c), prec))
-
-    tdet = arc.det_at.truncate(prec).shift(1)
+    prec = arc.precision
+    tdet = arc.det_at.shift(1).truncate(prec)
+    weights = [None, tdet]  # weights[k] = (t*det)^k for k >= 1
     out = []
-    for f in pm.polys:
-        expanded = f.evaluate_or(values, zero_poly, embed=embed)
-        h = MultiPoly(n, {})
-        weight = None
-        for k in range(2, expanded.total_degree() + 1):
-            part = expanded.homogeneous_part(k)
-            if k == 2:
-                weight = None
-            else:
-                weight = tdet if weight is None else weight * tdet
-            if part.is_zero():
+    for table in arc.jacobian.taylor:
+        h = {}
+        for a, coeff in table.terms.items():
+            k = sum(a) - 2
+            if k < 0:
                 continue
-            if weight is not None:
-                w = weight.truncate(prec)
-                part = part.map_coefficients(lambda s: (s * w))
-            h = h + part.map_coefficients(lambda s: s.truncate(prec))
-        out.append(h)
+            while len(weights) <= k:
+                weights.append(weights[-1] * tdet)
+            h[a] = arc._eval(coeff) if k == 0 else arc._eval(coeff) * weights[k]
+        out.append(MultiPoly(arc.map.n, h))
     return out
 
 
@@ -266,15 +268,12 @@ def adjugate_remainder(arc: ArcPoint):
     h = taylor_remainder(arc)
     n = arc.map.n
     adj = arc.adjugate_at
-    prec = arc.precision
     out = []
     for i in range(n):
         acc = MultiPoly(n, {})
         for j in range(n):
-            entry = adj[i][j].truncate(prec)
-            if h[j].is_zero():
-                continue
-            acc = acc + h[j].map_coefficients(lambda s: s * entry)
+            if not h[j].is_zero():
+                acc = acc + h[j].map_coefficients(lambda s: s * adj[i][j])
         out.append(acc)
     return out
 

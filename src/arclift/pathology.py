@@ -213,10 +213,10 @@ class IdentityReport:
         return all(r.ok for r in self.rows)
 
 
-def _sample_units(field, count=4):
+def _sample_units(field):
     if hasattr(field, "elements"):
-        return [c for c in field.elements() if c][: max(count, 1)]
-    return [field.from_int(k) for k in (1, 2, 3, -1)][:count]
+        return [c for c in field.elements() if c][:4]
+    return [field.from_int(k) for k in (1, 2, 3, -1)]
 
 
 def check_identities(bound: int, field=None) -> IdentityReport:
@@ -335,9 +335,9 @@ def integer_completion(p: int, n: int) -> IntegerCompletion:
     """Level-n truncation of the t-completion of the integers with t acting
     as multiplication by p.
 
-    Eliminating t from the ideal (t - p, t^n) leaves (p^n): the remainder of
-    t^n under division by t - p is p^n (computed, not assumed), so the
-    quotient is Z/p^n with t mapping to p.
+    Eliminating t from the ideal (t - p, t^n) leaves (p^n): the remainders
+    of t^n and of t under division by t - p are p^n and p (computed, not
+    assumed), so the quotient is Z/p^n with t mapping to p.
     """
     check_modulus(p, "prime")
     if not is_prime(p):
@@ -345,11 +345,16 @@ def integer_completion(p: int, n: int) -> IntegerCompletion:
     if n < 1:
         raise InvalidDescriptor("completion order must be >= 1")
     rationals = RationalRing()
-    t_power = [rationals.payload_from_int(0)] * n + [rationals.payload_from_int(1)]
-    _, (remainder,) = divide_by_monic(t_power, MonicPoly.from_ints(rationals, [-p]))
-    modulus = int(remainder)
+    t_minus_p = MonicPoly.from_ints(rationals, [-p])
+
+    def reduce_t_power(k):
+        t_power = [rationals.payload_from_int(0)] * k + [rationals.payload_from_int(1)]
+        _, (remainder,) = divide_by_monic(t_power, t_minus_p)
+        return int(remainder)
+
+    modulus = reduce_t_power(n)
     ring = IntegersMod._of_prime_power(p, n)
-    t_image = ring.from_int(p)
+    t_image = ring.from_int(reduce_t_power(1))
     checks = [
         ring.n == modulus,  # the remainder is the modulus of Z/p^n
         t_image ** n == ring.zero,  # t^n dies at level n

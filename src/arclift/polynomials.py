@@ -94,27 +94,6 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.terms.items(), key=_term_key))))
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def derivative(self, i):
-        """Partial derivative in variable i; coefficients must accept int *."""
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            de = tuple(v - 1 if j == i else v for j, v in enumerate(e))
-            nc = c * k
-            if de in out:
-                nc = out[de] + nc
-            if nc:
-                out[de] = nc
-        return MultiPoly(self.nvars, out)
-
-    def homogeneous_part(self, d):
-        return MultiPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def evaluate(self, values, embed=lambda c: c):
         """Evaluate at ``values`` (anything with +, *), embedding coefficients.
 

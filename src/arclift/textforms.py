@@ -164,9 +164,8 @@ class _Parser:
 class _TPolyAlgebra:
     """Values are dense ascending coefficient lists over a ring ([] = 0)."""
 
-    def __init__(self, ring, allow_t=True):
+    def __init__(self, ring):
         self.ring = ring
-        self.allow_t = allow_t
         self.gens = ring.generators()
 
     def _trim(self, c):
@@ -178,7 +177,7 @@ class _TPolyAlgebra:
         return self._trim([self.ring.from_int(k)])
 
     def from_name(self, name):
-        if name == "t" and self.allow_t:
+        if name == "t":
             return [self.ring.zero, self.ring.one]
         if name in self.gens:
             return self._trim([self.gens[name]])
@@ -287,11 +286,8 @@ def parse_ring(text: str) -> Ring:
             raise InvalidDescriptor("base must be a prime field or Q")
         base = parse_ring(sections[0])
         names = [s.strip() for s in sections[1].split(",") if s.strip()]
-        try:
-            order = int(sections[2].strip())
-        except ValueError:
-            raise ParseError(f"bad truncation order {sections[2].strip()!r}") from None
-        return ArtinianLocalRing(base, names, order)
+        order = _parse_count(sections[2].strip(), "truncation order")
+        return ArtinianLocalRing(base, names, check_precision(order, "truncation order"))
     raise ParseError(f"unrecognized ring descriptor {text!r}")
 
 
@@ -367,7 +363,7 @@ def parse_low(text: str, ring, bound: int) -> LowPoly:
     return LowPoly(ring, bound, coeffs)
 
 
-def format_t_poly(ring, coeffs, var="t") -> str:
+def format_t_poly(ring, coeffs) -> str:
     """Degree-descending polynomial text, canonical coefficients."""
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
@@ -379,7 +375,7 @@ def format_t_poly(ring, coeffs, var="t") -> str:
         if k == 0:
             terms.append(f"({cs})" if composite else cs)
             continue
-        tpow = var if k == 1 else f"{var}^{k}"
+        tpow = "t" if k == 1 else f"t^{k}"
         if cs == "1":
             terms.append(tpow)
         elif cs == "-1":
@@ -421,6 +417,13 @@ def format_factorization(f: StrictFactorization) -> str:
     )
 
 
+def _parse_count(text: str, what: str) -> int:
+    """A field of decimal digits as an int, or ParseError naming ``what``."""
+    if not re.fullmatch(r"\d+", text):
+        raise ParseError(f"bad {what} {text!r}")
+    return parse_int(text)
+
+
 def parse_factorization(text: str, ring) -> StrictFactorization:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -435,8 +438,8 @@ def parse_factorization(text: str, ring) -> StrictFactorization:
     return StrictFactorization(
         u=parse_series(fields["u"], ring),
         q=parse_monic(fields["q"], ring),
-        certificate_n=int(fields["n"]),
-        precision=int(fields["N"]),
+        certificate_n=_parse_count(fields["n"], "certificate order"),
+        precision=_parse_count(fields["N"], "precision"),
     )
 
 

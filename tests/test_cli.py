@@ -255,6 +255,7 @@ LONG_INT = "1" * (MAX_DIGITS + 1)  # int() of it raises ValueError
         ("prepare", "--ring", f"Zmod({LONG_INT})", "--series", "1 - t"),
         ("prepare", "--series", f"{LONG_INT} + t + O(t^4)", "--ring", "Q"),
         ("prepare", "--series", f"[1] + O(t^{LONG_INT})", "--ring", "Fp(3)"),
+        ("prepare", "--ring", "Artin(Fp(5);eps;100000000)", "--series", "1/(1+eps)+O(t^2)"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

@@ -85,6 +85,73 @@ def test_degenerate_jacobian_detected():
         jacobian_data(pm)
 
 
+def _random_map(rng, split, n):
+    """n random equations in split + n variables, total degree <= 4, with
+    int or Fraction coefficients."""
+    m = split + n
+    exponents = [e for e in itertools.product(range(5), repeat=m) if sum(e) <= 4]
+    polys = []
+    for _ in range(n):
+        terms = {}
+        for e in rng.sample(exponents, rng.randint(1, 5)):
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            terms[e] = Fraction(c, rng.randint(2, 5)) if rng.random() < 0.5 else c
+        polys.append(MultiPoly(m, terms))
+    return PolyMap([f"x{i}" for i in range(m)], split, polys)
+
+
+@pytest.mark.parametrize("split", [0, 1, 2])
+def test_taylor_table_matches_sympy_expansion(split):
+    # jd.taylor[i] is f_i(x + v) on the moving block, and jd.matrix its
+    # linear part; sympy expands and differentiates independently
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(700 + split)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(1, 2)
+        pm = _random_map(rng, split, n)
+        try:
+            jd = jacobian_data(pm)
+        except DegenerateJacobian:
+            continue
+        xs = sympy.symbols(f"x0:{pm.m}")
+        vs = sympy.symbols(f"v0:{n}")
+
+        def sym(poly):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else c)
+                * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+                for e, c in poly.terms.items()
+            )
+
+        shift = {xs[split + j]: xs[split + j] + vs[j] for j in range(n)}
+        for i, f in enumerate(pm.polys):
+            expanded = sympy.Poly(sympy.expand(sym(f).subs(shift, simultaneous=True)), *vs)
+            expected = {a: sympy.expand(c) for a, c in expanded.as_dict().items()}
+            table = jd.taylor[i]
+            assert table.nvars == n
+            assert set(table.terms) == set(expected)
+            for a, coeff in table.terms.items():
+                assert sympy.expand(sym(coeff) - expected[a]) == 0
+            for j in range(n):
+                assert sympy.expand(sym(jd.matrix[i][j]) - sympy.diff(sym(f), xs[split + j])) == 0
+        checked += 1
+
+
+def test_jacobian_data_is_hashable():
+    pm = PolyMap(
+        ("x", "y1", "y2"),
+        1,
+        [
+            MultiPoly(3, {(0, 2, 0): 1, (1, 0, 1): Fraction(1, 2)}),
+            MultiPoly(3, {(0, 1, 1): 1, (3, 0, 0): -1}),
+        ],
+    )
+    jd = jacobian_data(pm)
+    assert hash(jd) == hash(jacobian_data(pm))
+    assert {jd: 1}[jacobian_data(pm)] == 1
+
+
 def test_taylor_remainder_of_linear_map_vanishes():
     q = RationalRing()
     pm = PolyMap(("x1", "y1"), 1, [MultiPoly(2, {(0, 1): 2, (1, 0): 3})])

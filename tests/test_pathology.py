@@ -1,5 +1,6 @@
 import pytest
 
+from arclift import pathology
 from arclift import (
     IntegersMod,
     InvalidDescriptor,
@@ -175,6 +176,24 @@ def test_integer_completion_modulus_may_exceed_the_ceiling_on_primes():
     r = integer_completion(2, 64)
     assert r.modulus == 2**64 and r.ring.n == 2**64 and r.verified
     assert r.ring.residue_field() == PrimeFieldRing(2) and r.ring.nilpotency_exponent() == 64
+
+
+def test_integer_completion_t_image_comes_from_the_division(monkeypatch):
+    # a division that is wrong only on linear dividends leaves the modulus
+    # right, so only the reduction of t itself can catch it
+    real = pathology.divide_by_monic
+
+    def off_by_one_on_t(dividend, divisor):
+        quotient, remainder = real(dividend, divisor)
+        if len(dividend) == 2:
+            remainder = [remainder[0] + 1]
+        return quotient, remainder
+
+    monkeypatch.setattr(pathology, "divide_by_monic", off_by_one_on_t)
+    r = integer_completion(5, 3)
+    assert r.modulus == 125
+    assert r.t_image.value == 6
+    assert not r.verified
 
 
 def test_cross_arc_counterexample():

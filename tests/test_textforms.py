@@ -17,6 +17,7 @@ from arclift import (
     strict_prepare,
 )
 from arclift.textforms import (
+    MAX_DIGITS,
     MAX_NESTING,
     format_element,
     format_factorization,
@@ -167,6 +168,20 @@ def test_factorization_roundtrip():
     assert back.q == fact.q
     assert back.certificate_n == fact.certificate_n
     assert back.precision == fact.precision
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", "x"), ("N", "4.0"), ("n", "-2"), ("N", "1" * (MAX_DIGITS + 1))],
+    ids=["letter", "decimal point", "sign", "too many digits"],
+)
+def test_factorization_integer_fields_refuse_bad_text(field, value):
+    r = parse_ring("Artin(Fp(5); eps; 2)")
+    fields = {"u": "[1, 0, 0] + O(t^3)", "q": "t + eps", "n": "2", "N": "4"}
+    fields[field] = value
+    text = "{" + ", ".join(f"{k}: {v}" for k, v in fields.items()) + "}"
+    with pytest.raises(ParseError):
+        parse_factorization(text, r)
 
 
 def test_poly_map_roundtrip():
