@@ -16,6 +16,14 @@ Each ring multiplies t-polynomials itself (``Ring.convolve``, which
 (``integer_form``), Artinian rings slice by monomial on their base ring's
 integer form, and the colimit models in ``pathology`` on payloads.
 
+Each ring also inverts a series itself (``Ring.invert_series``, which
+``TruncatedSeries.invert`` calls).  Fp, Z/n and Q run the fraction-free
+recurrence on integer forms: the inverse is kept as ints over one common
+denominator, so each coefficient costs one dot product of ints and one
+``from_integer_form``.  Artinian rings run the recurrence on payloads, one
+``payload_mul`` and ``payload_add`` per term.  An Artinian ring has at most
+``MAX_MONOMIALS`` monomials.
+
 ``_int_product`` is the package's only int product loop.  Below
 ``KRONECKER_MIN_TERMS`` nonzero ints in the sparser operand it multiplies
 term by term; from there on it packs each list into one Python int, w bits
@@ -53,6 +61,15 @@ def check_modulus(n: int, what: str) -> None:
     """Refuse an n above ``MAX_MODULUS`` before any trial division runs."""
     if n > MAX_MODULUS:
         raise InvalidDescriptor(f"{what} {n} exceeds the ceiling {MAX_MODULUS}")
+
+
+MAX_MONOMIALS = 10_000
+"""The most monomials, C(m + e - 1, m), an Artinian ring may have.  One
+product of dense elements visits every pair of monomials: measured on
+CPython 3.11 (2-vCPU VM) over Fp(5) with m = 6, it takes 9.6 s at e = 10
+(5,005 monomials) and 58 s at e = 12 (12,376), and ``strict_prepare`` of a
+sparse series at N = 24 takes 0.9 s and 3.1 s.  At e = 20 (177,100
+monomials) ``strict_prepare`` did not finish in 300 s."""
 
 
 def is_prime(n: int) -> bool:
@@ -189,6 +206,14 @@ def _unpack(x, width, m):
     ]
 
 
+def _residues(ints, scale, m):
+    """The residues mod m of ints[i] / scale, for a scale prime to m."""
+    if scale == 1:
+        return [c % m for c in ints]
+    f = pow(scale, -1, m)
+    return [c * f % m for c in ints]
+
+
 class RingElement:
     """Thin immutable handle: a ring reference plus a canonical payload."""
 
@@ -298,8 +323,9 @@ class Ring:
 
     def from_integer_form(self, ints, scale):
         """The canonical payloads of ints[i] / scale (reduced residues,
-        reduced fractions), for any Python ints and a product of scales
-        that this ring's ``integer_form`` returned."""
+        reduced fractions), for any Python ints and a scale that is a unit
+        of the ring, such as a product of scales that this ring's
+        ``integer_form`` returned."""
         raise NotImplementedError
 
     def convolve(self, a, b, n):
@@ -309,6 +335,36 @@ class Ring:
         a, scale_a = self.integer_form(a)
         b, scale_b = self.integer_form(b)
         return self.from_integer_form(_int_product(a, b, n), scale_a * scale_b)
+
+    def invert_series(self, payloads, inv0):
+        """Payloads of the inverse mod t^n of the series with the n
+        coefficients ``payloads``, whose constant term is a unit with
+        inverse payload ``inv0``.
+
+        The fraction-free recurrence (von zur Gathen and Gerhard, *Modern
+        Computer Algebra*, section 9.1) on the integer form A / s of the
+        series, whose scale s cancels: the inverse is kept as ints O over
+        one common denominator L, and coefficient k is
+        -sum_{i=1..k} A_i O_{k-i} / (A_0 L).  So each coefficient costs one
+        dot product of ints and one ``from_integer_form``, not one payload
+        operation per term; L grows to the lcm of the denominators met so
+        far, and the earlier O are rescaled when it does.
+        """
+        ints, _ = self.integer_form(payloads)
+        a0, tail = ints[0], ints[1:]
+        out = [inv0]
+        nums, den = self.integer_form(out)
+        nums = list(nums)  # a copy: Fp and Z/n return ``out`` itself
+        for _ in range(1, len(payloads)):
+            c = self.from_integer_form([-sum(map(mul, tail, reversed(nums)))], a0 * den)
+            (num,), d = self.integer_form(c)
+            if den % d:
+                f = d // math.gcd(den, d)
+                nums = [x * f for x in nums]
+                den *= f
+            nums.append(num * (den // d))
+            out += c
+        return out
 
     # -- element layer ---------------------------------------------------
     def element(self, value) -> RingElement:
@@ -322,7 +378,14 @@ class Ring:
         num = self.from_int(q.numerator)
         if q.denominator == 1:
             return num
-        return num * self.invert(self.from_int(q.denominator))
+        try:
+            inv = self.invert(self.from_int(q.denominator))
+        except NotAUnit:
+            raise NotAUnit(
+                f"the coefficient {q} has no image in {self}: "
+                f"its denominator {q.denominator} is not a unit there"
+            ) from None
+        return num * inv
 
     @property
     def zero(self) -> RingElement:
@@ -426,8 +489,7 @@ class PrimeFieldRing(Ring):
         return payloads, 1
 
     def from_integer_form(self, ints, scale):
-        m = self.p
-        return [c % m for c in ints]
+        return _residues(ints, scale, self.p)
 
     def is_unit(self, a):
         return a.value != 0
@@ -575,8 +637,7 @@ class IntegersMod(Ring):
         return payloads, 1
 
     def from_integer_form(self, ints, scale):
-        m = self.n
-        return [c % m for c in ints]
+        return _residues(ints, scale, self.n)
 
     def is_unit(self, a):
         return math.gcd(a.value, self.n) == 1
@@ -640,6 +701,12 @@ class ArtinianLocalRing(Ring):
             raise InvalidDescriptor("generator names must be distinct")
         if truncation_order < 1:
             raise InvalidDescriptor("truncation order must be >= 1")
+        monomials = math.comb(len(names) + truncation_order - 1, len(names))
+        if monomials > MAX_MONOMIALS:
+            raise InvalidDescriptor(
+                f"{monomials} monomials of degree < {truncation_order} in "
+                f"{len(names)} generators: the count exceeds the ceiling {MAX_MONOMIALS}"
+            )
         self.base = base
         self.names = names
         self.e = truncation_order
@@ -733,6 +800,20 @@ class ArtinianLocalRing(Ring):
         for (k, x), c in zip(terms, self.base.from_integer_form(ints, scale_a * scale_b)):
             if not pzero(c):
                 out[k][x] = c
+        return out
+
+    def invert_series(self, payloads, inv0):
+        """``Ring.invert_series`` by the payload recurrence: one
+        ``payload_mul`` and one ``payload_add`` per term."""
+        out = [inv0]
+        padd, pmul = self.payload_add, self.payload_mul
+        neg_inv0 = self.payload_neg(inv0)
+        for k in range(1, len(payloads)):
+            acc = None
+            for i in range(1, k + 1):
+                term = pmul(payloads[i], out[k - i])
+                acc = term if acc is None else padd(acc, term)
+            out.append(pmul(neg_inv0, acc))
         return out
 
     def _integer_slices(self, payloads):

@@ -14,6 +14,10 @@ exactly how many orders the strict-factorization certificate consumed.
 products, ``times_poly`` and ``weierstrass.poly_mul`` all call it.  It
 cuts both operands to the output length and hands them to the ring
 (``Ring.convolve``), so each ring family chooses its own product path.
+Likewise ``TruncatedSeries.invert`` checks the constant term and inverts it
+with ``Ring.invert`` (the colimit models refuse there), then hands the
+payloads to ``Ring.invert_series``: the fraction-free integer recurrence
+for Fp, Z/n and Q, the payload recurrence for Artinian rings.
 """
 
 from __future__ import annotations
@@ -200,24 +204,15 @@ class TruncatedSeries:
         return TruncatedSeries._wrap(self.ring, self.payloads[:n], n)
 
     def invert(self):
-        """Inverse by the standard recurrence; needs a unit constant term."""
+        """Inverse by the ring's own recurrence (``Ring.invert_series``);
+        needs a unit constant term."""
         ring = self.ring
         c0 = self.coefficient(0)
         if not ring.is_unit(c0):
             raise NotAUnit("constant coefficient is not a unit")
-        n = self.precision
         inv0 = ring.invert(c0)
-        out = [inv0.value]
-        padd, pmul = ring.payload_add, ring.payload_mul
-        neg_inv0 = ring.payload_neg(inv0.value)
-        a = self.payloads
-        for k in range(1, n):
-            acc = None
-            for i in range(1, k + 1):
-                term = pmul(a[i], out[k - i])
-                acc = term if acc is None else padd(acc, term)
-            out.append(pmul(neg_inv0, acc))
-        return TruncatedSeries._wrap(ring, out, n)
+        out = ring.invert_series(self.payloads, inv0.value)
+        return TruncatedSeries._wrap(ring, out, self.precision)
 
     def __repr__(self):
         return format_series(self)

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from arclift.cli import main
-from arclift.rings import MAX_MODULUS
+from arclift.rings import MAX_MODULUS, MAX_MONOMIALS
 from arclift.textforms import (
     MAX_DIGITS,
     MAX_NESTING,
@@ -229,6 +229,7 @@ def test_json_mirrors_text_fields(capsys):
 CUSP_MAP = "vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]"
 BIG_PRIME = "100000000000031"  # trial division to its square root takes about a second
 LONG_INT = "1" * (MAX_DIGITS + 1)  # int() of it raises ValueError
+ARTIN_E20 = "Artin(Fp(5); a,b,c,d,e,f; 20)"  # 177,100 monomials
 
 
 @pytest.mark.parametrize(
@@ -256,6 +257,7 @@ LONG_INT = "1" * (MAX_DIGITS + 1)  # int() of it raises ValueError
         ("prepare", "--series", f"{LONG_INT} + t + O(t^4)", "--ring", "Q"),
         ("prepare", "--series", f"[1] + O(t^{LONG_INT})", "--ring", "Fp(3)"),
         ("prepare", "--ring", "Artin(Fp(5);eps;100000000)", "--series", "1/(1+eps)+O(t^2)"),
+        ("prepare", "--ring", ARTIN_E20, "--series", "a + (1 + b)*t + O(t^24)"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -270,6 +272,8 @@ def test_oversized_precision_is_refused_before_any_series_is_built(capsys, argv)
         ceiling = MAX_DIGITS
     elif any(BIG_PRIME in arg for arg in argv):
         ceiling = MAX_MODULUS
+    elif ARTIN_E20 in argv:
+        ceiling = MAX_MONOMIALS
     else:
         ceiling = MAX_PRECISION
     assert f"exceeds the ceiling {ceiling}" in captured.err
@@ -291,6 +295,14 @@ def test_deep_nesting_exits_1(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert f"nesting deeper than {MAX_NESTING} levels" in captured.err
+
+
+def test_map_coefficient_without_image_names_it_and_the_ring(capsys):
+    code = main(["lift", "--ring", "Fp(5)", "--arc", "t^2; t^3 + t^4", "--N", "16",
+                 "--map", "vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3/5]"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "NotAUnit: the coefficient -1/5 has no image in Fp(5)" in captured.err
 
 
 def test_negative_identity_bound_exits_1(capsys):

@@ -14,7 +14,7 @@ from arclift import (
     RationalRing,
     make_ring,
 )
-from arclift.rings import MAX_MODULUS
+from arclift.rings import MAX_MODULUS, MAX_MONOMIALS
 
 from _helpers import acceptance_rings
 
@@ -107,6 +107,23 @@ def test_moduli_above_the_ceiling_are_refused_before_trial_division():
     for make in (PrimeFieldRing, IntegersMod):
         with pytest.raises(InvalidDescriptor, match=f"exceeds the ceiling {MAX_MODULUS}"):
             make(100000000000031)  # prime: trial division would take about a second
+
+
+def test_artinian_rings_above_the_monomial_ceiling_are_refused():
+    f5 = PrimeFieldRing(5)
+    assert len(ArtinianLocalRing(f5, ["s"], MAX_MONOMIALS).names) == 1  # e monomials
+    ArtinianLocalRing(f5, "abcdef", 10)  # 5,005 monomials
+    for names, e in ((["s"], MAX_MONOMIALS + 1), ("abcdef", 12), ("abcdef", 20)):
+        with pytest.raises(InvalidDescriptor, match=f"exceeds the ceiling {MAX_MONOMIALS}"):
+            ArtinianLocalRing(f5, names, e)
+
+
+def test_from_fraction_names_a_coefficient_without_image():
+    assert PrimeFieldRing(5).from_fraction(Fraction(3, 2)) == PrimeFieldRing(5).from_int(4)
+    with pytest.raises(NotAUnit, match=r"coefficient 2/5 has no image in Fp\(5\)"):
+        PrimeFieldRing(5).from_fraction(Fraction(2, 5))
+    with pytest.raises(NotAUnit, match=r"coefficient -1/3 has no image in Zmod\(9\)"):
+        IntegersMod(9).from_fraction(Fraction(-1, 3))
 
 
 def test_non_prime_power_modulus_has_no_residue_theory():

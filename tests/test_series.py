@@ -9,6 +9,7 @@ from arclift import (
     IntegersMod,
     MixedRings,
     MonicPoly,
+    NonLocalRing,
     NotAUnit,
     PrimeFieldRing,
     RationalRing,
@@ -80,6 +81,55 @@ def test_inverse_needs_unit_constant():
     q = RationalRing()
     with pytest.raises(NotAUnit):
         TruncatedSeries.from_ints(q, [0, 1, 1], 3).invert()
+
+
+@pytest.mark.parametrize("modulus", [9, 27])
+def test_inverses_over_zmod_with_nilpotent_tails(modulus):
+    """Unit constants 2, 4, 5, 7 and tails of multiples of 3 (nilpotent) or
+    of random residues, at precisions 1 to 40: a*inv = 1 by the schoolbook
+    oracle, and every payload is a reduced residue."""
+    ring = IntegersMod(modulus)
+    rng = random.Random(modulus)
+    for c0 in (2, 4, 5, 7):
+        for n in (1, 2, 3, 8, 17, 40):
+            for nilpotent in (True, False):
+                tail = [3 * rng.randrange(modulus // 3) if nilpotent else rng.randrange(modulus)
+                        for _ in range(n - 1)]
+                a = TruncatedSeries.from_ints(ring, [c0] + tail, n)
+                inv = a.invert()
+                assert all(type(v) is int and 0 <= v < modulus for v in inv.payloads)
+                product = schoolbook_product(list(a.coeffs), list(inv.coeffs), ring)[:n]
+                assert product == [ring.one] + [ring.zero] * (n - 1)
+
+
+def test_integer_rings_divide_by_a_unit_scale():
+    assert PrimeFieldRing(5).from_integer_form([1, 2, -6], 3) == [2, 4, 3]
+    assert IntegersMod(9).from_integer_form([1, 3, 10], 2) == [5, 6, 5]
+    assert RationalRing().from_integer_form([1, -6], -4) == [Fraction(-1, 4), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize(
+    "ring, c0",
+    [
+        (PrimeFieldRing(5), 0),
+        (RationalRing(), 0),
+        (IntegersMod(9), 3),
+        (IntegersMod(27), 9),
+        (F5eps(), "eps"),
+        (ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3), "s1"),
+    ],
+    ids=lambda x: repr(x),
+)
+def test_inverse_refuses_a_non_unit_constant_in_each_family(ring, c0):
+    c0 = ring.generators()[c0] if isinstance(c0, str) else ring.from_int(c0)
+    with pytest.raises(NotAUnit, match="constant coefficient is not a unit"):
+        TruncatedSeries(ring, [c0, ring.one, ring.one], 3).invert()
+
+
+def test_colimit_series_inversion_is_refused():
+    ring = arc_kernel_ring(PrimeFieldRing(5))
+    with pytest.raises(NonLocalRing):
+        TruncatedSeries(ring, [ring.one, ring.q0()], 2).invert()
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
@@ -391,9 +441,24 @@ def test_integer_rings_never_touch_payload_ops_in_products(ring, monkeypatch):
     assert convolve(ring, a, b, 5) == expected
 
 
+@pytest.mark.parametrize("ring", INTEGER_RINGS, ids=repr)
+def test_integer_rings_invert_without_payload_ops(ring, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("payload op called on the integer path")
+
+    x = TruncatedSeries.from_ints(ring, [1, 4, 0, -2, 7, 3], 6)
+    expected = x.invert()
+    monkeypatch.setattr(ring, "payload_add", refuse)
+    monkeypatch.setattr(ring, "payload_mul", refuse)
+    assert x.invert() == expected
+
+
 def test_artinian_and_colimit_rings_override_convolve():
     for ring in INTEGER_RINGS:
         assert type(ring).convolve is Ring.convolve
+        assert type(ring).invert_series is Ring.invert_series
+    for ring in (F5eps(), ArtinianLocalRing(RationalRing(), ["a", "b"], 3)):
+        assert type(ring).invert_series is not Ring.invert_series
     for ring in (F5eps(), ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
                  arc_kernel_ring(PrimeFieldRing(5))):
         assert type(ring).convolve is not Ring.convolve

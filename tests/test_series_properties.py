@@ -2,9 +2,10 @@
 arc lifts against sympy.
 
 ``hypothesis`` draws the series; ``sympy`` polynomial arithmetic mod t^n
-(and mod eps^2 over Artin(Fp(5); eps; 2)) and ``sympy.div`` are the
-oracles, so nothing here runs arclift's own kernel twice.  Both packages
-are optional: the module is skipped where either is missing.
+(and mod eps^2 over Artin(Fp(5); eps; 2)), its Newton series inversion
+(``rs_series_inversion``) and ``sympy.div`` are the oracles, so nothing
+here runs arclift's own kernel twice.  Both packages are optional: the
+module is skipped where either is missing.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from arclift import (  # noqa: E402
@@ -29,6 +30,8 @@ from arclift import (  # noqa: E402
     arc_lift,
 )
 from arclift.weierstrass import divide_by_monic  # noqa: E402
+from sympy.polys.ring_series import rs_series_inversion  # noqa: E402
+from sympy.polys.rings import ring as ring_series_ring  # noqa: E402
 
 T = sympy.Symbol("t")
 EPS = sympy.Symbol("eps")
@@ -103,6 +106,46 @@ def test_inverse_matches_sympy(name):
         n = len(a)
         expected = _coefficients(_poly(a, ring).invert(_poly([0] * n + [1], ring)), n, ring)
         assert _payloads(_series(ring, a).invert()) == expected
+
+    check()
+
+
+# Q values whose denominators are high powers or pairwise coprime, so the
+# common denominator of the inverse grows and changes from term to term.
+hard_rationals = st.sampled_from(
+    [Fraction(1, 3**20), Fraction(2, 7), Fraction(5, 11), Fraction(3, 13), Fraction(-7, 2)]
+)
+LONG_VALUES = {"Q": st.one_of(rationals, hard_rationals), "Fp(5)": residues}
+HARD_TAIL = [Fraction(1, 3**20), Fraction(5, 11), Fraction(3, 13), 0, Fraction(2, 7)]
+LONG_EXAMPLES = {"Q": (Fraction(2, 7), (HARD_TAIL * 26)[:129]), "Fp(5)": (3, [4] * 129)}
+
+
+def _sympy_inverse(a, n, ring):
+    """The first n coefficients of 1/a by sympy's own series inversion."""
+    domain = sympy.QQ if isinstance(ring, RationalRing) else sympy.GF(5)
+    r, t = ring_series_ring("t", domain)
+    terms = [domain(c.numerator, c.denominator) if isinstance(c, Fraction) else domain(c)
+             for c in a]
+    inverse = rs_series_inversion(sum((c * t**i for i, c in enumerate(terms)), r.zero), t, n)
+    got = [inverse.coeff(t**i) for i in range(n)]
+    if isinstance(ring, RationalRing):
+        return [Fraction(int(c.numerator), int(c.denominator)) for c in got]
+    return [int(c) % 5 for c in got]
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_long_inverses_match_sympy(name):
+    """Lengths 24 to 130, constant terms other than 1 and, over Q, heights
+    like 1/3^20 and coprime denominators 2/7, 5/11, 3/13."""
+    ring, values = RINGS[name][0], LONG_VALUES[name]
+
+    @settings(SETTINGS, max_examples=12)
+    @given(values.filter(lambda c: c not in (0, 1)),
+           st.lists(values, min_size=23, max_size=129))
+    @example(*LONG_EXAMPLES[name])
+    def check(c0, tail):
+        a = [c0] + tail
+        assert _payloads(_series(ring, a).invert()) == _sympy_inverse(a, len(a), ring)
 
     check()
 
