@@ -2,7 +2,10 @@
 
 A vector mod q packages m residues in R[t]/(q); Euclidean division by the
 monic q identifies that quotient with polynomials of degree < deg q, so
-polynomial maps act by evaluate-then-reduce.  The two-term expansion
+polynomial maps act by evaluate-then-reduce: ``map_mod_poly`` evaluates the
+residues as exact polynomials with ``newton.evaluate_along`` and divides by
+q once, which agrees with reducing after every product because reduction
+mod q is a ring map.  The two-term expansion
 splits g(xbar + t*q*x') into a reduction mod t*q plus an exact multiple of
 t*q, which is the finite-level shadow of restricting equations to moving
 divisors.
@@ -13,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, InsufficientPrecision, MixedRings
-from .newton import PolyMap
+from .newton import PolyMap, evaluate_along
 from .series import TruncatedSeries
 from .rings import RingElement
-from .weierstrass import LowPoly, MonicPoly, _remainder_exact, divide_by_monic, poly_mul
+from .weierstrass import LowPoly, MonicPoly, _remainder_exact, divide_by_monic
 
 
 class ModQVector:
@@ -68,45 +71,25 @@ def mod_q_reduce(x: TruncatedSeries, q: MonicPoly) -> ModQReduction:
     )
 
 
-class _QuotientValue:
-    """Arithmetic carrier for R[t]/(q): multiply coefficient lists, reduce."""
-
-    __slots__ = ("modulus", "coeffs")
-
-    def __init__(self, modulus, coeffs):
-        self.modulus = modulus
-        self.coeffs = coeffs  # length == deg q
-
-    def __add__(self, other):
-        return _QuotientValue(
-            self.modulus, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other):
-        ring = self.modulus.ring
-        prod = poly_mul(self.coeffs, other.coeffs, ring)
-        _, rem = divide_by_monic([c.value for c in prod], self.modulus)
-        return _QuotientValue(self.modulus, [RingElement(ring, v) for v in rem])
-
-
 def map_mod_poly(f: PolyMap, q: MonicPoly, xbar: ModQVector) -> ModQVector:
-    """Apply a polynomial map componentwise in R[t]/(q)."""
+    """Apply a polynomial map componentwise in R[t]/(q).
+
+    The residues have degree < d = deg q, so a map polynomial of total
+    degree D takes them to a polynomial of degree <= D*(d-1): evaluated at
+    that precision it is exact, and one division by q reduces it.
+    """
     if xbar.modulus != q:
         raise ArityMismatch("vector is reduced mod a different modulus")
     if len(xbar.components) != f.m:
         raise ArityMismatch(f"map expects {f.m} components, got {len(xbar.components)}")
     ring = q.ring
     d = q.degree
-    values = [_QuotientValue(q, list(c.coeffs)) for c in xbar.components]
-    zero = _QuotientValue(q, [ring.zero] * d)
-
-    def embed(c):
-        return _QuotientValue(q, [ring.from_fraction(c)] + [ring.zero] * (d - 1))
-
     out = []
     for poly in f.polys:
-        val = poly.evaluate_or(values, zero, embed=embed)
-        out.append(LowPoly(ring, d, val.coeffs))
+        n = max(1, max(map(sum, poly.terms), default=0) * (d - 1) + 1)
+        values = [c.as_series(n) for c in xbar.components]
+        _, rem = divide_by_monic(evaluate_along(poly, values, n).payloads, q)
+        out.append(LowPoly(ring, d, [RingElement(ring, v) for v in rem]))
     return ModQVector(q, out)
 
 
@@ -144,13 +127,10 @@ def expand_around(g: PolyMap, q: MonicPoly, xbar: ModQVector, xprime) -> Expansi
         step = xp.times_poly(q.coeff_list()).shift(1)  # t*q*x', gains one order
         moved.append(c.as_series(step.precision) + step)
     w_prec = min(s.precision for s in moved)
-    zero = TruncatedSeries.constant(ring.zero, w_prec)
     heads = []
     tails = []
     for poly in g.polys:
-        w = poly.evaluate_or(
-            moved, zero, embed=lambda c: TruncatedSeries.constant(ring.from_fraction(c), w_prec)
-        )
+        w = evaluate_along(poly, moved, w_prec)
         quot, rem = divide_by_monic(w.payloads, tq)
         heads.append(LowPoly(ring, d + 1, [RingElement(ring, v) for v in rem]))
         tails.append(TruncatedSeries._wrap(ring, quot, w.precision - (d + 1)))

@@ -169,6 +169,17 @@ def jacobian_data(pm: PolyMap) -> JacobianData:
     return JacobianData(matrix=matrix, adjugate=adj, det=det, taylor=taylor)
 
 
+def evaluate_along(poly: MultiPoly, values, n) -> TruncatedSeries:
+    """A polynomial with int/Fraction coefficients at a vector of series,
+    mod t^n: the only place where map coefficients become constant series."""
+    ring = values[0].ring
+    return poly.evaluate_or(
+        values,
+        TruncatedSeries.constant(ring.zero, n),
+        embed=lambda c: TruncatedSeries.constant(ring.from_fraction(c), n),
+    )
+
+
 class ArcPoint:
     """An m-tuple of series with the equation data evaluated along it."""
 
@@ -193,13 +204,7 @@ class ArcPoint:
         return ArcPoint(self.map, tuple(c.truncate(min(n, c.precision)) for c in self.components))
 
     def _eval(self, poly: MultiPoly) -> TruncatedSeries:
-        ring, n = self.ring, self.precision
-        zero = TruncatedSeries.constant(ring.zero, n)
-        return poly.evaluate_or(
-            self.components,
-            zero,
-            embed=lambda c: TruncatedSeries.constant(ring.from_fraction(c), n),
-        )
+        return evaluate_along(poly, self.components, self.precision)
 
     @cached_property
     def values(self):

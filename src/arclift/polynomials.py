@@ -3,7 +3,10 @@
 Coefficients only need ``+``, ``*``, unary ``-`` and truthiness (falsy means
 zero), so the same class serves integer-coefficient equation systems,
 polynomials over the exact rings, and polynomials in correction variables
-whose coefficients are whole truncated series.
+whose coefficients are whole truncated series.  ``evaluate_or`` is the one
+evaluator; ``newton.evaluate_along`` wraps it for a map's int/Fraction
+polynomials along series, and is the only caller in the package that
+embeds coefficients.
 
 Terms are stored sparsely as ``{exponent tuple: coefficient}`` with zero
 coefficients omitted; printing orders monomials by total degree then
@@ -94,8 +97,9 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.terms.items(), key=_term_key))))
 
-    def evaluate(self, values, embed=lambda c: c):
-        """Evaluate at ``values`` (anything with +, *), embedding coefficients.
+    def evaluate_or(self, values, zero, embed=lambda c: c):
+        """Evaluate at ``values`` (anything with +, *), embedding coefficients;
+        the zero polynomial evaluates to ``zero``.
 
         Variable powers are cached so repeated exponents cost one
         multiplication each.
@@ -117,12 +121,7 @@ class MultiPoly:
                 if k:
                     term = term * vpow(i, k)
             total = term if total is None else total + term
-        if total is None:
-            raise ValueError("cannot evaluate the zero polynomial without a zero value")
-        return total
-
-    def evaluate_or(self, values, zero, embed=lambda c: c):
-        return zero if self.is_zero() else self.evaluate(values, embed)
+        return zero if total is None else total
 
     def map_coefficients(self, fn):
         return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})

@@ -42,7 +42,7 @@ def _payload(ring, c):
     """The payload of a coefficient given as an element of ``ring`` or an int."""
     if isinstance(c, RingElement):
         if c.ring is not ring and c.ring != ring:
-            raise MixedRings(f"coefficient from {c.ring}, series over {ring}")
+            raise MixedRings(f"coefficient from {c.ring}, expected one from {ring}")
         return c.value
     if isinstance(c, int):
         return ring.payload_from_int(c)

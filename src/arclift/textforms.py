@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import InvalidDescriptor, ParseError
+from .errors import InvalidDescriptor, NotAUnit, ParseError
 from .newton import PolyMap
 from .polynomials import MultiPoly
 from .rings import ArtinianLocalRing, IntegersMod, PrimeFieldRing, RationalRing, Ring, power
@@ -206,7 +206,13 @@ class _TPolyAlgebra:
             raise ParseError("division is only allowed by scalars")
         if not b:
             raise ParseError("division by zero")
-        inv = self.ring.invert(b[0])
+        try:
+            inv = self.ring.invert(b[0])
+        except NotAUnit:
+            raise NotAUnit(
+                f"cannot divide by {format_element(self.ring, b[0])}: "
+                f"it is not a unit in {self.ring}"
+            ) from None
         return [c * inv for c in a]
 
 

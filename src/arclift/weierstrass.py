@@ -32,7 +32,13 @@ from .errors import (
     NotAUnit,
 )
 from .rings import RingElement
-from .series import TruncatedSeries, convolve, laurent_divider, reduced_order
+from .series import TruncatedSeries, _payload, convolve, laurent_divider, reduced_order
+
+
+def _elements(ring, coeffs):
+    """Coefficients given as elements of ``ring`` or ints, as canonical
+    elements of ``ring``; an element of another ring raises MixedRings."""
+    return tuple(RingElement(ring, _payload(ring, c)) for c in coeffs)
 
 
 class MonicPoly:
@@ -42,11 +48,11 @@ class MonicPoly:
 
     def __init__(self, ring, low):
         self.ring = ring
-        self.low = tuple(low)
+        self.low = _elements(ring, low)
 
     @classmethod
     def from_ints(cls, ring, low_ints):
-        return cls(ring, [ring.from_int(k) for k in low_ints])
+        return cls(ring, low_ints)
 
     @classmethod
     def t_power(cls, ring, d):
@@ -99,18 +105,16 @@ class LowPoly:
     __slots__ = ("ring", "bound", "coeffs")
 
     def __init__(self, ring, bound, coeffs):
-        coeffs = list(coeffs)
+        coeffs = _elements(ring, coeffs)
         if len(coeffs) > bound:
             raise InvalidDescriptor(f"{len(coeffs)} coefficients exceed bound {bound}")
-        while len(coeffs) < bound:
-            coeffs.append(ring.zero)
         self.ring = ring
         self.bound = bound
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs + (ring.zero,) * (bound - len(coeffs))
 
     @classmethod
     def from_ints(cls, ring, bound, ints):
-        return cls(ring, bound, [ring.from_int(k) for k in ints])
+        return cls(ring, bound, ints)
 
     def is_zero(self):
         return all(not c for c in self.coeffs)

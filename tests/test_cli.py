@@ -317,3 +317,19 @@ def test_precision_at_the_ceiling_is_accepted(capsys):
         capsys, "prepare", "--ring", "Fp(5)", "--series", "1 + t", "--N", str(MAX_PRECISION)
     )
     assert code == 0 and out.endswith(f"N: {MAX_PRECISION}}}\n")
+
+
+@pytest.mark.parametrize(
+    "ring, series, message",
+    [
+        ("Zmod(9)", "t/3 + O(t^3)", "NotAUnit: cannot divide by 3: it is not a unit in Zmod(9)"),
+        ("Artin(Fp(5); eps; 2)", "1/eps + O(t^3)",
+         "NotAUnit: cannot divide by eps: it is not a unit in Artin(Fp(5); eps; 2)"),
+    ],
+    ids=["zmod", "artin"],
+)
+def test_literal_non_unit_divisor_names_it_and_the_ring(capsys, ring, series, message):
+    code = main(["prepare", "--ring", ring, "--series", series])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert message in captured.err

@@ -18,6 +18,8 @@ from arclift import (
 from arclift.errors import ArityMismatch, InsufficientPrecision
 from arclift.jets import ModQVector
 
+from _helpers import acceptance_rings, schoolbook_product
+
 
 def test_reduce_power_past_modulus():
     f7 = PrimeFieldRing(7)
@@ -240,3 +242,105 @@ def test_expand_needs_perturbation_precision_beyond_the_modulus():
     xbar = ModQVector(MonicPoly.t_power(q, 3), [LowPoly.from_ints(q, 3, [1])])
     with pytest.raises(InsufficientPrecision):
         expand_around(g, modulus, xbar, (TruncatedSeries.from_ints(q, [1], 2),))
+
+
+# -- oracle: evaluate term by term, reducing after every product ---------------
+
+def _synthetic_division(coeffs, low, zero):
+    """(quotient, remainder) of a ring-element list by the monic with low
+    coefficients ``low``, by long division from the top degree."""
+    d = len(low)
+    rem = list(coeffs) + [zero] * (d - len(coeffs))
+    quot = [zero] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        quot[i - d] = c
+        for j, qj in enumerate(low):
+            rem[i - d + j] = rem[i - d + j] - c * qj
+    return quot, rem[:d]
+
+
+def _oracle_eval(poly, comps, ring, reduce):
+    """poly at the coefficient lists ``comps``, applying ``reduce`` to the
+    embedded coefficient and after every product."""
+    total = reduce([])
+    for exps, c in poly.terms.items():
+        term = reduce([ring.from_int(c)])
+        for comp, k in zip(comps, exps):
+            for _ in range(k):
+                term = reduce(schoolbook_product(term, comp, ring))
+        size = max(len(total), len(term))
+        total = [
+            (total[i] if i < len(total) else ring.zero) + (term[i] if i < len(term) else ring.zero)
+            for i in range(size)
+        ]
+    return total
+
+
+def _oracle_map(rng, m, n, deg):
+    """A random map of total degree <= deg (deg = 0: a constant map); some
+    equations come out zero."""
+    polys = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(rng.randrange(4)):
+            exps = tuple(rng.randrange(deg + 1) for _ in range(m))
+            if sum(exps) <= deg:
+                terms[exps] = rng.randint(-3, 3)
+        polys.append(MultiPoly(m, terms))
+    return PolyMap(tuple(f"y{i}" for i in range(m)), m - n, polys)
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_map_mod_poly_matches_reduce_after_every_product(ring):
+    rng = random.Random(13)
+    for d in range(6):
+        for k in range(6):
+            low = [ring.random_element(rng) for _ in range(d)]
+            q = MonicPoly(ring, low)
+            m = rng.randrange(1, 3)
+            f = _oracle_map(rng, m, rng.randrange(1, m + 1), 0 if k == 0 else 4)
+            comps = [[ring.random_element(rng) for _ in range(d)] for _ in range(m)]
+            out = map_mod_poly(f, q, ModQVector(q, [LowPoly(ring, d, c) for c in comps]))
+
+            def reduce(coeffs):
+                return _synthetic_division(coeffs, low, ring.zero)[1]
+
+            want = [_oracle_eval(p, comps, ring, reduce) for p in f.polys]
+            assert [list(c.coeffs) for c in out.components] == want
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_expand_around_matches_truncate_after_every_product(ring):
+    rng = random.Random(14)
+    for d in range(6):
+        for k in range(4):
+            low = [ring.random_element(rng) for _ in range(d)]
+            q = MonicPoly(ring, low)
+            tq_low = [ring.zero] + low
+            m = rng.randrange(1, 3)
+            g = _oracle_map(rng, m, rng.randrange(1, m + 1), 0 if k == 0 else 4)
+            prec = d + 1 + rng.randrange(3)
+            xbar = [[ring.random_element(rng) for _ in range(d + 1)] for _ in range(m)]
+            xprime = [[ring.random_element(rng) for _ in range(prec)] for _ in range(m)]
+            out = expand_around(
+                g,
+                q,
+                ModQVector(MonicPoly(ring, tq_low), [LowPoly(ring, d + 1, c) for c in xbar]),
+                [TruncatedSeries(ring, c, prec) for c in xprime],
+            )
+            # t*q*x' gains one order: everything is known mod t^(prec + 1)
+            n = prec + 1
+            moved = []
+            for c, xp in zip(xbar, xprime):
+                step = [ring.zero] + schoolbook_product(xp, q.coeff_list(), ring)
+                moved.append([a + b for a, b in zip(c + [ring.zero] * n, step[:n])])
+
+            def truncate(coeffs):
+                return coeffs[:n]
+
+            for i, poly in enumerate(g.polys):
+                w = _oracle_eval(poly, moved, ring, truncate)
+                quot, rem = _synthetic_division(w + [ring.zero] * (n - len(w)), tq_low, ring.zero)
+                assert list(out.head.components[i].coeffs) == rem
+                assert out.tail[i] == TruncatedSeries(ring, quot, n - (d + 1))

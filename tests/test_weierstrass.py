@@ -31,7 +31,7 @@ from arclift import (
     weierstrass_divide,
 )
 from arclift import weierstrass
-from arclift.errors import ArityMismatch
+from arclift.errors import ArityMismatch, MixedRings
 from arclift.jets import ModQVector
 
 from _helpers import (
@@ -126,6 +126,24 @@ def test_prepare_matches_characteristic_polynomial_at_small_degree(ring):
         x, d = random_nondegenerate(ring, rng, dmax=2)
         fact = strict_prepare(x)
         assert charpoly_of_t(x, d * e) == fact.q
+
+
+def test_polynomials_refuse_coefficients_from_another_ring():
+    f5, f7 = PrimeFieldRing(5), PrimeFieldRing(7)
+    with pytest.raises(MixedRings):
+        MonicPoly(f5, [f7.from_int(6)])
+    with pytest.raises(MixedRings):
+        LowPoly(f5, 2, [f5.one, f7.from_int(6)])
+
+
+def test_polynomials_take_ints_as_canonical_elements():
+    f5 = PrimeFieldRing(5)
+    a = LowPoly(f5, 2, [1, 7])
+    assert a == LowPoly.from_ints(f5, 2, [1, 2])
+    assert repr(a) == "2*t + 1"
+    q = MonicPoly(f5, [6, -1])
+    assert q == MonicPoly.from_ints(f5, [1, 4])
+    assert repr(q) == "t^2 + 4*t + 1"
 
 
 def test_division_by_strict_linear_factor():
