@@ -380,7 +380,6 @@ def fixed_point_solve(h, v1, precision: int):
     if min(x.precision for x in v1) < precision:
         raise InsufficientPrecision("v1 is not known to the requested precision")
     ring = v1[0].ring
-    pzero = ring.payload_is_zero
 
     def h_at(v, k):
         """h(v mod t^k) truncated to precision k; ``truncate`` raises
@@ -394,17 +393,17 @@ def fixed_point_solve(h, v1, precision: int):
     p = 1
     while p < precision:
         q = min(2 * p, precision)
-        v = tuple(TruncatedSeries._wrap(ring, x.payloads, q) for x in v)  # zero-padded
+        v = tuple(x.pad(q) for x in v)
         hv = h_at(v, q - 1)
         rho = []
         for i in range(n):
             r = v1[i].truncate(q) - v[i] - hv[i].shift(1)
-            if not all(map(pzero, r.payloads[:p])):
+            if not r.truncate(p).is_zero():
                 raise RuntimeError(
                     "Newton residual certificate failed: h is not a t-adic "
                     "power-series map, or this is a bug"
                 )
-            rho.append(TruncatedSeries._wrap(ring, r.payloads[p:], q - p))
+            rho.append(r.drop(p))
         if q - p == 1:
             eps = rho  # Id + t*Dh = Id mod t
         else:
@@ -415,13 +414,10 @@ def fixed_point_solve(h, v1, precision: int):
             for j in range(n):
                 hj = h_at(tuple(x + bump if i == j else x for i, x in enumerate(v)), q - 1)
                 for i in range(n):
-                    dh = (hj[i] - hv[i]).payloads[p:]
-                    t_dh = TruncatedSeries._wrap(ring, dh, q - p - 1).shift(1)
+                    t_dh = (hj[i] - hv[i]).drop(p).shift(1)
                     mat[i][j] = t_dh + one if i == j else t_dh
             eps = _solve_near_identity(mat, rho)
-        v = tuple(
-            TruncatedSeries._wrap(ring, v[i].payloads[:p] + eps[i].payloads, q) for i in range(n)
-        )
+        v = tuple(v[i] + eps[i].shift(p) for i in range(n))
         p = q
     hv = h_at(v, precision)
     for i in range(n):
@@ -480,9 +476,8 @@ def arc_lift(arc: ArcPoint, working_precision=None) -> LiftResult:
             min(out_prec + 1, arc.precision)
         )
     lifted = ArcPoint(pm, new_components)
-    pzero = arc.ring.payload_is_zero
     for value in lifted.values:
-        if not all(map(pzero, value.payloads[:out_prec])):
+        if not value.truncate(out_prec).is_zero():
             raise ResidualNonzero(
                 f"f(lifted arc) != 0 mod t^{out_prec}; the coefficient ring must "
                 "have elements vanishing to infinite order, or this is a bug"

@@ -18,13 +18,19 @@ integer form, and the colimit models in ``pathology`` on payloads.
 
 Each ring also inverts a series itself (``Ring.invert_series``, which
 ``TruncatedSeries.invert`` calls).  Fp, Z/n and Q run the fraction-free
-recurrence on integer forms: the inverse is kept as ints over one common
-denominator, so each coefficient costs one dot product of ints and one
-``from_integer_form``.  Artinian rings run the recurrence on payloads, one
-``payload_mul`` and ``payload_add`` per term.  An Artinian ring has at most
-``MAX_MONOMIALS`` monomials.
+recurrence on integer forms (``invert_form``): the inverse is kept as ints
+over one common denominator, so each coefficient costs one dot product of
+ints and one ``canonical_form`` of a single value.  Artinian rings run the
+recurrence on payloads, one ``payload_mul`` and ``payload_add`` per term.
+An Artinian ring has at most ``MAX_MONOMIALS`` monomials.
 
-``_int_product`` is the package's only int product loop.  Below
+Series over Q keep the canonical form (ints, scale) of their coefficients,
+with gcd(scale, ints) = 1, instead of Fractions (``Ring.series_form``), so
+chains of sums and products normalise once per operation, by one gcd over
+the ints, not one Fraction per coefficient.
+
+``_int_product`` is the package's only int product loop: ``Ring.convolve``
+and the products of series that keep their form both call it.  Below
 ``KRONECKER_MIN_TERMS`` nonzero ints in the sparser operand it multiplies
 term by term; from there on it packs each list into one Python int, w bits
 per coefficient, so that a single big-int multiply (Karatsuba, in C) does
@@ -315,10 +321,14 @@ class Ring:
         """A hash that agrees with ``payload_eq``."""
         return hash(a)
 
+    series_form = False
+    """Whether series over this ring store their canonical integer form
+    (``canonical_form``) instead of payloads, and run on it."""
+
     def integer_form(self, payloads):
         """``(ints, scale)`` with payloads[i] = ints[i] / scale, where
         ``scale`` is a positive int: residues as they are, rationals over
-        their lcm of denominators."""
+        their lcm of denominators, which is their canonical form."""
         raise NotImplementedError
 
     def from_integer_form(self, ints, scale):
@@ -327,6 +337,11 @@ class Ring:
         of the ring, such as a product of scales that this ring's
         ``integer_form`` returned."""
         raise NotImplementedError
+
+    def canonical_form(self, ints, scale):
+        """The canonical ``(ints, scale)`` of the values ints[i] / scale:
+        here the residues over scale 1."""
+        return self.from_integer_form(ints, scale), 1
 
     def convolve(self, a, b, n):
         """Payloads of a*b mod t^n, for ascending payload lists a and b no
@@ -339,32 +354,33 @@ class Ring:
     def invert_series(self, payloads, inv0):
         """Payloads of the inverse mod t^n of the series with the n
         coefficients ``payloads``, whose constant term is a unit with
-        inverse payload ``inv0``.
+        inverse payload ``inv0``: ``invert_form`` on their integer form."""
+        return self.from_integer_form(*self.invert_form(*self.integer_form(payloads)))
+
+    def invert_form(self, ints, scale):
+        """An integer form of the inverse mod t^n of the series
+        ints[i] / scale (i < n), whose constant term is a unit.
 
         The fraction-free recurrence (von zur Gathen and Gerhard, *Modern
-        Computer Algebra*, section 9.1) on the integer form A / s of the
-        series, whose scale s cancels: the inverse is kept as ints O over
-        one common denominator L, and coefficient k is
-        -sum_{i=1..k} A_i O_{k-i} / (A_0 L).  So each coefficient costs one
-        dot product of ints and one ``from_integer_form``, not one payload
-        operation per term; L grows to the lcm of the denominators met so
-        far, and the earlier O are rescaled when it does.
+        Computer Algebra*, section 9.1): the scale cancels from every term
+        but the first, and the inverse is kept as ints O over one common
+        denominator L, coefficient k being -sum_{i=1..k} A_i O_{k-i} /
+        (A_0 L); L grows to the lcm of the denominators met so far, and the
+        earlier O are rescaled when it does.  1/A_0 is brought to canonical
+        form once, so a residue ring inverts A_0 once, not per coefficient.
         """
-        ints, _ = self.integer_form(payloads)
-        a0, tail = ints[0], ints[1:]
-        out = [inv0]
-        nums, den = self.integer_form(out)
-        nums = list(nums)  # a copy: Fp and Z/n return ``out`` itself
-        for _ in range(1, len(payloads)):
-            c = self.from_integer_form([-sum(map(mul, tail, reversed(nums)))], a0 * den)
-            (num,), d = self.integer_form(c)
+        tail = ints[1:]
+        (inv_num,), inv_den = self.canonical_form([1], ints[0])
+        nums, den = [scale * inv_num], inv_den
+        for _ in range(1, len(ints)):
+            dot = sum(map(mul, tail, reversed(nums)))
+            (num,), d = self.canonical_form([-dot * inv_num], inv_den * den)
             if den % d:
                 f = d // math.gcd(den, d)
                 nums = [x * f for x in nums]
                 den *= f
             nums.append(num * (den // d))
-            out += c
-        return out
+        return nums, den
 
     # -- element layer ---------------------------------------------------
     def element(self, value) -> RingElement:
@@ -524,6 +540,7 @@ class PrimeFieldRing(Ring):
 
 class RationalRing(Ring):
     is_field = True
+    series_form = True
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -558,6 +575,12 @@ class RationalRing(Ring):
 
     def from_integer_form(self, ints, scale):
         return [Fraction(c, scale) for c in ints]
+
+    def canonical_form(self, ints, scale):
+        """Content divided out: gcd(scale, *ints) = 1 and scale > 0, so
+        scale is the lcm of the reduced denominators."""
+        g = math.gcd(scale, *ints) if scale > 0 else -math.gcd(scale, *ints)
+        return (ints, scale) if g == 1 else ([c // g for c in ints], scale // g)
 
     def is_unit(self, a):
         return a.value != 0

@@ -1,26 +1,33 @@
 """Truncated power series R[[t]] mod t^N and Laurent series.
 
-A series stores its coefficients as canonical ring payloads (see
-``rings``), and sums, products, shifts and truncations run on those
-payloads; ``RingElement`` wrappers are built only where a coefficient
-leaves the series API (``coefficient``, the ``coeffs`` view).
+A series over Q keeps its coefficients in one canonical integer form
+(ints, scale), c_i = ints[i] / scale with the content divided out
+(``Ring.series_form``): sums, products, shifts, truncations and inverses
+run on ints, and the Fraction payloads are built only when something
+reads them.  Over the other rings a series stores canonical ring payloads
+(see ``rings``) and runs on those.  ``RingElement`` wrappers are built only
+where a coefficient leaves the series API (``coefficient``, ``coeffs``).
 
 Precision is explicit data.  Every operation states the precision of its
 output and never claims a coefficient beyond it: sums and products follow
 the min-precision rule, shifts gain orders, and Laurent division records
 exactly how many orders the strict-factorization certificate consumed.
 
-``convolve`` is the entry point of every t-polynomial product: series
-products, ``times_poly`` and ``weierstrass.poly_mul`` all call it.  It
+Every t-polynomial product of payloads goes through ``convolve``, which
 cuts both operands to the output length and hands them to the ring
-(``Ring.convolve``), so each ring family chooses its own product path.
-Likewise ``TruncatedSeries.invert`` checks the constant term and inverts it
-with ``Ring.invert`` (the colimit models refuse there), then hands the
-payloads to ``Ring.invert_series``: the fraction-free integer recurrence
-for Fp, Z/n and Q, the payload recurrence for Artinian rings.
+(``Ring.convolve``), so each ring family chooses its own product path;
+products of forms call the ring's int product loop directly.  Likewise
+``TruncatedSeries.invert`` checks the constant term and inverts it with
+``Ring.invert`` (the colimit models refuse there), then hands the form to
+``Ring.invert_form`` or the payloads to ``Ring.invert_series``: the
+fraction-free integer recurrence for Fp, Z/n and Q, the payload recurrence
+for Artinian rings.
 """
 
 from __future__ import annotations
+
+import math
+from operator import add, not_, sub
 
 from .errors import (
     Indeterminate,
@@ -29,7 +36,7 @@ from .errors import (
     NotAUnit,
     PrecisionExhausted,
 )
-from .rings import RingElement
+from .rings import RingElement, _int_product
 
 
 def convolve(ring, a, b, n):
@@ -52,14 +59,17 @@ def _payload(ring, c):
 class TruncatedSeries:
     """c_0 + c_1 t + ... + c_{N-1} t^{N-1} + O(t^N) with exact coefficients.
 
-    Coefficients are stored as canonical ring payloads: ``payloads`` is a
-    tuple of exactly ``precision`` of them, and every operation here works
-    on it without building ``RingElement``s.  Payloads are immutable values,
-    so slices and zero padding share them.  ``coeffs`` (a read-only tuple)
-    and ``coefficient`` wrap payloads for callers outside the series layer.
+    ``payloads`` is a tuple of exactly ``precision`` canonical payloads.
+    Over a ring with series forms, ``form`` is the canonical
+    ``(ints, scale)`` of the same coefficients and every operation here
+    runs on it: a series built from payloads computes its form on first
+    use, one built by an operation its payloads on first read, and each
+    keeps what it computed.  Over the other rings ``form`` is None and the
+    operations run on payloads without building ``RingElement``s.  Both
+    are immutable, so slices and zero padding share them.
     """
 
-    __slots__ = ("ring", "precision", "payloads")
+    __slots__ = ("ring", "precision", "_payloads", "_form")
 
     def __init__(self, ring, coeffs, precision=None):
         payloads = [_payload(ring, c) for c in coeffs]
@@ -74,7 +84,8 @@ class TruncatedSeries:
             payloads += (ring.payload_from_int(0),) * (precision - n)
         self.ring = ring
         self.precision = precision
-        self.payloads = payloads
+        self._payloads = payloads
+        self._form = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -86,12 +97,31 @@ class TruncatedSeries:
         return self
 
     @classmethod
+    def _of_form(cls, ring, ints, scale, precision):
+        """Unchecked constructor from the integer form ints / scale over a
+        ring with series forms, cut to ``precision`` or padded with zeros
+        up to it, and stored canonical."""
+        if precision < 1:
+            raise InsufficientPrecision("a series needs at least one known coefficient")
+        pad = precision - len(ints)
+        ints, scale = ring.canonical_form(ints[:precision] if pad < 0 else ints, scale)
+        self = object.__new__(cls)
+        self.ring = ring
+        self.precision = precision
+        self._payloads = None
+        self._form = (tuple(ints) + (0,) * pad, scale)
+        return self
+
+    @classmethod
     def from_ints(cls, ring, ints, precision=None):
         return cls(ring, list(ints), precision)
 
     @classmethod
     def constant(cls, value: RingElement, precision):
-        return cls._wrap(value.ring, (value.value,), precision)
+        ring = value.ring
+        if ring.series_form:
+            return cls._of_form(ring, *ring.integer_form([value.value]), precision)
+        return cls._wrap(ring, (value.value,), precision)
 
     @classmethod
     def t_power(cls, ring, k, precision):
@@ -102,6 +132,24 @@ class TruncatedSeries:
 
     # -- basics --------------------------------------------------------------
     @property
+    def payloads(self):
+        """The coefficients as a tuple of ``precision`` canonical payloads."""
+        payloads = self._payloads
+        if payloads is None:
+            payloads = self._payloads = tuple(self.ring.from_integer_form(*self._form))
+        return payloads
+
+    @property
+    def form(self):
+        """The canonical ``(ints, scale)`` of the coefficients over a ring
+        with series forms, else None."""
+        form = self._form
+        if form is None and self.ring.series_form:
+            ints, scale = self.ring.integer_form(self._payloads)
+            form = self._form = (tuple(ints), scale)
+        return form
+
+    @property
     def coeffs(self):
         """The coefficients as a tuple of ``RingElement``s."""
         ring = self.ring
@@ -110,10 +158,15 @@ class TruncatedSeries:
     def coefficient(self, i) -> RingElement:
         if i >= self.precision:
             raise InsufficientPrecision(f"coefficient {i} beyond precision {self.precision}")
-        return RingElement(self.ring, self.payloads[i])
+        if self._payloads is None:
+            ints, scale = self._form
+            return RingElement(self.ring, self.ring.from_integer_form([ints[i]], scale)[0])
+        return RingElement(self.ring, self._payloads[i])
 
     def is_zero(self) -> bool:
-        return all(map(self.ring.payload_is_zero, self.payloads))
+        if self.ring.series_form:
+            return not any(self.form[0])
+        return all(map(self.ring.payload_is_zero, self._payloads))
 
     def __bool__(self):
         return not self.is_zero()
@@ -130,11 +183,15 @@ class TruncatedSeries:
         return (
             self.ring == other.ring
             and self.precision == other.precision
-            and all(map(self.ring.payload_eq, self.payloads, other.payloads))
+            and (
+                self.form == other.form
+                if self.ring.series_form
+                else all(map(self.ring.payload_eq, self._payloads, other._payloads))
+            )
         )
 
     def __hash__(self):
-        return hash((self.ring, self.precision, len(self.payloads)))
+        return hash((self.ring, self.precision))
 
     def agrees(self, other, upto=None) -> bool:
         """Coefficientwise equality on the common known window (or ``upto``)."""
@@ -144,33 +201,49 @@ class TruncatedSeries:
             if upto > n:
                 raise InsufficientPrecision(f"cannot compare {upto} orders at precision {n}")
             n = upto
-        return all(map(self.ring.payload_eq, self.payloads[:n], other.payloads[:n]))
+        return self.truncate(n) == other.truncate(n)
 
     # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other):
+    def _sum(self, other, op, payload_op):
+        """self op other, for op add or sub: on forms over the lcm of their
+        scales, else by ``payload_op``."""
         self._check(other)
-        n = min(self.precision, other.precision)
-        out = map(self.ring.payload_add, self.payloads, other.payloads)
-        return TruncatedSeries._wrap(self.ring, list(out), n)
+        ring, n = self.ring, min(self.precision, other.precision)
+        if not ring.series_form:
+            out = map(payload_op, self._payloads, other._payloads)
+            return TruncatedSeries._wrap(ring, list(out), n)
+        (a, s), (b, r) = self.form, other.form
+        if s == r:
+            ints = list(map(op, a, b))
+        else:
+            g = math.gcd(s, r)
+            fa, fb = r // g, s // g
+            ints = [op(x * fa, y * fb) for x, y in zip(a, b)]
+            s *= fa
+        return TruncatedSeries._of_form(ring, ints, s, n)
 
-    def __neg__(self):
-        out = map(self.ring.payload_neg, self.payloads)
-        return TruncatedSeries._wrap(self.ring, list(out), self.precision)
+    def __add__(self, other):
+        return self._sum(other, add, self.ring.payload_add)
 
     def __sub__(self, other):
-        self._check(other)
-        n = min(self.precision, other.precision)
-        out = map(self.ring.payload_sub, self.payloads, other.payloads)
-        return TruncatedSeries._wrap(self.ring, list(out), n)
+        return self._sum(other, sub, self.ring.payload_sub)
+
+    def __neg__(self):
+        if self.ring.series_form:
+            ints, scale = self.form
+            return TruncatedSeries._of_form(self.ring, [-c for c in ints], scale, self.precision)
+        out = map(self.ring.payload_neg, self._payloads)
+        return TruncatedSeries._wrap(self.ring, list(out), self.precision)
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
             return self.scale(other)
         self._check(other)
-        n = min(self.precision, other.precision)
-        return TruncatedSeries._wrap(
-            self.ring, convolve(self.ring, self.payloads, other.payloads, n), n
-        )
+        ring, n = self.ring, min(self.precision, other.precision)
+        if ring.series_form:
+            (a, s), (b, r) = self.form, other.form
+            return TruncatedSeries._of_form(ring, _int_product(a[:n], b[:n], n), s * r, n)
+        return TruncatedSeries._wrap(ring, convolve(ring, self._payloads, other._payloads, n), n)
 
     def scale(self, c: RingElement):
         ring = self.ring
@@ -183,9 +256,12 @@ class TruncatedSeries:
         The polynomial carries no truncation, so the output precision equals
         this series' precision.
         """
-        n = self.precision
+        ring, n = self.ring, self.precision
         p = [c.value for c in poly_coeffs]
-        return TruncatedSeries._wrap(self.ring, convolve(self.ring, p, self.payloads, n), n)
+        if ring.series_form:
+            (a, s), (b, r) = ring.integer_form(p[:n]), self.form
+            return TruncatedSeries._of_form(ring, _int_product(a, b, n), s * r, n)
+        return TruncatedSeries._wrap(ring, convolve(ring, p, self._payloads, n), n)
 
     def shift(self, k):
         """Multiply by t^k (k >= 0); gains k orders of precision."""
@@ -193,25 +269,68 @@ class TruncatedSeries:
             raise ValueError("negative shifts live in LaurentSeries")
         if k == 0:
             return self
+        if self.ring.series_form:
+            ints, scale = self.form
+            return TruncatedSeries._of_form(self.ring, (0,) * k + ints, scale, self.precision + k)
         zeros = (self.ring.payload_from_int(0),) * k
-        return TruncatedSeries._wrap(self.ring, zeros + self.payloads, self.precision + k)
+        return TruncatedSeries._wrap(self.ring, zeros + self._payloads, self.precision + k)
+
+    def drop(self, k):
+        """(x - (x mod t^k)) / t^k: the coefficients from index k on, at
+        precision N - k (0 <= k < N)."""
+        if not 0 <= k < self.precision:
+            raise InsufficientPrecision(f"cannot drop {k} of {self.precision} known orders")
+        if k == 0:
+            return self
+        if self.ring.series_form:
+            ints, scale = self.form
+            return TruncatedSeries._of_form(self.ring, ints[k:], scale, self.precision - k)
+        return TruncatedSeries._wrap(self.ring, self._payloads[k:], self.precision - k)
 
     def truncate(self, n):
         if n > self.precision:
             raise InsufficientPrecision(f"cannot extend precision {self.precision} to {n}")
         if n == self.precision:
             return self
-        return TruncatedSeries._wrap(self.ring, self.payloads[:n], n)
+        if self.ring.series_form:
+            ints, scale = self.form
+            return TruncatedSeries._of_form(self.ring, ints[:n], scale, n)
+        return TruncatedSeries._wrap(self.ring, self._payloads[:n], n)
+
+    def pad(self, n):
+        """x mod t^N read as an exact polynomial, at precision n >= N: the
+        orders N..n-1 are zero."""
+        if n < self.precision:
+            raise ValueError(f"cannot pad precision {self.precision} down to {n}")
+        if n == self.precision:
+            return self
+        if self.ring.series_form:
+            return TruncatedSeries._of_form(self.ring, *self.form, n)
+        return TruncatedSeries._wrap(self.ring, self._payloads, n)
+
+    def _leading_zeros(self):
+        """How many coefficients are exactly zero before the first nonzero
+        one, at most N - 1."""
+        if self.ring.series_form:
+            items, is_zero = self.form[0], not_
+        else:
+            items, is_zero = self._payloads, self.ring.payload_is_zero
+        k, last = 0, self.precision - 1
+        while k < last and is_zero(items[k]):
+            k += 1
+        return k
 
     def invert(self):
-        """Inverse by the ring's own recurrence (``Ring.invert_series``);
-        needs a unit constant term."""
+        """Inverse by the ring's own recurrence (``Ring.invert_form`` on the
+        form, ``Ring.invert_series`` on payloads); needs a unit constant
+        term."""
         ring = self.ring
         c0 = self.coefficient(0)
         if not ring.is_unit(c0):
             raise NotAUnit("constant coefficient is not a unit")
-        inv0 = ring.invert(c0)
-        out = ring.invert_series(self.payloads, inv0.value)
+        if ring.series_form:
+            return TruncatedSeries._of_form(ring, *ring.invert_form(*self.form), self.precision)
+        out = ring.invert_series(self._payloads, ring.invert(c0).value)
         return TruncatedSeries._wrap(ring, out, self.precision)
 
     def __repr__(self):
@@ -271,16 +390,10 @@ class LaurentSeries:
         return self.offset + self.body.precision
 
     def normalize(self):
-        body = self.body
-        payloads, pzero = body.payloads, body.ring.payload_is_zero
-        k = 0
-        while k < len(payloads) - 1 and pzero(payloads[k]):
-            k += 1
+        k = self.body._leading_zeros()
         if not k:
             return self
-        return LaurentSeries(
-            self.offset + k, TruncatedSeries._wrap(body.ring, payloads[k:], len(payloads) - k)
-        )
+        return LaurentSeries(self.offset + k, self.body.drop(k))
 
     def coefficient(self, exponent: int) -> RingElement:
         i = exponent - self.offset

@@ -209,11 +209,11 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
         raise InsufficientPrecision(
             f"strict preparation of order {d} over m^{e}=0 needs N >= {d * (e + 1)}, got {big_n}"
         )
-    u = TruncatedSeries._wrap(ring, x.payloads[d:], big_n - d)
+    u = x.drop(d)
     q = MonicPoly.t_power(ring, d)
     for _ in range(e + 1):
         # u has degree < N - d, so u * q is exact at precision N
-        u_padded = TruncatedSeries._wrap(ring, u.payloads, big_n)
+        u_padded = u.pad(big_n)
         defect = x - u_padded.times_poly(q.coeff_list())
         if defect.is_zero():
             return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n)

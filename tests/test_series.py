@@ -6,6 +6,7 @@ import pytest
 from arclift import (
     ArtinianLocalRing,
     Indeterminate,
+    InsufficientPrecision,
     IntegersMod,
     MixedRings,
     MonicPoly,
@@ -666,6 +667,19 @@ def test_fixed_point_solve_wraps_per_round_not_per_coefficient(ring, monkeypatch
 
 
 @pytest.mark.parametrize("ring", WRAPPER_RINGS, ids=repr)
+def test_drop_and_pad_move_the_window_and_refuse_what_they_cannot_certify(ring):
+    rng = random.Random(6)
+    a = _random_series(ring, rng, 8)
+    assert a.drop(3) == TruncatedSeries(ring, a.coeffs[3:], 5)
+    assert a.drop(3).shift(3) + a.truncate(3).pad(8) == a
+    assert a.pad(11) == TruncatedSeries(ring, a.coeffs, 11) and a.pad(8) is a
+    with pytest.raises(InsufficientPrecision):
+        a.drop(8)
+    with pytest.raises(ValueError):
+        a.pad(7)
+
+
+@pytest.mark.parametrize("ring", WRAPPER_RINGS, ids=repr)
 def test_coeffs_is_a_wrapped_view_and_the_constructor_checks(ring):
     rng = random.Random(5)
     a = _random_series(ring, rng, 8)
@@ -681,3 +695,40 @@ def test_coeffs_is_a_wrapped_view_and_the_constructor_checks(ring):
     with pytest.raises(TypeError):
         TruncatedSeries(ring, [ring.one, 0.5], 3)
     assert TruncatedSeries(ring, [1, ring.one], 4) == TruncatedSeries(ring, [ring.one, 1, 0], 4)
+
+
+def _count_fractions(monkeypatch, fn):
+    """How many Fractions fn() constructs, arithmetic results included."""
+    count = [0]
+
+    def counted(make):
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return make(*args, **kwargs)
+
+        return counting
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counted(vars(Fraction)["__new__"]))
+        coprime = vars(Fraction).get("_from_coprime_ints")
+        if coprime is not None:  # from 3.12 arithmetic results bypass __new__
+            m.setattr(Fraction, "_from_coprime_ints", classmethod(counted(coprime.__func__)))
+        fn()
+    return count[0]
+
+
+def test_fixed_point_solve_over_q_builds_fractions_per_round_not_per_coefficient(monkeypatch):
+    q = RationalRing()
+
+    def h(v):
+        return v[0] * v[1], v[0] + v[1] * v[1]
+
+    counts = {}
+    for n in (16, 32, 64):
+        rng = random.Random(n)
+        v1 = (_random_series(q, rng, n), _random_series(q, rng, n))
+        counts[n] = _count_fractions(monkeypatch, lambda: fixed_point_solve(h, v1, n))
+    # Series stay in integer form: Fractions come only from each round's
+    # pivot inverses and identity matrix, so each doubling of N adds one
+    # round and the same number of Fractions.
+    assert counts[16] > 0 and counts[64] - counts[32] == counts[32] - counts[16], counts
