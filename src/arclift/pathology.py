@@ -22,8 +22,10 @@ kills them through the level relation, and at q0 = 0 they sit inside
 every power of the maximal ideal.  These are the witnesses that multiply
 degenerately (q * x = 0 with both factors nonzero) and thereby break the
 axis-decomposition bijection for arcs on the coordinate cross x*y = 0.
-Colimit payloads have no integer form: ``ColimitRing.convolve`` is the
-package's only payload-level t-polynomial product loop.
+Colimit payloads have no integer form, so a series over a colimit ring
+keeps its payloads as its series form (``rings.PayloadRing``), and
+``ColimitRing.convolve`` is the package's only payload-level t-polynomial
+product loop.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidDescriptor, MixedFamilies, NonLocalRing
 from .polynomials import MultiPoly
-from .rings import IntegersMod, RationalRing, Ring, RingElement, check_modulus, is_prime
+from .rings import IntegersMod, PayloadRing, RationalRing, RingElement, check_modulus, is_prime
 from .series import TruncatedSeries
 from .weierstrass import MonicPoly, divide_by_monic
 
@@ -41,7 +43,7 @@ def _q0_poly(field, coeff_map):
     return MultiPoly(1, {(k,): field.from_int(c) if isinstance(c, int) else c for k, c in coeff_map.items()})
 
 
-class ColimitRing(Ring):
+class ColimitRing(PayloadRing):
     """Shared machinery for the two colimit families.
 
     Payloads are triples (level, const, xpart) with const and xpart

@@ -11,28 +11,27 @@ that equality is plain representational equality:
   m^e = 0.  Elements are finite maps from exponent multi-indices to nonzero
   base coefficients.
 
-Each ring multiplies t-polynomials itself (``Ring.convolve``, which
-``series.convolve`` calls): Fp, Z/n and Q on their payloads' integer form
-(``integer_form``), Artinian rings slice by monomial on their base ring's
-integer form, and the colimit models in ``pathology`` on payloads.
-
-Each ring also inverts a series itself (``Ring.invert_series``, which
-``TruncatedSeries.invert`` calls).  Fp, Z/n and Q run the fraction-free
-recurrence on integer forms (``invert_form``): the inverse is kept as ints
-over one common denominator, so each coefficient costs one dot product of
-ints and one ``canonical_form`` of a single value.  Artinian rings run the
-recurrence on payloads, one ``payload_mul`` and ``payload_add`` per term.
-An Artinian ring has at most ``MAX_MONOMIALS`` monomials.
-
-Series over Q keep the canonical form (ints, scale) of their coefficients,
-with gcd(scale, ints) = 1, instead of Fractions (``Ring.series_form``), so
-chains of sums and products normalise once per operation, by one gcd over
-the ints, not one Fraction per coefficient.
+Each ring keeps a series in one canonical *series form* (items, scale),
+c_i = items[i] / scale (``canonical_form``): reduced residues over scale 1
+for Fp and Z/n; ints over a scale with the content divided out for Q, so
+chains of sums and products normalise once per operation, by one gcd, not
+one Fraction per coefficient; canonical payloads over scale 1 for Artinian
+rings and the colimit models in ``pathology`` (``PayloadRing``).  Besides
+``integer_form``/``from_integer_form`` (payloads to form and back) and
+``canonical_form``, the series operations ask a ring for three hooks:
+``item_ring``, whose payload operations add, negate and compare items
+(plain ints for Fp, Z/n and Q, the ring itself for payload rings);
+``convolve``, the product of two item lists (``_int_product``, slices by
+monomial on the base ring's integer form for Artinian rings, payload
+products for colimit models); and ``invert_series``, the fraction-free
+recurrence over one common denominator for Fp, Z/n and Q, the payload
+recurrence for payload rings.  An Artinian ring has at most
+``MAX_MONOMIALS`` monomials.
 
 ``_int_product`` is the package's only int product loop: ``Ring.convolve``
-and the products of series that keep their form both call it.  Below
-``KRONECKER_MIN_TERMS`` nonzero ints in the sparser operand it multiplies
-term by term; from there on it packs each list into one Python int, w bits
+and the Artinian slices call it.  Below ``KRONECKER_MIN_TERMS`` nonzero
+ints in the sparser operand it multiplies term by term; from there on it
+packs each list into one Python int, w bits
 per coefficient, so that a single big-int multiply (Karatsuba, in C) does
 the O(n^2) work: Kronecker substitution (von zur Gathen and Gerhard,
 *Modern Computer Algebra*, section 8.4; D. Harvey, "Faster polynomial
@@ -51,7 +50,8 @@ import math
 import struct
 from fractions import Fraction
 from itertools import compress
-from operator import add, mul
+from operator import add, eq, mul, neg, not_, sub
+from types import SimpleNamespace
 
 from .errors import InvalidDescriptor, MixedRings, NonLocalRing, NotAUnit
 from .polynomials import MultiPoly
@@ -220,6 +220,12 @@ def _residues(ints, scale, m):
     return [c * f % m for c in ints]
 
 
+INT_ITEMS = SimpleNamespace(payload_add=add, payload_sub=sub, payload_neg=neg,
+                            payload_is_zero=not_, payload_eq=eq, payload_from_int=int)
+"""The item arithmetic of the series forms of Fp, Z/n and Q: plain ints,
+which ``canonical_form`` reduces once per operation."""
+
+
 class RingElement:
     """Thin immutable handle: a ring reference plus a canonical payload."""
 
@@ -321,45 +327,37 @@ class Ring:
         """A hash that agrees with ``payload_eq``."""
         return hash(a)
 
-    series_form = False
-    """Whether series over this ring store their canonical integer form
-    (``canonical_form``) instead of payloads, and run on it."""
+    # -- series forms (see the module docstring) -------------------------
+    item_ring = INT_ITEMS
+    """What adds, subtracts, negates, compares and pads the items of this
+    ring's series forms, by its ``payload_*`` operations."""
 
     def integer_form(self, payloads):
-        """``(ints, scale)`` with payloads[i] = ints[i] / scale, where
-        ``scale`` is a positive int: residues as they are, rationals over
-        their lcm of denominators, which is their canonical form."""
-        raise NotImplementedError
+        """The canonical series form ``(items, scale)`` of the payloads,
+        payloads[i] = items[i] / scale: here the residues over scale 1."""
+        return payloads, 1
 
     def from_integer_form(self, ints, scale):
-        """The canonical payloads of ints[i] / scale (reduced residues,
-        reduced fractions), for any Python ints and a scale that is a unit
-        of the ring, such as a product of scales that this ring's
-        ``integer_form`` returned."""
-        raise NotImplementedError
+        """The canonical payloads of a canonical series form, or of any ints
+        over a unit scale other than 1.  Here a form over scale 1 holds the
+        payloads themselves."""
+        return ints if scale == 1 else self.canonical_form(ints, scale)[0]
 
     def canonical_form(self, ints, scale):
-        """The canonical ``(ints, scale)`` of the values ints[i] / scale:
-        here the residues over scale 1."""
-        return self.from_integer_form(ints, scale), 1
+        """The canonical series form of the values ints[i] / scale, for any
+        Python ints and a unit scale."""
+        raise NotImplementedError
 
     def convolve(self, a, b, n):
-        """Payloads of a*b mod t^n, for ascending payload lists a and b no
-        longer than n: one ``_int_product`` of their integer forms, and each
-        output coefficient mapped back once."""
-        a, scale_a = self.integer_form(a)
-        b, scale_b = self.integer_form(b)
-        return self.from_integer_form(_int_product(a, b, n), scale_a * scale_b)
+        """The items of a*b mod t^n, over the product of the two scales and
+        not yet canonical, for the items a and b (no longer than n) of two
+        series forms.  Here one ``_int_product``."""
+        return _int_product(a, b, n)
 
-    def invert_series(self, payloads, inv0):
-        """Payloads of the inverse mod t^n of the series with the n
-        coefficients ``payloads``, whose constant term is a unit with
-        inverse payload ``inv0``: ``invert_form`` on their integer form."""
-        return self.from_integer_form(*self.invert_form(*self.integer_form(payloads)))
-
-    def invert_form(self, ints, scale):
-        """An integer form of the inverse mod t^n of the series
-        ints[i] / scale (i < n), whose constant term is a unit.
+    def invert_series(self, ints, scale):
+        """A series form, not necessarily canonical, of the inverse mod t^n
+        of the series form (ints, scale) of n items, whose constant term is
+        a unit.
 
         The fraction-free recurrence (von zur Gathen and Gerhard, *Modern
         Computer Algebra*, section 9.1): the scale cancels from every term
@@ -501,11 +499,8 @@ class PrimeFieldRing(Ring):
     def payload_is_zero(self, a):
         return a == 0
 
-    def integer_form(self, payloads):
-        return payloads, 1
-
-    def from_integer_form(self, ints, scale):
-        return _residues(ints, scale, self.p)
+    def canonical_form(self, ints, scale):
+        return _residues(ints, scale, self.p), 1
 
     def is_unit(self, a):
         return a.value != 0
@@ -540,7 +535,6 @@ class PrimeFieldRing(Ring):
 
 class RationalRing(Ring):
     is_field = True
-    series_form = True
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)
@@ -570,6 +564,8 @@ class RationalRing(Ring):
         return a == 0
 
     def integer_form(self, payloads):
+        """The numerators over the lcm of the denominators, which is
+        canonical."""
         scale = math.lcm(*[x.denominator for x in payloads])
         return [x.numerator * (scale // x.denominator) for x in payloads], scale
 
@@ -656,11 +652,8 @@ class IntegersMod(Ring):
     def payload_is_zero(self, a):
         return a == 0
 
-    def integer_form(self, payloads):
-        return payloads, 1
-
-    def from_integer_form(self, ints, scale):
-        return _residues(ints, scale, self.n)
+    def canonical_form(self, ints, scale):
+        return _residues(ints, scale, self.n), 1
 
     def is_unit(self, a):
         return math.gcd(a.value, self.n) == 1
@@ -706,7 +699,37 @@ class IntegersMod(Ring):
         return str(value)
 
 
-class ArtinianLocalRing(Ring):
+class PayloadRing(Ring):
+    """A ring whose series form is its canonical payloads over scale 1, so
+    ``integer_form``, ``from_integer_form`` and ``canonical_form`` pass them
+    through, and the ring's own payload operations are its item arithmetic.
+    Subclasses implement ``convolve`` on payloads."""
+
+    @property
+    def item_ring(self):
+        return self
+
+    def canonical_form(self, items, scale):
+        return items, scale
+
+    def invert_series(self, payloads, scale):
+        """``Ring.invert_series`` by the payload recurrence: one
+        ``payload_mul`` and one ``payload_add`` per term, after ``invert``
+        of the constant term."""
+        inv0 = self.invert(RingElement(self, payloads[0])).value
+        out = [inv0]
+        padd, pmul = self.payload_add, self.payload_mul
+        neg_inv0 = self.payload_neg(inv0)
+        for k in range(1, len(payloads)):
+            acc = None
+            for i in range(1, k + 1):
+                term = pmul(payloads[i], out[k - i])
+                acc = term if acc is None else padd(acc, term)
+            out.append(pmul(neg_inv0, acc))
+        return out, 1
+
+
+class ArtinianLocalRing(PayloadRing):
     """base[s_1..s_m] / (all monomials of total degree >= e).
 
     Payloads are dicts mapping exponent tuples (total degree < e) to nonzero
@@ -818,25 +841,13 @@ class ArtinianLocalRing(Ring):
                 slots[x] = c if acc is None else list(map(add, acc, c))
         terms = [(k, x) for x, acc in slots.items() for k in compress(range(n), acc)]
         ints = [c for acc in slots.values() for c in compress(acc, acc)]
-        pzero = self.base.payload_is_zero
+        base = self.base
+        pzero = base.payload_is_zero
         out = [{} for _ in range(n)]
-        for (k, x), c in zip(terms, self.base.from_integer_form(ints, scale_a * scale_b)):
+        coeffs = base.from_integer_form(*base.canonical_form(ints, scale_a * scale_b))
+        for (k, x), c in zip(terms, coeffs):
             if not pzero(c):
                 out[k][x] = c
-        return out
-
-    def invert_series(self, payloads, inv0):
-        """``Ring.invert_series`` by the payload recurrence: one
-        ``payload_mul`` and one ``payload_add`` per term."""
-        out = [inv0]
-        padd, pmul = self.payload_add, self.payload_mul
-        neg_inv0 = self.payload_neg(inv0)
-        for k in range(1, len(payloads)):
-            acc = None
-            for i in range(1, k + 1):
-                term = pmul(payloads[i], out[k - i])
-                acc = term if acc is None else padd(acc, term)
-            out.append(pmul(neg_inv0, acc))
         return out
 
     def _integer_slices(self, payloads):

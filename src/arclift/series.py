@@ -1,33 +1,30 @@
 """Truncated power series R[[t]] mod t^N and Laurent series.
 
-A series over Q keeps its coefficients in one canonical integer form
-(ints, scale), c_i = ints[i] / scale with the content divided out
-(``Ring.series_form``): sums, products, shifts, truncations and inverses
-run on ints, and the Fraction payloads are built only when something
-reads them.  Over the other rings a series stores canonical ring payloads
-(see ``rings``) and runs on those.  ``RingElement`` wrappers are built only
-where a coefficient leaves the series API (``coefficient``, ``coeffs``).
+A series keeps its coefficients in its ring's canonical series form
+(items, scale), c_i = items[i] / scale (see ``rings``): reduced residues
+over scale 1 for Fp and Z/n, ints over a content-free scale for Q, and
+canonical payloads over scale 1 for Artinian and colimit rings.  Each
+operation has one body, on that form, with no branch on the ring: sums and
+negations use the ring's item arithmetic (``Ring.item_ring``) and bring the
+result to canonical form once (``Ring.canonical_form``), products hand the
+items to ``Ring.convolve``, and ``invert`` checks the constant term and
+hands the form to ``Ring.invert_series``.  Payloads are built from the form
+only when something reads them (over every ring but Q they are the items
+themselves), and ``RingElement`` wrappers only where a coefficient leaves
+the series API (``coefficient``, ``coeffs``).
 
 Precision is explicit data.  Every operation states the precision of its
 output and never claims a coefficient beyond it: sums and products follow
 the min-precision rule, shifts gain orders, and Laurent division records
 exactly how many orders the strict-factorization certificate consumed.
 
-Every t-polynomial product of payloads goes through ``convolve``, which
-cuts both operands to the output length and hands them to the ring
-(``Ring.convolve``), so each ring family chooses its own product path;
-products of forms call the ring's int product loop directly.  Likewise
-``TruncatedSeries.invert`` checks the constant term and inverts it with
-``Ring.invert`` (the colimit models refuse there), then hands the form to
-``Ring.invert_form`` or the payloads to ``Ring.invert_series``: the
-fraction-free integer recurrence for Fp, Z/n and Q, the payload recurrence
-for Artinian rings.
+``convolve`` multiplies payload lists, for exact polynomials: it takes
+their series forms, calls ``Ring.convolve`` and maps the product back.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, not_, sub
 
 from .errors import (
     Indeterminate,
@@ -36,13 +33,14 @@ from .errors import (
     NotAUnit,
     PrecisionExhausted,
 )
-from .rings import RingElement, _int_product
+from .rings import RingElement
 
 
 def convolve(ring, a, b, n):
     """Payloads of a*b mod t^n, for ascending payload lists a and b, by the
-    ring's own product (``Ring.convolve``)."""
-    return ring.convolve(a[:n], b[:n], n)
+    ring's own product of their series forms (``Ring.convolve``)."""
+    (a, s), (b, r) = ring.integer_form(a[:n]), ring.integer_form(b[:n])
+    return ring.from_integer_form(*ring.canonical_form(ring.convolve(a, b, n), s * r))
 
 
 def _payload(ring, c):
@@ -59,17 +57,16 @@ def _payload(ring, c):
 class TruncatedSeries:
     """c_0 + c_1 t + ... + c_{N-1} t^{N-1} + O(t^N) with exact coefficients.
 
-    ``payloads`` is a tuple of exactly ``precision`` canonical payloads.
-    Over a ring with series forms, ``form`` is the canonical
-    ``(ints, scale)`` of the same coefficients and every operation here
-    runs on it: a series built from payloads computes its form on first
-    use, one built by an operation its payloads on first read, and each
-    keeps what it computed.  Over the other rings ``form`` is None and the
-    operations run on payloads without building ``RingElement``s.  Both
-    are immutable, so slices and zero padding share them.
+    ``form`` is the canonical series form ``(items, scale)`` of the
+    coefficients, with exactly ``precision`` items, and every operation
+    here runs on it; ``payloads`` is the tuple of their ``precision``
+    canonical payloads.  A series built from payloads computes its form
+    at once (over every ring but Q without a pass over them), one built by
+    an operation its payloads on first read and keeps them.  Both are
+    immutable, so slices and zero padding share them.
     """
 
-    __slots__ = ("ring", "precision", "_payloads", "_form")
+    __slots__ = ("ring", "precision", "form", "_payloads")
 
     def __init__(self, ring, coeffs, precision=None):
         payloads = [_payload(ring, c) for c in coeffs]
@@ -85,7 +82,8 @@ class TruncatedSeries:
         self.ring = ring
         self.precision = precision
         self._payloads = payloads
-        self._form = None
+        items, scale = ring.integer_form(payloads)
+        self.form = (tuple(items), scale)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -97,19 +95,19 @@ class TruncatedSeries:
         return self
 
     @classmethod
-    def _of_form(cls, ring, ints, scale, precision):
-        """Unchecked constructor from the integer form ints / scale over a
-        ring with series forms, cut to ``precision`` or padded with zeros
-        up to it, and stored canonical."""
+    def _of_form(cls, ring, items, scale, precision):
+        """Unchecked constructor from a canonical series form of ``ring``
+        with at most ``precision`` items, padded with zero items up to it."""
         if precision < 1:
             raise InsufficientPrecision("a series needs at least one known coefficient")
-        pad = precision - len(ints)
-        ints, scale = ring.canonical_form(ints[:precision] if pad < 0 else ints, scale)
+        items = tuple(items)
+        if len(items) < precision:
+            items += (ring.item_ring.payload_from_int(0),) * (precision - len(items))
         self = object.__new__(cls)
         self.ring = ring
         self.precision = precision
         self._payloads = None
-        self._form = (tuple(ints) + (0,) * pad, scale)
+        self.form = (items, scale)
         return self
 
     @classmethod
@@ -119,9 +117,7 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, value: RingElement, precision):
         ring = value.ring
-        if ring.series_form:
-            return cls._of_form(ring, *ring.integer_form([value.value]), precision)
-        return cls._wrap(ring, (value.value,), precision)
+        return cls._of_form(ring, *ring.integer_form([value.value]), precision)
 
     @classmethod
     def t_power(cls, ring, k, precision):
@@ -136,18 +132,8 @@ class TruncatedSeries:
         """The coefficients as a tuple of ``precision`` canonical payloads."""
         payloads = self._payloads
         if payloads is None:
-            payloads = self._payloads = tuple(self.ring.from_integer_form(*self._form))
+            payloads = self._payloads = tuple(self.ring.from_integer_form(*self.form))
         return payloads
-
-    @property
-    def form(self):
-        """The canonical ``(ints, scale)`` of the coefficients over a ring
-        with series forms, else None."""
-        form = self._form
-        if form is None and self.ring.series_form:
-            ints, scale = self.ring.integer_form(self._payloads)
-            form = self._form = (tuple(ints), scale)
-        return form
 
     @property
     def coeffs(self):
@@ -159,14 +145,12 @@ class TruncatedSeries:
         if i >= self.precision:
             raise InsufficientPrecision(f"coefficient {i} beyond precision {self.precision}")
         if self._payloads is None:
-            ints, scale = self._form
-            return RingElement(self.ring, self.ring.from_integer_form([ints[i]], scale)[0])
+            items, scale = self.form
+            return RingElement(self.ring, self.ring.from_integer_form([items[i]], scale)[0])
         return RingElement(self.ring, self._payloads[i])
 
     def is_zero(self) -> bool:
-        if self.ring.series_form:
-            return not any(self.form[0])
-        return all(map(self.ring.payload_is_zero, self._payloads))
+        return all(map(self.ring.item_ring.payload_is_zero, self.form[0]))
 
     def __bool__(self):
         return not self.is_zero()
@@ -180,15 +164,14 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.precision == other.precision
-            and (
-                self.form == other.form
-                if self.ring.series_form
-                else all(map(self.ring.payload_eq, self._payloads, other._payloads))
-            )
-        )
+        if self.precision != other.precision:
+            return False
+        if self.ring is not other.ring and self.ring != other.ring:
+            return False
+        (a, s), (b, r) = self.form, other.form
+        # canonical items compare equal as they are, except colimit payloads,
+        # whose ``payload_eq`` first raises both to a common level
+        return s == r and (a == b or all(map(self.ring.item_ring.payload_eq, a, b)))
 
     def __hash__(self):
         return hash((self.ring, self.precision))
@@ -204,51 +187,45 @@ class TruncatedSeries:
         return self.truncate(n) == other.truncate(n)
 
     # -- arithmetic ----------------------------------------------------------
-    def _sum(self, other, op, payload_op):
-        """self op other, for op add or sub: on forms over the lcm of their
-        scales, else by ``payload_op``."""
+    def _sum(self, other, op):
+        """self op other, for op the item addition or subtraction, over the
+        lcm of the two scales."""
         self._check(other)
         ring, n = self.ring, min(self.precision, other.precision)
-        if not ring.series_form:
-            out = map(payload_op, self._payloads, other._payloads)
-            return TruncatedSeries._wrap(ring, list(out), n)
         (a, s), (b, r) = self.form, other.form
         if s == r:
-            ints = list(map(op, a, b))
+            items = list(map(op, a, b))
         else:
             g = math.gcd(s, r)
             fa, fb = r // g, s // g
-            ints = [op(x * fa, y * fb) for x, y in zip(a, b)]
+            items = [op(x * fa, y * fb) for x, y in zip(a, b)]
             s *= fa
-        return TruncatedSeries._of_form(ring, ints, s, n)
+        return TruncatedSeries._of_form(ring, *ring.canonical_form(items, s), n)
 
     def __add__(self, other):
-        return self._sum(other, add, self.ring.payload_add)
+        return self._sum(other, self.ring.item_ring.payload_add)
 
     def __sub__(self, other):
-        return self._sum(other, sub, self.ring.payload_sub)
+        return self._sum(other, self.ring.item_ring.payload_sub)
 
     def __neg__(self):
-        if self.ring.series_form:
-            ints, scale = self.form
-            return TruncatedSeries._of_form(self.ring, [-c for c in ints], scale, self.precision)
-        out = map(self.ring.payload_neg, self._payloads)
-        return TruncatedSeries._wrap(self.ring, list(out), self.precision)
+        ring = self.ring
+        items, scale = self.form
+        items = list(map(ring.item_ring.payload_neg, items))
+        return TruncatedSeries._of_form(ring, *ring.canonical_form(items, scale), self.precision)
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
             return self.scale(other)
         self._check(other)
         ring, n = self.ring, min(self.precision, other.precision)
-        if ring.series_form:
-            (a, s), (b, r) = self.form, other.form
-            return TruncatedSeries._of_form(ring, _int_product(a[:n], b[:n], n), s * r, n)
-        return TruncatedSeries._wrap(ring, convolve(ring, self._payloads, other._payloads, n), n)
+        (a, s), (b, r) = self.form, other.form
+        return TruncatedSeries._of_form(
+            ring, *ring.canonical_form(ring.convolve(a[:n], b[:n], n), s * r), n
+        )
 
     def scale(self, c: RingElement):
-        ring = self.ring
-        pmul, v = ring.payload_mul, _payload(ring, c)
-        return TruncatedSeries._wrap(ring, [pmul(v, x) for x in self.payloads], self.precision)
+        return self.times_poly([self.ring.element(_payload(self.ring, c))])
 
     def times_poly(self, poly_coeffs):
         """Multiply by an exact polynomial (ascending coefficient list).
@@ -257,11 +234,20 @@ class TruncatedSeries:
         this series' precision.
         """
         ring, n = self.ring, self.precision
-        p = [c.value for c in poly_coeffs]
-        if ring.series_form:
-            (a, s), (b, r) = ring.integer_form(p[:n]), self.form
-            return TruncatedSeries._of_form(ring, _int_product(a, b, n), s * r, n)
-        return TruncatedSeries._wrap(ring, convolve(ring, p, self._payloads, n), n)
+        b, r = ring.integer_form([c.value for c in poly_coeffs[:n]])
+        a, s = self.form
+        return TruncatedSeries._of_form(
+            ring, *ring.canonical_form(ring.convolve(b, a, n), r * s), n
+        )
+
+    def _window(self, items, scale, precision):
+        """The series of a slice of this series' items.  A slice of a
+        canonical form over scale 1 is canonical; over a larger scale it
+        may have lost the items that kept the content 1."""
+        ring = self.ring
+        if scale != 1:
+            items, scale = ring.canonical_form(items, scale)
+        return TruncatedSeries._of_form(ring, items, scale, precision)
 
     def shift(self, k):
         """Multiply by t^k (k >= 0); gains k orders of precision."""
@@ -269,11 +255,10 @@ class TruncatedSeries:
             raise ValueError("negative shifts live in LaurentSeries")
         if k == 0:
             return self
-        if self.ring.series_form:
-            ints, scale = self.form
-            return TruncatedSeries._of_form(self.ring, (0,) * k + ints, scale, self.precision + k)
-        zeros = (self.ring.payload_from_int(0),) * k
-        return TruncatedSeries._wrap(self.ring, zeros + self._payloads, self.precision + k)
+        ring = self.ring
+        items, scale = self.form
+        zeros = (ring.item_ring.payload_from_int(0),) * k
+        return TruncatedSeries._of_form(ring, zeros + items, scale, self.precision + k)
 
     def drop(self, k):
         """(x - (x mod t^k)) / t^k: the coefficients from index k on, at
@@ -282,20 +267,16 @@ class TruncatedSeries:
             raise InsufficientPrecision(f"cannot drop {k} of {self.precision} known orders")
         if k == 0:
             return self
-        if self.ring.series_form:
-            ints, scale = self.form
-            return TruncatedSeries._of_form(self.ring, ints[k:], scale, self.precision - k)
-        return TruncatedSeries._wrap(self.ring, self._payloads[k:], self.precision - k)
+        items, scale = self.form
+        return self._window(items[k:], scale, self.precision - k)
 
     def truncate(self, n):
         if n > self.precision:
             raise InsufficientPrecision(f"cannot extend precision {self.precision} to {n}")
         if n == self.precision:
             return self
-        if self.ring.series_form:
-            ints, scale = self.form
-            return TruncatedSeries._of_form(self.ring, ints[:n], scale, n)
-        return TruncatedSeries._wrap(self.ring, self._payloads[:n], n)
+        items, scale = self.form
+        return self._window(items[:n], scale, n)
 
     def pad(self, n):
         """x mod t^N read as an exact polynomial, at precision n >= N: the
@@ -304,34 +285,25 @@ class TruncatedSeries:
             raise ValueError(f"cannot pad precision {self.precision} down to {n}")
         if n == self.precision:
             return self
-        if self.ring.series_form:
-            return TruncatedSeries._of_form(self.ring, *self.form, n)
-        return TruncatedSeries._wrap(self.ring, self._payloads, n)
+        return TruncatedSeries._of_form(self.ring, *self.form, n)
 
     def _leading_zeros(self):
         """How many coefficients are exactly zero before the first nonzero
         one, at most N - 1."""
-        if self.ring.series_form:
-            items, is_zero = self.form[0], not_
-        else:
-            items, is_zero = self._payloads, self.ring.payload_is_zero
+        items, is_zero = self.form[0], self.ring.item_ring.payload_is_zero
         k, last = 0, self.precision - 1
         while k < last and is_zero(items[k]):
             k += 1
         return k
 
     def invert(self):
-        """Inverse by the ring's own recurrence (``Ring.invert_form`` on the
-        form, ``Ring.invert_series`` on payloads); needs a unit constant
-        term."""
+        """Inverse by the ring's own recurrence (``Ring.invert_series``);
+        needs a unit constant term."""
         ring = self.ring
-        c0 = self.coefficient(0)
-        if not ring.is_unit(c0):
+        if not ring.is_unit(self.coefficient(0)):
             raise NotAUnit("constant coefficient is not a unit")
-        if ring.series_form:
-            return TruncatedSeries._of_form(ring, *ring.invert_form(*self.form), self.precision)
-        out = ring.invert_series(self._payloads, ring.invert(c0).value)
-        return TruncatedSeries._wrap(ring, out, self.precision)
+        items, scale = ring.invert_series(*self.form)
+        return TruncatedSeries._of_form(ring, *ring.canonical_form(items, scale), self.precision)
 
     def __repr__(self):
         return format_series(self)

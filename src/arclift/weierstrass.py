@@ -220,7 +220,7 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
         g, dq = divide_by_monic((u_padded.invert() * defect).payloads, q)
         q = MonicPoly(ring, [a + RingElement(ring, b) for a, b in zip(q.low, dq)])
         n = u.precision
-        u = u + TruncatedSeries._wrap(ring, convolve(ring, g, u.payloads, n), n)
+        u = u + u * TruncatedSeries._wrap(ring, g, n)
     raise RuntimeError("strict preparation did not converge; this is a bug")
 
 

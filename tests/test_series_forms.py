@@ -1,14 +1,17 @@
-"""Chains of series operations over Q against a pure-Fraction oracle.
+"""Chains of series operations against a schoolbook payload oracle.
 
-Series over Q keep a canonical integer form (ints, scale) and build their
-Fraction payloads only when read.  ``hypothesis`` draws a start series and
-a chain of products, sums, differences, negations, shifts, truncations,
-drops, paddings and inverses; the oracle below runs the same chain on plain
-lists of ``Fraction``s by schoolbook loops, so nothing here reuses arclift's
-kernel.
+Every series keeps its ring's canonical series form (items, scale) and
+builds its payloads only when read.  ``hypothesis`` draws a start series
+and a chain of products, sums, differences, negations, shifts,
+truncations, drops, paddings and inverses; the oracle below runs the same
+chain on plain lists of payloads by schoolbook loops over the ring's
+payload operations (Fraction arithmetic over Q), so nothing here reuses
+arclift's series kernel.
 After every step the result must equal the oracle, equal the series rebuilt
-from its own Fractions (with the same hash and repr), and store its form
-with the content divided out.
+from its own payloads (with the same hash), and store its form in its
+family's canonical shape: reduced residues over scale 1 for Fp and Z/n,
+ints with the content divided out for Q, canonical payloads over scale 1
+for Artinian and colimit rings.
 """
 
 import math
@@ -21,7 +24,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from arclift import RationalRing, TruncatedSeries  # noqa: E402
+from arclift import (  # noqa: E402
+    ArtinianLocalRing,
+    IntegersMod,
+    PrimeFieldRing,
+    RationalRing,
+    RingElement,
+    TruncatedSeries,
+    arc_kernel_ring,
+)
+from arclift.pathology import ColimitRing  # noqa: E402
 
 Q = RationalRing()
 SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
@@ -38,37 +50,106 @@ steps = st.one_of(
 )
 
 
-def _oracle(op, a, arg):
-    """One step on a list of Fractions (the known coefficients), or None
-    where the operation does not apply."""
+def _combination(ring, basis):
+    """The map from coefficients c_i (ints or Fractions) to the element
+    sum c_i * basis[i] of ``ring``."""
+
+    def build(cs):
+        out = ring.zero
+        for c, b in zip(cs, basis):
+            out = out + ring.from_fraction(c) * b
+        return out
+
+    return build
+
+
+def _elements(ring):
+    """A strategy for elements of ``ring`` that reach every part of its
+    payloads: nilpotent monomials, and colimit generators at several
+    presentation levels."""
+    if isinstance(ring, (PrimeFieldRing, IntegersMod)):
+        return st.integers(-30, 30).map(ring.from_int)
+    if ring == Q:
+        return rationals.map(Q.element)
+    if isinstance(ring, ColimitRing):
+        small = st.integers(0, 4)
+        return st.tuples(small, small, small, st.integers(0, 3)).map(
+            lambda c: _combination(ring, [ring.one, ring.q0(), ring.x(c[3])])(c[:3])
+        )
+    monomials = [ring.element({x: ring.base.payload_from_int(1)}) for x in ring.monomials()]
+    coeffs = st.integers(-4, 4) if isinstance(ring.base, PrimeFieldRing) else rationals
+    coeffs = st.one_of(st.just(0), coeffs)
+    return st.lists(coeffs, min_size=len(monomials), max_size=len(monomials)).map(
+        _combination(ring, monomials)
+    )
+
+
+FAMILIES = [  # Q has its own test below, with its examples
+    PrimeFieldRing(5),
+    IntegersMod(9),
+    ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2),
+    ArtinianLocalRing(Q, ["a", "b"], 3),
+    arc_kernel_ring(PrimeFieldRing(5)),
+]
+
+
+def _steps(ring):
+    ops = st.lists(_elements(ring), min_size=1, max_size=12)
+    if isinstance(ring, ColimitRing):
+        return st.one_of(
+            st.tuples(st.sampled_from(["mul", "add", "sub"]), ops),
+            st.tuples(st.sampled_from(["shift", "truncate"]), st.integers(0, 4)),
+        )
+    return st.one_of(
+        st.tuples(st.sampled_from(["mul", "add", "sub"]), ops),
+        st.tuples(st.sampled_from(["shift", "truncate", "drop", "pad"]), st.integers(0, 4)),
+        st.tuples(st.sampled_from(["neg", "invert"]), st.none()),
+    )
+
+
+def _oracle(ring, op, a, arg):
+    """One step on a list of payloads (the known coefficients), or None
+    where the operation does not apply; ``arg`` holds payloads for the
+    binary operations."""
+    add, mul, neg = ring.payload_add, ring.payload_mul, ring.payload_neg
+    zero = ring.payload_from_int(0)
+
+    def dot(xs, ys):
+        acc = zero
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
+
     if op == "mul":
         n = min(len(a), len(arg))
-        return [sum((a[i] * arg[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+        return [dot(a[: k + 1], reversed(arg[: k + 1])) for k in range(n)]
     if op == "add":
-        return [x + y for x, y in zip(a, arg)]
+        return [add(x, y) for x, y in zip(a, arg)]
     if op == "sub":
-        return [x - y for x, y in zip(a, arg)]
+        return [add(x, neg(y)) for x, y in zip(a, arg)]
     if op == "neg":
-        return [-x for x in a]
+        return [neg(x) for x in a]
     if op == "shift":
-        return [Fraction(0)] * arg + a
+        return [zero] * arg + a
     if op == "truncate":
         return a[: max(1, len(a) - arg)]
     if op == "drop":
         return a[min(arg, len(a) - 1):]
     if op == "pad":
-        return a + [Fraction(0)] * arg
-    if not a[0]:
+        return a + [zero] * arg
+    if not ring.is_unit(RingElement(ring, a[0])):
         return None
-    out = [1 / a[0]]
+    minus_inv0 = neg(ring.invert(RingElement(ring, a[0])).value)
+    out = [neg(minus_inv0)]
     for k in range(1, len(a)):
-        out.append(-sum((a[i] * out[k - i] for i in range(1, k + 1)), Fraction(0)) / a[0])
+        out.append(mul(minus_inv0, dot(a[1 : k + 1], reversed(out))))
     return out
 
 
 def _apply(op, x, arg):
+    ring = x.ring
     if op in ("mul", "add", "sub"):
-        y = TruncatedSeries(Q, [Q.element(c) for c in arg], len(arg))
+        y = TruncatedSeries(ring, [RingElement(ring, c) for c in arg], len(arg))
         return {"mul": x * y, "add": x + y, "sub": x - y}[op]
     if op == "neg":
         return -x
@@ -83,16 +164,59 @@ def _apply(op, x, arg):
     return x.invert()
 
 
+def _check_form(x):
+    """The family's canonical form invariant."""
+    ring = x.ring
+    items, scale = x.form
+    assert type(items) is tuple and len(items) == x.precision
+    if ring == Q:
+        assert all(type(c) is int for c in items)
+        assert scale > 0 and math.gcd(scale, *items) == 1
+        assert all(type(c) is Fraction for c in x.payloads)
+        return
+    assert scale == 1 and x.payloads == items
+    if isinstance(ring, (PrimeFieldRing, IntegersMod)):
+        m = ring.p if isinstance(ring, PrimeFieldRing) else ring.n
+        assert all(type(c) is int and 0 <= c < m for c in items)
+    elif isinstance(ring, ColimitRing):
+        for level, _, xpart in items:
+            assert all(e[0] <= level for e in xpart.terms)
+    else:
+        base = ring.base
+        for a in items:
+            for exps, c in a.items():
+                assert len(exps) == ring.m and sum(exps) < ring.e
+                if base == Q:
+                    assert type(c) is Fraction and c
+                else:
+                    assert type(c) is int and 0 < c < base.p
+
+
 def _check(x, expected):
-    ints, scale = x.form
-    assert scale > 0 and math.gcd(scale, *ints) == 1
-    assert len(ints) == x.precision == len(expected)
-    assert all(type(c) is Fraction for c in x.payloads)
-    assert list(x.payloads) == expected
-    rebuilt = TruncatedSeries(Q, [Q.element(c) for c in expected], len(expected))
+    ring = x.ring
+    _check_form(x)
+    assert x.precision == len(expected)
+    assert all(map(ring.payload_eq, x.payloads, expected))
+    rebuilt = TruncatedSeries(ring, [RingElement(ring, c) for c in expected], len(expected))
     assert x == rebuilt and rebuilt == x
-    assert hash(x) == hash(rebuilt) and repr(x) == repr(rebuilt)
-    assert rebuilt.form == x.form
+    assert hash(x) == hash(rebuilt)
+    if not isinstance(ring, ColimitRing):  # colimit payloads print at their level
+        assert x.payloads == tuple(expected)
+        assert repr(x) == repr(rebuilt) and rebuilt.form == x.form
+
+
+def _run_chain(ring, start, chain):
+    """Run ``chain`` from the series of ``start`` (payloads) and from the
+    payload list alike, checking after every step."""
+    x = TruncatedSeries(ring, [RingElement(ring, c) for c in start], len(start))
+    expected = list(start)
+    _check(x, expected)
+    for op, arg in chain:
+        following = _oracle(ring, op, expected, arg)
+        if following is None:
+            continue
+        x, expected = _apply(op, x, arg), following
+        _check(x, expected)
 
 
 @SETTINGS
@@ -100,11 +224,15 @@ def _check(x, expected):
 @example([Fraction(2, 7), Fraction(1, 3**20), Fraction(5, 11)], [("invert", None)] * 2)
 @example([Fraction(1, 2), Fraction(1, 3)], [("truncate", 1), ("mul", [Fraction(6)])])
 def test_rational_chains_match_the_fraction_oracle(start, chain):
-    x = TruncatedSeries(Q, [Q.element(c) for c in start], len(start))
-    expected = list(start)
-    for op, arg in chain:
-        following = _oracle(op, expected, arg)
-        if following is None:
-            continue
-        x, expected = _apply(op, x, arg), following
-        _check(x, expected)
+    _run_chain(Q, start, chain)
+
+
+@pytest.mark.parametrize("ring", FAMILIES, ids=repr)
+@settings(SETTINGS, max_examples=40)
+@given(data=st.data())
+def test_chains_match_the_payload_oracle_over_every_family(ring, data):
+    start = data.draw(st.lists(_elements(ring), min_size=1, max_size=12), label="start")
+    chain = data.draw(st.lists(_steps(ring), max_size=8), label="chain")
+    start = [c.value for c in start]
+    chain = [(op, [c.value for c in arg] if isinstance(arg, list) else arg) for op, arg in chain]
+    _run_chain(ring, start, chain)

@@ -9,7 +9,9 @@ only the operation itself on two inputs that agree mod t^N.
 The certified windows: ``mod_q_reduce`` and ``weierstrass_divide`` with
 ``exact`` set certify their remainder, ``strict_prepare`` certifies q
 and its certificate exponent, ``laurent_divide`` every exponent below its
-``precision_bound`` and ``check_congruence`` all of v1.  Over m^e = 0 the
+``precision_bound``, ``check_congruence`` all of v1, and ``arc_lift`` v1
+and v0 below its N' and the lifted arc to the precision it carries
+(N' + 1 on the moving coordinates).  Over m^e = 0 the
 quotient h and the unit u are certified on their first N - d*e
 coefficients: the tail t^N*g shifts them by q'*g*t^(N - d*e), where
 q*q' = t^(d*e).  That is d*(e-1) orders short of the precision N - d they
@@ -28,6 +30,7 @@ from arclift import (
     PolyMap,
     PrimeFieldRing,
     TruncatedSeries,
+    arc_lift,
     check_congruence,
     laurent_divide,
     mod_q_reduce,
@@ -144,3 +147,68 @@ def test_inexact_remainder_does_change_with_the_tail():
     assert not reduced.exact and not divided.exact
     assert any(mod_q_reduce(y, q).value != reduced.value for y in tails)
     assert any(weierstrass_divide(y, q).a != divided.a for y in tails)
+
+
+CUSP = PolyMap(("x", "y"), 1, [MultiPoly(2, {(0, 2): 1, (3, 0): -1})])
+SPACE = PolyMap(
+    ("x", "y", "z"),
+    1,
+    [MultiPoly(3, {(0, 2, 0): 1, (3, 0, 0): -1}), MultiPoly(3, {(0, 0, 2): 1, (5, 0, 0): -1})],
+)
+
+
+def _perturbed_arc(ring, rng, leads, low, n):
+    """x = t^leads[0] and, for every moving coordinate, t^lead plus random
+    coefficients from order ``low`` on, at precision n."""
+    comps = [TruncatedSeries.t_power(ring, leads[0], n)]
+    for lead in leads[1:]:
+        coeffs = [ring.zero] * lead + [ring.one] + [ring.zero] * (low - lead - 1)
+        coeffs += [ring.random_element(rng) for _ in range(n - low)]
+        comps.append(TruncatedSeries(ring, coeffs, n))
+    return comps
+
+
+def _lift_cases(ring, rng):
+    """(map, arc) pairs at the least N arc_lift takes and a little more.
+
+    The cusp y^2 = x^3 at x = t^2, y = t^3 + O(t^4) has det = 2y of order 3
+    and needs 2 to be a unit; in characteristic 2 the node of
+    ``test_congruence_correction_ignores_the_tails`` (det order 2) stands in.
+    """
+    e = ring.nilpotency_exponent()
+    if ring.from_int(2):
+        pm, leads, low, d_div = CUSP, (2, 3), 4, 7
+    else:
+        pm, leads, low, d_div = NODE, (2, 3), 3, 5
+    need = max(d_div * (e + 1) - 1, d_div * e + 1)
+    for _ in range(3):
+        yield pm, _perturbed_arc(ring, rng, leads, low, need + rng.randrange(4))
+
+
+def _assert_lift_ignores_the_tails(pm, arc, rng):
+    out = arc_lift(ArcPoint(pm, arc))
+    n_out = out.precision
+    for _ in range(2):
+        again = arc_lift(ArcPoint(pm, [_with_tail(c, rng) for c in arc]))
+        assert again.precision >= n_out
+        for mine, theirs in zip(out.v1 + out.v0, again.v1 + again.v0):
+            assert theirs.agrees(mine, n_out)
+        for mine, theirs in zip(out.arc.components, again.arc.components):
+            assert theirs.agrees(mine, mine.precision)
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_arc_lift_ignores_the_tails(ring):
+    rng = random.Random(67)
+    for pm, arc in _lift_cases(ring, rng):
+        _assert_lift_ignores_the_tails(pm, arc, rng)
+
+
+def test_space_curve_lift_ignores_the_tails():
+    # y^2 = x^3, z^2 = x^5 at x = t^2: det = 4yz has order 3 + 5 = 8, so
+    # the divisor t*det^2 has order 17 and a field needs N >= 33
+    ring = PrimeFieldRing(5)
+    rng = random.Random(68)
+    for _ in range(2):
+        arc = _perturbed_arc(ring, rng, (2, 3, 5), 9, 33 + rng.randrange(4))
+        _assert_lift_ignores_the_tails(SPACE, arc, rng)
