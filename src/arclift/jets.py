@@ -8,7 +8,8 @@ q once, which agrees with reducing after every product because reduction
 mod q is a ring map.  The two-term expansion
 splits g(xbar + t*q*x') into a reduction mod t*q plus an exact multiple of
 t*q, which is the finite-level shadow of restricting equations to moving
-divisors.
+divisors.  Residues, moduli and quotients keep the ring's series form (see
+``weierstrass``), so they pass to and from series without conversion.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from .errors import ArityMismatch, InsufficientPrecision, MixedRings
 from .newton import PolyMap, evaluate_along
 from .series import TruncatedSeries
-from .rings import RingElement
 from .weierstrass import LowPoly, MonicPoly, _remainder_exact, divide_by_monic
 
 
@@ -43,6 +43,9 @@ class ModQVector:
             return NotImplemented
         return self.modulus == other.modulus and self.components == other.components
 
+    def __hash__(self):
+        return hash((self.modulus, len(self.components)))
+
     def __repr__(self):
         comps = ", ".join(map(repr, self.components))
         return f"{{q: {self.modulus!r}, comps: [{comps}]}}"
@@ -64,11 +67,8 @@ def mod_q_reduce(x: TruncatedSeries, q: MonicPoly) -> ModQReduction:
         raise InsufficientPrecision(
             f"reduction mod degree {q.degree} needs {q.degree} known orders, got {x.precision}"
         )
-    _, rem = divide_by_monic(x.payloads, q)
-    rem = [RingElement(x.ring, v) for v in rem]
-    return ModQReduction(
-        value=LowPoly(x.ring, q.degree, rem), exact=_remainder_exact(q, x.precision)
-    )
+    _, rem = divide_by_monic(x.form, q)
+    return ModQReduction(value=rem, exact=_remainder_exact(q, x.precision))
 
 
 def map_mod_poly(f: PolyMap, q: MonicPoly, xbar: ModQVector) -> ModQVector:
@@ -82,14 +82,13 @@ def map_mod_poly(f: PolyMap, q: MonicPoly, xbar: ModQVector) -> ModQVector:
         raise ArityMismatch("vector is reduced mod a different modulus")
     if len(xbar.components) != f.m:
         raise ArityMismatch(f"map expects {f.m} components, got {len(xbar.components)}")
-    ring = q.ring
     d = q.degree
     out = []
     for poly in f.polys:
         n = max(1, max(map(sum, poly.terms), default=0) * (d - 1) + 1)
         values = [c.as_series(n) for c in xbar.components]
-        _, rem = divide_by_monic(evaluate_along(poly, values, n).payloads, q)
-        out.append(LowPoly(ring, d, [RingElement(ring, v) for v in rem]))
+        _, rem = divide_by_monic(evaluate_along(poly, values, n).form, q)
+        out.append(rem)
     return ModQVector(q, out)
 
 
@@ -112,7 +111,8 @@ def expand_around(g: PolyMap, q: MonicPoly, xbar: ModQVector, xprime) -> Expansi
     xprime = tuple(xprime)
     d = q.degree
     ring = q.ring
-    tq = MonicPoly(ring, [ring.zero] + list(q.low))
+    items, scale = q.form
+    tq = MonicPoly._of_form(ring, (ring.item_ring.payload_from_int(0),) + items, scale)
     if xbar.modulus != tq:
         raise ArityMismatch("xbar must be reduced mod t*q (bound deg q + 1)")
     if len(xbar.components) != g.m or len(xprime) != g.m:
@@ -124,14 +124,14 @@ def expand_around(g: PolyMap, q: MonicPoly, xbar: ModQVector, xprime) -> Expansi
         )
     moved = []
     for c, xp in zip(xbar.components, xprime):
-        step = xp.times_poly(q.coeff_list()).shift(1)  # t*q*x', gains one order
+        step = (xp * q.as_series(xp.precision)).shift(1)  # t*q*x', gains one order
         moved.append(c.as_series(step.precision) + step)
     w_prec = min(s.precision for s in moved)
     heads = []
     tails = []
     for poly in g.polys:
         w = evaluate_along(poly, moved, w_prec)
-        quot, rem = divide_by_monic(w.payloads, tq)
-        heads.append(LowPoly(ring, d + 1, [RingElement(ring, v) for v in rem]))
-        tails.append(TruncatedSeries._wrap(ring, quot, w.precision - (d + 1)))
+        quot, rem = divide_by_monic(w.form, tq)
+        heads.append(rem)
+        tails.append(TruncatedSeries._of_form(ring, *quot, w.precision - (d + 1)))
     return Expansion(head=ModQVector(tq, heads), tail=tuple(tails))

@@ -350,9 +350,9 @@ def integer_completion(p: int, n: int) -> IntegerCompletion:
     t_minus_p = MonicPoly.from_ints(rationals, [-p])
 
     def reduce_t_power(k):
-        t_power = [rationals.payload_from_int(0)] * k + [rationals.payload_from_int(1)]
-        _, (remainder,) = divide_by_monic(t_power, t_minus_p)
-        return int(remainder)
+        _, remainder = divide_by_monic(MonicPoly.t_power(rationals, k).form, t_minus_p)
+        (value,) = remainder.payloads
+        return int(value)
 
     modulus = reduce_t_power(n)
     ring = IntegersMod._of_prime_power(p, n)

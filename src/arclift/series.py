@@ -18,8 +18,9 @@ output and never claims a coefficient beyond it: sums and products follow
 the min-precision rule, shifts gain orders, and Laurent division records
 exactly how many orders the strict-factorization certificate consumed.
 
-``convolve`` multiplies payload lists, for exact polynomials: it takes
-their series forms, calls ``Ring.convolve`` and maps the product back.
+Exact t-polynomials (``weierstrass.MonicPoly`` and ``LowPoly``) keep the
+same form, so one read mod t^N is a series at once and a product with it
+is a series product.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ from .errors import (
     PrecisionExhausted,
 )
 from .rings import RingElement
-
-
-def convolve(ring, a, b, n):
-    """Payloads of a*b mod t^n, for ascending payload lists a and b, by the
-    ring's own product of their series forms (``Ring.convolve``)."""
-    (a, s), (b, r) = ring.integer_form(a[:n]), ring.integer_form(b[:n])
-    return ring.from_integer_form(*ring.canonical_form(ring.convolve(a, b, n), s * r))
 
 
 def _payload(ring, c):
@@ -69,16 +63,14 @@ class TruncatedSeries:
     __slots__ = ("ring", "precision", "form", "_payloads")
 
     def __init__(self, ring, coeffs, precision=None):
-        payloads = [_payload(ring, c) for c in coeffs]
-        self._init(ring, payloads, len(payloads) if precision is None else precision)
-
-    def _init(self, ring, payloads, precision):
+        payloads = tuple(_payload(ring, c) for c in coeffs)
+        n = len(payloads)
+        if precision is None:
+            precision = n
         if precision < 1:
             raise InsufficientPrecision("a series needs at least one known coefficient")
-        n = len(payloads)
-        payloads = tuple(payloads[:precision] if n > precision else payloads)
-        if n < precision:
-            payloads += (ring.payload_from_int(0),) * (precision - n)
+        if n != precision:
+            payloads = payloads[:precision] + (ring.payload_from_int(0),) * (precision - n)
         self.ring = ring
         self.precision = precision
         self._payloads = payloads
@@ -87,22 +79,22 @@ class TruncatedSeries:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def _wrap(cls, ring, payloads, precision):
-        """Unchecked constructor from payloads of ``ring``, cut to
-        ``precision`` or padded with zeros up to it."""
-        self = object.__new__(cls)
-        self._init(ring, payloads, precision)
-        return self
-
-    @classmethod
     def _of_form(cls, ring, items, scale, precision):
         """Unchecked constructor from a canonical series form of ``ring``
-        with at most ``precision`` items, padded with zero items up to it."""
+        read as an exact polynomial mod t^precision: its items padded with
+        zeros or cut to ``precision``, a cut over a scale above 1 brought
+        back to canonical form (it may have lost the content-1 items)."""
         if precision < 1:
             raise InsufficientPrecision("a series needs at least one known coefficient")
         items = tuple(items)
-        if len(items) < precision:
-            items += (ring.item_ring.payload_from_int(0),) * (precision - len(items))
+        n = len(items)
+        if n < precision:
+            items += (ring.item_ring.payload_from_int(0),) * (precision - n)
+        elif n > precision:
+            items = items[:precision]
+            if scale != 1:
+                items, scale = ring.canonical_form(items, scale)
+                items = tuple(items)
         self = object.__new__(cls)
         self.ring = ring
         self.precision = precision
@@ -123,8 +115,7 @@ class TruncatedSeries:
     def t_power(cls, ring, k, precision):
         if k >= precision:
             raise InsufficientPrecision(f"t^{k} is invisible at precision {precision}")
-        zero = ring.payload_from_int(0)
-        return cls._wrap(ring, (zero,) * k + (ring.payload_from_int(1),), precision)
+        return cls.constant(ring.one, precision - k).shift(k)
 
     # -- basics --------------------------------------------------------------
     @property
@@ -138,8 +129,7 @@ class TruncatedSeries:
     @property
     def coeffs(self):
         """The coefficients as a tuple of ``RingElement``s."""
-        ring = self.ring
-        return tuple(RingElement(ring, v) for v in self.payloads)
+        return tuple(map(self.ring.element, self.payloads))
 
     def coefficient(self, i) -> RingElement:
         if i >= self.precision:
@@ -225,29 +215,8 @@ class TruncatedSeries:
         )
 
     def scale(self, c: RingElement):
-        return self.times_poly([self.ring.element(_payload(self.ring, c))])
-
-    def times_poly(self, poly_coeffs):
-        """Multiply by an exact polynomial (ascending coefficient list).
-
-        The polynomial carries no truncation, so the output precision equals
-        this series' precision.
-        """
-        ring, n = self.ring, self.precision
-        b, r = ring.integer_form([c.value for c in poly_coeffs[:n]])
-        a, s = self.form
-        return TruncatedSeries._of_form(
-            ring, *ring.canonical_form(ring.convolve(b, a, n), r * s), n
-        )
-
-    def _window(self, items, scale, precision):
-        """The series of a slice of this series' items.  A slice of a
-        canonical form over scale 1 is canonical; over a larger scale it
-        may have lost the items that kept the content 1."""
         ring = self.ring
-        if scale != 1:
-            items, scale = ring.canonical_form(items, scale)
-        return TruncatedSeries._of_form(ring, items, scale, precision)
+        return self * TruncatedSeries.constant(ring.element(_payload(ring, c)), self.precision)
 
     def shift(self, k):
         """Multiply by t^k (k >= 0); gains k orders of precision."""
@@ -267,16 +236,19 @@ class TruncatedSeries:
             raise InsufficientPrecision(f"cannot drop {k} of {self.precision} known orders")
         if k == 0:
             return self
+        ring = self.ring
         items, scale = self.form
-        return self._window(items[k:], scale, self.precision - k)
+        items = items[k:]
+        if scale != 1:  # the cut may have lost the items that kept the content 1
+            items, scale = ring.canonical_form(items, scale)
+        return TruncatedSeries._of_form(ring, items, scale, self.precision - k)
 
     def truncate(self, n):
         if n > self.precision:
             raise InsufficientPrecision(f"cannot extend precision {self.precision} to {n}")
         if n == self.precision:
             return self
-        items, scale = self.form
-        return self._window(items[:n], scale, n)
+        return TruncatedSeries._of_form(self.ring, *self.form, n)
 
     def pad(self, n):
         """x mod t^N read as an exact polynomial, at precision n >= N: the
@@ -387,7 +359,7 @@ class LaurentSeries:
             n = norm.precision_bound
             if n < 1:
                 raise PrecisionExhausted("no non-negative exponent is certified")
-            return TruncatedSeries._wrap(norm.ring, (), n)
+            return TruncatedSeries(norm.ring, (), n)
         return norm.body.shift(norm.offset)
 
     def first_pole(self):
@@ -398,9 +370,6 @@ class LaurentSeries:
 
     def times_series(self, s: TruncatedSeries):
         return LaurentSeries(self.offset, self.body * s)
-
-    def scale(self, c: RingElement):
-        return LaurentSeries(self.offset, self.body.scale(c))
 
     def agrees_with_series(self, s: TruncatedSeries, upto=None) -> bool:
         """Compare against a plain power series on the common window."""
@@ -443,12 +412,12 @@ def laurent_divider(b: TruncatedSeries):
 
     fact = strict_prepare(b)
     n = fact.certificate_n
-    qprime = divides_power_of_t(fact.q, n).coeff_list()
+    qprime = divides_power_of_t(fact.q, n)
     u_inv = fact.u.invert()
 
     def divide(a: TruncatedSeries) -> LaurentSeries:
         b._check(a)
-        out = LaurentSeries(-n, a.times_poly(qprime)).normalize()
+        out = LaurentSeries(-n, a * qprime.as_series(a.precision)).normalize()
         out = out.times_series(u_inv).normalize()
         if out.precision_bound < 1:
             raise PrecisionExhausted(f"certificate consumed {n} orders, none remain")

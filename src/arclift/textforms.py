@@ -9,11 +9,11 @@ equation systems:
     atom   := INT | NAME | '(' expr ')'
 
 The grammar is evaluated against a small algebra object, so the same
-parser produces ring elements (names = ring generators), dense t-polynomial
-coefficient lists (name ``t`` allowed), or integer-coefficient multivariate
-polynomials (names = declared variables).  Division is restricted to
-scalars; it extends the published grammar so rational literals like
-``1/2`` are expressible.
+parser produces ring elements (names = ring generators), t-polynomials in
+the ring's canonical series form (name ``t`` allowed), or integer-coefficient
+multivariate polynomials (names = declared variables).  Division is
+restricted to scalars; it extends the published grammar so rational
+literals like ``1/2`` are expressible.
 
 Every exponent ``INT`` after ``^`` is at most ``MAX_PRECISION`` (512) and
 is checked before the power is formed, which then costs O(log INT)
@@ -162,58 +162,62 @@ class _Parser:
 
 
 class _TPolyAlgebra:
-    """Values are dense ascending coefficient lists over a ring ([] = 0)."""
+    """Values are exact t-polynomials as canonical series forms of the ring
+    (``weierstrass.poly_mul``) with no trailing zero item; ((), 1) is 0."""
 
     def __init__(self, ring):
         self.ring = ring
         self.gens = ring.generators()
 
-    def _trim(self, c):
-        while c and not c[-1]:
-            c.pop()
-        return c
+    def _trim(self, items, scale):
+        """The form without its trailing zero items, which carry no content."""
+        is_zero = self.ring.item_ring.payload_is_zero
+        while items and is_zero(items[-1]):
+            items = items[:-1]
+        return tuple(items), scale
+
+    def _of(self, payloads):
+        return self._trim(*self.ring.integer_form(payloads))
 
     def from_int(self, k):
-        return self._trim([self.ring.from_int(k)])
+        return self._of([self.ring.payload_from_int(k)])
 
     def from_name(self, name):
         if name == "t":
-            return [self.ring.zero, self.ring.one]
+            return self._of([self.ring.payload_from_int(0), self.ring.payload_from_int(1)])
         if name in self.gens:
-            return self._trim([self.gens[name]])
+            return self._of([self.gens[name].value])
         raise ParseError(f"unknown name {name!r} over {self.ring}")
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else self.ring.zero
-            y = b[i] if i < len(b) else self.ring.zero
-            out.append(x + y)
-        return self._trim(out)
+        n = max(len(a[0]), len(b[0]), 1)
+        a, b = (TruncatedSeries._of_form(self.ring, *x, n) for x in (a, b))
+        return self._trim(*(a + b).form)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return [-c for c in a]
+        ring = self.ring
+        return self._trim(*ring.canonical_form(list(map(ring.item_ring.payload_neg, a[0])), a[1]))
 
     def mul(self, a, b):
-        return self._trim(poly_mul(a, b, self.ring))
+        return self._trim(*poly_mul(a, b, self.ring))
 
     def div(self, a, b):
-        if len(b) > 1:
+        if len(b[0]) > 1:
             raise ParseError("division is only allowed by scalars")
-        if not b:
+        if not b[0]:
             raise ParseError("division by zero")
+        ring = self.ring
+        c = ring.element(ring.from_integer_form(*b)[0])
         try:
-            inv = self.ring.invert(b[0])
+            inv = ring.invert(c)
         except NotAUnit:
             raise NotAUnit(
-                f"cannot divide by {format_element(self.ring, b[0])}: "
-                f"it is not a unit in {self.ring}"
+                f"cannot divide by {format_element(ring, c)}: it is not a unit in {ring}"
             ) from None
-        return [c * inv for c in a]
+        return self.mul(a, self._of([inv.value]))
 
 
 class _MapAlgebra:
@@ -299,16 +303,17 @@ def parse_ring(text: str) -> Ring:
 
 # -- elements and t-polynomials --------------------------------------------
 
-def parse_t_poly(text: str, ring) -> list:
-    """A polynomial in t with element coefficients, as an ascending list."""
+def parse_t_poly(text: str, ring) -> tuple:
+    """A polynomial in t with element coefficients, as the ring's canonical
+    series form (items, scale) with no trailing zero item."""
     return _Parser(_tokenize(text), _TPolyAlgebra(ring), text).parse()
 
 
 def parse_element(text: str, ring):
-    coeffs = parse_t_poly(text, ring)
-    if len(coeffs) > 1:
+    items, scale = parse_t_poly(text, ring)
+    if len(items) > 1:
         raise ParseError(f"{text!r} is not a scalar (it mentions t)")
-    return coeffs[0] if coeffs else ring.zero
+    return ring.element(ring.from_integer_form(items, scale)[0]) if items else ring.zero
 
 
 _O_TAIL = re.compile(r"\+\s*O\(\s*t\^(\d+)\s*\)\s*$")
@@ -349,34 +354,35 @@ def parse_series(text: str, ring, default_precision=None) -> TruncatedSeries:
         if precision is None:
             precision = len(coeffs)
         return TruncatedSeries(ring, coeffs, precision)
-    coeffs = parse_t_poly(text, ring)
+    form = parse_t_poly(text, ring)
     if precision is None:
         raise ParseError(f"series {text!r} needs an O(t^N) tail or a default precision")
-    return TruncatedSeries(ring, coeffs, precision)
+    return TruncatedSeries._of_form(ring, *form, precision)
 
 
 def parse_monic(text: str, ring) -> MonicPoly:
-    coeffs = parse_t_poly(text, ring)
-    if not coeffs or coeffs[-1] != ring.one:
+    items, scale = parse_t_poly(text, ring)
+    if not items or ring.element(ring.from_integer_form(items[-1:], scale)[0]) != ring.one:
         raise ParseError(f"{text!r} is not monic")
-    return MonicPoly(ring, coeffs[:-1])
+    return MonicPoly._of_form(ring, items, scale)
 
 
 def parse_low(text: str, ring, bound: int) -> LowPoly:
-    coeffs = parse_t_poly(text, ring)
-    if len(coeffs) > bound:
+    items, scale = parse_t_poly(text, ring)
+    if len(items) > bound:
         raise ParseError(f"{text!r} has degree >= {bound}")
-    return LowPoly(ring, bound, coeffs)
+    zeros = (ring.item_ring.payload_from_int(0),) * (bound - len(items))
+    return LowPoly._of_form(ring, items + zeros, scale)
 
 
-def format_t_poly(ring, coeffs) -> str:
-    """Degree-descending polynomial text, canonical coefficients."""
+def format_t_poly(ring, payloads) -> str:
+    """Degree-descending polynomial text of ascending canonical payloads."""
     terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if not c:
+    for k in range(len(payloads) - 1, -1, -1):
+        c = payloads[k]
+        if ring.payload_is_zero(c):
             continue
-        cs = ring.format_element(c.value)
+        cs = ring.format_element(c)
         composite = " + " in cs or " - " in cs or ("-" in cs[1:]) or "/" in cs or "*" in cs
         if k == 0:
             terms.append(f"({cs})" if composite else cs)
@@ -403,11 +409,11 @@ def format_t_poly(ring, coeffs) -> str:
 
 
 def format_monic(q: MonicPoly) -> str:
-    return format_t_poly(q.ring, q.coeff_list())
+    return format_t_poly(q.ring, q.payloads)
 
 
 def format_low(a: LowPoly) -> str:
-    return format_t_poly(a.ring, list(a.coeffs))
+    return format_t_poly(a.ring, a.payloads)
 
 
 def format_element(ring, element) -> str:

@@ -16,7 +16,10 @@ test is exact equality u * q = x mod t^N.
 
 ``divide_by_monic`` is the package's only Euclidean division: every
 reduction by a monic polynomial, here, in ``jets`` and in ``pathology``,
-calls it on payload lists.
+calls it.  Exact t-polynomials (``MonicPoly``, ``LowPoly``, dividends and
+quotients) are kept in their ring's canonical series form (items, scale),
+as series are, and a coefficient becomes a ``RingElement`` only when read
+through ``low``, ``coeffs`` or ``coeff_list``.
 """
 
 from __future__ import annotations
@@ -32,23 +35,68 @@ from .errors import (
     NotAUnit,
 )
 from .rings import RingElement
-from .series import TruncatedSeries, _payload, convolve, laurent_divider, reduced_order
+from .series import TruncatedSeries, _payload, laurent_divider, reduced_order
 
 
-def _elements(ring, coeffs):
-    """Coefficients given as elements of ``ring`` or ints, as canonical
-    elements of ``ring``; an element of another ring raises MixedRings."""
-    return tuple(RingElement(ring, _payload(ring, c)) for c in coeffs)
+def _form(ring, payloads):
+    items, scale = ring.integer_form(payloads)
+    return tuple(items), scale
 
 
-class MonicPoly:
-    """t^d + q_{d-1} t^{d-1} + ... + q_0; only the low coefficients are stored."""
+class _ExactPoly:
+    """An exact t-polynomial, kept as the canonical series form ``form`` of
+    its coefficients (see the module docstring)."""
 
-    __slots__ = ("ring", "low")
+    __slots__ = ("ring", "form")
+
+    @classmethod
+    def _of_form(cls, ring, items, scale):
+        """Unchecked constructor from a canonical series form of ``ring``."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.form = (tuple(items), scale)
+        return self
+
+    @property
+    def payloads(self):
+        """The coefficients as canonical payloads."""
+        return self.ring.from_integer_form(*self.form)
+
+    @property
+    def coeffs(self):
+        """The coefficients as ``RingElement``s."""
+        return tuple(map(self.ring.element, self.payloads))
+
+    def as_series(self, precision) -> TruncatedSeries:
+        """The polynomial read mod t^precision."""
+        return TruncatedSeries._of_form(self.ring, *self.form, precision)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        (a, s), (b, r) = self.form, other.form
+        # canonical items compare equal as they are, except colimit payloads
+        return self.ring == other.ring and s == r and len(a) == len(b) and (
+            a == b or all(map(self.ring.item_ring.payload_eq, a, b)))
+
+    def __hash__(self):
+        return hash((self.ring, len(self.form[0])))
+
+    def __repr__(self):
+        from .textforms import format_t_poly
+
+        return format_t_poly(self.ring, self.payloads)
+
+
+class MonicPoly(_ExactPoly):
+    """t^d + q_{d-1} t^{d-1} + ... + q_0, kept as the form of all d + 1
+    coefficients; ``low`` reads the d low ones."""
+
+    __slots__ = ()
 
     def __init__(self, ring, low):
         self.ring = ring
-        self.low = _elements(ring, low)
+        self.form = _form(ring, [_payload(ring, c) for c in [*low, 1]])
 
     @classmethod
     def from_ints(cls, ring, low_ints):
@@ -56,28 +104,28 @@ class MonicPoly:
 
     @classmethod
     def t_power(cls, ring, d):
-        return cls(ring, [ring.zero] * d)
+        zero, one = map(ring.item_ring.payload_from_int, (0, 1))
+        return cls._of_form(ring, (zero,) * d + (one,), 1)
 
     @property
     def degree(self):
-        return len(self.low)
+        return len(self.form[0]) - 1
+
+    @property
+    def low(self):
+        return self.coeffs[:-1]
 
     def coeff_list(self):
-        return list(self.low) + [self.ring.one]
+        return list(self.coeffs)
 
     def is_strict(self) -> bool:
         ring = self.ring
-        return all(not ring.residue(c) for c in self.low)
+        return all(not ring.residue(ring.element(c)) for c in self.payloads[:-1])
 
     def t_multiplicity(self) -> int:
         """Largest e with t^e dividing q exactly (e = d when all lows vanish)."""
-        for i, c in enumerate(self.low):
-            if c:
-                return i
-        return self.degree
-
-    def as_series(self, precision) -> TruncatedSeries:
-        return TruncatedSeries(self.ring, self.coeff_list(), precision)
+        is_zero = self.ring.item_ring.payload_is_zero
+        return next(i for i, c in enumerate(self.form[0]) if not is_zero(c))
 
     def eval_at(self, a: RingElement) -> RingElement:
         acc = self.ring.one
@@ -85,66 +133,40 @@ class MonicPoly:
             acc = acc * a + c
         return acc
 
-    def __eq__(self, other):
-        if not isinstance(other, MonicPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.low == other.low
 
-    def __hash__(self):
-        return hash((self.ring, self.degree))
+class LowPoly(_ExactPoly):
+    """A polynomial of degree < bound (an element of the affine space A_d),
+    kept as the form of its ``bound`` coefficients."""
 
-    def __repr__(self):
-        from .textforms import format_monic
-
-        return format_monic(self)
-
-
-class LowPoly:
-    """A polynomial of degree < bound (an element of the affine space A_d)."""
-
-    __slots__ = ("ring", "bound", "coeffs")
+    __slots__ = ()
 
     def __init__(self, ring, bound, coeffs):
-        coeffs = _elements(ring, coeffs)
-        if len(coeffs) > bound:
-            raise InvalidDescriptor(f"{len(coeffs)} coefficients exceed bound {bound}")
+        items, scale = _form(ring, [_payload(ring, c) for c in coeffs])
+        if len(items) > bound:
+            raise InvalidDescriptor(f"{len(items)} coefficients exceed bound {bound}")
         self.ring = ring
-        self.bound = bound
-        self.coeffs = coeffs + (ring.zero,) * (bound - len(coeffs))
+        self.form = (items + (ring.item_ring.payload_from_int(0),) * (bound - len(items)), scale)
 
     @classmethod
     def from_ints(cls, ring, bound, ints):
         return cls(ring, bound, ints)
 
+    @property
+    def bound(self):
+        return len(self.form[0])
+
     def is_zero(self):
-        return all(not c for c in self.coeffs)
+        return all(map(self.ring.item_ring.payload_is_zero, self.form[0]))
 
     def degree(self):
-        for i in range(self.bound - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
-
-    def as_series(self, precision) -> TruncatedSeries:
-        return TruncatedSeries(self.ring, self.coeffs, precision)
+        is_zero = self.ring.item_ring.payload_is_zero
+        return max((i for i, c in enumerate(self.form[0]) if not is_zero(c)), default=-1)
 
     def __neg__(self):
-        return LowPoly(self.ring, self.bound, [-c for c in self.coeffs])
-
-    def __eq__(self, other):
-        if not isinstance(other, LowPoly):
-            return NotImplemented
-        return self.ring == other.ring and self.bound == other.bound and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.bound))
-
-    def __repr__(self):
-        from .textforms import format_low
-
-        return format_low(self)
+        ring = self.ring
+        items, scale = self.form
+        items = list(map(ring.item_ring.payload_neg, items))
+        return LowPoly._of_form(ring, *ring.canonical_form(items, scale))
 
 
 @dataclass(frozen=True)
@@ -158,28 +180,31 @@ class StrictFactorization:
 
 
 def poly_mul(a, b, ring):
-    """Exact product of two coefficient lists."""
+    """The exact product of two t-polynomials given as canonical series
+    forms of ``ring``, as a canonical series form: one ``Ring.convolve``."""
+    (a, s), (b, r) = a, b
     if not a or not b:
-        return []
-    out = convolve(ring, [c.value for c in a], [c.value for c in b], len(a) + len(b) - 1)
-    return [RingElement(ring, v) for v in out]
+        return (), 1
+    items, scale = ring.canonical_form(ring.convolve(a, b, len(a) + len(b) - 1), s * r)
+    return tuple(items), scale
 
 
-def divide_by_monic(payloads, q: MonicPoly):
+def divide_by_monic(f, q: MonicPoly):
     """Euclidean division by a monic polynomial: f = q * quot + rem.
 
-    Exact synthetic division of an ascending payload sequence f over q's
-    ring; returns the payload lists (quot, rem) with len(rem) == deg q.  No
-    inversions are needed because q is monic.
+    Exact synthetic division of f, a canonical series form of q's ring read
+    as an exact polynomial, on its payloads (the items themselves over
+    every ring but Q); returns the form of quot and rem as a ``LowPoly`` of
+    bound deg q.  No inversions are needed because q is monic.
     """
     d = q.degree
     ring = q.ring
     padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
     zero = ring.payload_from_int(0)
-    rem = list(payloads)
+    rem = list(ring.from_integer_form(*f))
     rem += [zero] * (d - len(rem))
     quot = [zero] * (len(rem) - d)
-    neg_low = [(j, ring.payload_neg(c.value)) for j, c in enumerate(q.low) if c]
+    neg_low = [(j, ring.payload_neg(c)) for j, c in enumerate(q.payloads[:d]) if not pzero(c)]
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if pzero(c):
@@ -187,7 +212,7 @@ def divide_by_monic(payloads, q: MonicPoly):
         quot[i - d] = c
         for j, nqj in neg_low:
             rem[i - d + j] = padd(rem[i - d + j], pmul(c, nqj))
-    return quot, rem[:d]
+    return _form(ring, quot), LowPoly._of_form(ring, *ring.integer_form(rem[:d]))
 
 
 def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
@@ -214,13 +239,13 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
     for _ in range(e + 1):
         # u has degree < N - d, so u * q is exact at precision N
         u_padded = u.pad(big_n)
-        defect = x - u_padded.times_poly(q.coeff_list())
+        defect = x - u_padded * q.as_series(big_n)
         if defect.is_zero():
             return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n)
-        g, dq = divide_by_monic((u_padded.invert() * defect).payloads, q)
-        q = MonicPoly(ring, [a + RingElement(ring, b) for a, b in zip(q.low, dq)])
+        g, dq = divide_by_monic((u_padded.invert() * defect).form, q)
+        q = MonicPoly._of_form(ring, *(q.as_series(d + 1) + dq.as_series(d + 1)).form)
         n = u.precision
-        u = u + u * TruncatedSeries._wrap(ring, g, n)
+        u = u + u * TruncatedSeries._of_form(ring, *g, n)
     raise RuntimeError("strict preparation did not converge; this is a bug")
 
 
@@ -258,9 +283,8 @@ def weierstrass_divide(f: TruncatedSeries, q: MonicPoly) -> WeierstrassDivision:
         raise InsufficientPrecision(
             f"division by degree {d} needs at least {d + 1} known orders, got {f.precision}"
         )
-    quot, rem = divide_by_monic(f.payloads, q)
-    h = TruncatedSeries._wrap(f.ring, quot, f.precision - d)
-    a = LowPoly(f.ring, d, [RingElement(f.ring, v) for v in rem])
+    quot, a = divide_by_monic(f.form, q)
+    h = TruncatedSeries._of_form(f.ring, *quot, f.precision - d)
     return WeierstrassDivision(h=h, a=a, exact=_remainder_exact(q, f.precision))
 
 
@@ -269,19 +293,17 @@ def divides_power_of_t(q: MonicPoly, n: int) -> MonicPoly:
     d = q.degree
     if n < d:
         raise InvalidDescriptor(f"t^{n} cannot be divisible by a degree {d} monic")
-    ring = q.ring
-    tn = [ring.payload_from_int(0)] * n + [ring.payload_from_int(1)]
-    quot, rem = divide_by_monic(tn, q)
-    if not all(map(ring.payload_is_zero, rem)):
-        raise NoDivide(LowPoly(ring, d, [RingElement(ring, v) for v in rem]))
-    return MonicPoly(ring, [RingElement(ring, v) for v in quot[:-1]])
+    quot, rem = divide_by_monic(MonicPoly.t_power(q.ring, n).form, q)
+    if not rem.is_zero():
+        raise NoDivide(rem)
+    return MonicPoly._of_form(q.ring, *quot)
 
 
 def recombine_division(q: MonicPoly, a: LowPoly, v: TruncatedSeries) -> TruncatedSeries:
     """q * v + a: reassemble Weierstrass division data into a series."""
     if not (q.ring == a.ring == v.ring):
         raise MixedRings("q, a, v must share one ring")
-    return v.times_poly(q.coeff_list()) + a.as_series(v.precision)
+    return v * q.as_series(v.precision) + a.as_series(v.precision)
 
 
 def recombine_factorization(q: MonicPoly, u: TruncatedSeries) -> TruncatedSeries:
@@ -290,7 +312,7 @@ def recombine_factorization(q: MonicPoly, u: TruncatedSeries) -> TruncatedSeries
         raise MixedRings(f"{q.ring} vs {u.ring}")
     if not u.ring.is_unit(u.coefficient(0)):
         raise NotAUnit("constant coefficient of u is not a unit")
-    return u.times_poly(q.coeff_list())
+    return u * q.as_series(u.precision)
 
 
 def kernel_fiber_basis(q: MonicPoly, precision: int):

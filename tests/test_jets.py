@@ -184,9 +184,8 @@ def test_expand_without_perturbation_reduces_the_value():
     out = expand_around(g, modulus, xbar, xprime)
     # w = (1 + t)^3 with no perturbation: reconstruct exactly
     w = TruncatedSeries.from_ints(f5, [1, 3, 3, 1], 9)
-    back = out.tail[0].times_poly([f5.zero] + modulus.coeff_list()) + out.head.components[
-        0
-    ].as_series(out.tail[0].precision)
+    n = out.tail[0].precision
+    back = out.tail[0] * xbar.modulus.as_series(n) + out.head.components[0].as_series(n)
     assert back.agrees(w)
 
 
@@ -212,7 +211,7 @@ def test_expand_reconstructs_randomized(ring):
         out = expand_around(g, q, xbar, xprime)
         # recompute g(xbar + t q x') directly and compare with head + t*q*tail
         moved = [
-            c.as_series(n + 1) + xp.times_poly(q.coeff_list()).shift(1)
+            c.as_series(n + 1) + (xp * q.as_series(n)).shift(1)
             for c, xp in zip(xbar.components, xprime)
         ]
         zero = TruncatedSeries.constant(ring.zero, n + 1)
@@ -220,9 +219,8 @@ def test_expand_reconstructs_randomized(ring):
             w = poly.evaluate_or(
                 moved, zero, embed=lambda c: TruncatedSeries.constant(ring.from_int(c), n + 1)
             )
-            back = out.tail[i].times_poly(tq_coeffs) + out.head.components[i].as_series(
-                out.tail[i].precision
-            )
+            m = out.tail[i].precision
+            back = out.tail[i] * xbar.modulus.as_series(m) + out.head.components[i].as_series(m)
             assert back.agrees(w)
 
 
@@ -344,3 +342,22 @@ def test_expand_around_matches_truncate_after_every_product(ring):
                 quot, rem = _synthetic_division(w + [ring.zero] * (n - len(w)), tq_low, ring.zero)
                 assert list(out.head.components[i].coeffs) == rem
                 assert out.tail[i] == TruncatedSeries(ring, quot, n - (d + 1))
+
+
+def test_equal_vectors_and_expansions_hash_equal():
+    # g = y^3 around xbar = 1 + t mod t*q, q = t + 1, over Fp(5)
+    f5 = PrimeFieldRing(5)
+    g = PolyMap(("y",), 0, [MultiPoly(1, {(3,): 1})])
+    q = MonicPoly.from_ints(f5, [1])
+
+    def expansion():
+        xbar = ModQVector(MonicPoly.from_ints(f5, [0, 1]), [LowPoly.from_ints(f5, 2, [1, 1])])
+        return expand_around(g, q, xbar, (TruncatedSeries.from_ints(f5, [0, 2], 4),))
+
+    a, b = expansion(), expansion()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.head == b.head and hash(a.head) == hash(b.head)
+    assert len({a, b}) == 1 and len({a.head, b.head}) == 1
+    # the modulus and the component count enter the hash
+    other = ModQVector(MonicPoly.from_ints(f5, [0, 1]), [LowPoly.from_ints(f5, 2, [1, 1])] * 2)
+    assert other != a.head

@@ -4,6 +4,7 @@ from arclift import pathology
 from arclift import (
     IntegersMod,
     InvalidDescriptor,
+    LowPoly,
     MixedFamilies,
     PrimeFieldRing,
     RationalRing,
@@ -185,8 +186,8 @@ def test_integer_completion_t_image_comes_from_the_division(monkeypatch):
 
     def off_by_one_on_t(dividend, divisor):
         quotient, remainder = real(dividend, divisor)
-        if len(dividend) == 2:
-            remainder = [remainder[0] + 1]
+        if len(dividend[0]) == 2:
+            remainder = LowPoly(divisor.ring, 1, [remainder.coeffs[0] + 1])
         return quotient, remainder
 
     monkeypatch.setattr(pathology, "divide_by_monic", off_by_one_on_t)

@@ -8,6 +8,7 @@ from arclift import (
     Indeterminate,
     InsufficientPrecision,
     IntegersMod,
+    LowPoly,
     MixedRings,
     MonicPoly,
     NonLocalRing,
@@ -24,7 +25,6 @@ from arclift import (
 )
 from arclift import rings
 from arclift.rings import KRONECKER_MIN_TERMS, Ring
-from arclift.series import convolve
 from arclift.weierstrass import divide_by_monic, poly_mul
 
 from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product
@@ -32,6 +32,26 @@ from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product
 
 def F5eps():
     return ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2)
+
+
+def convolve(ring, a, b, n):
+    """Payloads of a*b mod t^n, for payload lists a and b: the exact
+    product ``poly_mul`` of their series forms, read back and cut or padded
+    to n."""
+    form = poly_mul(ring.integer_form(a), ring.integer_form(b), ring)
+    out = list(ring.from_integer_form(*form))[:n]
+    return out + [ring.payload_from_int(0)] * (n - len(out))
+
+
+def _poly_mul(f, g, ring):
+    """``poly_mul`` of two element lists, as an element list."""
+    return [ring.element(v) for v in convolve(ring, [c.value for c in f], [c.value for c in g],
+                                              len(f) + len(g) - 1 if f and g else 0)]
+
+
+def _as_series(ring, poly, n):
+    """An element list read as an exact polynomial mod t^n."""
+    return LowPoly(ring, len(poly), poly).as_series(n)
 
 
 def test_product_truncates_at_min_precision():
@@ -263,11 +283,11 @@ def test_products_match_schoolbook(ring):
 
         poly = _sparse(ring, rng, na + rng.randint(1, 4))  # longer than a
         expected = schoolbook_product(poly, list(a.coeffs), ring)[:na]
-        assert a.times_poly(poly) == TruncatedSeries(ring, expected, na)
+        assert a * _as_series(ring, poly, na) == TruncatedSeries(ring, expected, na)
 
         f, g = _sparse(ring, rng, na), _sparse(ring, rng, nb)
-        assert poly_mul(f, g, ring) == schoolbook_product(f, g, ring)
-        assert poly_mul([], g, ring) == [] and poly_mul(f, [], ring) == []
+        assert _poly_mul(f, g, ring) == schoolbook_product(f, g, ring)
+        assert _poly_mul([], g, ring) == [] and _poly_mul(f, [], ring) == []
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
@@ -284,8 +304,8 @@ def test_monic_division_matches_long_division(ring):
             q = MonicPoly(ring, low)
             for length in (rng.randint(0, d), rng.randint(d + 1, d + 9)):
                 f = _sparse(ring, rng, length)
-                quot, rem = divide_by_monic([c.value for c in f], q)
-                quot, rem = [ring.element(v) for v in quot], [ring.element(v) for v in rem]
+                quot, rem = divide_by_monic(ring.integer_form([c.value for c in f]), q)
+                quot, rem = [ring.element(v) for v in ring.from_integer_form(*quot)], list(rem.coeffs)
                 assert (quot, rem) == _long_division(f, low, ring)
                 assert len(rem) == d
                 if quot:
@@ -308,7 +328,7 @@ def test_product_over_arc_kernel_ring():
         expected = TruncatedSeries(ring, schoolbook_product(a, b, ring)[:n], n)
         product = TruncatedSeries(ring, a, na) * TruncatedSeries(ring, b, nb)
         assert product == expected and repr(product) == repr(expected)
-        assert repr(poly_mul(a, b, ring)) == repr(schoolbook_product(a, b, ring))
+        assert repr(_poly_mul(a, b, ring)) == repr(schoolbook_product(a, b, ring))
 
 
 # -- the integer path of the kernel (Fp, Z/n, Q) ---------------------------
@@ -398,7 +418,7 @@ def test_integer_path_matches_plain_product(ring):
             out = convolve(ring, a, b, n)
             assert _canonical_values(ring, [ring.element(v) for v in out]) == _plain_product(a, b, n, m)
 
-        full = _canonical_values(ring, poly_mul(f, g, ring))
+        full = _canonical_values(ring, _poly_mul(f, g, ring))
         assert full == _plain_product(a, b, len(a) + len(b) - 1 if a and b else 0, m)
         if not (a and b):
             continue
@@ -411,7 +431,7 @@ def test_integer_path_matches_plain_product(ring):
         assert [hash(c) for c in product.coeffs] == [hash(c) for c in expected.coeffs]
 
         n = max(1, len(a) // 2)  # g may be longer than the series
-        got = TruncatedSeries(ring, f, n).times_poly(g)
+        got = TruncatedSeries(ring, f, n) * _as_series(ring, g, n)
         assert _canonical_values(ring, got.coeffs) == _plain_product(a[:n], b, n, m)
 
 
@@ -551,7 +571,7 @@ def test_sliced_path_matches_schoolbook(ring):
             expected = (full + [ring.zero] * n)[:n]
             got = [ring.element(v) for v in convolve(ring, a, b, n)]
             assert _canonical_artin(ring, got) == [c.value for c in expected]
-        assert _canonical_artin(ring, poly_mul(f, g, ring)) == [c.value for c in full]
+        assert _canonical_artin(ring, _poly_mul(f, g, ring)) == [c.value for c in full]
         if not (f and g):
             continue
 
@@ -563,7 +583,7 @@ def test_sliced_path_matches_schoolbook(ring):
         assert [hash(c) for c in product.coeffs] == [hash(c) for c in expected.coeffs]
 
         n = max(1, len(f) // 2)  # g may be longer than the series
-        got = TruncatedSeries(ring, f, n).times_poly(g)
+        got = TruncatedSeries(ring, f, n) * _as_series(ring, g, n)
         expected = schoolbook_product(f[:n], g, ring)[:n]
         assert _canonical_artin(ring, got.coeffs) == [c.value for c in expected]
 
@@ -598,10 +618,10 @@ def test_artinian_products_skip_payload_ops_and_colimit_products_keep_them(monke
     for ring, f, g, full in cases:
         a, b = [c.value for c in f], [c.value for c in g]
         assert convolve(ring, a, b, len(full)) == [c.value for c in full]
-        assert poly_mul(f, g, ring) == full
+        assert _poly_mul(f, g, ring) == full
         product = TruncatedSeries(ring, f, 6) * TruncatedSeries(ring, g, 5)
         assert product == TruncatedSeries(ring, full[:5], 5)
-        assert TruncatedSeries(ring, f, 6).times_poly(g) == TruncatedSeries(ring, full[:6], 6)
+        assert TruncatedSeries(ring, f, 6) * _as_series(ring, g, 6) == TruncatedSeries(ring, full[:6], 6)
 
     ring = arc_kernel_ring(PrimeFieldRing(5))
     calls = []

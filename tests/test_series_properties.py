@@ -21,6 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from arclift import (  # noqa: E402
     ArcPoint,
     ArtinianLocalRing,
+    LowPoly,
     MonicPoly,
     MultiPoly,
     PolyMap,
@@ -79,7 +80,8 @@ def _check_products(ring, values, shortest, longest):
         expected = _coefficients(_poly(a, ring) * _poly(b, ring), n, ring)
         assert _payloads(_series(ring, a) * _series(ring, b)) == expected
         full = _coefficients(_poly(a, ring) * _poly(b, ring), len(a), ring)
-        assert _payloads(_series(ring, a).times_poly([ring.element(v) for v in b])) == full
+        poly = LowPoly(ring, len(b), [ring.element(v) for v in b]).as_series(len(a))
+        assert _payloads(_series(ring, a) * poly) == full
 
     check()
 
@@ -159,8 +161,8 @@ def test_monic_division_matches_sympy(name):
     def check(f, low):
         d = len(low)
         q = MonicPoly(ring, [ring.element(v) for v in low])
-        quot, rem = divide_by_monic(f, q)
-        quot, rem = [ring.element(v) for v in quot], [ring.element(v) for v in rem]
+        quot, rem = divide_by_monic(ring.integer_form(f), q)
+        quot, rem = [ring.element(v) for v in ring.from_integer_form(*quot)], rem.coeffs
         expected_quot, expected_rem = sympy.div(_poly(f, ring), _poly(low + [1], ring))
         assert [c.value for c in quot] == _coefficients(expected_quot, max(len(f) - d, 0), ring)
         assert [c.value for c in rem] == _coefficients(expected_rem, d, ring)
@@ -200,7 +202,7 @@ def test_artinian_products_match_sympy(a, b):
     product = _eps_poly(a) * _eps_poly(b)
     n = min(len(a), len(b))
     assert _eps_series(a) * _eps_series(b) == _eps_series(_eps_truncated(product, n))
-    times = _eps_series(a).times_poly(list(_eps_series(b).coeffs))
+    times = _eps_series(a) * LowPoly(F5EPS, len(b), _eps_series(b).coeffs).as_series(len(a))
     assert times == _eps_series(_eps_truncated(product, len(a)))
 
 
@@ -228,5 +230,85 @@ def test_cusp_lift_residual_vanishes(name):
         assert x_new == _payloads(_series(ring, x)) and y_new[:4] == [0, 0, 0, 1]
         residual = _poly(y_new, ring) ** 2 - _poly(x_new, ring) ** 3
         assert _coefficients(residual, n_out, ring) == [0] * n_out
+
+    check()
+
+
+# -- arc_lift residuals on random plane curves and on a space curve -------------
+
+# the monomials x^i y^j of weight 2i + 3j >= 7 and degree <= 4: at x = t^2,
+# y = t^3 + O(t^4) each has order >= 7 and its y-derivative order >= 4
+PLANE_TERMS = [(i, j) for i in range(5) for j in range(5 - i) if 2 * i + 3 * j >= 7]
+SPACE = PolyMap(
+    ["x1", "y1", "y2"],
+    1,
+    [MultiPoly(3, {(0, 2, 0): 1, (3, 0, 0): -1}), MultiPoly(3, {(0, 0, 2): 1, (5, 0, 0): -1})],
+)
+
+
+def _arc(ring, leads, low, tails, n):
+    """x = t^leads[0] and, per moving coordinate, t^lead plus a drawn tail
+    from order ``low`` on, as payload lists of length n."""
+    zero, one = ring.payload_from_int(0), ring.payload_from_int(1)
+    out = [[zero] * leads[0] + [one] + [zero] * (n - leads[0] - 1)]
+    for lead, tail in zip(leads[1:], tails):
+        coeffs = [zero] * lead + [one] + [zero] * (low - lead - 1) + tail
+        out.append((coeffs + [zero] * n)[:n])
+    return out
+
+
+def _lifted_residuals(pm, arc, ring):
+    """arc_lift of the arc, and each equation of pm evaluated by sympy at the
+    lifted arc: its first N' coefficients, N' the certified precision."""
+    result = arc_lift(ArcPoint(pm, [_series(ring, c) for c in arc]))
+    comps = [_poly(_payloads(c), ring) for c in result.arc.components]
+    residuals = []
+    for p in pm.polys:
+        value = _poly([0], ring)
+        for exps, c in p.terms.items():
+            term = _poly([c], ring)
+            for comp, k in zip(comps, exps):
+                term = term * comp**k
+            value = value + term
+        residuals.append(_coefficients(value, result.precision, ring))
+    return result.precision, residuals
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_random_plane_curve_lift_residual_vanishes(name):
+    """f = y^2 - x^3 plus drawn terms of weight >= 7 (``PLANE_TERMS``) at
+    x = t^2, y = t^3 + p with ord p >= 4: f(arc) has order >= 7 and
+    det = df/dy = 2y + (order >= 4) has order 3, so the lifted arc must
+    solve f mod t^(N - 2*3 - 1)."""
+    ring, values = RINGS[name]
+
+    @settings(SETTINGS, max_examples=20)
+    @given(st.lists(values, min_size=len(PLANE_TERMS), max_size=len(PLANE_TERMS)),
+           st.integers(13, 24), st.lists(values, min_size=1, max_size=20))
+    def check(coeffs, n, perturbation):
+        terms = {(0, 2): 1, (3, 0): -1}
+        terms.update((ij, c) for ij, c in zip(PLANE_TERMS, coeffs) if c)
+        pm = PolyMap(["x", "y"], 1, [MultiPoly(2, terms)])
+        n_out, residuals = _lifted_residuals(pm, _arc(ring, (2, 3), 4, [perturbation], n), ring)
+        assert n_out == n - 7
+        assert residuals == [[0] * n_out]
+
+    check()
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_space_curve_lift_residual_vanishes(name):
+    """y1^2 = x1^3, y2^2 = x1^5 at x1 = t^2, y1 = t^3 + p, y2 = t^5 + r with
+    ord p, ord r >= 9: det = 4*y1*y2 has order 8, so the lifted arc must
+    solve both equations mod t^(N - 2*8 - 1)."""
+    ring, values = RINGS[name]
+
+    @settings(SETTINGS, max_examples=6)
+    @given(st.integers(33, 40), st.lists(values, min_size=1, max_size=31),
+           st.lists(values, min_size=1, max_size=31))
+    def check(n, p, r):
+        n_out, residuals = _lifted_residuals(SPACE, _arc(ring, (2, 3, 5), 9, [p, r], n), ring)
+        assert n_out == n - 17
+        assert residuals == [[0] * n_out] * 2
 
     check()
