@@ -409,11 +409,11 @@ def format_t_poly(ring, payloads) -> str:
 
 
 def format_monic(q: MonicPoly) -> str:
-    return format_t_poly(q.ring, q.payloads)
+    return repr(q)
 
 
 def format_low(a: LowPoly) -> str:
-    return format_t_poly(a.ring, a.payloads)
+    return repr(a)
 
 
 def format_element(ring, element) -> str:

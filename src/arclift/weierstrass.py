@@ -19,7 +19,7 @@ reduction by a monic polynomial, here, in ``jets`` and in ``pathology``,
 calls it.  Exact t-polynomials (``MonicPoly``, ``LowPoly``, dividends and
 quotients) are kept in their ring's canonical series form (items, scale),
 as series are, and a coefficient becomes a ``RingElement`` only when read
-through ``low``, ``coeffs`` or ``coeff_list``.
+through ``low`` or ``coeffs``.
 """
 
 from __future__ import annotations
@@ -114,9 +114,6 @@ class MonicPoly(_ExactPoly):
     @property
     def low(self):
         return self.coeffs[:-1]
-
-    def coeff_list(self):
-        return list(self.coeffs)
 
     def is_strict(self) -> bool:
         ring = self.ring

@@ -123,11 +123,11 @@ def reconstruct_factorization(fact):
     """u * q as an exact polynomial product, at the factorization precision.
 
     u is stored as the full degree < N-d polynomial, so the product pins all
-    N coefficients (times_poly on the series would conservatively stop at
-    N-d).
+    N coefficients (the series product u * q.as_series(N) would stop at
+    u's precision N-d).
     """
     ring = fact.u.ring
-    prod = schoolbook_product(list(fact.u.coeffs), fact.q.coeff_list(), ring)
+    prod = schoolbook_product(list(fact.u.coeffs), list(fact.q.coeffs), ring)
     return TruncatedSeries(ring, prod, fact.precision)
 
 
@@ -251,7 +251,7 @@ def brute_force_fiber_dimension(q, precision):
     p = ring.p
     d = q.degree
     n = precision
-    qc = [c.value for c in q.coeff_list()]
+    qc = list(q.payloads)
     cols = []
     for i in range(d):
         col = [0] * n

@@ -197,7 +197,7 @@ def test_expand_reconstructs_randomized(ring):
     for _ in range(60):
         d = rng.randrange(0, 4)
         q = MonicPoly(ring, [ring.random_element(rng) for _ in range(d)])
-        tq_coeffs = [ring.zero] + q.coeff_list()
+        tq_coeffs = [ring.zero, *q.coeffs]
         g = _random_poly_map(rng, 2, 2, 3)
         xbar = ModQVector(
             MonicPoly(ring, tq_coeffs[:-1]),
@@ -331,7 +331,7 @@ def test_expand_around_matches_truncate_after_every_product(ring):
             n = prec + 1
             moved = []
             for c, xp in zip(xbar, xprime):
-                step = [ring.zero] + schoolbook_product(xp, q.coeff_list(), ring)
+                step = [ring.zero] + schoolbook_product(xp, list(q.coeffs), ring)
                 moved.append([a + b for a, b in zip(c + [ring.zero] * n, step[:n])])
 
             def truncate(coeffs):

@@ -35,18 +35,22 @@ def F5eps():
 
 
 def convolve(ring, a, b, n):
-    """Payloads of a*b mod t^n, for payload lists a and b: the exact
-    product ``poly_mul`` of their series forms, read back and cut or padded
-    to n."""
-    form = poly_mul(ring.integer_form(a), ring.integer_form(b), ring)
-    out = list(ring.from_integer_form(*form))[:n]
-    return out + [ring.payload_from_int(0)] * (n - len(out))
+    """Payloads of a*b mod t^n, for ascending payload lists a and b, by the
+    ring's own product of their series forms (``Ring.convolve``)."""
+    (a, s), (b, r) = ring.integer_form(a[:n]), ring.integer_form(b[:n])
+    return ring.from_integer_form(*ring.canonical_form(ring.convolve(a, b, n), s * r))
+
+
+def _form(ring, elements):
+    """The canonical series form of an element list, as ``poly_mul`` keeps it."""
+    items, scale = ring.integer_form([c.value for c in elements])
+    return tuple(items), scale
 
 
 def _poly_mul(f, g, ring):
-    """``poly_mul`` of two element lists, as an element list."""
-    return [ring.element(v) for v in convolve(ring, [c.value for c in f], [c.value for c in g],
-                                              len(f) + len(g) - 1 if f and g else 0)]
+    """``poly_mul`` of two element lists, read back as an element list."""
+    form = poly_mul(_form(ring, f), _form(ring, g), ring)
+    return [ring.element(v) for v in ring.from_integer_form(*form)]
 
 
 def _as_series(ring, poly, n):
@@ -287,7 +291,10 @@ def test_products_match_schoolbook(ring):
 
         f, g = _sparse(ring, rng, na), _sparse(ring, rng, nb)
         assert _poly_mul(f, g, ring) == schoolbook_product(f, g, ring)
-        assert _poly_mul([], g, ring) == [] and _poly_mul(f, [], ring) == []
+        expected = _form(ring, schoolbook_product(f, g, ring))
+        assert poly_mul(_form(ring, f), _form(ring, g), ring) == expected
+        assert poly_mul(((), 1), _form(ring, g), ring) == ((), 1)
+        assert poly_mul(_form(ring, f), ((), 1), ring) == ((), 1)
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
@@ -309,7 +316,7 @@ def test_monic_division_matches_long_division(ring):
                 assert (quot, rem) == _long_division(f, low, ring)
                 assert len(rem) == d
                 if quot:
-                    back = schoolbook_product(quot, q.coeff_list(), ring)
+                    back = schoolbook_product(quot, list(q.coeffs), ring)
                     back = [c + (rem[i] if i < d else ring.zero) for i, c in enumerate(back)]
                     assert back == f
 
