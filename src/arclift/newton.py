@@ -17,10 +17,11 @@ strict-factorization certificate.
 The correction v0 solves v + t*h(v) = v1 for the adjugate remainder h.
 ``fixed_point_solve`` does this by Newton iteration, whose Jacobian
 Id + t*Dh is the identity mod t: each round doubles the certified
-precision, works only at that precision and takes Dh from calls of h
-itself, so a lift to t^N evaluates h O(n log N) times.  Every round checks
-that its residual vanishes to the precision already certified, and the
-result is certified against v1 by one last evaluation at full precision.
+precision, works only at that precision and takes Dh from the partials of
+h's polynomials at half of it, so a lift to t^N evaluates h and Dh
+O(log N) times each.  Every round checks that its residual vanishes to the
+precision already certified, and the result is certified against v1 by
+one last evaluation at full precision.
 """
 
 from __future__ import annotations
@@ -291,6 +292,19 @@ def _eval_correction(polys, v):
     return tuple(p.evaluate_or(v, zero).truncate(prec) for p in polys)
 
 
+def _correction_jacobian(polys):
+    """The map v -> Dh(v) for h = ``_eval_correction(polys, .)``: a term
+    c*v^a of h_i gives a_j*c*v^(a - e_j) to dh_i/dv_j."""
+    n = len(polys)
+
+    def partial(p, j):
+        lower = {a[:j] + (a[j] - 1,) + a[j + 1:]: (a[j], c) for a, c in p.terms.items() if a[j]}
+        return MultiPoly(n, {a: c.scale(k) if k > 1 else c for a, (k, c) in lower.items()})
+
+    rows = [[partial(p, j) for j in range(n)] for p in polys]
+    return lambda v: tuple(_eval_correction(row, v) for row in rows)
+
+
 def check_congruence(arc: ArcPoint):
     """Divide the adjugate defect adj(x; f(x)) by t*det(x)^2.
 
@@ -352,25 +366,28 @@ def _solve_near_identity(mat, rhs):
     return x
 
 
-def fixed_point_solve(h, v1, precision: int):
+def fixed_point_solve(h, dh, v1, precision: int):
     """The unique v0 with v0 + t*h(v0) = v1 mod t^precision, by Newton
     iteration on F(v) = v + t*h(v) - v1 with precision doubling.
 
     h must be a t-adic power-series map (h(v) mod t^k depends on v mod t^k
-    only); it is called on series truncated to the working precision and
-    must return one component per equation, each known that far.
+    only) and dh(v)[i][j] its partial dh_i/dv_j.  Both are called on series
+    truncated to a working precision and must return n components (dh: n
+    rows of n), each known that far.
 
     Each round lifts v from certified mod t^p to certified mod t^q,
     q = min(2p, precision):
 
     * the residual r = v1 - v - t*h(v) at precision q must vanish mod t^p
       (checked);
-    * h(v + t^p e_j) - h(v) = t^p Dh(v) e_j + O(t^(2p)) gives the Jacobian
-      columns mod t^(q-p-1) exactly, from n more calls of h;
+    * Dh mod t^(q-p-1) depends only on v mod t^(q-p-1), so one call of dh
+      there gives Id + t*Dh mod t^(q-p);
     * (Id + t*Dh) e = r / t^p mod t^(q-p), and v <- v + t^p e.
 
-    So h is called at most (n+1) * ceil(log2 precision) + 1 times.  The
-    last call evaluates h at the result at full precision and certifies
+    So h is called ceil(log2 precision) + 1 times and dh at most
+    ceil(log2 precision) - 1 times, below the precision of h in its round.
+    A wrong dh leaves v right only mod t^(p+1), which a later check catches.
+    The last call evaluates h at the result at full precision and certifies
     v0 + t*h(v0) = v1 mod t^precision coefficient by coefficient.
     """
     v1 = tuple(v1)
@@ -379,7 +396,6 @@ def fixed_point_solve(h, v1, precision: int):
         raise ArityMismatch("the fixed-point system needs at least one component")
     if min(x.precision for x in v1) < precision:
         raise InsufficientPrecision("v1 is not known to the requested precision")
-    ring = v1[0].ring
 
     def h_at(v, k):
         """h(v mod t^k) truncated to precision k; ``truncate`` raises
@@ -389,6 +405,14 @@ def fixed_point_solve(h, v1, precision: int):
             raise ArityMismatch(f"h returned {len(out)} components for {n} equations")
         return tuple(x.truncate(k) for x in out)
 
+    def dh_at(v, k):
+        """dh(v mod t^k), checked as ``h_at`` checks h."""
+        rows = tuple(map(tuple, dh(tuple(x.truncate(k) for x in v))))
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ArityMismatch(f"dh must return {n} rows of {n} entries")
+        return tuple(tuple(x.truncate(k) for x in row) for row in rows)
+
+    one = TruncatedSeries.from_ints(v1[0].ring, [1], precision)
     v = tuple(x.truncate(1) for x in v1)  # F(v) = v - v1 mod t
     p = 1
     while p < precision:
@@ -401,21 +425,17 @@ def fixed_point_solve(h, v1, precision: int):
             if not r.truncate(p).is_zero():
                 raise RuntimeError(
                     "Newton residual certificate failed: h is not a t-adic "
-                    "power-series map, or this is a bug"
+                    "power-series map, dh is not its Jacobian, or this is a bug"
                 )
             rho.append(r.drop(p))
         if q - p == 1:
             eps = rho  # Id + t*Dh = Id mod t
         else:
-            # mat = Id + t*Dh(v) mod t^(q-p), column j from a probe along e_j
-            one = TruncatedSeries.constant(ring.one, q - p)
-            bump = TruncatedSeries.t_power(ring, p, q - 1)
-            mat = [[None] * n for _ in range(n)]
-            for j in range(n):
-                hj = h_at(tuple(x + bump if i == j else x for i, x in enumerate(v)), q - 1)
-                for i in range(n):
-                    t_dh = (hj[i] - hv[i]).drop(p).shift(1)
-                    mat[i][j] = t_dh + one if i == j else t_dh
+            # mat = Id + t*Dh(v) mod t^(q-p): a sum keeps the lower precision
+            mat = [
+                [x.shift(1) + one if i == j else x.shift(1) for j, x in enumerate(row)]
+                for i, row in enumerate(dh_at(v, q - p - 1))
+            ]
             eps = _solve_near_identity(mat, rho)
         v = tuple(v[i] + eps[i].shift(p) for i in range(n))
         p = q
@@ -466,7 +486,7 @@ def arc_lift(arc: ArcPoint, working_precision=None) -> LiftResult:
     def h(v):
         return _eval_correction(polys, v)
 
-    v0 = fixed_point_solve(h, v1, out_prec)
+    v0 = fixed_point_solve(h, _correction_jacobian(polys), v1, out_prec)
     det_series = arc.det_at
     pm = arc.map
     new_components = list(arc.components)

@@ -36,7 +36,7 @@ from arclift import (
     weierstrass_divide,
     xy_arc_counterexample,
 )
-from arclift.newton import _eval_correction, adjugate_remainder
+from arclift.newton import _correction_jacobian, _eval_correction, adjugate_remainder
 
 from _helpers import (
     acceptance_rings,
@@ -155,7 +155,7 @@ def test_criterion_4_fiber_dimensions_exhaustive():
 def test_criterion_5_fixed_point_catalan():
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1], 10),)
-    (v0,) = fixed_point_solve(lambda v: (v[0] * v[0],), v1, 10)
+    (v0,) = fixed_point_solve(lambda v: (v[0] * v[0],), lambda v: ((v[0] + v[0],),), v1, 10)
     cs = catalan_numbers(10)
     expected = [(-1) ** k * cs[k] for k in range(10)]
     ok = expected == [1, -1, 2, -5, 14, -42, 132, -429, 1430, -4862]
@@ -216,6 +216,7 @@ def test_criterion_7_forward_map_roundtrip():
     def h(v):
         return _eval_correction(polys, v)
 
+    dh = _correction_jacobian(polys)
     rng = random.Random(20240807)
     ok = True
     for _ in range(100):
@@ -227,7 +228,7 @@ def test_criterion_7_forward_map_roundtrip():
             ),
         )
         v1 = congruence_forward(arc, v0)
-        back = fixed_point_solve(h, v1, min(x.precision for x in v1))
+        back = fixed_point_solve(h, dh, v1, min(x.precision for x in v1))
         ok = ok and back[0].agrees(v0[0])
     _report(7, "100 random corrections roundtrip through forward map and fixed-point solve", ok)
 

@@ -26,6 +26,7 @@ from arclift import (
     newton,
     taylor_remainder,
 )
+from arclift.newton import _correction_jacobian
 
 from _helpers import catalan_numbers
 
@@ -269,20 +270,36 @@ def test_congruence_needs_precision():
         check_congruence(arc)
 
 
+def square(v):
+    """h(v) = v^2 in one variable, with its Jacobian ``double``."""
+    return (v[0] * v[0],)
+
+
+def double(v):
+    return ((v[0] + v[0],),)
+
+
+def zero_jacobian(v):
+    k = min(x.precision for x in v)
+    return tuple(tuple(TruncatedSeries(x.ring, [], k) for _ in v) for x in v)
+
+
 def test_fixed_point_trivial_cases():
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1, 2, 3], 8),)
-    out = fixed_point_solve(lambda v: (TruncatedSeries.constant(q.zero, 8),), v1, 8)
+    out = fixed_point_solve(
+        lambda v: (TruncatedSeries.constant(q.zero, 8),), zero_jacobian, v1, 8
+    )
     assert out[0] == v1[0].truncate(8)
     zero = (TruncatedSeries.constant(q.zero, 8),)
-    out = fixed_point_solve(lambda v: (v[0] * v[0],), zero, 8)
+    out = fixed_point_solve(square, double, zero, 8)
     assert out[0].is_zero()
 
 
 def test_fixed_point_generates_signed_catalan_numbers():
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1], 10),)
-    (v0,) = fixed_point_solve(lambda v: (v[0] * v[0],), v1, 10)
+    (v0,) = fixed_point_solve(square, double, v1, 10)
     cs = catalan_numbers(10)
     expected = [(-1) ** k * cs[k] for k in range(10)]
     assert v0 == TruncatedSeries.from_ints(q, expected, 10)
@@ -306,7 +323,9 @@ def random_series(ring, precision, rng):
 
 
 def random_polynomial_h(ring, n, precision, rng):
-    """A random quadratic h: R[[t]]^n -> R[[t]]^n with series coefficients."""
+    """A random quadratic h: R[[t]]^n -> R[[t]]^n with series coefficients,
+    evaluated term by term here, and its Jacobian map from
+    ``_correction_jacobian`` on the same polynomials."""
     monomials = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
     polys = [
         {
@@ -330,7 +349,41 @@ def random_polynomial_h(ring, n, precision, rng):
             out.append(acc)
         return tuple(out)
 
-    return h
+    return h, _correction_jacobian([MultiPoly(n, terms) for terms in polys])
+
+
+def probe_jacobian(h, v, k):
+    """Reference Dh(v) mod t^k from n + 1 calls of h alone, as the solver
+    once built it: with p = k + 1 and w = p + k,
+    (h(v + t^p e_j) - h(v)) mod t^w = t^p Dh(v) e_j mod t^w, since the
+    t^(2p) terms lie beyond w.  Needs v known to w orders."""
+    p, w = k + 1, 2 * k + 1
+    v = tuple(x.truncate(w) for x in v)
+    bump = TruncatedSeries.t_power(v[0].ring, p, w)
+    hv = h(v)
+    cols = [h(tuple(x + bump if i == j else x for i, x in enumerate(v))) for j in range(len(v))]
+    return tuple(
+        tuple((cols[j][i] - hv[i]).drop(p) for j in range(len(v))) for i in range(len(v))
+    )
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RationalRing(), PrimeFieldRing(5), ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2)],
+    ids=repr,
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_correction_jacobian_matches_probe_differences(ring, n):
+    rng = random.Random(50 + n)
+    for k in (1, 2, 7, 20):
+        h, dh = random_polynomial_h(ring, n, 2 * k + 1, rng)
+        v = tuple(random_series(ring, 2 * k + 1, rng) for _ in range(n))
+        expected = probe_jacobian(h, v, k)
+        assert dh(tuple(x.truncate(k) for x in v)) == expected
+        # Dh mod t^k reads v mod t^k only
+        assert all(
+            x.truncate(k) == y for row, exp in zip(dh(v), expected) for x, y in zip(row, exp)
+        )
 
 
 @pytest.mark.parametrize(
@@ -343,26 +396,35 @@ def random_polynomial_h(ring, n, precision, rng):
 def test_fixed_point_matches_contraction_oracle(ring, n, precision):
     rng = random.Random(1000 * n + precision)
     for _ in range(2 if precision < 64 else 1):
-        h = random_polynomial_h(ring, n, precision, rng)
+        h, dh = random_polynomial_h(ring, n, precision, rng)
         v1 = tuple(random_series(ring, precision, rng) for _ in range(n))
-        assert fixed_point_solve(h, v1, precision) == contraction_solve(h, v1, precision)
+        assert fixed_point_solve(h, dh, v1, precision) == contraction_solve(h, v1, precision)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_fixed_point_calls_h_logarithmically(n):
     ring = PrimeFieldRing(5)
     rng = random.Random(7)
-    inner = random_polynomial_h(ring, n, 128, rng)
+    inner_h, inner_dh = random_polynomial_h(ring, n, 128, rng)
     calls = []
 
     def h(v):
-        calls.append(min(x.precision for x in v))
-        return inner(v)
+        calls.append(("h", min(x.precision for x in v)))
+        return inner_h(v)
+
+    def dh(v):
+        calls.append(("dh", min(x.precision for x in v)))
+        return inner_dh(v)
 
     v1 = tuple(random_series(ring, 128, rng) for _ in range(n))
-    fixed_point_solve(h, v1, 128)
-    assert len(calls) <= (n + 1) * 7 + 1  # ceil(log2 128) = 7 rounds
-    assert calls[-1] == 128 and max(calls[:-1]) < 128
+    fixed_point_solve(h, dh, v1, 128)
+    h_calls = [k for name, k in calls if name == "h"]
+    assert len(h_calls) == 7 + 1  # ceil(log2 128) = 7 rounds, then the certificate
+    assert h_calls[-1] == 128 and max(h_calls[:-1]) < 128
+    dh_at = [i for i, (name, _) in enumerate(calls) if name == "dh"]
+    assert 0 < len(dh_at) <= 7 - 1
+    for i in dh_at:  # each round calls h first, then dh below its precision
+        assert calls[i - 1][0] == "h" and calls[i][1] < calls[i - 1][1]
 
 
 def test_fixed_point_final_certificate_can_fail():
@@ -375,7 +437,7 @@ def test_fixed_point_final_certificate_can_fail():
         return (TruncatedSeries.t_power(q, 6, k) if k == 8 else TruncatedSeries(q, [], k),)
 
     with pytest.raises(RuntimeError, match="Newton certificate failed"):
-        fixed_point_solve(h, (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
+        fixed_point_solve(h, zero_jacobian, (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
 
 
 def test_fixed_point_residual_certificate_can_fail():
@@ -388,20 +450,53 @@ def test_fixed_point_residual_certificate_can_fail():
         return (TruncatedSeries.t_power(q, k - 1, k),)
 
     with pytest.raises(RuntimeError, match="residual"):
-        fixed_point_solve(h, (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
+        fixed_point_solve(h, zero_jacobian, (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
 
 
 def test_fixed_point_validates_h():
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1, 2], 8),) * 2
     with pytest.raises(ArityMismatch):
-        fixed_point_solve(lambda v: (v[0],), v1, 8)
+        fixed_point_solve(lambda v: (v[0],), zero_jacobian, v1, 8)
     with pytest.raises(ArityMismatch):
-        fixed_point_solve(lambda v: v + v, v1, 8)
+        fixed_point_solve(lambda v: v + v, zero_jacobian, v1, 8)
     with pytest.raises(InsufficientPrecision):
-        fixed_point_solve(lambda v: tuple(x.truncate(1) for x in v), v1, 8)
+        fixed_point_solve(lambda v: tuple(x.truncate(1) for x in v), zero_jacobian, v1, 8)
     with pytest.raises(ArityMismatch):
-        fixed_point_solve(lambda v: v, (), 8)
+        fixed_point_solve(lambda v: v, zero_jacobian, (), 8)
+
+
+def test_fixed_point_validates_dh():
+    q = RationalRing()
+    v1 = (TruncatedSeries.from_ints(q, [1, 2], 8),) * 2
+
+    def h(v):
+        return v[0] * v[1], v[1] * v[1]
+
+    def dh(v):
+        return (v[1], v[0]), (zero_jacobian(v)[1][0], v[1] + v[1])
+
+    assert fixed_point_solve(h, dh, v1, 8) == contraction_solve(h, v1, 8)
+    with pytest.raises(ArityMismatch):  # one row for two equations
+        fixed_point_solve(h, lambda v: dh(v)[:1], v1, 8)
+    with pytest.raises(ArityMismatch):  # rows of one entry
+        fixed_point_solve(h, lambda v: tuple(row[:1] for row in dh(v)), v1, 8)
+
+    def short(v):  # entries known mod t only
+        return tuple(tuple(x.truncate(1) for x in row) for row in dh(v))
+
+    with pytest.raises(InsufficientPrecision):
+        fixed_point_solve(h, short, v1, 8)
+
+
+@pytest.mark.parametrize("precision", [8, 10, 64])
+def test_fixed_point_wrong_jacobian_fails_the_residual_certificate(precision):
+    # the zero Jacobian for h = v^2 leaves each round's update right only
+    # one order past what was certified, so the next round's residual is off
+    q = RationalRing()
+    v1 = (TruncatedSeries.from_ints(q, [1], precision),)
+    with pytest.raises(RuntimeError, match="residual"):
+        fixed_point_solve(square, zero_jacobian, v1, precision)
 
 
 def test_jacobian_data_is_cached_per_map(monkeypatch):
@@ -436,10 +531,11 @@ def test_forward_then_solve_roundtrips(ring):
     def h(v):
         return _eval_correction(polys, v)
 
+    dh = _correction_jacobian(polys)
     for _ in range(30):
         v0 = (TruncatedSeries(ring, [ring.random_element(rng) for _ in range(10)], 12),)
         v1 = congruence_forward(arc, v0)
-        back = fixed_point_solve(h, v1, min(x.precision for x in v1))
+        back = fixed_point_solve(h, dh, v1, min(x.precision for x in v1))
         assert back[0].agrees(v0[0])
 
 

@@ -682,14 +682,18 @@ def test_fixed_point_solve_wraps_per_round_not_per_coefficient(ring, monkeypatch
     def h(v):
         return v[0] * v[1], v[0] + v[1] * v[1]
 
+    def dh(v):
+        one = TruncatedSeries.from_ints(v[0].ring, [1], v[0].precision)
+        return (v[1], v[0]), (one, v[1] + v[1])
+
     counts = {}
     for n in (16, 64):
         rng = random.Random(n)
         v1 = (_random_series(ring, rng, n), _random_series(ring, rng, n))
-        counts[n] = _count_wrappers(monkeypatch, lambda: fixed_point_solve(h, v1, n))
-    # Wrappers come only from each round's pivot inverses and identity
-    # matrix: 3 rounds solve a system at N=16 (the first needs none) and 5
-    # at N=64, so the count per round must not depend on N.
+        counts[n] = _count_wrappers(monkeypatch, lambda: fixed_point_solve(h, dh, v1, n))
+    # Wrappers come only from each round's pivot inverses: 3 rounds solve
+    # a system at N=16 (the first needs none) and 5 at N=64, so the count
+    # per round must not depend on N.
     assert counts[16] > 0 and counts[16] * 5 == counts[64] * 3
 
 
@@ -750,12 +754,16 @@ def test_fixed_point_solve_over_q_builds_fractions_per_round_not_per_coefficient
     def h(v):
         return v[0] * v[1], v[0] + v[1] * v[1]
 
+    def dh(v):
+        one = TruncatedSeries.from_ints(v[0].ring, [1], v[0].precision)
+        return (v[1], v[0]), (one, v[1] + v[1])
+
     counts = {}
     for n in (16, 32, 64):
         rng = random.Random(n)
         v1 = (_random_series(q, rng, n), _random_series(q, rng, n))
-        counts[n] = _count_fractions(monkeypatch, lambda: fixed_point_solve(h, v1, n))
+        counts[n] = _count_fractions(monkeypatch, lambda: fixed_point_solve(h, dh, v1, n))
     # Series stay in integer form: Fractions come only from each round's
-    # pivot inverses and identity matrix, so each doubling of N adds one
+    # pivot inverses and the constant in dh, so each doubling of N adds one
     # round and the same number of Fractions.
     assert counts[16] > 0 and counts[64] - counts[32] == counts[32] - counts[16], counts

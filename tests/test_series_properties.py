@@ -30,6 +30,7 @@ from arclift import (  # noqa: E402
     TruncatedSeries,
     arc_lift,
 )
+from arclift.newton import _correction_jacobian, adjugate_remainder  # noqa: E402
 from arclift.weierstrass import divide_by_monic  # noqa: E402
 from sympy.polys.ring_series import rs_series_inversion  # noqa: E402
 from sympy.polys.rings import ring as ring_series_ring  # noqa: E402
@@ -308,6 +309,49 @@ def test_space_curve_lift_residual_vanishes(name):
            st.lists(values, min_size=1, max_size=31))
     def check(n, p, r):
         n_out, residuals = _lifted_residuals(SPACE, _arc(ring, (2, 3, 5), 9, [p, r], n), ring)
+        assert n_out == n - 17
+        assert residuals == [[0] * n_out] * 2
+
+    check()
+
+
+# The space curve in the moving coordinates u = y1 + y2, w = y2: its first
+# equation (u - w)^2 - x1^3 puts the mixed monomial v_u*v_w into the Taylor
+# remainder, so the solver's Jacobian Dh is not diagonal.
+SHEARED = PolyMap(
+    ["x1", "u", "w"],
+    1,
+    [
+        MultiPoly(3, {(0, 2, 0): 1, (0, 1, 1): -2, (0, 0, 2): 1, (3, 0, 0): -1}),
+        MultiPoly(3, {(0, 0, 2): 1, (5, 0, 0): -1}),
+    ],
+)
+
+
+def _sheared(ring, arc):
+    """A space-curve arc (x1, y1, y2) as payload lists in (x1, u, w)."""
+    y1, y2 = (_series(ring, c) for c in arc[1:])
+    return [arc[0], _payloads(y1 + y2), arc[2]]
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_sheared_space_curve_lift_residual_vanishes(name):
+    """``SHEARED`` at x1 = t^2, u = t^3 + t^5 + p + r, w = t^5 + r with
+    ord p, ord r >= 9: det = 4*(u - w)*w has order 8, as on the space curve,
+    and now dh_1/dv_w is nonzero."""
+    ring, values = RINGS[name]
+    arc = _sheared(ring, _arc(ring, (2, 3, 5), 9, [[1, 2], [3]], 34))
+    polys = adjugate_remainder(ArcPoint(SHEARED, [_series(ring, c) for c in arc]))
+    v = tuple(_series(ring, [1] * 34) for _ in range(2))
+    jac = _correction_jacobian(polys)(v)
+    assert not jac[0][1].is_zero()
+
+    @settings(SETTINGS, max_examples=6)
+    @given(st.integers(33, 40), st.lists(values, min_size=1, max_size=31),
+           st.lists(values, min_size=1, max_size=31))
+    def check(n, p, r):
+        arc = _sheared(ring, _arc(ring, (2, 3, 5), 9, [p, r], n))
+        n_out, residuals = _lifted_residuals(SHEARED, arc, ring)
         assert n_out == n - 17
         assert residuals == [[0] * n_out] * 2
 
