@@ -103,10 +103,16 @@ class Expansion:
 def expand_around(g: PolyMap, q: MonicPoly, xbar: ModQVector, xprime) -> Expansion:
     """Two-term expansion of g along the perturbation t*q*x'.
 
-    ``xbar`` holds residues mod the monic t*q (bound deg q + 1): the head of
-    the expansion lives one degree higher than q because the perturbation
-    direction is t*q.  The quotient ``tail`` is exact Euclidean data, so
-    head + t*q*tail reconstructs g(xbar + t*q*x') at full precision.
+    ``xbar`` holds residues mod the monic t*q (bound deg q + 1): the head
+    of the expansion lives one degree higher than q because the
+    perturbation direction is t*q.  The head is g(xbar) mod t*q
+    (``map_mod_poly``), exact whatever x' is.  The tail is
+    (g(xbar + t*q*x') - head) / (t*q).  With x' known mod t^k, any
+    extension moves the argument by a multiple of t^(k+1)*q, so it moves
+    the tail only from order k on; the tail is therefore the Euclidean
+    quotient of g at the exact polynomials xbar + t*q*(x' mod t^k), cut to
+    precision k - deg q, and head + t*q*tail is g(xbar + t*q*x') mod
+    t^(k+1).
     """
     xprime = tuple(xprime)
     d = q.degree
@@ -122,16 +128,15 @@ def expand_around(g: PolyMap, q: MonicPoly, xbar: ModQVector, xprime) -> Expansi
         raise InsufficientPrecision(
             f"expansion mod t*q of degree {d + 1} needs perturbations known mod t^{d + 1}"
         )
-    moved = []
-    for c, xp in zip(xbar.components, xprime):
-        step = (xp * q.as_series(xp.precision)).shift(1)  # t*q*x', gains one order
-        moved.append(c.as_series(step.precision) + step)
-    w_prec = min(s.precision for s in moved)
-    heads = []
+    # the moved arguments have degree <= d + prec, so g of them is exact here
+    top = max((sum(exps) for poly in g.polys for exps in poly.terms), default=0)
+    n = max(top, 1) * (d + prec) + 1
+    moved = [
+        c.as_series(n) + (xp.truncate(prec).pad(n - 1) * q.as_series(n - 1)).shift(1)
+        for c, xp in zip(xbar.components, xprime)
+    ]
     tails = []
     for poly in g.polys:
-        w = evaluate_along(poly, moved, w_prec)
-        quot, rem = divide_by_monic(w.form, tq)
-        heads.append(rem)
-        tails.append(TruncatedSeries._of_form(ring, *quot, w.precision - (d + 1)))
-    return Expansion(head=ModQVector(tq, heads), tail=tuple(tails))
+        quot, _ = divide_by_monic(evaluate_along(poly, moved, n).form, tq)
+        tails.append(TruncatedSeries._of_form(ring, *quot, prec - d))
+    return Expansion(head=map_mod_poly(g, tq, xbar), tail=tuple(tails))

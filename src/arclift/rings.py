@@ -23,10 +23,13 @@ rings and the colimit models in ``pathology`` (``PayloadRing``).  Besides
 (plain ints for Fp, Z/n and Q, the ring itself for payload rings);
 ``convolve``, the product of two item lists (``_int_product``, slices by
 monomial on the base ring's integer form for Artinian rings, payload
-products for colimit models); and ``invert_series``, the fraction-free
-recurrence over one common denominator for Fp, Z/n and Q, the payload
-recurrence for payload rings.  An Artinian ring has at most
-``MAX_MONOMIALS`` monomials.
+products for colimit models); and ``invert_series``, the inverse of a
+short series: the fraction-free recurrence over one common denominator for
+Fp, Z/n and Q, the payload recurrence for payload rings.  From
+``NEWTON_INVERT_MIN`` known orders on, ``TruncatedSeries.invert`` calls it
+only at the base of a Newton doubling, whose products go through
+``convolve``; Q opts out and inverts by the recurrence at every length.  An
+Artinian ring has at most ``MAX_MONOMIALS`` monomials.
 
 ``_int_product`` is the package's only int product loop: ``Ring.convolve``
 and the Artinian slices call it.  Below ``KRONECKER_MIN_TERMS`` nonzero
@@ -357,7 +360,9 @@ class Ring:
     def invert_series(self, ints, scale):
         """A series form, not necessarily canonical, of the inverse mod t^n
         of the series form (ints, scale) of n items, whose constant term is
-        a unit.
+        a unit.  ``TruncatedSeries.invert`` calls it below
+        ``NEWTON_INVERT_MIN`` items, and at the base of its Newton doubling
+        from there on.
 
         The fraction-free recurrence (von zur Gathen and Gerhard, *Modern
         Computer Algebra*, section 9.1): the scale cancels from every term
@@ -379,6 +384,29 @@ class Ring:
                 den *= f
             nums.append(num * (den // d))
         return nums, den
+
+    NEWTON_INVERT_MIN = 48
+    """The precision from which ``TruncatedSeries.invert`` doubles by
+    Newton's iteration instead of calling ``invert_series`` at full length.
+
+    Measured on CPython 3.11 (2-vCPU VM), ms per inverse of a random dense
+    series, ``invert_series`` -> Newton with this cutoff (at N = 32, one
+    forced Newton step):
+
+    | ring | N=32 | 48 | 64 | 128 | 256 | 512 |
+    |---|---|---|---|---|---|---|
+    | Fp(5) | 0.056 -> 0.076 | 0.097 -> 0.084 | 0.20 -> 0.16 | 0.43 -> 0.18 | 1.8 -> 0.34 | 5.8 -> 0.64 |
+    | Zmod(27) | 0.051 -> 0.071 | 0.097 -> 0.086 | 0.16 -> 0.14 | 0.49 -> 0.22 | 2.0 -> 0.64 | 7.4 -> 0.96 |
+    | Artin(Fp(5); eps; 2) | 1.3 -> 0.54 | 3.2 -> 1.1 | 5.5 -> 1.8 | 25 -> 2.4 | 120 -> 4.3 | |
+    | Artin(Fp(2); s1,s2; 3) | 1.8 -> 1.1 | 8.7 -> 3.6 | 14 -> 3.9 | 56 -> 5.7 | 250 -> 8.9 | |
+
+    Over Fp and Z/n the one-step break-even lies between N = 40 and 48.
+    Artinian rings gain below 48 as well, but no inverse of the ``prepare``
+    and ``cli`` benchmark workloads reaches 48 (they stop at N = 40), so
+    their cost does not move.  ``RationalRing`` opts out: its coefficients
+    grow, and with |c| <= 30 Newton ran at 0.96-1.09x at N = 64-128,
+    0.70-0.78x at 256, 0.43-0.59x at 384 and 0.34x at 512 (two runs).
+    """
 
     # -- element layer ---------------------------------------------------
     def element(self, value) -> RingElement:
@@ -535,6 +563,7 @@ class PrimeFieldRing(Ring):
 
 class RationalRing(Ring):
     is_field = True
+    NEWTON_INVERT_MIN = math.inf  # coefficient growth: see Ring.NEWTON_INVERT_MIN
 
     def __eq__(self, other):
         return isinstance(other, RationalRing)

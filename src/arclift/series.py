@@ -8,10 +8,12 @@ operation has one body, on that form, with no branch on the ring: sums and
 negations use the ring's item arithmetic (``Ring.item_ring``) and bring the
 result to canonical form once (``Ring.canonical_form``), products hand the
 items to ``Ring.convolve``, and ``invert`` checks the constant term and
-hands the form to ``Ring.invert_series``.  Payloads are built from the form
-only when something reads them (over every ring but Q they are the items
-themselves), and ``RingElement`` wrappers only where a coefficient leaves
-the series API (``coefficient``, ``coeffs``).
+hands the form to ``Ring.invert_series``: at full length below the ring's
+``NEWTON_INVERT_MIN`` orders, and from there on at the base of a Newton
+doubling whose steps are two series products each.  Payloads are built
+from the form only when something reads them (over every ring but Q they
+are the items themselves), and ``RingElement`` wrappers only where a
+coefficient leaves the series API (``coefficient``, ``coeffs``).
 
 Precision is explicit data.  Every operation states the precision of its
 output and never claims a coefficient beyond it: sums and products follow
@@ -269,13 +271,27 @@ class TruncatedSeries:
         return k
 
     def invert(self):
-        """Inverse by the ring's own recurrence (``Ring.invert_series``);
-        needs a unit constant term."""
+        """Inverse, for a unit constant term.  Below the ring's
+        ``NEWTON_INVERT_MIN`` known orders, by ``Ring.invert_series``; from
+        there on by precision doubling (Brent and Kung, JACM 1978): with
+        g = (x mod t^h)^{-1}, h = ceil(N/2), x*g = 1 + t^h*e and the inverse
+        mod t^N is g - t^h*(g mod t^(N-h))*e, so the second product runs at
+        half length."""
         ring = self.ring
         if not ring.is_unit(self.coefficient(0)):
             raise NotAUnit("constant coefficient is not a unit")
-        items, scale = ring.invert_series(*self.form)
-        return TruncatedSeries._of_form(ring, *ring.canonical_form(items, scale), self.precision)
+        ladder = [self.precision]
+        while ladder[-1] >= ring.NEWTON_INVERT_MIN:
+            ladder.append((ladder[-1] + 1) // 2)
+        h = ladder.pop()
+        items, scale = ring.invert_series(*self.truncate(h).form)
+        g = TruncatedSeries._of_form(ring, *ring.canonical_form(items, scale), h)
+        for n in reversed(ladder):
+            g = g.pad(n)
+            e = (self * g).drop(h)
+            g -= (g.truncate(n - h) * e).shift(h)
+            h = n
+        return g
 
     def __repr__(self):
         return format_series(self)

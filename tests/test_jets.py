@@ -327,21 +327,43 @@ def test_expand_around_matches_truncate_after_every_product(ring):
                 ModQVector(MonicPoly(ring, tq_low), [LowPoly(ring, d + 1, c) for c in xbar]),
                 [TruncatedSeries(ring, c, prec) for c in xprime],
             )
-            # t*q*x' gains one order: everything is known mod t^(prec + 1)
-            n = prec + 1
+            # x' read as an exact polynomial: xbar + t*q*x' has degree <= d + prec,
+            # so truncating at n after every product loses nothing.  The exact
+            # value's remainder is g(xbar) mod t*q, and its quotient is certified
+            # below order prec (an extension of x' moves it by t^prec)
+            n = 4 * (d + prec) + 1
             moved = []
             for c, xp in zip(xbar, xprime):
                 step = [ring.zero] + schoolbook_product(xp, list(q.coeffs), ring)
-                moved.append([a + b for a, b in zip(c + [ring.zero] * n, step[:n])])
+                moved.append([a + b for a, b in zip(c + [ring.zero] * n, step + [ring.zero] * n)])
 
             def truncate(coeffs):
                 return coeffs[:n]
+
+            def reduce(coeffs):
+                return _synthetic_division(coeffs, tq_low, ring.zero)[1]
 
             for i, poly in enumerate(g.polys):
                 w = _oracle_eval(poly, moved, ring, truncate)
                 quot, rem = _synthetic_division(w + [ring.zero] * (n - len(w)), tq_low, ring.zero)
                 assert list(out.head.components[i].coeffs) == rem
-                assert out.tail[i] == TruncatedSeries(ring, quot, n - (d + 1))
+                # the head is g(xbar) mod t*q, reduced after every product
+                assert rem == _oracle_eval(poly, xbar, ring, reduce)
+                assert out.tail[i] == TruncatedSeries(ring, quot, prec - d)
+
+
+def test_expand_around_head_does_not_depend_on_the_perturbation_precision():
+    # g = y^3 around xbar = 1 + t, q = t + 1, x' = 0: (1 + t)^3 mod t*(t + 1)
+    # is t + 1 and the tail is ((1 + t)^3 - (1 + t)) / (t*(t + 1)) = 2 + t,
+    # whether x' is known mod t^2, t^3 or t^4
+    f5 = PrimeFieldRing(5)
+    g = PolyMap(("y",), 0, [MultiPoly(1, {(3,): 1})])
+    q = MonicPoly.from_ints(f5, [1])
+    xbar = ModQVector(MonicPoly.from_ints(f5, [0, 1]), [LowPoly.from_ints(f5, 2, [1, 1])])
+    for prec in (2, 3, 4):
+        out = expand_around(g, q, xbar, (TruncatedSeries.constant(f5.zero, prec),))
+        assert out.head.components[0] == LowPoly.from_ints(f5, 2, [1, 1])
+        assert out.tail[0] == TruncatedSeries.from_ints(f5, [2, 1], prec - 1)
 
 
 def test_equal_vectors_and_expansions_hash_equal():

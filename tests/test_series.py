@@ -153,8 +153,106 @@ def test_inverse_refuses_a_non_unit_constant_in_each_family(ring, c0):
 
 def test_colimit_series_inversion_is_refused():
     ring = arc_kernel_ring(PrimeFieldRing(5))
-    with pytest.raises(NonLocalRing):
-        TruncatedSeries(ring, [ring.one, ring.q0()], 2).invert()
+    for n in (2, 64):  # 64: from the base of the Newton doubling
+        with pytest.raises(NonLocalRing):
+            TruncatedSeries(ring, [ring.one, ring.q0()], n).invert()
+
+
+# -- Newton inversion from NEWTON_INVERT_MIN on ------------------------------
+
+NEWTON_RINGS = [
+    PrimeFieldRing(5),
+    IntegersMod(9),
+    IntegersMod(27),
+    F5eps(),
+    ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
+    ArtinianLocalRing(RationalRing(), ["a", "b"], 3),
+]
+
+
+def _recurrence_inverse(ring, payloads):
+    """The payloads of the inverse by c_k = -c_0^{-1} sum_{i=1..k} a_i c_{k-i}
+    on the ring's payload operations, skipping zero a_i: an oracle apart from
+    ``invert_series`` and from Newton's products."""
+    inv0 = ring.invert(ring.element(payloads[0])).value
+    neg_inv0 = ring.payload_neg(inv0)
+    support = [(i, a) for i, a in enumerate(payloads) if i and not ring.payload_is_zero(a)]
+    out = [inv0]
+    for k in range(1, len(payloads)):
+        acc = ring.payload_from_int(0)
+        for i, a in support:
+            if i > k:
+                break
+            acc = ring.payload_add(acc, ring.payload_mul(a, out[k - i]))
+        out.append(ring.payload_mul(neg_inv0, acc))
+    return out
+
+
+def _newton_cases(ring, rng):
+    """Dense series, three at each of cutoff - 1, cutoff and cutoff + 1 and
+    one at an odd N above twice the cutoff, then three at N = 512 with a
+    unit constant and five other nonzero terms."""
+    cut = ring.NEWTON_INVERT_MIN
+    for n in (cut - 1, cut, cut + 1) * 3 + (2 * cut + 5,):
+        yield [ring.random_unit(rng)] + [ring.random_element(rng) for _ in range(n - 1)]
+    for _ in range(3):
+        coeffs = [ring.random_unit(rng)] + [ring.zero] * 511
+        for i in rng.sample(range(1, 512), 5):
+            coeffs[i] = ring.random_unit(rng)
+        yield coeffs
+
+
+@pytest.mark.parametrize("ring", NEWTON_RINGS, ids=repr)
+def test_newton_inverse_matches_the_recurrence(ring, monkeypatch):
+    """From the cutoff on, ``invert_series`` runs once, at the base of the
+    halving ladder, and the result is the recurrence's inverse: the same
+    form, equal, and printed the same."""
+    calls = []
+    real = type(ring).invert_series
+    monkeypatch.setattr(ring, "invert_series",
+                        lambda items, scale: calls.append(len(items)) or real(ring, items, scale))
+    rng = random.Random(31)
+    for coeffs in _newton_cases(ring, rng):
+        n = len(coeffs)
+        x = TruncatedSeries(ring, coeffs, n)
+        calls.clear()
+        got = x.invert()
+        base = n
+        while base >= ring.NEWTON_INVERT_MIN:
+            base = (base + 1) // 2
+        assert calls == [base]
+        want = TruncatedSeries(ring, [ring.element(v) for v in _recurrence_inverse(ring, x.payloads)], n)
+        assert got.form == want.form
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("ring, c0", [(IntegersMod(9), 3), (F5eps(), "eps")], ids=repr)
+def test_newton_inversion_refuses_a_non_unit_before_any_product(ring, c0, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("convolve called")
+
+    n = ring.NEWTON_INVERT_MIN + 16
+    c0 = ring.generators()[c0] if isinstance(c0, str) else ring.from_int(c0)
+    monkeypatch.setattr(ring, "convolve", refuse)
+    with pytest.raises(NotAUnit, match="constant coefficient is not a unit"):
+        TruncatedSeries(ring, [c0] + [ring.one] * (n - 1), n).invert()
+    with pytest.raises(AssertionError, match="convolve called"):  # the spy is live
+        TruncatedSeries(ring, [ring.one] * n, n).invert()
+
+
+def test_rationals_invert_by_the_recurrence_at_every_length(monkeypatch):
+    ring = RationalRing()
+    calls = []
+    real = RationalRing.invert_series
+    monkeypatch.setattr(ring, "invert_series",
+                        lambda ints, scale: calls.append(len(ints)) or real(ring, ints, scale))
+    rng = random.Random(32)
+    for n in (Ring.NEWTON_INVERT_MIN - 1, Ring.NEWTON_INVERT_MIN, 129, 512):
+        calls.clear()
+        x = TruncatedSeries.from_ints(ring, [1] + [rng.randint(-30, 30) for _ in range(n - 1)], n)
+        x.invert()
+        assert calls == [n]
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
@@ -474,11 +572,12 @@ def test_integer_rings_invert_without_payload_ops(ring, monkeypatch):
     def refuse(*args):
         raise AssertionError("payload op called on the integer path")
 
-    x = TruncatedSeries.from_ints(ring, [1, 4, 0, -2, 7, 3], 6)
-    expected = x.invert()
+    series = [TruncatedSeries.from_ints(ring, [1, 4, 0, -2, 7, 3] * k, 6 * k)
+              for k in (1, Ring.NEWTON_INVERT_MIN // 6 + 1)]
+    expected = [x.invert() for x in series]
     monkeypatch.setattr(ring, "payload_add", refuse)
     monkeypatch.setattr(ring, "payload_mul", refuse)
-    assert x.invert() == expected
+    assert [x.invert() for x in series] == expected
 
 
 def test_artinian_and_colimit_rings_override_convolve():

@@ -11,7 +11,8 @@ The certified windows: ``mod_q_reduce`` and ``weierstrass_divide`` with
 and its certificate exponent, ``laurent_divide`` every exponent below its
 ``precision_bound``, ``check_congruence`` all of v1, and ``arc_lift`` v1
 and v0 below its N' and the lifted arc to the precision it carries
-(N' + 1 on the moving coordinates).  Over m^e = 0 the
+(N' + 1 on the moving coordinates), and ``expand_around`` its head and
+its tail, for a perturbation x' known mod t^k.  Over m^e = 0 the
 quotient h and the unit u are certified on their first N - d*e
 coefficients: the tail t^N*g shifts them by q'*g*t^(N - d*e), where
 q*q' = t^(d*e).  That is d*(e-1) orders short of the precision N - d they
@@ -26,6 +27,7 @@ import pytest
 
 from arclift import (
     ArcPoint,
+    LowPoly,
     MonicPoly,
     MultiPoly,
     PolyMap,
@@ -33,11 +35,13 @@ from arclift import (
     TruncatedSeries,
     arc_lift,
     check_congruence,
+    expand_around,
     laurent_divide,
     mod_q_reduce,
     strict_prepare,
     weierstrass_divide,
 )
+from arclift.jets import ModQVector
 
 from _helpers import acceptance_rings, random_nondegenerate
 
@@ -133,6 +137,29 @@ def test_congruence_correction_ignores_the_tails(ring):
         for _ in range(3):
             again = check_congruence(ArcPoint(NODE, [_with_tail(c, rng) for c in arc]))
             assert again[0].agrees(v1[0], v1[0].precision)
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_expansion_ignores_the_perturbation_tail(ring):
+    rng = random.Random(69)
+    # y1^3 + y1*y2 and y2^2 - 2*y1
+    g = PolyMap(("y1", "y2"), 0, [MultiPoly(2, {(3, 0): 1, (1, 1): 1}),
+                                  MultiPoly(2, {(0, 2): 1, (1, 0): -2})])
+    for _ in range(20):
+        d = rng.randrange(4)
+        low = [ring.random_element(rng) for _ in range(d)]
+        q, tq = MonicPoly(ring, low), MonicPoly(ring, [ring.zero] + low)
+        xbar = ModQVector(tq, [LowPoly(ring, d + 1, [ring.random_element(rng) for _ in range(d + 1)])
+                               for _ in range(2)])
+        k = d + 1 + rng.randrange(3)
+        xprime = [TruncatedSeries(ring, [ring.random_element(rng) for _ in range(k)], k)
+                  for _ in range(2)]
+        out = expand_around(g, q, xbar, xprime)
+        for _ in range(3):
+            again = expand_around(g, q, xbar, [_with_tail(x, rng) for x in xprime])
+            assert again.head == out.head
+            for mine, theirs in zip(out.tail, again.tail):
+                assert theirs.agrees(mine, mine.precision)
 
 
 def test_inexact_remainder_does_change_with_the_tail():
