@@ -14,20 +14,31 @@ blindly: each arc evaluates the table's degree-k entries with the weight
 exact divisibility by t*det^2 checked through Laurent division with a
 strict-factorization certificate.
 
+Evaluation runs on one plan per map, built with the Jacobian data
+(``polynomials.EvaluationPlan``): every polynomial in x that an arc reads
+(f, the adjugate, det, the Taylor coefficients and the adjugate remainder's
+coefficients adj * H) shares one monomial table per arc, each monomial one
+product, and a coefficient other than +-1 costs one O(N) ``scale``.  Each
+of them is evaluated when first read, so a lift never evaluates the
+Jacobian block itself.
+
 The correction v0 solves v + t*h(v) = v1 for the adjugate remainder h.
 ``fixed_point_solve`` does this by Newton iteration, whose Jacobian
 Id + t*Dh is the identity mod t: each round doubles the certified
-precision, works only at that precision and takes Dh from the partials of
-h's polynomials at half of it, so a lift to t^N evaluates h and Dh
-O(log N) times each.  Every round checks that its residual vanishes to the
-precision already certified, and the result is certified against v1 by
-one last evaluation at full precision.
+precision and works only at that precision.  h comes from the map's
+``CorrectionPlan``, which forms each term c*v^a as (c*v^(a-e_j))*v_j and
+returns Dh at half the precision from those cofactors, truncated, so a
+quadratic h costs Dh no series product; a lift to t^N evaluates h and Dh
+O(log N) times.  Identically zero entries of adj and Dh are skipped.
+Every round checks that its residual vanishes to the precision already
+certified, and the result is certified against v1 by one last evaluation
+at full precision.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, prod
 
@@ -42,7 +53,7 @@ from .errors import (
     PrecisionExhausted,
     ResidualNonzero,
 )
-from .polynomials import MultiPoly
+from .polynomials import EvaluationPlan, Monomials, MonomialTable, MultiPoly
 from .series import TruncatedSeries, laurent_divider, reduced_order
 
 
@@ -97,12 +108,21 @@ class PolyMap:
 class JacobianData:
     """Jacobian block in the moving coordinates, its adjugate, and det;
     ``taylor[i]`` is f_i(x + v) for v on the moving block, a MultiPoly in v
-    with MultiPoly coefficients in x, whose v^{e_j} entries are ``matrix[i]``."""
+    with MultiPoly coefficients in x, whose v^{e_j} entries are ``matrix[i]``;
+    ``remainder[i]`` is sum_j adjugate[i][j] * H_j, H_j the terms of degree
+    >= 2 of ``taylor[j]``, in the same form.
+
+    ``plan`` evaluates every polynomial in x above, and ``correction`` is
+    the solver's program for ``remainder`` in v; both follow from the
+    other fields."""
 
     matrix: tuple
     adjugate: tuple
     det: MultiPoly
     taylor: tuple
+    remainder: tuple
+    plan: EvaluationPlan = field(compare=False, repr=False)
+    correction: "CorrectionPlan" = field(compare=False, repr=False)
 
 
 def _mat_mul(a, b):
@@ -167,18 +187,49 @@ def jacobian_data(pm: PolyMap) -> JacobianData:
     det_id = tuple(tuple(det if i == j else zero for j in range(n)) for i in range(n))
     if _mat_mul(matrix, adj) != det_id or _mat_mul(adj, matrix) != det_id:
         raise RuntimeError("Cramer identity failed symbolically; this is a bug")
-    return JacobianData(matrix=matrix, adjugate=adj, det=det, taylor=taylor)
+    remainder = []
+    for row in adj:
+        terms = {}
+        for a_ij, table in zip(row, taylor):
+            if a_ij:  # an identically zero adjugate entry adds nothing
+                for a, coeff in table.terms.items():
+                    if sum(a) >= 2:
+                        terms[a] = terms[a] + a_ij * coeff if a in terms else a_ij * coeff
+        remainder.append(MultiPoly(n, terms))
+    coefficients = [c for table in taylor for a, c in table.terms.items() if sum(a) >= 2]
+    plan = EvaluationPlan(m, [
+        *pm.polys, *itertools.chain(*adj), det, *itertools.chain(*matrix), *coefficients,
+        *(c for r in remainder for c in r.terms.values()),
+    ])
+    return JacobianData(
+        matrix=matrix, adjugate=adj, det=det, taylor=taylor, remainder=tuple(remainder),
+        plan=plan, correction=CorrectionPlan(n, [r.terms for r in remainder]),
+    )
+
+
+def _evaluate(plan: EvaluationPlan, poly: MultiPoly, table: MonomialTable, ring, n):
+    """``plan.evaluate`` with int/Fraction coefficients as series mod t^n:
+    the only place where map coefficients enter the coefficient ring."""
+    return plan.evaluate(
+        poly,
+        table,
+        TruncatedSeries.constant(ring.zero, n),
+        lambda c: TruncatedSeries.constant(ring.from_fraction(c), n),
+        lambda x, c: x.scale(ring.from_fraction(c)),
+    )
+
+
+def _cut(values, n):
+    """The series cut to at most n known orders, so a term that is a bare
+    monomial keeps no order its constant-coefficient product would not."""
+    return [x.truncate(min(n, x.precision)) for x in values]
 
 
 def evaluate_along(poly: MultiPoly, values, n) -> TruncatedSeries:
     """A polynomial with int/Fraction coefficients at a vector of series,
-    mod t^n: the only place where map coefficients become constant series."""
-    ring = values[0].ring
-    return poly.evaluate_or(
-        values,
-        TruncatedSeries.constant(ring.zero, n),
-        embed=lambda c: TruncatedSeries.constant(ring.from_fraction(c), n),
-    )
+    mod t^n, by a one-polynomial ``EvaluationPlan``."""
+    plan = EvaluationPlan(len(values), [poly])
+    return _evaluate(plan, poly, MonomialTable(plan.monomials, _cut(values, n)), values[0].ring, n)
 
 
 class ArcPoint:
@@ -196,6 +247,7 @@ class ArcPoint:
         self.components = components
         self.ring = ring
         self.jacobian = pm.jacobian
+        self._evaluated = {}
 
     @property
     def precision(self):
@@ -204,38 +256,72 @@ class ArcPoint:
     def truncated(self, n):
         return ArcPoint(self.map, tuple(c.truncate(min(n, c.precision)) for c in self.components))
 
+    @cached_property
+    def _monomials(self) -> MonomialTable:
+        """The map plan's monomials along the arc, each filled when first read."""
+        return MonomialTable(self.jacobian.plan.monomials, _cut(self.components, self.precision))
+
     def _eval(self, poly: MultiPoly) -> TruncatedSeries:
-        return evaluate_along(poly, self.components, self.precision)
+        """A polynomial of the map's plan along the arc, at its precision;
+        equal polynomials are evaluated once."""
+        out = self._evaluated.get(poly)
+        if out is None:
+            out = self._evaluated[poly] = _evaluate(
+                self.jacobian.plan, poly, self._monomials, self.ring, self.precision
+            )
+        return out
+
+    @cached_property
+    def _weights(self):
+        return [None, self.det_at.shift(1).truncate(self.precision)]
+
+    def _weight(self, k) -> TruncatedSeries:
+        """(t*det)^k along the arc, for k >= 1."""
+        weights = self._weights
+        while len(weights) <= k:
+            weights.append(weights[-1] * weights[1])
+        return weights[k]
 
     @cached_property
     def values(self):
         """f(x), one series per equation."""
-        return tuple(self._eval(p) for p in self.map.polys)
+        return tuple(map(self._eval, self.map.polys))
 
     @cached_property
     def adjugate_at(self):
-        return tuple(tuple(self._eval(p) for p in row) for row in self.jacobian.adjugate)
+        return tuple(tuple(map(self._eval, row)) for row in self.jacobian.adjugate)
 
     @cached_property
     def jacobian_at(self):
-        return tuple(tuple(self._eval(p) for p in row) for row in self.jacobian.matrix)
+        return tuple(tuple(map(self._eval, row)) for row in self.jacobian.matrix)
 
     @cached_property
     def det_at(self) -> TruncatedSeries:
         return self._eval(self.jacobian.det)
+
+    @cached_property
+    def remainder_at(self):
+        """The coefficients of the adjugate remainder h along the arc, per
+        equation in the order of ``jacobian.remainder[i].terms``: the v^a
+        coefficient weighted by (t*det)^(|a|-2)."""
+        return tuple(
+            tuple(
+                self._eval(c) if sum(a) == 2 else self._eval(c) * self._weight(sum(a) - 2)
+                for a, c in r.terms.items()
+            )
+            for r in self.jacobian.remainder
+        )
 
     def __repr__(self):
         return f"ArcPoint({', '.join(map(repr, self.components))})"
 
 
 def _apply_matrix(mat, vec):
-    n = len(mat)
+    """mat * vec for series of one precision, skipping zero entries."""
     out = []
-    for i in range(n):
-        acc = mat[i][0] * vec[0]
-        for j in range(1, n):
-            acc = acc + mat[i][j] * vec[j]
-        out.append(acc)
+    for row in mat:
+        terms = [a * x for a, x in zip(row, vec) if a]
+        out.append(sum(terms[1:], terms[0]) if terms else row[0] * vec[0])
     return tuple(out)
 
 
@@ -252,57 +338,109 @@ def taylor_remainder(arc: ArcPoint):
     and evaluated along the arc, is weighted by (t*det)^{k-2}, so no series
     division ever happens.
     """
-    prec = arc.precision
-    tdet = arc.det_at.shift(1).truncate(prec)
-    weights = [None, tdet]  # weights[k] = (t*det)^k for k >= 1
     out = []
     for table in arc.jacobian.taylor:
         h = {}
         for a, coeff in table.terms.items():
             k = sum(a) - 2
-            if k < 0:
-                continue
-            while len(weights) <= k:
-                weights.append(weights[-1] * tdet)
-            h[a] = arc._eval(coeff) if k == 0 else arc._eval(coeff) * weights[k]
+            if k >= 0:
+                h[a] = arc._eval(coeff) if k == 0 else arc._eval(coeff) * arc._weight(k)
         out.append(MultiPoly(arc.map.n, h))
     return out
 
 
 def adjugate_remainder(arc: ArcPoint):
-    """adj(x) applied to the Taylor remainder: the self-map h of the solver."""
-    h = taylor_remainder(arc)
+    """adj(x) applied to the Taylor remainder: the self-map h of the solver,
+    as v-polynomials with series coefficients (``ArcPoint.remainder_at``)."""
     n = arc.map.n
-    adj = arc.adjugate_at
-    out = []
-    for i in range(n):
-        acc = MultiPoly(n, {})
-        for j in range(n):
-            if not h[j].is_zero():
-                acc = acc + h[j].map_coefficients(lambda s: s * adj[i][j])
-        out.append(acc)
-    return out
+    return [
+        MultiPoly(n, dict(zip(r.terms, cs)))
+        for r, cs in zip(arc.jacobian.remainder, arc.remainder_at)
+    ]
 
 
-def _eval_correction(polys, v):
-    """Evaluate v-polynomials (series coefficients) at a series vector."""
-    ring = v[0].ring
-    prec = min(x.precision for x in v)
-    zero = TruncatedSeries.constant(ring.zero, prec)
-    return tuple(p.evaluate_or(v, zero).truncate(prec) for p in polys)
+class CorrectionPlan:
+    """The solver's map h_i(v) = sum_a c_{i,a} v^a, for series coefficients
+    c, with its Jacobian, as one straight-line program in v.
+
+    Each term is formed as (c * v^(a-e_j)) * v_j, through j of highest
+    exponent and the ``Monomials`` shared by all terms; that cofactor,
+    truncated and times a_j, is the term's part of dh_i/dv_j, so those
+    partials cost no series product.  A term's partials in its other
+    variables cost one product each, at the precision of Dh.
+    """
+
+    __slots__ = ("n", "monomials", "terms")
+
+    def __init__(self, n, supports):
+        self.n = n
+        self.monomials = Monomials(n)
+        # per equation, per term: ((j, slot of a - e_j or None, a_j), ...) over
+        # the variables of a, the variable the term is formed through first
+        self.terms = tuple(tuple(self._parts(a) for a in support) for support in supports)
+
+    def _parts(self, a):
+        parts = [
+            (j, self.monomials.slot(a[:j] + (k - 1,) + a[j + 1:]) if sum(a) > 1 else None, k)
+            for j, k in enumerate(a)
+            if k
+        ]
+        return tuple(sorted(parts, key=lambda part: -part[2]))
+
+    def bind(self, coeffs):
+        """hd(v, k) = (h(v), Dh(v mod t^k)) for the coefficients coeffs[i]
+        of equation i, one series per term in the order of the plan's
+        supports and each known at least as far as v.  h(v) is known as far
+        as v; k = 0 asks for h alone, with None for Dh."""
+        n, monomials = self.n, self.monomials
+        rows = [tuple(zip(cs, parts)) for cs, parts in zip(coeffs, self.terms)]
+
+        def add(row, j, x, mult):
+            x = x if mult == 1 else x.scale(mult)
+            row[j] = x if row[j] is None else row[j] + x
+
+        def hd(v, k):
+            kh = min(x.precision for x in v)
+            v = tuple(x.truncate(kh) for x in v)
+            ring = v[0].ring
+            table = MonomialTable(monomials, v)
+            dh = [[None] * n for _ in range(n)] if k else None
+            hv = []
+            for i, row in enumerate(rows):
+                acc = None
+                for c, parts in row:
+                    if not parts:  # the constant term
+                        term = c.truncate(kh)
+                    else:
+                        (j, s, mult), *rest = parts
+                        cofactor = c if s is None else c * table[s]
+                        term = cofactor * v[j]
+                        if k:
+                            add(dh[i], j, cofactor.truncate(k), mult)
+                            for j, s, mult in rest:
+                                add(dh[i], j, c.truncate(k) * table[s].truncate(k), mult)
+                    acc = term if acc is None else acc + term
+                hv.append(TruncatedSeries(ring, [], kh) if acc is None else acc)
+            if k:
+                for row in dh:
+                    for j, x in enumerate(row):
+                        if x is None:  # identically zero
+                            row[j] = TruncatedSeries(ring, [], k)
+            return hv, dh
+
+        return hd
 
 
-def _correction_jacobian(polys):
-    """The map v -> Dh(v) for h = ``_eval_correction(polys, .)``: a term
-    c*v^a of h_i gives a_j*c*v^(a - e_j) to dh_i/dv_j."""
-    n = len(polys)
+def correction_map(polys):
+    """hd for h given as v-polynomials with series coefficients (as
+    ``adjugate_remainder`` returns them); see ``CorrectionPlan.bind``."""
+    plan = CorrectionPlan(len(polys), [p.terms for p in polys])
+    return plan.bind([tuple(p.terms.values()) for p in polys])
 
-    def partial(p, j):
-        lower = {a[:j] + (a[j] - 1,) + a[j + 1:]: (a[j], c) for a, c in p.terms.items() if a[j]}
-        return MultiPoly(n, {a: c.scale(k) if k > 1 else c for a, (k, c) in lower.items()})
 
-    rows = [[partial(p, j) for j in range(n)] for p in polys]
-    return lambda v: tuple(_eval_correction(row, v) for row in rows)
+def _correction_at(arc: ArcPoint):
+    """hd for the arc's adjugate remainder, on the map's ``CorrectionPlan``."""
+    return arc.jacobian.correction.bind(arc.remainder_at)
 
 
 def check_congruence(arc: ArcPoint):
@@ -344,7 +482,8 @@ def check_congruence(arc: ArcPoint):
 def _solve_near_identity(mat, rhs):
     """Solve mat * x = rhs for a series matrix with mat == Id mod t.
 
-    Plain elimination: every pivot stays 1 mod t, so it is a unit.
+    Plain elimination: every pivot stays 1 mod t, so it is a unit.  All
+    entries share one precision, so skipping the zero ones changes nothing.
     """
     n = len(rhs)
     a = [list(row) for row in mat]
@@ -353,42 +492,49 @@ def _solve_near_identity(mat, rhs):
     for k in range(n):
         inv.append(a[k][k].invert())
         for i in range(k + 1, n):
+            if not a[i][k]:  # nothing to eliminate
+                continue
             f = a[i][k] * inv[k]
             for j in range(k + 1, n):
-                a[i][j] = a[i][j] - f * a[k][j]
+                if a[k][j]:
+                    a[i][j] = a[i][j] - f * a[k][j]
             b[i] = b[i] - f * b[k]
     x = [None] * n
     for k in reversed(range(n)):
         acc = b[k]
         for j in range(k + 1, n):
-            acc = acc - a[k][j] * x[j]
+            if a[k][j]:
+                acc = acc - a[k][j] * x[j]
         x[k] = acc * inv[k]
     return x
 
 
-def fixed_point_solve(h, dh, v1, precision: int):
+def fixed_point_solve(hd, v1, precision: int):
     """The unique v0 with v0 + t*h(v0) = v1 mod t^precision, by Newton
     iteration on F(v) = v + t*h(v) - v1 with precision doubling.
 
     h must be a t-adic power-series map (h(v) mod t^k depends on v mod t^k
-    only) and dh(v)[i][j] its partial dh_i/dv_j.  Both are called on series
-    truncated to a working precision and must return n components (dh: n
-    rows of n), each known that far.
+    only).  ``hd(v, k)`` returns h(v), n components known as far as v, and
+    for k > 0 the partials dh_i/dv_j at v mod t^k, n rows of n known mod
+    t^k; k = 0 asks for h alone, and the second item is ignored.  The
+    solver calls it on series truncated to a working precision.
 
     Each round lifts v from certified mod t^p to certified mod t^q,
     q = min(2p, precision):
 
+    * one call of hd at v mod t^(q-1) with k = q-p-1 gives h(v) and Dh mod
+      t^(q-p-1), which depends only on v mod t^(q-p-1), so Id + t*Dh is
+      known mod t^(q-p);
     * the residual r = v1 - v - t*h(v) at precision q must vanish mod t^p
       (checked);
-    * Dh mod t^(q-p-1) depends only on v mod t^(q-p-1), so one call of dh
-      there gives Id + t*Dh mod t^(q-p);
     * (Id + t*Dh) e = r / t^p mod t^(q-p), and v <- v + t^p e.
 
-    So h is called ceil(log2 precision) + 1 times and dh at most
-    ceil(log2 precision) - 1 times, below the precision of h in its round.
-    A wrong dh leaves v right only mod t^(p+1), which a later check catches.
-    The last call evaluates h at the result at full precision and certifies
-    v0 + t*h(v0) = v1 mod t^precision coefficient by coefficient.
+    So hd is called ceil(log2 precision) + 1 times, and asks for Dh at
+    most ceil(log2 precision) - 1 times, below the precision of h in its
+    call.  A wrong Dh leaves v right only mod t^(p+1), which a later check
+    catches.  The last call evaluates h at the result at full precision
+    and certifies v0 + t*h(v0) = v1 mod t^precision coefficient by
+    coefficient.
     """
     v1 = tuple(v1)
     n = len(v1)
@@ -397,20 +543,21 @@ def fixed_point_solve(h, dh, v1, precision: int):
     if min(x.precision for x in v1) < precision:
         raise InsufficientPrecision("v1 is not known to the requested precision")
 
-    def h_at(v, k):
-        """h(v mod t^k) truncated to precision k; ``truncate`` raises
-        InsufficientPrecision if h returned fewer orders."""
-        out = tuple(h(tuple(x.truncate(k) for x in v)))
-        if len(out) != n:
-            raise ArityMismatch(f"h returned {len(out)} components for {n} equations")
-        return tuple(x.truncate(k) for x in out)
-
-    def dh_at(v, k):
-        """dh(v mod t^k), checked as ``h_at`` checks h."""
-        rows = tuple(map(tuple, dh(tuple(x.truncate(k) for x in v))))
+    def hd_at(v, kh, k):
+        """hd(v mod t^kh, k), with h truncated to precision kh and Dh to k;
+        ``truncate`` raises InsufficientPrecision where hd returned fewer
+        orders."""
+        hv, dh = hd(tuple(x.truncate(kh) for x in v), k)
+        hv = tuple(hv)
+        if len(hv) != n:
+            raise ArityMismatch(f"h returned {len(hv)} components for {n} equations")
+        hv = tuple(x.truncate(kh) for x in hv)
+        if not k:
+            return hv, None
+        rows = tuple(map(tuple, dh))
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ArityMismatch(f"dh must return {n} rows of {n} entries")
-        return tuple(tuple(x.truncate(k) for x in row) for row in rows)
+        return hv, tuple(tuple(x.truncate(k) for x in row) for row in rows)
 
     one = TruncatedSeries.from_ints(v1[0].ring, [1], precision)
     v = tuple(x.truncate(1) for x in v1)  # F(v) = v - v1 mod t
@@ -418,7 +565,7 @@ def fixed_point_solve(h, dh, v1, precision: int):
     while p < precision:
         q = min(2 * p, precision)
         v = tuple(x.pad(q) for x in v)
-        hv = h_at(v, q - 1)
+        hv, dh = hd_at(v, q - 1, q - p - 1)
         rho = []
         for i in range(n):
             r = v1[i].truncate(q) - v[i] - hv[i].shift(1)
@@ -428,18 +575,18 @@ def fixed_point_solve(h, dh, v1, precision: int):
                     "power-series map, dh is not its Jacobian, or this is a bug"
                 )
             rho.append(r.drop(p))
-        if q - p == 1:
-            eps = rho  # Id + t*Dh = Id mod t
+        if dh is None:
+            eps = rho  # q - p == 1: Id + t*Dh = Id mod t
         else:
             # mat = Id + t*Dh(v) mod t^(q-p): a sum keeps the lower precision
             mat = [
                 [x.shift(1) + one if i == j else x.shift(1) for j, x in enumerate(row)]
-                for i, row in enumerate(dh_at(v, q - p - 1))
+                for i, row in enumerate(dh)
             ]
             eps = _solve_near_identity(mat, rho)
         v = tuple(v[i] + eps[i].shift(p) for i in range(n))
         p = q
-    hv = h_at(v, precision)
+    hv, _ = hd_at(v, precision, 0)
     for i in range(n):
         if not (v[i] + hv[i].shift(1).truncate(precision)).agrees(v1[i], precision):
             raise RuntimeError(
@@ -452,8 +599,7 @@ def fixed_point_solve(h, dh, v1, precision: int):
 def congruence_forward(arc: ArcPoint, v0):
     """Push a solved correction to its congruence correction:
     v1 = v0 + t * adj(x; H(x; v0))."""
-    polys = adjugate_remainder(arc)
-    hv = _eval_correction(polys, tuple(v0))
+    hv, _ = _correction_at(arc)(tuple(v0), 0)
     prec = min(min(x.precision for x in v0), min(x.precision for x in hv) + 1)
     return tuple(
         v0[i].truncate(prec) + hv[i].shift(1).truncate(prec) for i in range(len(hv))
@@ -481,12 +627,7 @@ def arc_lift(arc: ArcPoint, working_precision=None) -> LiftResult:
         arc = arc.truncated(working_precision)
     v1 = check_congruence(arc)
     out_prec = min(x.precision for x in v1)
-    polys = adjugate_remainder(arc)
-
-    def h(v):
-        return _eval_correction(polys, v)
-
-    v0 = fixed_point_solve(h, _correction_jacobian(polys), v1, out_prec)
+    v0 = fixed_point_solve(_correction_at(arc), v1, out_prec)
     det_series = arc.det_at
     pm = arc.map
     new_components = list(arc.components)

@@ -3,10 +3,11 @@
 Coefficients only need ``+``, ``*``, unary ``-`` and truthiness (falsy means
 zero), so the same class serves integer-coefficient equation systems,
 polynomials over the exact rings, and polynomials in correction variables
-whose coefficients are whole truncated series.  ``evaluate_or`` is the one
-evaluator; ``newton.evaluate_along`` wraps it for a map's int/Fraction
-polynomials along series, and is the only caller in the package that
-embeds coefficients.
+whose coefficients are whole truncated series.  ``evaluate_or`` evaluates
+one polynomial term by term.  ``EvaluationPlan`` evaluates several at once
+as a straight-line program over one ``MonomialTable``, so each monomial
+costs one product however many polynomials use it; ``newton`` builds one
+per map for its evaluations along series.
 
 Terms are stored sparsely as ``{exponent tuple: coefficient}`` with zero
 coefficients omitted; printing orders monomials by total degree then
@@ -123,9 +124,6 @@ class MultiPoly:
             total = term if total is None else total + term
         return zero if total is None else total
 
-    def map_coefficients(self, fn):
-        return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=_term_key)
 
@@ -160,3 +158,92 @@ class MultiPoly:
     def __repr__(self):
         names = [f"v{i}" for i in range(self.nvars)]
         return self.format(names)
+
+
+class Monomials:
+    """The monomials of a straight-line program in ``nvars`` variables
+    (Burgisser, Clausen and Shokrollahi, *Algebraic Complexity Theory*,
+    1997, ch. 4): slots 0..nvars-1 hold the variables, and ``steps[k] =
+    (parent, j)`` makes slot nvars + k the parent slot's monomial times
+    variable j, so each monomial of degree >= 2 is one product."""
+
+    __slots__ = ("nvars", "steps", "_slots")
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self.steps = []
+        self._slots = {tuple(int(i == j) for i in range(nvars)): j for j in range(nvars)}
+
+    def slot(self, exps):
+        """The slot of the monomial with exponents ``exps`` (degree >= 1),
+        added with its missing divisors; a parent already present is
+        preferred, else the last variable is split off."""
+        s = self._slots.get(exps)
+        if s is None:
+            lower = [(exps[:j] + (k - 1,) + exps[j + 1:], j) for j, k in enumerate(exps) if k]
+            parent, j = next((p for p in lower if p[0] in self._slots), lower[-1])
+            parent = self.slot(parent)
+            s = self._slots[exps] = self.nvars + len(self.steps)
+            self.steps.append((parent, j))
+        return s
+
+
+class MonomialTable:
+    """The values of a ``Monomials`` at ``values``, each computed on first
+    read and kept."""
+
+    __slots__ = ("steps", "nvars", "values")
+
+    def __init__(self, monomials: Monomials, values):
+        if len(values) != monomials.nvars:
+            raise ArityMismatch(f"expected {monomials.nvars} values, got {len(values)}")
+        self.steps = monomials.steps
+        self.nvars = monomials.nvars
+        self.values = list(values) + [None] * len(self.steps)
+
+    def __getitem__(self, s):
+        x = self.values[s]
+        if x is None:
+            parent, j = self.steps[s - self.nvars]
+            x = self.values[s] = self[parent] * self.values[j]
+        return x
+
+
+class EvaluationPlan:
+    """Several polynomials with scalar coefficients in the same variables
+    as one straight-line program over shared ``monomials``.  A coefficient
+    of +-1 becomes an addition or a subtraction and any other one a
+    ``scale``; equal polynomials share one program."""
+
+    __slots__ = ("monomials", "programs")
+
+    def __init__(self, nvars, polys):
+        self.monomials = Monomials(nvars)
+        self.programs = {}
+        for p in polys:
+            if p.nvars != nvars:
+                raise ArityMismatch(f"expected {p.nvars} values, got {nvars}")
+            if p not in self.programs:
+                self.programs[p] = tuple(
+                    (self.monomials.slot(e) if any(e) else None, c, (c == 1) - (c == -1))
+                    for e, c in p.sorted_terms()
+                )
+
+    def evaluate(self, poly, table: MonomialTable, zero, constant, scale):
+        """``poly`` (one of the plan's) at the values behind ``table``:
+        ``constant(c)`` is the constant term c, ``scale(x, c)`` is c times
+        the monomial value x, and the zero polynomial is ``zero``.
+        Coefficients are taken in ``sorted_terms`` order."""
+        total = None
+        for s, c, sign in self.programs[poly]:
+            if s is None:
+                term, sign = constant(c), 1
+            else:
+                term = table[s]
+                if not sign:
+                    term, sign = scale(term, c), 1
+            if total is None:
+                total = term if sign > 0 else -term
+            else:
+                total = total + term if sign > 0 else total - term
+        return zero if total is None else total

@@ -19,8 +19,8 @@ one Fraction per coefficient; canonical payloads over scale 1 for Artinian
 rings and the colimit models in ``pathology`` (``PayloadRing``).  Besides
 ``integer_form``/``from_integer_form`` (payloads to form and back) and
 ``canonical_form``, the series operations ask a ring for three hooks:
-``item_ring``, whose payload operations add, negate and compare items
-(plain ints for Fp, Z/n and Q, the ring itself for payload rings);
+``item_ring``, whose payload operations add, negate, multiply and compare
+items (plain ints for Fp, Z/n and Q, the ring itself for payload rings);
 ``convolve``, the product of two item lists (``_int_product``, slices by
 monomial on the base ring's integer form for Artinian rings, payload
 products for colimit models); and ``invert_series``, the inverse of a
@@ -223,7 +223,7 @@ def _residues(ints, scale, m):
     return [c * f % m for c in ints]
 
 
-INT_ITEMS = SimpleNamespace(payload_add=add, payload_sub=sub, payload_neg=neg,
+INT_ITEMS = SimpleNamespace(payload_add=add, payload_sub=sub, payload_neg=neg, payload_mul=mul,
                             payload_is_zero=not_, payload_eq=eq, payload_from_int=int)
 """The item arithmetic of the series forms of Fp, Z/n and Q: plain ints,
 which ``canonical_form`` reduces once per operation."""
@@ -332,8 +332,8 @@ class Ring:
 
     # -- series forms (see the module docstring) -------------------------
     item_ring = INT_ITEMS
-    """What adds, subtracts, negates, compares and pads the items of this
-    ring's series forms, by its ``payload_*`` operations."""
+    """What adds, subtracts, negates, multiplies, compares and pads the
+    items of this ring's series forms, by its ``payload_*`` operations."""
 
     def integer_form(self, payloads):
         """The canonical series form ``(items, scale)`` of the payloads,

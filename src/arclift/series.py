@@ -217,8 +217,22 @@ class TruncatedSeries:
         )
 
     def scale(self, c: RingElement):
+        """c times the series, for c in the ring or an int: each item times
+        the item of c's own series form, over the product of the scales.
+        As in ``Ring.convolve``, a zero factor leaves a zero item, so the
+        result is the product with the constant series c, form and all."""
         ring = self.ring
-        return self * TruncatedSeries.constant(ring.element(_payload(ring, c)), self.precision)
+        (ci,), cs = ring.integer_form([_payload(ring, c)])
+        items, scale = self.form
+        item_ring = ring.item_ring
+        mul, is_zero = item_ring.payload_mul, item_ring.payload_is_zero
+        zero = item_ring.payload_from_int(0)
+        if is_zero(ci):
+            items = [zero] * len(items)
+        else:
+            items = [zero if is_zero(x) else mul(ci, x) for x in items]
+        items, scale = ring.canonical_form(items, scale * cs)
+        return TruncatedSeries._of_form(ring, items, scale, self.precision)
 
     def shift(self, k):
         """Multiply by t^k (k >= 0); gains k orders of precision."""

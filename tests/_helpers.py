@@ -33,6 +33,16 @@ def schoolbook_product(a, b, ring):
     return out
 
 
+def solver_map(h, dh):
+    """``fixed_point_solve``'s hd from h and a separate Jacobian map dh,
+    which gets v mod t^k."""
+
+    def hd(v, k):
+        return h(v), (dh(tuple(x.truncate(k) for x in v)) if k else None)
+
+    return hd
+
+
 def acceptance_rings():
     """The six coefficient rings the acceptance criteria quantify over."""
     f5 = PrimeFieldRing(5)

@@ -36,7 +36,7 @@ from arclift import (
     weierstrass_divide,
     xy_arc_counterexample,
 )
-from arclift.newton import _correction_jacobian, _eval_correction, adjugate_remainder
+from arclift.newton import adjugate_remainder, correction_map
 
 from _helpers import (
     acceptance_rings,
@@ -45,6 +45,7 @@ from _helpers import (
     gf_matrix_rank,
     random_nondegenerate,
     reconstruct_factorization,
+    solver_map,
     strict_by_linear_system,
 )
 
@@ -155,7 +156,8 @@ def test_criterion_4_fiber_dimensions_exhaustive():
 def test_criterion_5_fixed_point_catalan():
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1], 10),)
-    (v0,) = fixed_point_solve(lambda v: (v[0] * v[0],), lambda v: ((v[0] + v[0],),), v1, 10)
+    hd = solver_map(lambda v: (v[0] * v[0],), lambda v: ((v[0] + v[0],),))
+    (v0,) = fixed_point_solve(hd, v1, 10)
     cs = catalan_numbers(10)
     expected = [(-1) ** k * cs[k] for k in range(10)]
     ok = expected == [1, -1, 2, -5, 14, -42, 132, -429, 1430, -4862]
@@ -211,12 +213,7 @@ def test_criterion_7_forward_map_roundtrip():
         _cusp_map(),
         (TruncatedSeries.t_power(q, 2, 16), TruncatedSeries.from_ints(q, [0, 0, 0, 1, 1], 16)),
     )
-    polys = adjugate_remainder(arc)
-
-    def h(v):
-        return _eval_correction(polys, v)
-
-    dh = _correction_jacobian(polys)
+    hd = correction_map(adjugate_remainder(arc))
     rng = random.Random(20240807)
     ok = True
     for _ in range(100):
@@ -228,7 +225,7 @@ def test_criterion_7_forward_map_roundtrip():
             ),
         )
         v1 = congruence_forward(arc, v0)
-        back = fixed_point_solve(h, dh, v1, min(x.precision for x in v1))
+        back = fixed_point_solve(hd, v1, min(x.precision for x in v1))
         ok = ok and back[0].agrees(v0[0])
     _report(7, "100 random corrections roundtrip through forward map and fixed-point solve", ok)
 

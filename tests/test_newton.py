@@ -26,9 +26,9 @@ from arclift import (
     newton,
     taylor_remainder,
 )
-from arclift.newton import _correction_jacobian
+from arclift.newton import correction_map
 
-from _helpers import catalan_numbers
+from _helpers import catalan_numbers, solver_map
 
 
 def cusp_map():
@@ -287,19 +287,18 @@ def zero_jacobian(v):
 def test_fixed_point_trivial_cases():
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1, 2, 3], 8),)
-    out = fixed_point_solve(
-        lambda v: (TruncatedSeries.constant(q.zero, 8),), zero_jacobian, v1, 8
-    )
+    hd = solver_map(lambda v: (TruncatedSeries.constant(q.zero, 8),), zero_jacobian)
+    out = fixed_point_solve(hd, v1, 8)
     assert out[0] == v1[0].truncate(8)
     zero = (TruncatedSeries.constant(q.zero, 8),)
-    out = fixed_point_solve(square, double, zero, 8)
+    out = fixed_point_solve(solver_map(square, double), zero, 8)
     assert out[0].is_zero()
 
 
 def test_fixed_point_generates_signed_catalan_numbers():
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1], 10),)
-    (v0,) = fixed_point_solve(square, double, v1, 10)
+    (v0,) = fixed_point_solve(solver_map(square, double), v1, 10)
     cs = catalan_numbers(10)
     expected = [(-1) ** k * cs[k] for k in range(10)]
     assert v0 == TruncatedSeries.from_ints(q, expected, 10)
@@ -322,18 +321,14 @@ def random_series(ring, precision, rng):
     return TruncatedSeries(ring, [ring.random_element(rng) for _ in range(precision)])
 
 
-def random_polynomial_h(ring, n, precision, rng):
-    """A random quadratic h: R[[t]]^n -> R[[t]]^n with series coefficients,
-    evaluated term by term here, and its Jacobian map from
-    ``_correction_jacobian`` on the same polynomials."""
-    monomials = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
-    polys = [
-        {
-            e: random_series(ring, precision, rng)
-            for e in rng.sample(monomials, min(len(monomials), 4))
-        }
-        for _ in range(n)
-    ]
+def random_polynomial_h(ring, n, precision, rng, monomials=None):
+    """A random h: R[[t]]^n -> R[[t]]^n with series coefficients, of degree
+    <= 2 unless ``monomials`` lists each equation's exponents, evaluated
+    term by term here, and ``correction_map`` on the same polynomials."""
+    if monomials is None:
+        choices = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+        monomials = [rng.sample(choices, min(len(choices), 4)) for _ in range(n)]
+    polys = [{e: random_series(ring, precision, rng) for e in exps} for exps in monomials]
 
     def h(v):
         k = min(x.precision for x in v)
@@ -349,7 +344,7 @@ def random_polynomial_h(ring, n, precision, rng):
             out.append(acc)
         return tuple(out)
 
-    return h, _correction_jacobian([MultiPoly(n, terms) for terms in polys])
+    return h, correction_map([MultiPoly(n, terms) for terms in polys])
 
 
 def probe_jacobian(h, v, k):
@@ -376,14 +371,14 @@ def probe_jacobian(h, v, k):
 def test_correction_jacobian_matches_probe_differences(ring, n):
     rng = random.Random(50 + n)
     for k in (1, 2, 7, 20):
-        h, dh = random_polynomial_h(ring, n, 2 * k + 1, rng)
+        h, hd = random_polynomial_h(ring, n, 2 * k + 1, rng)
         v = tuple(random_series(ring, 2 * k + 1, rng) for _ in range(n))
         expected = probe_jacobian(h, v, k)
-        assert dh(tuple(x.truncate(k) for x in v)) == expected
+        hv, dh = hd(v, k)
+        assert tuple(hv) == h(v)
+        assert tuple(map(tuple, dh)) == expected
         # Dh mod t^k reads v mod t^k only
-        assert all(
-            x.truncate(k) == y for row, exp in zip(dh(v), expected) for x, y in zip(row, exp)
-        )
+        assert tuple(map(tuple, hd(tuple(x.truncate(k) for x in v), k)[1])) == expected
 
 
 @pytest.mark.parametrize(
@@ -396,35 +391,30 @@ def test_correction_jacobian_matches_probe_differences(ring, n):
 def test_fixed_point_matches_contraction_oracle(ring, n, precision):
     rng = random.Random(1000 * n + precision)
     for _ in range(2 if precision < 64 else 1):
-        h, dh = random_polynomial_h(ring, n, precision, rng)
+        h, hd = random_polynomial_h(ring, n, precision, rng)
         v1 = tuple(random_series(ring, precision, rng) for _ in range(n))
-        assert fixed_point_solve(h, dh, v1, precision) == contraction_solve(h, v1, precision)
+        assert fixed_point_solve(hd, v1, precision) == contraction_solve(h, v1, precision)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_fixed_point_calls_h_logarithmically(n):
     ring = PrimeFieldRing(5)
     rng = random.Random(7)
-    inner_h, inner_dh = random_polynomial_h(ring, n, 128, rng)
+    _, inner = random_polynomial_h(ring, n, 128, rng)
     calls = []
 
-    def h(v):
-        calls.append(("h", min(x.precision for x in v)))
-        return inner_h(v)
-
-    def dh(v):
-        calls.append(("dh", min(x.precision for x in v)))
-        return inner_dh(v)
+    def hd(v, k):
+        calls.append((min(x.precision for x in v), k))
+        return inner(v, k)
 
     v1 = tuple(random_series(ring, 128, rng) for _ in range(n))
-    fixed_point_solve(h, dh, v1, 128)
-    h_calls = [k for name, k in calls if name == "h"]
-    assert len(h_calls) == 7 + 1  # ceil(log2 128) = 7 rounds, then the certificate
-    assert h_calls[-1] == 128 and max(h_calls[:-1]) < 128
-    dh_at = [i for i, (name, _) in enumerate(calls) if name == "dh"]
+    fixed_point_solve(hd, v1, 128)
+    assert len(calls) == 7 + 1  # ceil(log2 128) = 7 rounds, then the certificate
+    assert calls[-1] == (128, 0) and max(kh for kh, _ in calls[:-1]) < 128
+    dh_at = [k for _, k in calls if k]
     assert 0 < len(dh_at) <= 7 - 1
-    for i in dh_at:  # each round calls h first, then dh below its precision
-        assert calls[i - 1][0] == "h" and calls[i][1] < calls[i - 1][1]
+    for kh, k in calls:  # Dh is asked for below the precision of h
+        assert k < kh
 
 
 def test_fixed_point_final_certificate_can_fail():
@@ -437,7 +427,7 @@ def test_fixed_point_final_certificate_can_fail():
         return (TruncatedSeries.t_power(q, 6, k) if k == 8 else TruncatedSeries(q, [], k),)
 
     with pytest.raises(RuntimeError, match="Newton certificate failed"):
-        fixed_point_solve(h, zero_jacobian, (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
+        fixed_point_solve(solver_map(h, zero_jacobian), (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
 
 
 def test_fixed_point_residual_certificate_can_fail():
@@ -450,20 +440,20 @@ def test_fixed_point_residual_certificate_can_fail():
         return (TruncatedSeries.t_power(q, k - 1, k),)
 
     with pytest.raises(RuntimeError, match="residual"):
-        fixed_point_solve(h, zero_jacobian, (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
+        fixed_point_solve(solver_map(h, zero_jacobian), (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
 
 
 def test_fixed_point_validates_h():
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1, 2], 8),) * 2
     with pytest.raises(ArityMismatch):
-        fixed_point_solve(lambda v: (v[0],), zero_jacobian, v1, 8)
+        fixed_point_solve(solver_map(lambda v: (v[0],), zero_jacobian), v1, 8)
     with pytest.raises(ArityMismatch):
-        fixed_point_solve(lambda v: v + v, zero_jacobian, v1, 8)
+        fixed_point_solve(solver_map(lambda v: v + v, zero_jacobian), v1, 8)
     with pytest.raises(InsufficientPrecision):
-        fixed_point_solve(lambda v: tuple(x.truncate(1) for x in v), zero_jacobian, v1, 8)
+        fixed_point_solve(solver_map(lambda v: tuple(x.truncate(1) for x in v), zero_jacobian), v1, 8)
     with pytest.raises(ArityMismatch):
-        fixed_point_solve(lambda v: v, zero_jacobian, (), 8)
+        fixed_point_solve(solver_map(lambda v: v, zero_jacobian), (), 8)
 
 
 def test_fixed_point_validates_dh():
@@ -476,17 +466,17 @@ def test_fixed_point_validates_dh():
     def dh(v):
         return (v[1], v[0]), (zero_jacobian(v)[1][0], v[1] + v[1])
 
-    assert fixed_point_solve(h, dh, v1, 8) == contraction_solve(h, v1, 8)
+    assert fixed_point_solve(solver_map(h, dh), v1, 8) == contraction_solve(h, v1, 8)
     with pytest.raises(ArityMismatch):  # one row for two equations
-        fixed_point_solve(h, lambda v: dh(v)[:1], v1, 8)
+        fixed_point_solve(solver_map(h, lambda v: dh(v)[:1]), v1, 8)
     with pytest.raises(ArityMismatch):  # rows of one entry
-        fixed_point_solve(h, lambda v: tuple(row[:1] for row in dh(v)), v1, 8)
+        fixed_point_solve(solver_map(h, lambda v: tuple(row[:1] for row in dh(v))), v1, 8)
 
     def short(v):  # entries known mod t only
         return tuple(tuple(x.truncate(1) for x in row) for row in dh(v))
 
     with pytest.raises(InsufficientPrecision):
-        fixed_point_solve(h, short, v1, 8)
+        fixed_point_solve(solver_map(h, short), v1, 8)
 
 
 @pytest.mark.parametrize("precision", [8, 10, 64])
@@ -496,7 +486,49 @@ def test_fixed_point_wrong_jacobian_fails_the_residual_certificate(precision):
     q = RationalRing()
     v1 = (TruncatedSeries.from_ints(q, [1], precision),)
     with pytest.raises(RuntimeError, match="residual"):
-        fixed_point_solve(square, zero_jacobian, v1, precision)
+        fixed_point_solve(solver_map(square, zero_jacobian), v1, precision)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [RationalRing(), PrimeFieldRing(5), IntegersMod(27), ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2)],
+    ids=repr,
+)
+@pytest.mark.parametrize(
+    "shape, monomials",
+    [
+        ("diagonal", [[(2, 0)], [(0, 2)]]),  # the space curve's h
+        ("lower", [[(2, 0), (1, 0), (3, 0)], [(1, 1), (2, 0), (0, 2), (0, 0)]]),
+    ],
+)
+def test_fixed_point_on_diagonal_and_lower_triangular_systems(ring, shape, monomials):
+    rng = random.Random(len(shape))
+    for precision in (2, 9, 33, 64):
+        h, hd = random_polynomial_h(ring, 2, precision, rng, monomials)
+        v1 = tuple(random_series(ring, precision, rng) for _ in range(2))
+        assert fixed_point_solve(hd, v1, precision) == contraction_solve(h, v1, precision)
+        k = (precision - 1) // 2
+        if k:
+            v = tuple(random_series(ring, precision, rng) for _ in range(2))
+            _, dh = hd(v, k)
+            assert tuple(map(tuple, dh)) == probe_jacobian(h, v, k)
+            assert dh[0][1].is_zero() and (shape == "lower" or dh[1][0].is_zero())
+
+
+@pytest.mark.parametrize("precision", [8, 64])
+def test_fixed_point_with_a_wrong_dh_from_its_plan_fails_the_residual_certificate(precision):
+    q = RationalRing()
+    hd = correction_map([MultiPoly(1, {(2,): TruncatedSeries.from_ints(q, [1], precision)})])
+
+    def doubled(v, k):  # h = v^2 right, Dh = 4v wrong
+        hv, dh = hd(v, k)
+        return hv, dh and [[x + x for x in row] for row in dh]
+
+    v1 = (TruncatedSeries.from_ints(q, [1], precision),)
+    (v0,) = fixed_point_solve(hd, v1, precision)  # signed Catalan numbers
+    assert v0 == TruncatedSeries.from_ints(q, [(-1) ** k * c for k, c in enumerate(catalan_numbers(precision))])
+    with pytest.raises(RuntimeError, match="residual"):
+        fixed_point_solve(doubled, v1, precision)
 
 
 def test_jacobian_data_is_cached_per_map(monkeypatch):
@@ -524,18 +556,13 @@ def test_degenerate_map_raises_on_every_access():
 def test_forward_then_solve_roundtrips(ring):
     rng = random.Random(31)
     arc = cusp_arc(ring, [0, 0, 0, 1, 1], 16)
-    from arclift.newton import adjugate_remainder, _eval_correction
+    from arclift.newton import adjugate_remainder
 
-    polys = adjugate_remainder(arc)
-
-    def h(v):
-        return _eval_correction(polys, v)
-
-    dh = _correction_jacobian(polys)
+    hd = correction_map(adjugate_remainder(arc))
     for _ in range(30):
         v0 = (TruncatedSeries(ring, [ring.random_element(rng) for _ in range(10)], 12),)
         v1 = congruence_forward(arc, v0)
-        back = fixed_point_solve(h, dh, v1, min(x.precision for x in v1))
+        back = fixed_point_solve(hd, v1, min(x.precision for x in v1))
         assert back[0].agrees(v0[0])
 
 

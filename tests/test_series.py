@@ -16,6 +16,7 @@ from arclift import (
     PrimeFieldRing,
     RationalRing,
     RingElement,
+    MultiPoly,
     TruncatedSeries,
     arc_kernel_ring,
     fixed_point_solve,
@@ -24,10 +25,11 @@ from arclift import (
     reduced_order,
 )
 from arclift import rings
+from arclift.newton import correction_map
 from arclift.rings import KRONECKER_MIN_TERMS, Ring
 from arclift.weierstrass import divide_by_monic, poly_mul
 
-from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product
+from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product, solver_map
 
 
 def F5eps():
@@ -789,11 +791,97 @@ def test_fixed_point_solve_wraps_per_round_not_per_coefficient(ring, monkeypatch
     for n in (16, 64):
         rng = random.Random(n)
         v1 = (_random_series(ring, rng, n), _random_series(ring, rng, n))
-        counts[n] = _count_wrappers(monkeypatch, lambda: fixed_point_solve(h, dh, v1, n))
+        counts[n] = _count_wrappers(monkeypatch, lambda: fixed_point_solve(solver_map(h, dh), v1, n))
     # Wrappers come only from each round's pivot inverses: 3 rounds solve
     # a system at N=16 (the first needs none) and 5 at N=64, so the count
     # per round must not depend on N.
     assert counts[16] > 0 and counts[16] * 5 == counts[64] * 3
+
+
+def _count_products(monkeypatch, fn):
+    """How many series products fn() runs."""
+    count = [0]
+    mul = TruncatedSeries.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    with monkeypatch.context() as m:
+        m.setattr(TruncatedSeries, "__mul__", counting)
+        fn()
+    return count[0]
+
+
+@pytest.mark.parametrize("ring", WRAPPER_RINGS, ids=repr)
+def test_correction_jacobian_of_a_quadratic_h_runs_no_product(ring, monkeypatch):
+    rng = random.Random(9)
+    n = 32
+    c = [_random_series(ring, rng, n) for _ in range(4)]
+    v = (_random_series(ring, rng, n), _random_series(ring, rng, n))
+    # the space curve's shape, with a linear and a constant term
+    hd = correction_map(
+        [MultiPoly(2, {(2, 0): c[0], (1, 0): c[1]}), MultiPoly(2, {(0, 2): c[2], (0, 0): c[3]})]
+    )
+    counts = [_count_products(monkeypatch, lambda: hd(v, k)) for k in (0, 1, 15, 31)]
+    assert counts == [5] * 4  # c0*v0*v0, c1*v0, c2*v1*v1
+    _, dh = hd(v, 15)
+    assert dh[0][1].is_zero() and dh[1][0].is_zero()
+    # a mixed term's partial in its second variable is one product, at the
+    # precision of Dh
+    hd = correction_map([MultiPoly(2, {(1, 1): c[0]}), MultiPoly(2, {(0, 2): c[1]})])
+    assert [_count_products(monkeypatch, lambda: hd(v, k)) for k in (0, 15)] == [4, 5]
+
+
+def test_scale_runs_no_product(monkeypatch):
+    q = RationalRing()
+    x = TruncatedSeries.from_ints(q, [1, 2, 3], 3)
+    assert _count_products(monkeypatch, lambda: x.scale(q.element(Fraction(2, 3)))) == 0
+
+
+def _scale_cases():
+    q, z9, eps_ring = RationalRing(), IntegersMod(9), F5eps()
+    eps = eps_ring.generators()["eps"]
+    art = ArtinianLocalRing(q, ["a", "b"], 3)
+    a, b = art.generators()["a"], art.generators()["b"]
+    kernel = arc_kernel_ring(PrimeFieldRing(5))
+    cases = [
+        (PrimeFieldRing(5), 3),
+        (q, q.element(Fraction(-3, 4))),
+        (q, q.element(Fraction(5, 3))),
+        (q, 6),
+        (z9, z9.from_int(3)),  # a zero divisor
+        (z9, 7),
+        (eps_ring, eps + eps),  # nilpotent
+        (eps_ring, eps_ring.one + eps),
+        (art, a * b + a.ring.from_fraction(Fraction(1, 2)) * a),  # nilpotent, with a fraction
+        (kernel, kernel.x(3) + kernel.q0()),  # raises level-0 items to level 3
+    ]
+    rings_seen = []
+    for ring, _ in cases:
+        if ring not in rings_seen:
+            rings_seen.append(ring)
+    return cases + [(ring, ring.zero) for ring in rings_seen] + [(ring, 0) for ring in rings_seen]
+
+
+def _scale_operand(ring, rng):
+    try:
+        return ring.random_element(rng)
+    except NotImplementedError:  # colimit rings: levels 0 and 1, and zeros
+        return rng.choice([ring.zero, ring.one, ring.q0(), ring.x(1), ring.q0() * ring.x(1)])
+
+
+@pytest.mark.parametrize("ring, c", _scale_cases(), ids=repr)
+def test_scale_matches_the_product_with_a_constant_series(ring, c):
+    rng = random.Random(12)
+    element = c if isinstance(c, RingElement) else ring.from_int(c)
+    for n in (1, 2, 9, 40):
+        x = TruncatedSeries(ring, [_scale_operand(ring, rng) for _ in range(n)], n)
+        want = x * TruncatedSeries.constant(element, n)
+        got = x.scale(c)
+        assert got.precision == n and got.form == want.form
+        assert got == want and repr(got) == repr(want)
+        assert x * element == want
 
 
 @pytest.mark.parametrize("ring", WRAPPER_RINGS, ids=repr)
@@ -861,7 +949,9 @@ def test_fixed_point_solve_over_q_builds_fractions_per_round_not_per_coefficient
     for n in (16, 32, 64):
         rng = random.Random(n)
         v1 = (_random_series(q, rng, n), _random_series(q, rng, n))
-        counts[n] = _count_fractions(monkeypatch, lambda: fixed_point_solve(h, dh, v1, n))
+        counts[n] = _count_fractions(
+            monkeypatch, lambda: fixed_point_solve(solver_map(h, dh), v1, n)
+        )
     # Series stay in integer form: Fractions come only from each round's
     # pivot inverses and the constant in dh, so each doubling of N adds one
     # round and the same number of Fractions.

@@ -30,7 +30,7 @@ from arclift import (  # noqa: E402
     TruncatedSeries,
     arc_lift,
 )
-from arclift.newton import _correction_jacobian, adjugate_remainder  # noqa: E402
+from arclift.newton import adjugate_remainder, correction_map  # noqa: E402
 from arclift.weierstrass import divide_by_monic  # noqa: E402
 from sympy.polys.ring_series import rs_series_inversion  # noqa: E402
 from sympy.polys.rings import ring as ring_series_ring  # noqa: E402
@@ -343,7 +343,7 @@ def test_sheared_space_curve_lift_residual_vanishes(name):
     arc = _sheared(ring, _arc(ring, (2, 3, 5), 9, [[1, 2], [3]], 34))
     polys = adjugate_remainder(ArcPoint(SHEARED, [_series(ring, c) for c in arc]))
     v = tuple(_series(ring, [1] * 34) for _ in range(2))
-    jac = _correction_jacobian(polys)(v)
+    _, jac = correction_map(polys)(v, 34)
     assert not jac[0][1].is_zero()
 
     @settings(SETTINGS, max_examples=6)
