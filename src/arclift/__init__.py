@@ -41,7 +41,6 @@ from .newton import (
     congruence_forward,
     fixed_point_solve,
     jacobian_data,
-    taylor_remainder,
 )
 from .pathology import (
     arc_kernel_ring,

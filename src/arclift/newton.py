@@ -9,30 +9,30 @@ B, whose adjugate satisfies B * adj = adj * B = det * Id; its entries of
 degree >= 2 are the remainder H.
 
 The pipeline works with truncated series throughout and never divides
-blindly: each arc evaluates the table's degree-k entries with the weight
-(t*det)^(k-2) explicitly, which makes the key congruence a statement about
-exact divisibility by t*det^2 checked through Laurent division with a
-strict-factorization certificate.
+blindly: each arc evaluates the degree-k coefficients of the adjugate
+remainder adj * H with the weight (t*det)^(k-2) explicitly, which makes the
+key congruence a statement about exact divisibility by t*det^2 checked
+through Laurent division with a strict-factorization certificate.
 
 Evaluation runs on one plan per map, built with the Jacobian data
-(``polynomials.EvaluationPlan``): every polynomial in x that an arc reads
-(f, the adjugate, det, the Taylor coefficients and the adjugate remainder's
-coefficients adj * H) shares one monomial table per arc, each monomial one
-product, and a coefficient other than +-1 costs one O(N) ``scale``.  Each
-of them is evaluated when first read, so a lift never evaluates the
-Jacobian block itself.
+(``polynomials.EvaluationPlan``): the polynomials in x that an arc reads
+(f, the adjugate, det and the coefficients of adj * H) share one monomial
+table per arc, each monomial one product, and a coefficient other than +-1
+costs one O(N) ``scale``.  Each of them is evaluated when first read.  The
+Jacobian block and the Taylor table stay symbolic: they build the others,
+and the plan holds no program for them.
 
 The correction v0 solves v + t*h(v) = v1 for the adjugate remainder h.
 ``fixed_point_solve`` does this by Newton iteration, whose Jacobian
 Id + t*Dh is the identity mod t: each round doubles the certified
-precision and works only at that precision.  h comes from the map's
-``CorrectionPlan``, which forms each term c*v^a as (c*v^(a-e_j))*v_j and
-returns Dh at half the precision from those cofactors, truncated, so a
-quadratic h costs Dh no series product; a lift to t^N evaluates h and Dh
-O(log N) times.  Identically zero entries of adj and Dh are skipped.
-Every round checks that its residual vanishes to the precision already
-certified, and the result is certified against v1 by one last evaluation
-at full precision.
+precision and works only at that precision.  h is ``ArcPoint.correction``,
+the map's ``CorrectionPlan`` bound to the arc's coefficients of adj * H; it
+forms each term c*v^a as (c*v^(a-e_j))*v_j and returns Dh at half the
+precision from those cofactors, truncated, so a quadratic h costs Dh no
+series product; a lift to t^N evaluates h and Dh O(log N) times.
+Identically zero entries of adj and Dh are skipped.  Every round checks
+that its residual vanishes to the precision already certified, and the
+result is certified against v1 by one last evaluation at full precision.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ class JacobianData:
     ``remainder[i]`` is sum_j adjugate[i][j] * H_j, H_j the terms of degree
     >= 2 of ``taylor[j]``, in the same form.
 
-    ``plan`` evaluates every polynomial in x above, and ``correction`` is
-    the solver's program for ``remainder`` in v; both follow from the
-    other fields."""
+    ``plan`` evaluates f, the adjugate, det and the coefficients of
+    ``remainder`` along an arc (``matrix`` and ``taylor`` stay symbolic),
+    and ``correction`` is the solver's program for ``remainder`` in v; both
+    follow from the other fields."""
 
     matrix: tuple
     adjugate: tuple
@@ -196,10 +197,8 @@ def jacobian_data(pm: PolyMap) -> JacobianData:
                     if sum(a) >= 2:
                         terms[a] = terms[a] + a_ij * coeff if a in terms else a_ij * coeff
         remainder.append(MultiPoly(n, terms))
-    coefficients = [c for table in taylor for a, c in table.terms.items() if sum(a) >= 2]
     plan = EvaluationPlan(m, [
-        *pm.polys, *itertools.chain(*adj), det, *itertools.chain(*matrix), *coefficients,
-        *(c for r in remainder for c in r.terms.values()),
+        *pm.polys, *itertools.chain(*adj), det, *(c for r in remainder for c in r.terms.values()),
     ])
     return JacobianData(
         matrix=matrix, adjugate=adj, det=det, taylor=taylor, remainder=tuple(remainder),
@@ -292,10 +291,6 @@ class ArcPoint:
         return tuple(tuple(map(self._eval, row)) for row in self.jacobian.adjugate)
 
     @cached_property
-    def jacobian_at(self):
-        return tuple(tuple(map(self._eval, row)) for row in self.jacobian.matrix)
-
-    @cached_property
     def det_at(self) -> TruncatedSeries:
         return self._eval(self.jacobian.det)
 
@@ -312,6 +307,13 @@ class ArcPoint:
             for r in self.jacobian.remainder
         )
 
+    @cached_property
+    def correction(self):
+        """The solver map hd(v, k) = (h(v), Dh(v mod t^k)) of the adjugate
+        remainder h along the arc: the map's ``CorrectionPlan`` bound to
+        ``remainder_at``."""
+        return self.jacobian.correction.bind(self.remainder_at)
+
     def __repr__(self):
         return f"ArcPoint({', '.join(map(repr, self.components))})"
 
@@ -323,40 +325,6 @@ def _apply_matrix(mat, vec):
         terms = [a * x for a, x in zip(row, vec) if a]
         out.append(sum(terms[1:], terms[0]) if terms else row[0] * vec[0])
     return tuple(out)
-
-
-def taylor_remainder(arc: ArcPoint):
-    """Collected quadratic-and-higher Taylor data H as polynomials in the
-    correction variables, with series coefficients.
-
-    Writing f(x + v) = f(x) + B(x; v) + sum_{k>=2} B_k(x; v) by homogeneous
-    degree in v, the returned H satisfies
-
-        f(x + t*det*v) = f(x) + t*det*B(x; v) + (t*det)^2 * H(x; v)
-
-    identically: each coefficient of B_k, read from the map's Taylor table
-    and evaluated along the arc, is weighted by (t*det)^{k-2}, so no series
-    division ever happens.
-    """
-    out = []
-    for table in arc.jacobian.taylor:
-        h = {}
-        for a, coeff in table.terms.items():
-            k = sum(a) - 2
-            if k >= 0:
-                h[a] = arc._eval(coeff) if k == 0 else arc._eval(coeff) * arc._weight(k)
-        out.append(MultiPoly(arc.map.n, h))
-    return out
-
-
-def adjugate_remainder(arc: ArcPoint):
-    """adj(x) applied to the Taylor remainder: the self-map h of the solver,
-    as v-polynomials with series coefficients (``ArcPoint.remainder_at``)."""
-    n = arc.map.n
-    return [
-        MultiPoly(n, dict(zip(r.terms, cs)))
-        for r, cs in zip(arc.jacobian.remainder, arc.remainder_at)
-    ]
 
 
 class CorrectionPlan:
@@ -429,18 +397,6 @@ class CorrectionPlan:
             return hv, dh
 
         return hd
-
-
-def correction_map(polys):
-    """hd for h given as v-polynomials with series coefficients (as
-    ``adjugate_remainder`` returns them); see ``CorrectionPlan.bind``."""
-    plan = CorrectionPlan(len(polys), [p.terms for p in polys])
-    return plan.bind([tuple(p.terms.values()) for p in polys])
-
-
-def _correction_at(arc: ArcPoint):
-    """hd for the arc's adjugate remainder, on the map's ``CorrectionPlan``."""
-    return arc.jacobian.correction.bind(arc.remainder_at)
 
 
 def check_congruence(arc: ArcPoint):
@@ -599,7 +555,7 @@ def fixed_point_solve(hd, v1, precision: int):
 def congruence_forward(arc: ArcPoint, v0):
     """Push a solved correction to its congruence correction:
     v1 = v0 + t * adj(x; H(x; v0))."""
-    hv, _ = _correction_at(arc)(tuple(v0), 0)
+    hv, _ = arc.correction(tuple(v0), 0)
     prec = min(min(x.precision for x in v0), min(x.precision for x in hv) + 1)
     return tuple(
         v0[i].truncate(prec) + hv[i].shift(1).truncate(prec) for i in range(len(hv))
@@ -627,7 +583,7 @@ def arc_lift(arc: ArcPoint, working_precision=None) -> LiftResult:
         arc = arc.truncated(working_precision)
     v1 = check_congruence(arc)
     out_prec = min(x.precision for x in v1)
-    v0 = fixed_point_solve(_correction_at(arc), v1, out_prec)
+    v0 = fixed_point_solve(arc.correction, v1, out_prec)
     det_series = arc.det_at
     pm = arc.map
     new_components = list(arc.components)

@@ -1,13 +1,14 @@
 """Multivariate polynomials with pluggable coefficients.
 
 Coefficients only need ``+``, ``*``, unary ``-`` and truthiness (falsy means
-zero), so the same class serves integer-coefficient equation systems,
-polynomials over the exact rings, and polynomials in correction variables
-whose coefficients are whole truncated series.  ``evaluate_or`` evaluates
-one polynomial term by term.  ``EvaluationPlan`` evaluates several at once
-as a straight-line program over one ``MonomialTable``, so each monomial
-costs one product however many polynomials use it; ``newton`` builds one
-per map for its evaluations along series.
+zero), so the same class serves int/Fraction equation systems, the
+polynomials in x of their Jacobian data, and polynomials over the exact
+rings.  ``evaluate_or`` evaluates one polynomial term by term.
+``EvaluationPlan`` evaluates several at once as a straight-line program
+over one ``MonomialTable``, so each monomial costs one product however many
+polynomials use it; ``newton`` builds one per map for its evaluations along
+series.  Polynomials in the correction variables with series coefficients
+are not MultiPolys: they are ``newton.CorrectionPlan`` programs.
 
 Terms are stored sparsely as ``{exponent tuple: coefficient}`` with zero
 coefficients omitted; printing orders monomials by total degree then
@@ -222,7 +223,9 @@ class EvaluationPlan:
         self.programs = {}
         for p in polys:
             if p.nvars != nvars:
-                raise ArityMismatch(f"expected {p.nvars} values, got {nvars}")
+                raise ArityMismatch(
+                    f"a plan over {nvars} variables got a polynomial in {p.nvars} variables"
+                )
             if p not in self.programs:
                 self.programs[p] = tuple(
                     (self.monomials.slot(e) if any(e) else None, c, (c == 1) - (c == -1))

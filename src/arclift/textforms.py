@@ -436,17 +436,32 @@ def _parse_count(text: str, what: str) -> int:
     return parse_int(text)
 
 
+def _read_record(parts, keys, what):
+    """The ``key: value`` parts of a record as a dict with exactly ``keys``;
+    a part without a colon, or a key that is unknown, repeated or missing,
+    is a ParseError."""
+    fields = {}
+    for part in parts:
+        key, colon, value = part.partition(":")
+        key = key.strip()
+        if not colon:
+            raise ParseError(f"expected key: value in {part!r}")
+        if key not in keys:
+            raise ParseError(f"{what} has no field {key!r}")
+        if key in fields:
+            raise ParseError(f"{what} repeats the field {key!r}")
+        fields[key] = value.strip()
+    missing = set(keys) - set(fields)
+    if missing:
+        raise ParseError(f"{what} is missing {sorted(missing)}")
+    return fields
+
+
 def parse_factorization(text: str, ring) -> StrictFactorization:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError("factorizations are brace-delimited")
-    fields = {}
-    for part in _split_top(text[1:-1]):
-        key, _, value = part.partition(":")
-        fields[key.strip()] = value.strip()
-    missing = {"u", "q", "n", "N"} - set(fields)
-    if missing:
-        raise ParseError(f"factorization is missing {sorted(missing)}")
+    fields = _read_record(_split_top(text[1:-1]), ("u", "q", "n", "N"), "factorization")
     return StrictFactorization(
         u=parse_series(fields["u"], ring),
         q=parse_monic(fields["q"], ring),
@@ -459,15 +474,7 @@ def parse_factorization(text: str, ring) -> StrictFactorization:
 
 def parse_poly_map(text: str) -> PolyMap:
     """``vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]``"""
-    fields = {}
-    for part in _split_top(text, ";"):
-        key, colon, value = part.partition(":")
-        if not colon:
-            raise ParseError(f"expected key: value in {part!r}")
-        fields[key.strip()] = value.strip()
-    missing = {"vars", "split", "eqs"} - set(fields)
-    if missing:
-        raise ParseError(f"map is missing {sorted(missing)}")
+    fields = _read_record(_split_top(text, ";"), ("vars", "split", "eqs"), "map")
 
     def bracket_list(s):
         s = s.strip()

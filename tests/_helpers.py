@@ -19,6 +19,7 @@ from arclift import (
     TruncatedSeries,
     reduced_order,
 )
+from arclift.newton import CorrectionPlan
 
 
 def schoolbook_product(a, b, ring):
@@ -41,6 +42,13 @@ def solver_map(h, dh):
         return h(v), (dh(tuple(x.truncate(k) for x in v)) if k else None)
 
     return hd
+
+
+def correction_hd(polys):
+    """``fixed_point_solve``'s hd for h_i(v) = sum_a polys[i][a] * v^a, the
+    polys given as {exponent: series} dicts: ``CorrectionPlan`` bound to the
+    coefficients, as ``ArcPoint.correction`` binds the arc's."""
+    return CorrectionPlan(len(polys), polys).bind([tuple(p.values()) for p in polys])
 
 
 def acceptance_rings():

@@ -24,11 +24,9 @@ from arclift import (
     fixed_point_solve,
     jacobian_data,
     newton,
-    taylor_remainder,
 )
-from arclift.newton import correction_map
 
-from _helpers import catalan_numbers, solver_map
+from _helpers import catalan_numbers, correction_hd, solver_map
 
 
 def cusp_map():
@@ -153,19 +151,24 @@ def test_jacobian_data_is_hashable():
     assert {jd: 1}[jacobian_data(pm)] == 1
 
 
+# With one equation adj = 1, so the arc's adjugate remainder coefficients
+# (``remainder_at``, in the order of ``jacobian.remainder[0].terms``) are
+# those of the Taylor remainder H.
+
+
 def test_taylor_remainder_of_linear_map_vanishes():
     q = RationalRing()
     pm = PolyMap(("x1", "y1"), 1, [MultiPoly(2, {(0, 1): 2, (1, 0): 3})])
     arc = ArcPoint(pm, (TruncatedSeries.t_power(q, 1, 6), TruncatedSeries.from_ints(q, [1], 6)))
-    assert all(h.is_zero() for h in taylor_remainder(arc))
+    assert arc.jacobian.remainder == (MultiPoly(1, {}),)
+    assert arc.remainder_at == ((),)
 
 
 def test_taylor_remainder_of_cusp_is_the_pure_square():
     q = RationalRing()
     arc = cusp_arc(q, [0, 0, 0, 1], 8)
-    (h,) = taylor_remainder(arc)
-    assert set(h.terms) == {(2,)}
-    assert h.terms[(2,)] == TruncatedSeries.from_ints(q, [1], 8)
+    assert list(arc.jacobian.remainder[0].terms) == [(2,)]
+    assert arc.remainder_at == ((TruncatedSeries.from_ints(q, [1], 8),),)
 
 
 def test_taylor_remainder_weights_cubic_terms_once():
@@ -175,16 +178,18 @@ def test_taylor_remainder_weights_cubic_terms_once():
     pm = PolyMap(("y",), 0, [MultiPoly(1, {(3,): 1})])
     y = TruncatedSeries.from_ints(q, [1, 1], 8)
     arc = ArcPoint(pm, (y,))
-    (h,) = taylor_remainder(arc)
-    assert set(h.terms) == {(2,), (3,)}
-    assert h.terms[(2,)] == y.scale(q.from_int(3))
+    h = dict(zip(arc.jacobian.remainder[0].terms, arc.remainder_at[0]))
+    assert set(h) == {(2,), (3,)}
+    assert h[(2,)] == y.scale(q.from_int(3))
     det = arc.det_at
-    assert h.terms[(3,)] == det.shift(1).truncate(8)
+    assert h[(3,)] == det.shift(1).truncate(8)
 
 
 @pytest.mark.parametrize("ring", [PrimeFieldRing(5), RationalRing()], ids=repr)
 def test_taylor_identity_randomized(ring):
-    # f(x + t*det*v) = f(x) + t*det*B(x;v) + (t*det)^2 H(x;v) at precision 12
+    # f(x + t*det*v) = f(x) + t*det*B(x;v) + (t*det)^2 H(x;v), times adj(x):
+    # adj*f(x + t*det*v) = adj*f(x) + t*det^2*v + (t*det)^2 h(v) at precision
+    # 12, with h = adj*H from the arc's solver map
     rng = random.Random(21)
     pm = PolyMap(
         ("x1", "y1", "y2"),
@@ -206,9 +211,7 @@ def test_taylor_identity_randomized(ring):
             TruncatedSeries(ring, [ring.random_element(rng) for _ in range(3)], n)
             for _ in range(2)
         )
-        hs = taylor_remainder(arc)
-        zero = TruncatedSeries.constant(ring.zero, n)
-        h_at = [p.evaluate_or(vs, zero) for p in hs]
+        h_at, _ = arc.correction(vs, 0)
         tdet_v = tuple((det * v).shift(1) for v in vs)
         moved = ArcPoint(
             pm,
@@ -219,12 +222,16 @@ def test_taylor_identity_randomized(ring):
             ),
         )
         tdet_sq = (det * det).shift(2)
+        adj = arc.adjugate_at
         for i in range(2):
-            linear = arc.jacobian_at[i][0] * vs[0] + arc.jacobian_at[i][1] * vs[1]
-            rhs = arc.values[i] + (det * linear).shift(1).truncate(n) + (
-                tdet_sq * h_at[i]
-            ).truncate(n)
-            assert moved.values[i].agrees(rhs)
+            lhs = adj[i][0] * moved.values[0] + adj[i][1] * moved.values[1]
+            rhs = (
+                adj[i][0] * arc.values[0]
+                + adj[i][1] * arc.values[1]
+                + (det * det * vs[i]).shift(1).truncate(n)
+                + (tdet_sq * h_at[i]).truncate(n)
+            )
+            assert lhs.agrees(rhs, n)
 
 
 def test_congruence_of_exact_solution_is_zero():
@@ -324,7 +331,7 @@ def random_series(ring, precision, rng):
 def random_polynomial_h(ring, n, precision, rng, monomials=None):
     """A random h: R[[t]]^n -> R[[t]]^n with series coefficients, of degree
     <= 2 unless ``monomials`` lists each equation's exponents, evaluated
-    term by term here, and ``correction_map`` on the same polynomials."""
+    term by term here, and ``correction_hd`` on the same polynomials."""
     if monomials is None:
         choices = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
         monomials = [rng.sample(choices, min(len(choices), 4)) for _ in range(n)]
@@ -344,7 +351,7 @@ def random_polynomial_h(ring, n, precision, rng, monomials=None):
             out.append(acc)
         return tuple(out)
 
-    return h, correction_map([MultiPoly(n, terms) for terms in polys])
+    return h, correction_hd(polys)
 
 
 def probe_jacobian(h, v, k):
@@ -518,7 +525,7 @@ def test_fixed_point_on_diagonal_and_lower_triangular_systems(ring, shape, monom
 @pytest.mark.parametrize("precision", [8, 64])
 def test_fixed_point_with_a_wrong_dh_from_its_plan_fails_the_residual_certificate(precision):
     q = RationalRing()
-    hd = correction_map([MultiPoly(1, {(2,): TruncatedSeries.from_ints(q, [1], precision)})])
+    hd = correction_hd([{(2,): TruncatedSeries.from_ints(q, [1], precision)}])
 
     def doubled(v, k):  # h = v^2 right, Dh = 4v wrong
         hv, dh = hd(v, k)
@@ -556,9 +563,7 @@ def test_degenerate_map_raises_on_every_access():
 def test_forward_then_solve_roundtrips(ring):
     rng = random.Random(31)
     arc = cusp_arc(ring, [0, 0, 0, 1, 1], 16)
-    from arclift.newton import adjugate_remainder
-
-    hd = correction_map(adjugate_remainder(arc))
+    hd = arc.correction
     for _ in range(30):
         v0 = (TruncatedSeries(ring, [ring.random_element(rng) for _ in range(10)], 12),)
         v1 = congruence_forward(arc, v0)

@@ -5,6 +5,7 @@ series is the oracle: it multiplies every term out on its own, so it shares
 neither the plan's monomial table nor its +-1 and ``scale`` shortcuts.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,12 +13,14 @@ import pytest
 
 from arclift import (
     ArcPoint,
+    ArityMismatch,
     IntegersMod,
     MultiPoly,
     NotAUnit,
     PolyMap,
     TruncatedSeries,
     arc_lift,
+    newton,
 )
 from arclift.newton import evaluate_along
 from arclift.polynomials import EvaluationPlan, MonomialTable
@@ -153,11 +156,41 @@ def test_an_arc_raises_for_a_map_coefficient_without_image():
         arc_lift(arc)  # det = 2y/3
 
 
-def test_a_lift_never_evaluates_the_jacobian_block():
+def test_a_plan_refuses_a_polynomial_of_another_arity():
+    with pytest.raises(ArityMismatch, match="a plan over 3 variables got a polynomial in 2 variables"):
+        EvaluationPlan(3, [MultiPoly(2, {(1, 0): 1})])
+
+
+def test_a_lift_never_evaluates_the_jacobian_block(monkeypatch):
+    """The map's plan holds programs only for what a lift reads: f, the
+    adjugate, det and the coefficients of the adjugate remainder.  On this
+    sheared space curve the block entry -2u + 2w and the Taylor coefficient
+    -2 of v_u*v_w are none of those."""
     f5 = acceptance_rings()[0]
-    pm = PolyMap(("x1", "y1"), 1, [MultiPoly(2, {(0, 2): 1, (3, 0): -1})])
-    y = TruncatedSeries.from_ints(f5, [0, 0, 0, 1, 1], 40)
-    arc = ArcPoint(pm, (TruncatedSeries.t_power(f5, 2, 40), y))
-    arc_lift(arc)
-    assert "jacobian_at" not in vars(arc) and "det_at" in vars(arc)
-    assert arc.jacobian_at == ((arc.det_at,),)  # det = the 1x1 block
+    pm = PolyMap(
+        ("x1", "u", "w"),
+        1,
+        [
+            MultiPoly(3, {(0, 2, 0): 1, (0, 1, 1): -2, (0, 0, 2): 1, (3, 0, 0): -1}),
+            MultiPoly(3, {(0, 0, 2): 1, (5, 0, 0): -1}),
+        ],
+    )
+    jd = pm.jacobian
+    read = {*pm.polys, *itertools.chain(*jd.adjugate), jd.det}
+    read.update(c for r in jd.remainder for c in r.terms.values())
+    assert set(jd.plan.programs) == read
+    assert jd.matrix[0][1] == MultiPoly(3, {(0, 1, 0): -2, (0, 0, 1): 2})
+    assert jd.taylor[0].terms[(1, 1)] == MultiPoly.constant(3, -2)
+    assert not {jd.matrix[0][1], jd.taylor[0].terms[(1, 1)]} & set(jd.plan.programs)
+
+    evaluated = []
+    real = newton._evaluate
+    monkeypatch.setattr(
+        newton, "_evaluate", lambda plan, poly, *args: evaluated.append(poly) or real(plan, poly, *args)
+    )
+    x1 = TruncatedSeries.t_power(f5, 2, 34)
+    u = TruncatedSeries.from_ints(f5, [0, 0, 0, 1, 0, 1, 0, 0, 0, 1], 34)
+    w = TruncatedSeries.from_ints(f5, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], 34)
+    result = arc_lift(ArcPoint(pm, (x1, u, w)))
+    assert result.precision == 17 and all(v.is_zero() for v in result.arc.values)
+    assert set(evaluated) == read

@@ -16,7 +16,6 @@ from arclift import (
     PrimeFieldRing,
     RationalRing,
     RingElement,
-    MultiPoly,
     TruncatedSeries,
     arc_kernel_ring,
     fixed_point_solve,
@@ -25,11 +24,16 @@ from arclift import (
     reduced_order,
 )
 from arclift import rings
-from arclift.newton import correction_map
 from arclift.rings import KRONECKER_MIN_TERMS, Ring
 from arclift.weierstrass import divide_by_monic, poly_mul
 
-from _helpers import acceptance_rings, random_nondegenerate, schoolbook_product, solver_map
+from _helpers import (
+    acceptance_rings,
+    correction_hd,
+    random_nondegenerate,
+    schoolbook_product,
+    solver_map,
+)
 
 
 def F5eps():
@@ -820,16 +824,14 @@ def test_correction_jacobian_of_a_quadratic_h_runs_no_product(ring, monkeypatch)
     c = [_random_series(ring, rng, n) for _ in range(4)]
     v = (_random_series(ring, rng, n), _random_series(ring, rng, n))
     # the space curve's shape, with a linear and a constant term
-    hd = correction_map(
-        [MultiPoly(2, {(2, 0): c[0], (1, 0): c[1]}), MultiPoly(2, {(0, 2): c[2], (0, 0): c[3]})]
-    )
+    hd = correction_hd([{(2, 0): c[0], (1, 0): c[1]}, {(0, 2): c[2], (0, 0): c[3]}])
     counts = [_count_products(monkeypatch, lambda: hd(v, k)) for k in (0, 1, 15, 31)]
     assert counts == [5] * 4  # c0*v0*v0, c1*v0, c2*v1*v1
     _, dh = hd(v, 15)
     assert dh[0][1].is_zero() and dh[1][0].is_zero()
     # a mixed term's partial in its second variable is one product, at the
     # precision of Dh
-    hd = correction_map([MultiPoly(2, {(1, 1): c[0]}), MultiPoly(2, {(0, 2): c[1]})])
+    hd = correction_hd([{(1, 1): c[0]}, {(0, 2): c[1]}])
     assert [_count_products(monkeypatch, lambda: hd(v, k)) for k in (0, 15)] == [4, 5]
 
 

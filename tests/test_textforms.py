@@ -195,6 +195,36 @@ def test_poly_map_roundtrip():
         parse_poly_map("vars: [x]; eqs: [x]")
 
 
+FACTORIZATION = "u: [1] + O(t^1), q: t, n: 1, N: 1"
+MAP = "vars: [y]; split: 0; eqs: [y]"
+
+
+def _refuse_record(map_text, factorization_text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_poly_map(map_text)
+    with pytest.raises(ParseError, match=match):
+        parse_factorization("{" + factorization_text + "}", RationalRing())
+
+
+def test_records_refuse_a_repeated_key():
+    # neither the last value (eqs [y^2 - 1], certificate_n 5) nor the first wins
+    _refuse_record(MAP + "; eqs: [y^2 - 1]", FACTORIZATION + ", n: 5", "repeats the field")
+
+
+def test_records_refuse_an_unknown_key():
+    _refuse_record(MAP + "; foo: bar", FACTORIZATION + ", junk: 5", "has no field")
+
+
+def test_records_refuse_a_part_without_a_colon():
+    # no key with an empty value; a trailing separator leaves an empty part
+    _refuse_record(MAP + "; eqs", FACTORIZATION + ", N", "expected key: value")
+    _refuse_record(MAP + ";", FACTORIZATION + ",", "expected key: value")
+
+
+def test_records_refuse_a_missing_key():
+    _refuse_record("vars: [y]; eqs: [y]", "u: [1] + O(t^1), q: t, N: 1", "is missing")
+
+
 def test_poly_map_with_rational_coefficients():
     pm = parse_poly_map("vars: [y]; split: 0; eqs: [y^2/2 - 3]")
     from fractions import Fraction
