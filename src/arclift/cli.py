@@ -19,8 +19,6 @@ from .series import format_series
 from .textforms import (
     check_precision,
     format_factorization,
-    format_low,
-    format_monic,
     parse_arc,
     parse_monic,
     parse_poly_map,
@@ -72,7 +70,7 @@ def _cmd_prepare(args):
     text = [format_factorization(fact)]
     payload = {
         "u": _series_json(fact.u),
-        "q": format_monic(fact.q),
+        "q": repr(fact.q),
         "n": fact.certificate_n,
         "N": fact.precision,
     }
@@ -85,10 +83,10 @@ def _cmd_divide(args):
     q = parse_monic(args.poly, ring)
     result = weierstrass_divide(f, q)
     exact = "true" if result.exact else "false"
-    text = [f"{{h: {format_series(result.h)}, a: {format_low(result.a)}, exact: {exact}}}"]
+    text = [f"{{h: {format_series(result.h)}, a: {result.a!r}, exact: {exact}}}"]
     payload = {
         "h": _series_json(result.h),
-        "a": format_low(result.a),
+        "a": repr(result.a),
         "exact": result.exact,
     }
     return _emit(args, text, payload)
@@ -125,10 +123,10 @@ def _cmd_fiber(args):
     pairs = kernel_fiber_basis(q, args.N)
     text = [f"dimension: {len(pairs)}"]
     for a, v in pairs:
-        text.append(f"{{a: {format_low(a)}, v: {format_series(v)}}}")
+        text.append(f"{{a: {a!r}, v: {format_series(v)}}}")
     payload = {
         "dimension": len(pairs),
-        "pairs": [{"a": format_low(a), "v": _series_json(v)} for a, v in pairs],
+        "pairs": [{"a": repr(a), "v": _series_json(v)} for a, v in pairs],
     }
     return _emit(args, text, payload)
 

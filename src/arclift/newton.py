@@ -515,7 +515,7 @@ def fixed_point_solve(hd, v1, precision: int):
             raise ArityMismatch(f"dh must return {n} rows of {n} entries")
         return hv, tuple(tuple(x.truncate(k) for x in row) for row in rows)
 
-    one = TruncatedSeries.from_ints(v1[0].ring, [1], precision)
+    one = TruncatedSeries(v1[0].ring, [1], precision)
     v = tuple(x.truncate(1) for x in v1)  # F(v) = v - v1 mod t
     p = 1
     while p < precision:

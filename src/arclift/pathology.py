@@ -347,7 +347,7 @@ def integer_completion(p: int, n: int) -> IntegerCompletion:
     if n < 1:
         raise InvalidDescriptor("completion order must be >= 1")
     rationals = RationalRing()
-    t_minus_p = MonicPoly.from_ints(rationals, [-p])
+    t_minus_p = MonicPoly(rationals, [-p])
 
     def reduce_t_power(k):
         _, remainder = divide_by_monic(MonicPoly.t_power(rationals, k).form, t_minus_p)

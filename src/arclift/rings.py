@@ -467,26 +467,6 @@ class Ring:
             raise NonLocalRing(f"{self} is not local")
         return not self.residue(a)
 
-    # -- sampling for randomized tests ------------------------------------
-    def random_element(self, rng) -> RingElement:
-        raise NotImplementedError
-
-    def random_unit(self, rng) -> RingElement:
-        for _ in range(1000):
-            a = self.random_element(rng)
-            if self.is_unit(a):
-                return a
-        raise RuntimeError("failed to sample a unit")
-
-    def random_nilpotent(self, rng) -> RingElement:
-        if self.nilpotency_exponent() == 1:
-            return self.zero  # the maximal ideal is zero
-        for _ in range(1000):
-            a = self.random_element(rng)
-            if self.is_nilpotent(a):
-                return a
-        raise RuntimeError("failed to sample a nilpotent")
-
     def format_element(self, value) -> str:
         raise NotImplementedError
 
@@ -553,9 +533,6 @@ class PrimeFieldRing(Ring):
 
     def elements(self):
         return [self.element(k) for k in range(self.p)]
-
-    def random_element(self, rng):
-        return self.element(rng.randrange(self.p))
 
     def format_element(self, value):
         return str(value)
@@ -627,9 +604,6 @@ class RationalRing(Ring):
 
     def residue(self, a):
         return a
-
-    def random_element(self, rng):
-        return self.element(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
     def format_element(self, value):
         return str(value)
@@ -709,20 +683,6 @@ class IntegersMod(Ring):
 
     def residue(self, a):
         return self.residue_field().from_int(a.value)
-
-    def elements(self):
-        return [self.element(k) for k in range(self.n)]
-
-    def random_element(self, rng):
-        return self.element(rng.randrange(self.n))
-
-    def random_nilpotent(self, rng):
-        p, e = self._pe if self._pe else (None, None)
-        if p is None:
-            raise NonLocalRing(f"{self} is not local")
-        if e == 1:
-            return self.zero
-        return self.element(p * rng.randrange(self.n // p))
 
     def format_element(self, value):
         return str(value)
@@ -942,21 +902,6 @@ class ArtinianLocalRing(PayloadRing):
     def residue(self, a):
         c = a.value.get((0,) * self.m)
         return self.base.zero if c is None else self.base.element(c)
-
-    def random_element(self, rng):
-        out = {}
-        for exps in self.monomials():
-            if rng.random() < 0.6:
-                c = self.base.random_element(rng)
-                if c:
-                    out[exps] = c.value
-        return self.element(out)
-
-    def random_nilpotent(self, rng):
-        a = self.random_element(rng)
-        out = dict(a.value)
-        out.pop((0,) * self.m, None)
-        return self.element(out)
 
     def monomials(self):
         """All exponent tuples of total degree < e, degree-then-lex order."""

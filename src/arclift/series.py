@@ -105,10 +105,6 @@ class TruncatedSeries:
         return self
 
     @classmethod
-    def from_ints(cls, ring, ints, precision=None):
-        return cls(ring, list(ints), precision)
-
-    @classmethod
     def constant(cls, value: RingElement, precision):
         ring = value.ring
         return cls._of_form(ring, *ring.integer_form([value.value]), precision)
@@ -400,20 +396,6 @@ class LaurentSeries:
 
     def times_series(self, s: TruncatedSeries):
         return LaurentSeries(self.offset, self.body * s)
-
-    def agrees_with_series(self, s: TruncatedSeries, upto=None) -> bool:
-        """Compare against a plain power series on the common window."""
-        self.body._check(s)
-        n = min(self.precision_bound, s.precision)
-        if upto is not None:
-            n = min(n, upto)
-        peq, zero = s.ring.payload_eq, s.ring.payload_from_int(0)
-        body, theirs = self.body.payloads, s.payloads
-        for k in range(min(self.offset, 0), n):
-            i = k - self.offset
-            if not peq(body[i] if i >= 0 else zero, theirs[k] if k >= 0 else zero):
-                return False
-        return True
 
     def __repr__(self):
         return f"t^({self.offset}) * ({format_series(self.body)})"

@@ -13,7 +13,9 @@ parser produces ring elements (names = ring generators), t-polynomials in
 the ring's canonical series form (name ``t`` allowed), or integer-coefficient
 multivariate polynomials (names = declared variables).  Division is
 restricted to scalars; it extends the published grammar so rational
-literals like ``1/2`` are expressible.
+literals like ``1/2`` are expressible.  Ring generators and map variables
+are declared as NAMEs, and no generator may be ``t``; unbalanced brackets
+anywhere in a record, list or descriptor are a ``ParseError``.
 
 Every exponent ``INT`` after ``^`` is at most ``MAX_PRECISION`` (512) and
 is checked before the power is formed, which then costs O(log INT)
@@ -36,9 +38,10 @@ from .newton import PolyMap
 from .polynomials import MultiPoly
 from .rings import ArtinianLocalRing, IntegersMod, PrimeFieldRing, RationalRing, Ring, power
 from .series import TruncatedSeries, format_series
-from .weierstrass import LowPoly, MonicPoly, StrictFactorization, poly_mul
+from .weierstrass import MonicPoly, StrictFactorization, poly_mul
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|([-+*/^()]))")
 
 # CPython's default limit on the digits ``int`` converts from text.
 MAX_DIGITS = 4300
@@ -214,9 +217,7 @@ class _TPolyAlgebra:
         try:
             inv = ring.invert(c)
         except NotAUnit:
-            raise NotAUnit(
-                f"cannot divide by {format_element(ring, c)}: it is not a unit in {ring}"
-            ) from None
+            raise NotAUnit(f"cannot divide by {c!r}: it is not a unit in {ring}") from None
         return self.mul(a, self._of([inv.value]))
 
 
@@ -255,23 +256,41 @@ class _MapAlgebra:
         return a.scale(Fraction(1, 1) / c)
 
 
+_CLOSES = {")": "(", "]": "[", "}": "{"}
+
+
 def _split_top(text, sep=","):
-    """Split on a separator at bracket depth zero."""
+    """Split on a separator at bracket depth zero; a closing bracket that
+    matches no opening one, or an opening one never closed, is a
+    ParseError."""
     parts = []
-    depth = 0
+    open_brackets = []
     current = []
     for ch in text:
         if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == sep and depth == 0:
+            open_brackets.append(ch)
+        elif ch in _CLOSES:
+            if not open_brackets or open_brackets.pop() != _CLOSES[ch]:
+                raise ParseError(f"unbalanced {ch!r} in {text!r}")
+        if ch == sep and not open_brackets:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
+    if open_brackets:
+        raise ParseError(f"unclosed {open_brackets[-1]!r} in {text!r}")
     parts.append("".join(current))
     return parts
+
+
+def _names(parts, what):
+    """The stripped ``parts``, each the tokenizer's NAME, or ParseError
+    naming ``what``."""
+    names = [s.strip() for s in parts]
+    for name in names:
+        if not re.fullmatch(_NAME, name):
+            raise ParseError(f"{what} {name!r} is not a name")
+    return names
 
 
 # -- rings ---------------------------------------------------------------
@@ -295,7 +314,10 @@ def parse_ring(text: str) -> Ring:
         if sections[0].lstrip().startswith("Artin("):  # refused before recursing
             raise InvalidDescriptor("base must be a prime field or Q")
         base = parse_ring(sections[0])
-        names = [s.strip() for s in sections[1].split(",") if s.strip()]
+        gens = sections[1]
+        names = _names(gens.split(",") if gens.strip() else [], "generator")
+        if "t" in names:
+            raise ParseError("generator 't' would read as the series variable")
         order = _parse_count(sections[2].strip(), "truncation order")
         return ArtinianLocalRing(base, names, check_precision(order, "truncation order"))
     raise ParseError(f"unrecognized ring descriptor {text!r}")
@@ -367,14 +389,6 @@ def parse_monic(text: str, ring) -> MonicPoly:
     return MonicPoly._of_form(ring, items, scale)
 
 
-def parse_low(text: str, ring, bound: int) -> LowPoly:
-    items, scale = parse_t_poly(text, ring)
-    if len(items) > bound:
-        raise ParseError(f"{text!r} has degree >= {bound}")
-    zeros = (ring.item_ring.payload_from_int(0),) * (bound - len(items))
-    return LowPoly._of_form(ring, items + zeros, scale)
-
-
 def format_t_poly(ring, payloads) -> str:
     """Degree-descending polynomial text of ascending canonical payloads."""
     terms = []
@@ -408,23 +422,11 @@ def format_t_poly(ring, payloads) -> str:
     return out
 
 
-def format_monic(q: MonicPoly) -> str:
-    return repr(q)
-
-
-def format_low(a: LowPoly) -> str:
-    return repr(a)
-
-
-def format_element(ring, element) -> str:
-    return ring.format_element(element.value)
-
-
 # -- factorizations ---------------------------------------------------------
 
 def format_factorization(f: StrictFactorization) -> str:
     return (
-        f"{{u: {format_series(f.u)}, q: {format_monic(f.q)}, "
+        f"{{u: {format_series(f.u)}, q: {f.q!r}, "
         f"n: {f.certificate_n}, N: {f.precision}}}"
     )
 
@@ -483,7 +485,7 @@ def parse_poly_map(text: str) -> PolyMap:
         inner = s[1:-1].strip()
         return _split_top(inner) if inner else []
 
-    names = [v.strip() for v in bracket_list(fields["vars"])]
+    names = _names(bracket_list(fields["vars"]), "variable")
     algebra = _MapAlgebra(names)
     polys = [
         _Parser(_tokenize(src), algebra, src).parse() for src in bracket_list(fields["eqs"])
@@ -495,12 +497,8 @@ def parse_poly_map(text: str) -> PolyMap:
     return PolyMap(names, split, polys)
 
 
-def _scalar_str(c) -> str:
-    return str(c)
-
-
 def format_poly_map(pm: PolyMap) -> str:
-    eqs = ", ".join(p.format(pm.var_names, _scalar_str) for p in pm.polys)
+    eqs = ", ".join(p.format(pm.var_names) for p in pm.polys)
     return f"vars: [{', '.join(pm.var_names)}]; split: {pm.split}; eqs: [{eqs}]"
 
 

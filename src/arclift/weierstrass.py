@@ -34,7 +34,6 @@ from .errors import (
     NonLocalRing,
     NotAUnit,
 )
-from .rings import RingElement
 from .series import TruncatedSeries, _payload, laurent_divider, reduced_order
 
 
@@ -99,10 +98,6 @@ class MonicPoly(_ExactPoly):
         self.form = _form(ring, [_payload(ring, c) for c in [*low, 1]])
 
     @classmethod
-    def from_ints(cls, ring, low_ints):
-        return cls(ring, low_ints)
-
-    @classmethod
     def t_power(cls, ring, d):
         zero, one = map(ring.item_ring.payload_from_int, (0, 1))
         return cls._of_form(ring, (zero,) * d + (one,), 1)
@@ -124,12 +119,6 @@ class MonicPoly(_ExactPoly):
         is_zero = self.ring.item_ring.payload_is_zero
         return next(i for i, c in enumerate(self.form[0]) if not is_zero(c))
 
-    def eval_at(self, a: RingElement) -> RingElement:
-        acc = self.ring.one
-        for c in reversed(self.low):
-            acc = acc * a + c
-        return acc
-
 
 class LowPoly(_ExactPoly):
     """A polynomial of degree < bound (an element of the affine space A_d),
@@ -144,20 +133,12 @@ class LowPoly(_ExactPoly):
         self.ring = ring
         self.form = (items + (ring.item_ring.payload_from_int(0),) * (bound - len(items)), scale)
 
-    @classmethod
-    def from_ints(cls, ring, bound, ints):
-        return cls(ring, bound, ints)
-
     @property
     def bound(self):
         return len(self.form[0])
 
     def is_zero(self):
         return all(map(self.ring.item_ring.payload_is_zero, self.form[0]))
-
-    def degree(self):
-        is_zero = self.ring.item_ring.payload_is_zero
-        return max((i for i, c in enumerate(self.form[0]) if not is_zero(c)), default=-1)
 
     def __neg__(self):
         ring = self.ring

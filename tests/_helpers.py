@@ -1,4 +1,5 @@
-"""Shared test machinery: ring zoo, random series, and independent oracles.
+"""Shared test machinery: ring zoo, random elements and series, and
+independent oracles.
 
 The oracles deliberately avoid the production algorithms they check:
 products come from a schoolbook loop written here, factorizations are
@@ -9,6 +10,8 @@ Catalan recurrence.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from arclift import (
     ArtinianLocalRing,
@@ -51,6 +54,49 @@ def correction_hd(polys):
     return CorrectionPlan(len(polys), polys).bind([tuple(p.values()) for p in polys])
 
 
+def random_element(ring, rng):
+    """A seeded random element: uniform over Fp and Z/n, a small fraction
+    over Q, and over an Artinian ring each monomial present with chance 0.6
+    and a random base coefficient; NotImplementedError for any other ring.
+    Golden digests depend on this exact draw order."""
+    if isinstance(ring, PrimeFieldRing):
+        return ring.element(rng.randrange(ring.p))
+    if isinstance(ring, IntegersMod):
+        return ring.element(rng.randrange(ring.n))
+    if isinstance(ring, RationalRing):
+        return ring.element(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    if isinstance(ring, ArtinianLocalRing):
+        out = {}
+        for exps in ring.monomials():
+            if rng.random() < 0.6:
+                c = random_element(ring.base, rng)
+                if c:
+                    out[exps] = c.value
+        return ring.element(out)
+    raise NotImplementedError(f"no sampler for {ring}")
+
+
+def random_unit(ring, rng):
+    """The first unit among up to 1000 ``random_element`` draws."""
+    for _ in range(1000):
+        a = random_element(ring, rng)
+        if ring.is_unit(a):
+            return a
+    raise RuntimeError("failed to sample a unit")
+
+
+def random_nilpotent(ring, rng):
+    """A random element of the maximal ideal of a local ring."""
+    if isinstance(ring, ArtinianLocalRing):  # drop the constant term
+        out = dict(random_element(ring, rng).value)
+        out.pop((0,) * ring.m, None)
+        return ring.element(out)
+    if ring.nilpotency_exponent() == 1:  # NonLocalRing for a Z/n that is not local
+        return ring.zero  # the maximal ideal is zero
+    p = ring.residue_field().p  # Z/p^e
+    return ring.element(p * rng.randrange(ring.n // p))
+
+
 def acceptance_rings():
     """The six coefficient rings the acceptance criteria quantify over."""
     f5 = PrimeFieldRing(5)
@@ -70,9 +116,9 @@ def random_nondegenerate(ring, rng, dmax=4, extra=4):
     e = ring.nilpotency_exponent()
     d = rng.randrange(dmax + 1)
     n = d * (e + 1) + extra
-    coeffs = [ring.random_nilpotent(rng) for _ in range(d)]
-    coeffs.append(ring.random_unit(rng))
-    coeffs.extend(ring.random_element(rng) for _ in range(n - d - 1))
+    coeffs = [random_nilpotent(ring, rng) for _ in range(d)]
+    coeffs.append(random_unit(ring, rng))
+    coeffs.extend(random_element(ring, rng) for _ in range(n - d - 1))
     return TruncatedSeries(ring, coeffs, n), d
 
 

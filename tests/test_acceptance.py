@@ -42,6 +42,8 @@ from _helpers import (
     brute_force_fiber_dimension,
     catalan_numbers,
     gf_matrix_rank,
+    random_element,
+    random_nilpotent,
     random_nondegenerate,
     reconstruct_factorization,
     solver_map,
@@ -103,13 +105,13 @@ def test_criterion_2_division_exactness():
         for _ in range(CASES_PER_RING):
             d = rng.randrange(1, 5)
             n = d * (e + 1) + 4
-            q = MonicPoly(ring, [ring.random_nilpotent(rng) for _ in range(d)])
-            f = TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+            q = MonicPoly(ring, [random_nilpotent(ring, rng) for _ in range(d)])
+            f = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
             result = weierstrass_divide(f, q)
             ok = (
                 ok
                 and result.exact
-                and result.a.degree() < d
+                and result.a.bound == d
                 and recombine_division(q, result.a, result.h).agrees(f, n - d)
             )
     _report(
@@ -122,9 +124,9 @@ def test_criterion_2_division_exactness():
 def test_criterion_3_divisibility_certificates(preparation_bulk):
     ok = all(cert == CASES_PER_RING for *_, cert in preparation_bulk.values())
     z9 = IntegersMod(9)
-    fact = strict_prepare(TruncatedSeries.from_ints(z9, [3, 1], 6))
+    fact = strict_prepare(TruncatedSeries(z9, [3, 1], 6))
     qprime = divides_power_of_t(fact.q, 2)
-    ok = ok and qprime == MonicPoly.from_ints(z9, [-3])
+    ok = ok and qprime == MonicPoly(z9, [-3])
     prod = qprime.as_series(3) * fact.q.as_series(3)
     ok = ok and prod == TruncatedSeries.t_power(z9, 2, 3)
     _report(3, "every prepared q divides t^(d*e); (t+3)(t-3) = t^2 in Z/9", ok)
@@ -136,7 +138,7 @@ def test_criterion_4_fiber_dimensions_exhaustive():
     ok = True
     for d in range(4):
         for lows in itertools.product(scalars, repeat=d):
-            q = MonicPoly.from_ints(f5, list(lows))
+            q = MonicPoly(f5, list(lows))
             e = q.t_multiplicity()
             pairs = kernel_fiber_basis(q, 12)
             ok = ok and len(pairs) == d - e == brute_force_fiber_dimension(q, 12)
@@ -144,7 +146,7 @@ def test_criterion_4_fiber_dimensions_exhaustive():
                 ok = ok and recombine_division(q, a, v).is_zero()
     # the two stated extremes
     ok = ok and kernel_fiber_basis(MonicPoly.t_power(f5, 3), 12) == []
-    ok = ok and len(kernel_fiber_basis(MonicPoly.from_ints(f5, [1, 2, 3]), 12)) == 3
+    ok = ok and len(kernel_fiber_basis(MonicPoly(f5, [1, 2, 3]), 12)) == 3
     _report(
         4,
         "all 156 monic q over F5 (d <= 3): fiber dimension d - e, matching brute-force rank",
@@ -154,13 +156,13 @@ def test_criterion_4_fiber_dimensions_exhaustive():
 
 def test_criterion_5_fixed_point_catalan():
     q = RationalRing()
-    v1 = (TruncatedSeries.from_ints(q, [1], 10),)
+    v1 = (TruncatedSeries(q, [1], 10),)
     hd = solver_map(lambda v: (v[0] * v[0],), lambda v: ((v[0] + v[0],),))
     (v0,) = fixed_point_solve(hd, v1, 10)
     cs = catalan_numbers(10)
     expected = [(-1) ** k * cs[k] for k in range(10)]
     ok = expected == [1, -1, 2, -5, 14, -42, 132, -429, 1430, -4862]
-    ok = ok and v0 == TruncatedSeries.from_ints(q, expected, 10)
+    ok = ok and v0 == TruncatedSeries(q, expected, 10)
     _report(5, "fixed point of v -> 1 - t*v^2 has signed Catalan coefficients", ok)
 
 
@@ -172,7 +174,7 @@ def test_criterion_6_arc_lifting_on_the_cusp():
     q = RationalRing()
     arc = ArcPoint(
         _cusp_map(),
-        (TruncatedSeries.t_power(q, 2, 16), TruncatedSeries.from_ints(q, [0, 0, 0, 1, 1], 16)),
+        (TruncatedSeries.t_power(q, 2, 16), TruncatedSeries(q, [0, 0, 0, 1, 1], 16)),
     )
     result = arc_lift(arc)
     ok = result.precision >= 9
@@ -210,7 +212,7 @@ def test_criterion_7_forward_map_roundtrip():
     q = RationalRing()
     arc = ArcPoint(
         _cusp_map(),
-        (TruncatedSeries.t_power(q, 2, 16), TruncatedSeries.from_ints(q, [0, 0, 0, 1, 1], 16)),
+        (TruncatedSeries.t_power(q, 2, 16), TruncatedSeries(q, [0, 0, 0, 1, 1], 16)),
     )
     hd = arc.correction
     rng = random.Random(20240807)

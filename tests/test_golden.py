@@ -30,6 +30,8 @@ from arclift import (
 )
 from arclift.jets import ModQVector
 
+from _helpers import random_element
+
 RINGS = {
     "Fp(5)": PrimeFieldRing(5),
     "Q": RationalRing(),
@@ -96,7 +98,7 @@ def _element(ring, rng):
     lifts stay cheap; elsewhere a uniform element."""
     if isinstance(ring, (RationalRing, IntegersMod)):
         return ring.from_int(rng.randint(-3, 3))
-    return ring.random_element(rng)
+    return random_element(ring, rng)
 
 
 def _arc(curve, ring, n, seed):

@@ -18,7 +18,7 @@ from arclift import (
 from arclift.errors import ArityMismatch, InsufficientPrecision
 from arclift.jets import ModQVector
 
-from _helpers import acceptance_rings, schoolbook_product
+from _helpers import acceptance_rings, random_element, schoolbook_product
 
 
 def test_reduce_power_past_modulus():
@@ -31,27 +31,27 @@ def test_reduce_power_past_modulus():
 
 def test_reduce_mod_shifted_square():
     f7 = PrimeFieldRing(7)
-    x = TruncatedSeries.from_ints(f7, [1, 1, 1], 3)
-    out = mod_q_reduce(x, MonicPoly.from_ints(f7, [-1]))  # t - 1... degree 1
+    x = TruncatedSeries(f7, [1, 1, 1], 3)
+    out = mod_q_reduce(x, MonicPoly(f7, [-1]))  # t - 1... degree 1
     # 1 + t + t^2 at t = 1 is 3
-    assert out.value == LowPoly.from_ints(f7, 1, [3])
+    assert out.value == LowPoly(f7, 1, [3])
     assert not out.exact
-    q2 = MonicPoly.from_ints(f7, [-1, 0])  # t^2 - 1
+    q2 = MonicPoly(f7, [-1, 0])  # t^2 - 1
     out2 = mod_q_reduce(x, q2)
-    assert out2.value == LowPoly.from_ints(f7, 2, [2, 1])
+    assert out2.value == LowPoly(f7, 2, [2, 1])
 
 
 def test_reduce_constant_is_identity():
     q = RationalRing()
-    x = TruncatedSeries.from_ints(q, [5], 4)
+    x = TruncatedSeries(q, [5], 4)
     out = mod_q_reduce(x, MonicPoly.t_power(q, 2))
-    assert out.value == LowPoly.from_ints(q, 2, [5])
+    assert out.value == LowPoly(q, 2, [5])
 
 
 def test_reduce_needs_enough_precision():
     f7 = PrimeFieldRing(7)
     with pytest.raises(InsufficientPrecision):
-        mod_q_reduce(TruncatedSeries.from_ints(f7, [1], 1), MonicPoly.t_power(f7, 2))
+        mod_q_reduce(TruncatedSeries(f7, [1], 1), MonicPoly.t_power(f7, 2))
 
 
 def _identity_map(m):
@@ -64,8 +64,8 @@ def _identity_map(m):
 
 def test_map_identity_fixes_vectors():
     f5 = PrimeFieldRing(5)
-    q = MonicPoly.from_ints(f5, [1, 1])
-    xbar = ModQVector(q, [LowPoly.from_ints(f5, 2, [2, 3])])
+    q = MonicPoly(f5, [1, 1])
+    xbar = ModQVector(q, [LowPoly(f5, 2, [2, 3])])
     assert map_mod_poly(_identity_map(1), q, xbar) == xbar
 
 
@@ -74,18 +74,18 @@ def test_map_squares_and_reduces():
     modulus = MonicPoly.t_power(q, 2)
     square = PolyMap(("y",), 0, [MultiPoly(1, {(2,): 1})])
     a, b = 3, 4
-    xbar = ModQVector(modulus, [LowPoly.from_ints(q, 2, [a, b])])
+    xbar = ModQVector(modulus, [LowPoly(q, 2, [a, b])])
     out = map_mod_poly(square, modulus, xbar)
-    assert out.components[0] == LowPoly.from_ints(q, 2, [a * a, 2 * a * b])
+    assert out.components[0] == LowPoly(q, 2, [a * a, 2 * a * b])
 
 
 def test_map_constant():
     f5 = PrimeFieldRing(5)
-    modulus = MonicPoly.from_ints(f5, [2, 0])
+    modulus = MonicPoly(f5, [2, 0])
     const = PolyMap(("y",), 0, [MultiPoly.constant(1, 3)])
-    xbar = ModQVector(modulus, [LowPoly.from_ints(f5, 2, [1, 1])])
+    xbar = ModQVector(modulus, [LowPoly(f5, 2, [1, 1])])
     out = map_mod_poly(const, modulus, xbar)
-    assert out.components[0] == LowPoly.from_ints(f5, 2, [3, 0])
+    assert out.components[0] == LowPoly(f5, 2, [3, 0])
 
 
 def _random_poly_map(rng, m, n, deg, max_coeff=4):
@@ -108,7 +108,7 @@ def test_map_composition_is_functorial():
     f5 = PrimeFieldRing(5)
     for _ in range(40):
         d = rng.randrange(1, 4)
-        q = MonicPoly(f5, [f5.random_element(rng) for _ in range(d)])
+        q = MonicPoly(f5, [random_element(f5, rng) for _ in range(d)])
         f = _random_poly_map(rng, 2, 2, 2)
         g = _random_poly_map(rng, 2, 2, 2)
         composed_polys = [
@@ -117,7 +117,7 @@ def test_map_composition_is_functorial():
         ]
         gf = PolyMap(f.var_names, 0, composed_polys)
         xbar = ModQVector(
-            q, [LowPoly(f5, d, [f5.random_element(rng) for _ in range(d)]) for _ in range(2)]
+            q, [LowPoly(f5, d, [random_element(f5, rng) for _ in range(d)]) for _ in range(2)]
         )
         assert map_mod_poly(gf, q, xbar) == map_mod_poly(
             g, q, map_mod_poly(f, q, map_mod_poly(_identity_map(2), q, xbar))
@@ -133,7 +133,7 @@ def test_map_over_pure_power_agrees_with_jets():
         q = MonicPoly.t_power(f5, d)
         f = _random_poly_map(rng, 2, 2, 3)
         series = [
-            TruncatedSeries(f5, [f5.random_element(rng) for _ in range(d)], d + 3)
+            TruncatedSeries(f5, [random_element(f5, rng) for _ in range(d)], d + 3)
             for _ in range(2)
         ]
         xbar = ModQVector(q, [mod_q_reduce(s, q).value for s in series])
@@ -155,11 +155,11 @@ def test_expand_square_around_scalar_with_unit_modulus():
     g = PolyMap(("y",), 0, [MultiPoly(1, {(2,): 1})])
     unit_modulus = MonicPoly(q, [])
     c = 3
-    xbar = ModQVector(MonicPoly.from_ints(q, [0]), [LowPoly.from_ints(q, 1, [c])])
-    xprime = (TruncatedSeries.from_ints(q, [1], 6),)
+    xbar = ModQVector(MonicPoly(q, [0]), [LowPoly(q, 1, [c])])
+    xprime = (TruncatedSeries(q, [1], 6),)
     out = expand_around(g, unit_modulus, xbar, xprime)
-    assert out.head.components[0] == LowPoly.from_ints(q, 1, [c * c])
-    assert out.tail[0] == TruncatedSeries.from_ints(q, [2 * c, 1], 6)
+    assert out.head.components[0] == LowPoly(q, 1, [c * c])
+    assert out.tail[0] == TruncatedSeries(q, [2 * c, 1], 6)
 
 
 def test_expand_square_around_constant_mod_t_squared():
@@ -168,22 +168,22 @@ def test_expand_square_around_constant_mod_t_squared():
     g = PolyMap(("y",), 0, [MultiPoly(1, {(2,): 1})])
     modulus = MonicPoly.t_power(q, 1)
     c = 5
-    xbar = ModQVector(MonicPoly.t_power(q, 2), [LowPoly.from_ints(q, 2, [c])])
-    xprime = (TruncatedSeries.from_ints(q, [1], 8),)
+    xbar = ModQVector(MonicPoly.t_power(q, 2), [LowPoly(q, 2, [c])])
+    xprime = (TruncatedSeries(q, [1], 8),)
     out = expand_around(g, modulus, xbar, xprime)
-    assert out.head.components[0] == LowPoly.from_ints(q, 2, [c * c, 0])
-    assert out.tail[0] == TruncatedSeries.from_ints(q, [2 * c, 0, 1], 7)
+    assert out.head.components[0] == LowPoly(q, 2, [c * c, 0])
+    assert out.tail[0] == TruncatedSeries(q, [2 * c, 0, 1], 7)
 
 
 def test_expand_without_perturbation_reduces_the_value():
     f5 = PrimeFieldRing(5)
     g = PolyMap(("y",), 0, [MultiPoly(1, {(3,): 1})])
-    modulus = MonicPoly.from_ints(f5, [1])
-    xbar = ModQVector(MonicPoly.from_ints(f5, [0, 1]), [LowPoly.from_ints(f5, 2, [1, 1])])
+    modulus = MonicPoly(f5, [1])
+    xbar = ModQVector(MonicPoly(f5, [0, 1]), [LowPoly(f5, 2, [1, 1])])
     xprime = (TruncatedSeries.constant(f5.zero, 8),)
     out = expand_around(g, modulus, xbar, xprime)
     # w = (1 + t)^3 with no perturbation: reconstruct exactly
-    w = TruncatedSeries.from_ints(f5, [1, 3, 3, 1], 9)
+    w = TruncatedSeries(f5, [1, 3, 3, 1], 9)
     n = out.tail[0].precision
     back = out.tail[0] * xbar.modulus.as_series(n) + out.head.components[0].as_series(n)
     assert back.agrees(w)
@@ -196,16 +196,16 @@ def test_expand_reconstructs_randomized(ring):
     rng = random.Random(11)
     for _ in range(60):
         d = rng.randrange(0, 4)
-        q = MonicPoly(ring, [ring.random_element(rng) for _ in range(d)])
+        q = MonicPoly(ring, [random_element(ring, rng) for _ in range(d)])
         tq_coeffs = [ring.zero, *q.coeffs]
         g = _random_poly_map(rng, 2, 2, 3)
         xbar = ModQVector(
             MonicPoly(ring, tq_coeffs[:-1]),
-            [LowPoly(ring, d + 1, [ring.random_element(rng) for _ in range(d + 1)]) for _ in range(2)],
+            [LowPoly(ring, d + 1, [random_element(ring, rng) for _ in range(d + 1)]) for _ in range(2)],
         )
         n = d + 4
         xprime = tuple(
-            TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+            TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
             for _ in range(2)
         )
         out = expand_around(g, q, xbar, xprime)
@@ -228,18 +228,18 @@ def test_expand_arity_checks():
     q = RationalRing()
     g = PolyMap(("y",), 0, [MultiPoly(1, {(2,): 1})])
     modulus = MonicPoly.t_power(q, 1)
-    bad = ModQVector(MonicPoly.t_power(q, 1), [LowPoly.from_ints(q, 1, [1])])
+    bad = ModQVector(MonicPoly.t_power(q, 1), [LowPoly(q, 1, [1])])
     with pytest.raises(ArityMismatch):
-        expand_around(g, modulus, bad, (TruncatedSeries.from_ints(q, [1], 6),))
+        expand_around(g, modulus, bad, (TruncatedSeries(q, [1], 6),))
 
 
 def test_expand_needs_perturbation_precision_beyond_the_modulus():
     q = RationalRing()
     g = PolyMap(("y",), 0, [MultiPoly(1, {(2,): 1})])
     modulus = MonicPoly.t_power(q, 2)
-    xbar = ModQVector(MonicPoly.t_power(q, 3), [LowPoly.from_ints(q, 3, [1])])
+    xbar = ModQVector(MonicPoly.t_power(q, 3), [LowPoly(q, 3, [1])])
     with pytest.raises(InsufficientPrecision):
-        expand_around(g, modulus, xbar, (TruncatedSeries.from_ints(q, [1], 2),))
+        expand_around(g, modulus, xbar, (TruncatedSeries(q, [1], 2),))
 
 
 # -- oracle: evaluate term by term, reducing after every product ---------------
@@ -294,11 +294,11 @@ def test_map_mod_poly_matches_reduce_after_every_product(ring):
     rng = random.Random(13)
     for d in range(6):
         for k in range(6):
-            low = [ring.random_element(rng) for _ in range(d)]
+            low = [random_element(ring, rng) for _ in range(d)]
             q = MonicPoly(ring, low)
             m = rng.randrange(1, 3)
             f = _oracle_map(rng, m, rng.randrange(1, m + 1), 0 if k == 0 else 4)
-            comps = [[ring.random_element(rng) for _ in range(d)] for _ in range(m)]
+            comps = [[random_element(ring, rng) for _ in range(d)] for _ in range(m)]
             out = map_mod_poly(f, q, ModQVector(q, [LowPoly(ring, d, c) for c in comps]))
 
             def reduce(coeffs):
@@ -313,14 +313,14 @@ def test_expand_around_matches_truncate_after_every_product(ring):
     rng = random.Random(14)
     for d in range(6):
         for k in range(4):
-            low = [ring.random_element(rng) for _ in range(d)]
+            low = [random_element(ring, rng) for _ in range(d)]
             q = MonicPoly(ring, low)
             tq_low = [ring.zero] + low
             m = rng.randrange(1, 3)
             g = _oracle_map(rng, m, rng.randrange(1, m + 1), 0 if k == 0 else 4)
             prec = d + 1 + rng.randrange(3)
-            xbar = [[ring.random_element(rng) for _ in range(d + 1)] for _ in range(m)]
-            xprime = [[ring.random_element(rng) for _ in range(prec)] for _ in range(m)]
+            xbar = [[random_element(ring, rng) for _ in range(d + 1)] for _ in range(m)]
+            xprime = [[random_element(ring, rng) for _ in range(prec)] for _ in range(m)]
             out = expand_around(
                 g,
                 q,
@@ -358,28 +358,28 @@ def test_expand_around_head_does_not_depend_on_the_perturbation_precision():
     # whether x' is known mod t^2, t^3 or t^4
     f5 = PrimeFieldRing(5)
     g = PolyMap(("y",), 0, [MultiPoly(1, {(3,): 1})])
-    q = MonicPoly.from_ints(f5, [1])
-    xbar = ModQVector(MonicPoly.from_ints(f5, [0, 1]), [LowPoly.from_ints(f5, 2, [1, 1])])
+    q = MonicPoly(f5, [1])
+    xbar = ModQVector(MonicPoly(f5, [0, 1]), [LowPoly(f5, 2, [1, 1])])
     for prec in (2, 3, 4):
         out = expand_around(g, q, xbar, (TruncatedSeries.constant(f5.zero, prec),))
-        assert out.head.components[0] == LowPoly.from_ints(f5, 2, [1, 1])
-        assert out.tail[0] == TruncatedSeries.from_ints(f5, [2, 1], prec - 1)
+        assert out.head.components[0] == LowPoly(f5, 2, [1, 1])
+        assert out.tail[0] == TruncatedSeries(f5, [2, 1], prec - 1)
 
 
 def test_equal_vectors_and_expansions_hash_equal():
     # g = y^3 around xbar = 1 + t mod t*q, q = t + 1, over Fp(5)
     f5 = PrimeFieldRing(5)
     g = PolyMap(("y",), 0, [MultiPoly(1, {(3,): 1})])
-    q = MonicPoly.from_ints(f5, [1])
+    q = MonicPoly(f5, [1])
 
     def expansion():
-        xbar = ModQVector(MonicPoly.from_ints(f5, [0, 1]), [LowPoly.from_ints(f5, 2, [1, 1])])
-        return expand_around(g, q, xbar, (TruncatedSeries.from_ints(f5, [0, 2], 4),))
+        xbar = ModQVector(MonicPoly(f5, [0, 1]), [LowPoly(f5, 2, [1, 1])])
+        return expand_around(g, q, xbar, (TruncatedSeries(f5, [0, 2], 4),))
 
     a, b = expansion(), expansion()
     assert a is not b and a == b and hash(a) == hash(b)
     assert a.head == b.head and hash(a.head) == hash(b.head)
     assert len({a, b}) == 1 and len({a.head, b.head}) == 1
     # the modulus and the component count enter the hash
-    other = ModQVector(MonicPoly.from_ints(f5, [0, 1]), [LowPoly.from_ints(f5, 2, [1, 1])] * 2)
+    other = ModQVector(MonicPoly(f5, [0, 1]), [LowPoly(f5, 2, [1, 1])] * 2)
     assert other != a.head

@@ -26,7 +26,7 @@ from arclift import (
     newton,
 )
 
-from _helpers import catalan_numbers, correction_hd, solver_map
+from _helpers import catalan_numbers, correction_hd, random_element, solver_map
 
 
 def cusp_map():
@@ -159,7 +159,7 @@ def test_jacobian_data_is_hashable():
 def test_taylor_remainder_of_linear_map_vanishes():
     q = RationalRing()
     pm = PolyMap(("x1", "y1"), 1, [MultiPoly(2, {(0, 1): 2, (1, 0): 3})])
-    arc = ArcPoint(pm, (TruncatedSeries.t_power(q, 1, 6), TruncatedSeries.from_ints(q, [1], 6)))
+    arc = ArcPoint(pm, (TruncatedSeries.t_power(q, 1, 6), TruncatedSeries(q, [1], 6)))
     assert arc.jacobian.remainder == (MultiPoly(1, {}),)
     assert arc.remainder_at == ((),)
 
@@ -168,7 +168,7 @@ def test_taylor_remainder_of_cusp_is_the_pure_square():
     q = RationalRing()
     arc = cusp_arc(q, [0, 0, 0, 1], 8)
     assert list(arc.jacobian.remainder[0].terms) == [(2,)]
-    assert arc.remainder_at == ((TruncatedSeries.from_ints(q, [1], 8),),)
+    assert arc.remainder_at == ((TruncatedSeries(q, [1], 8),),)
 
 
 def test_taylor_remainder_weights_cubic_terms_once():
@@ -176,7 +176,7 @@ def test_taylor_remainder_weights_cubic_terms_once():
     # H(v) = 3y v^2 + (t*det) v^3 with det = 3y^2
     q = RationalRing()
     pm = PolyMap(("y",), 0, [MultiPoly(1, {(3,): 1})])
-    y = TruncatedSeries.from_ints(q, [1, 1], 8)
+    y = TruncatedSeries(q, [1, 1], 8)
     arc = ArcPoint(pm, (y,))
     h = dict(zip(arc.jacobian.remainder[0].terms, arc.remainder_at[0]))
     assert set(h) == {(2,), (3,)}
@@ -202,13 +202,13 @@ def test_taylor_identity_randomized(ring):
     n = 12
     for _ in range(25):
         comps = tuple(
-            TruncatedSeries(ring, [ring.random_element(rng) for _ in range(4)], n)
+            TruncatedSeries(ring, [random_element(ring, rng) for _ in range(4)], n)
             for _ in range(3)
         )
         arc = ArcPoint(pm, comps)
         det = arc.det_at
         vs = tuple(
-            TruncatedSeries(ring, [ring.random_element(rng) for _ in range(3)], n)
+            TruncatedSeries(ring, [random_element(ring, rng) for _ in range(3)], n)
             for _ in range(2)
         )
         h_at, _ = arc.correction(vs, 0)
@@ -248,10 +248,10 @@ def test_congruence_on_perturbed_cusp_matches_hand_series():
     # independent series computation: defect/(t*det^2) = (2+t)/(4(1+t)^2),
     # and the implemented convention flips the sign.
     n = v1.precision
-    one_plus_t = TruncatedSeries.from_ints(q, [1, 1], n)
+    one_plus_t = TruncatedSeries(q, [1, 1], n)
     inv = one_plus_t.invert()
     expected = (
-        TruncatedSeries.from_ints(q, [2, 1], n)
+        TruncatedSeries(q, [2, 1], n)
         * inv
         * inv
         * TruncatedSeries.constant(q.element(Fraction(1, 4)), n)
@@ -293,7 +293,7 @@ def zero_jacobian(v):
 
 def test_fixed_point_trivial_cases():
     q = RationalRing()
-    v1 = (TruncatedSeries.from_ints(q, [1, 2, 3], 8),)
+    v1 = (TruncatedSeries(q, [1, 2, 3], 8),)
     hd = solver_map(lambda v: (TruncatedSeries.constant(q.zero, 8),), zero_jacobian)
     out = fixed_point_solve(hd, v1, 8)
     assert out[0] == v1[0].truncate(8)
@@ -304,11 +304,11 @@ def test_fixed_point_trivial_cases():
 
 def test_fixed_point_generates_signed_catalan_numbers():
     q = RationalRing()
-    v1 = (TruncatedSeries.from_ints(q, [1], 10),)
+    v1 = (TruncatedSeries(q, [1], 10),)
     (v0,) = fixed_point_solve(solver_map(square, double), v1, 10)
     cs = catalan_numbers(10)
     expected = [(-1) ** k * cs[k] for k in range(10)]
-    assert v0 == TruncatedSeries.from_ints(q, expected, 10)
+    assert v0 == TruncatedSeries(q, expected, 10)
     assert expected == [1, -1, 2, -5, 14, -42, 132, -429, 1430, -4862]
 
 
@@ -324,8 +324,8 @@ def contraction_solve(h, v1, precision):
 def random_series(ring, precision, rng):
     # small integers over Q: random fractions make the oracle's cost explode
     if ring == RationalRing():
-        return TruncatedSeries.from_ints(ring, [rng.randint(-3, 3) for _ in range(precision)])
-    return TruncatedSeries(ring, [ring.random_element(rng) for _ in range(precision)])
+        return TruncatedSeries(ring, [rng.randint(-3, 3) for _ in range(precision)])
+    return TruncatedSeries(ring, [random_element(ring, rng) for _ in range(precision)])
 
 
 def random_polynomial_h(ring, n, precision, rng, monomials=None):
@@ -434,7 +434,7 @@ def test_fixed_point_final_certificate_can_fail():
         return (TruncatedSeries.t_power(q, 6, k) if k == 8 else TruncatedSeries(q, [], k),)
 
     with pytest.raises(RuntimeError, match="Newton certificate failed"):
-        fixed_point_solve(solver_map(h, zero_jacobian), (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
+        fixed_point_solve(solver_map(h, zero_jacobian), (TruncatedSeries(q, [1, 2], 8),), 8)
 
 
 def test_fixed_point_residual_certificate_can_fail():
@@ -447,12 +447,12 @@ def test_fixed_point_residual_certificate_can_fail():
         return (TruncatedSeries.t_power(q, k - 1, k),)
 
     with pytest.raises(RuntimeError, match="residual"):
-        fixed_point_solve(solver_map(h, zero_jacobian), (TruncatedSeries.from_ints(q, [1, 2], 8),), 8)
+        fixed_point_solve(solver_map(h, zero_jacobian), (TruncatedSeries(q, [1, 2], 8),), 8)
 
 
 def test_fixed_point_validates_h():
     q = RationalRing()
-    v1 = (TruncatedSeries.from_ints(q, [1, 2], 8),) * 2
+    v1 = (TruncatedSeries(q, [1, 2], 8),) * 2
     with pytest.raises(ArityMismatch):
         fixed_point_solve(solver_map(lambda v: (v[0],), zero_jacobian), v1, 8)
     with pytest.raises(ArityMismatch):
@@ -465,7 +465,7 @@ def test_fixed_point_validates_h():
 
 def test_fixed_point_validates_dh():
     q = RationalRing()
-    v1 = (TruncatedSeries.from_ints(q, [1, 2], 8),) * 2
+    v1 = (TruncatedSeries(q, [1, 2], 8),) * 2
 
     def h(v):
         return v[0] * v[1], v[1] * v[1]
@@ -491,7 +491,7 @@ def test_fixed_point_wrong_jacobian_fails_the_residual_certificate(precision):
     # the zero Jacobian for h = v^2 leaves each round's update right only
     # one order past what was certified, so the next round's residual is off
     q = RationalRing()
-    v1 = (TruncatedSeries.from_ints(q, [1], precision),)
+    v1 = (TruncatedSeries(q, [1], precision),)
     with pytest.raises(RuntimeError, match="residual"):
         fixed_point_solve(solver_map(square, zero_jacobian), v1, precision)
 
@@ -525,15 +525,15 @@ def test_fixed_point_on_diagonal_and_lower_triangular_systems(ring, shape, monom
 @pytest.mark.parametrize("precision", [8, 64])
 def test_fixed_point_with_a_wrong_dh_from_its_plan_fails_the_residual_certificate(precision):
     q = RationalRing()
-    hd = correction_hd([{(2,): TruncatedSeries.from_ints(q, [1], precision)}])
+    hd = correction_hd([{(2,): TruncatedSeries(q, [1], precision)}])
 
     def doubled(v, k):  # h = v^2 right, Dh = 4v wrong
         hv, dh = hd(v, k)
         return hv, dh and [[x + x for x in row] for row in dh]
 
-    v1 = (TruncatedSeries.from_ints(q, [1], precision),)
+    v1 = (TruncatedSeries(q, [1], precision),)
     (v0,) = fixed_point_solve(hd, v1, precision)  # signed Catalan numbers
-    assert v0 == TruncatedSeries.from_ints(q, [(-1) ** k * c for k, c in enumerate(catalan_numbers(precision))])
+    assert v0 == TruncatedSeries(q, [(-1) ** k * c for k, c in enumerate(catalan_numbers(precision))])
     with pytest.raises(RuntimeError, match="residual"):
         fixed_point_solve(doubled, v1, precision)
 
@@ -551,7 +551,7 @@ def test_jacobian_data_is_cached_per_map(monkeypatch):
 def test_degenerate_map_raises_on_every_access():
     pm = PolyMap(("x1", "y1"), 1, [MultiPoly(2, {(1, 0): 1})])
     q = RationalRing()
-    arc = (TruncatedSeries.t_power(q, 1, 4), TruncatedSeries.from_ints(q, [1], 4))
+    arc = (TruncatedSeries.t_power(q, 1, 4), TruncatedSeries(q, [1], 4))
     for _ in range(2):
         with pytest.raises(DegenerateJacobian):
             ArcPoint(pm, arc)
@@ -565,7 +565,7 @@ def test_forward_then_solve_roundtrips(ring):
     arc = cusp_arc(ring, [0, 0, 0, 1, 1], 16)
     hd = arc.correction
     for _ in range(30):
-        v0 = (TruncatedSeries(ring, [ring.random_element(rng) for _ in range(10)], 12),)
+        v0 = (TruncatedSeries(ring, [random_element(ring, rng) for _ in range(10)], 12),)
         v1 = congruence_forward(arc, v0)
         back = fixed_point_solve(hd, v1, min(x.precision for x in v1))
         assert back[0].agrees(v0[0])

@@ -25,7 +25,7 @@ from arclift import (
 from arclift.newton import evaluate_along
 from arclift.polynomials import EvaluationPlan, MonomialTable
 
-from _helpers import acceptance_rings
+from _helpers import acceptance_rings, random_element
 
 COEFFICIENTS = [0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)]
 
@@ -69,7 +69,7 @@ def _plan_evaluate(plan, poly, table, ring, n):
 
 
 def _random_series(ring, rng, n):
-    return TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+    return TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
@@ -130,7 +130,7 @@ def test_each_monomial_costs_one_product(ring, monkeypatch):
 
 @pytest.mark.parametrize("ring", [IntegersMod(9), IntegersMod(27)], ids=repr)
 def test_a_coefficient_without_image_raises_as_term_by_term(ring):
-    values = [TruncatedSeries.from_ints(ring, [1, 1], 4)] * 2
+    values = [TruncatedSeries(ring, [1, 1], 4)] * 2
     for poly in (
         MultiPoly(2, {(1, 0): Fraction(1, 3)}),
         MultiPoly(2, {(0, 0): Fraction(2, 3), (1, 1): 1}),
@@ -148,7 +148,7 @@ def test_an_arc_raises_for_a_map_coefficient_without_image():
     z27 = IntegersMod(27)
     # the cusp scaled by 1/3: y^2/3 - x^3/3
     pm = PolyMap(("x1", "y1"), 1, [MultiPoly(2, {(0, 2): Fraction(1, 3), (3, 0): Fraction(-1, 3)})])
-    y = TruncatedSeries.from_ints(z27, [0, 0, 0, 1, 1], 40)
+    y = TruncatedSeries(z27, [0, 0, 0, 1, 1], 40)
     arc = ArcPoint(pm, (TruncatedSeries.t_power(z27, 2, 40), y))
     with pytest.raises(NotAUnit, match="the coefficient 1/3 has no image in Zmod\\(27\\): its denominator 3"):
         arc.values
@@ -189,8 +189,8 @@ def test_a_lift_never_evaluates_the_jacobian_block(monkeypatch):
         newton, "_evaluate", lambda plan, poly, *args: evaluated.append(poly) or real(plan, poly, *args)
     )
     x1 = TruncatedSeries.t_power(f5, 2, 34)
-    u = TruncatedSeries.from_ints(f5, [0, 0, 0, 1, 0, 1, 0, 0, 0, 1], 34)
-    w = TruncatedSeries.from_ints(f5, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], 34)
+    u = TruncatedSeries(f5, [0, 0, 0, 1, 0, 1, 0, 0, 0, 1], 34)
+    w = TruncatedSeries(f5, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], 34)
     result = arc_lift(ArcPoint(pm, (x1, u, w)))
     assert result.precision == 17 and all(v.is_zero() for v in result.arc.values)
     assert set(evaluated) == read

@@ -30,7 +30,10 @@ from arclift.weierstrass import divide_by_monic, poly_mul
 from _helpers import (
     acceptance_rings,
     correction_hd,
+    random_element,
+    random_nilpotent,
     random_nondegenerate,
+    random_unit,
     schoolbook_product,
     solver_map,
 )
@@ -66,9 +69,9 @@ def _as_series(ring, poly, n):
 
 def test_product_truncates_at_min_precision():
     q = RationalRing()
-    a = TruncatedSeries.from_ints(q, [1, 1], 4)
-    b = TruncatedSeries.from_ints(q, [1, -1], 4)
-    assert a * b == TruncatedSeries.from_ints(q, [1, 0, -1, 0], 4)
+    a = TruncatedSeries(q, [1, 1], 4)
+    b = TruncatedSeries(q, [1, -1], 4)
+    assert a * b == TruncatedSeries(q, [1, 0, -1, 0], 4)
 
 
 def test_nilpotent_squares_vanish_in_products():
@@ -82,36 +85,34 @@ def test_nilpotent_squares_vanish_in_products():
 
 def test_addition():
     q = RationalRing()
-    a = TruncatedSeries.from_ints(q, [1, 1], 2)
-    b = TruncatedSeries.from_ints(q, [-1, 1], 2)
-    assert a + b == TruncatedSeries.from_ints(q, [0, 2], 2)
+    a = TruncatedSeries(q, [1, 1], 2)
+    b = TruncatedSeries(q, [-1, 1], 2)
+    assert a + b == TruncatedSeries(q, [0, 2], 2)
 
 
 def test_mixed_rings_rejected():
     with pytest.raises(MixedRings):
-        TruncatedSeries.from_ints(PrimeFieldRing(5), [1], 2) + TruncatedSeries.from_ints(
-            PrimeFieldRing(7), [1], 2
-        )
+        TruncatedSeries(PrimeFieldRing(5), [1], 2) + TruncatedSeries(PrimeFieldRing(7), [1], 2)
 
 
 def test_geometric_series_inverse():
     q = RationalRing()
-    x = TruncatedSeries.from_ints(q, [1, -1], 4)
-    assert x.invert() == TruncatedSeries.from_ints(q, [1, 1, 1, 1], 4)
+    x = TruncatedSeries(q, [1, -1], 4)
+    assert x.invert() == TruncatedSeries(q, [1, 1, 1, 1], 4)
 
 
 def test_inverse_over_z9():
     z9 = IntegersMod(9)
-    x = TruncatedSeries.from_ints(z9, [1, 3], 3)
+    x = TruncatedSeries(z9, [1, 3], 3)
     inv = x.invert()
-    assert inv == TruncatedSeries.from_ints(z9, [1, -3, 0], 3)
-    assert x * inv == TruncatedSeries.from_ints(z9, [1, 0, 0], 3)
+    assert inv == TruncatedSeries(z9, [1, -3, 0], 3)
+    assert x * inv == TruncatedSeries(z9, [1, 0, 0], 3)
 
 
 def test_inverse_needs_unit_constant():
     q = RationalRing()
     with pytest.raises(NotAUnit):
-        TruncatedSeries.from_ints(q, [0, 1, 1], 3).invert()
+        TruncatedSeries(q, [0, 1, 1], 3).invert()
 
 
 @pytest.mark.parametrize("modulus", [9, 27])
@@ -126,7 +127,7 @@ def test_inverses_over_zmod_with_nilpotent_tails(modulus):
             for nilpotent in (True, False):
                 tail = [3 * rng.randrange(modulus // 3) if nilpotent else rng.randrange(modulus)
                         for _ in range(n - 1)]
-                a = TruncatedSeries.from_ints(ring, [c0] + tail, n)
+                a = TruncatedSeries(ring, [c0] + tail, n)
                 inv = a.invert()
                 assert all(type(v) is int and 0 <= v < modulus for v in inv.payloads)
                 product = schoolbook_product(list(a.coeffs), list(inv.coeffs), ring)[:n]
@@ -200,11 +201,11 @@ def _newton_cases(ring, rng):
     unit constant and five other nonzero terms."""
     cut = ring.NEWTON_INVERT_MIN
     for n in (cut - 1, cut, cut + 1) * 3 + (2 * cut + 5,):
-        yield [ring.random_unit(rng)] + [ring.random_element(rng) for _ in range(n - 1)]
+        yield [random_unit(ring, rng)] + [random_element(ring, rng) for _ in range(n - 1)]
     for _ in range(3):
-        coeffs = [ring.random_unit(rng)] + [ring.zero] * 511
+        coeffs = [random_unit(ring, rng)] + [ring.zero] * 511
         for i in rng.sample(range(1, 512), 5):
-            coeffs[i] = ring.random_unit(rng)
+            coeffs[i] = random_unit(ring, rng)
         yield coeffs
 
 
@@ -256,7 +257,7 @@ def test_rationals_invert_by_the_recurrence_at_every_length(monkeypatch):
     rng = random.Random(32)
     for n in (Ring.NEWTON_INVERT_MIN - 1, Ring.NEWTON_INVERT_MIN, 129, 512):
         calls.clear()
-        x = TruncatedSeries.from_ints(ring, [1] + [rng.randint(-30, 30) for _ in range(n - 1)], n)
+        x = TruncatedSeries(ring, [1] + [rng.randint(-30, 30) for _ in range(n - 1)], n)
         x.invert()
         assert calls == [n]
 
@@ -265,7 +266,7 @@ def test_rationals_invert_by_the_recurrence_at_every_length(monkeypatch):
 def test_double_inverse_is_identity(ring):
     rng = random.Random(7)
     for _ in range(50):
-        coeffs = [ring.random_unit(rng)] + [ring.random_element(rng) for _ in range(7)]
+        coeffs = [random_unit(ring, rng)] + [random_element(ring, rng) for _ in range(7)]
         x = TruncatedSeries(ring, coeffs, 8)
         assert x.invert().invert() == x
 
@@ -276,9 +277,9 @@ def test_nondegeneracy_verdicts():
     with pytest.raises(Indeterminate):
         is_nondegenerate(TruncatedSeries(r, [eps, eps], 2))
     z9 = IntegersMod(9)
-    assert is_nondegenerate(TruncatedSeries.from_ints(z9, [3, 1], 2))
+    assert is_nondegenerate(TruncatedSeries(z9, [3, 1], 2))
     with pytest.raises(Indeterminate):
-        is_nondegenerate(TruncatedSeries.from_ints(PrimeFieldRing(7), [0], 5))
+        is_nondegenerate(TruncatedSeries(PrimeFieldRing(7), [0], 5))
 
 
 def test_reduced_order_examples():
@@ -287,9 +288,9 @@ def test_reduced_order_examples():
     x = TruncatedSeries(r, [eps, r.zero, r.one, r.one], 4)
     assert reduced_order(x) == 2
     z9 = IntegersMod(9)
-    assert reduced_order(TruncatedSeries.from_ints(z9, [3, 6, 1], 3)) == 2
+    assert reduced_order(TruncatedSeries(z9, [3, 6, 1], 3)) == 2
     q = RationalRing()
-    assert reduced_order(TruncatedSeries.from_ints(q, [5, 1], 2)) == 0
+    assert reduced_order(TruncatedSeries(q, [5, 1], 2)) == 0
 
 
 def test_laurent_divide_shifts_plain_powers():
@@ -309,16 +310,18 @@ def test_laurent_divide_by_nilpotent_shift():
     out = laurent_divide(one, b)
     assert out.coefficient(-1) == r.one
     assert out.coefficient(-2) == -eps
-    # (eps + t) * (t^-1 - eps t^-2) = 1 on the certified window
-    assert out.times_series(b).agrees_with_series(one)
+    # (eps + t) * (t^-1 - eps t^-2) = 1 on the certified window, with
+    # nothing left below exponent 0
+    product = out.times_series(b).power_series_part()
+    assert product is not None and product.agrees(one)
 
 
 def test_laurent_divide_by_unit_constant():
     from fractions import Fraction
 
     q = RationalRing()
-    a = TruncatedSeries.from_ints(q, [1, 1], 4)
-    b = TruncatedSeries.from_ints(q, [2], 4)
+    a = TruncatedSeries(q, [1, 1], 4)
+    b = TruncatedSeries(q, [2], 4)
     ps = laurent_divide(a, b).power_series_part()
     assert ps.coeffs[0] == q.element(Fraction(1, 2))
     assert ps.coeffs[1] == q.element(Fraction(1, 2))
@@ -330,9 +333,9 @@ def test_laurent_division_inverts_multiplication(ring):
     for _ in range(100):
         b, _ = random_nondegenerate(ring, rng, dmax=3, extra=12)
         n = b.precision
-        a = TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
-        out = laurent_divide(a, b)
-        assert out.times_series(b).agrees_with_series(a)
+        a = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
+        product = laurent_divide(a, b).times_series(b).power_series_part()
+        assert product is not None and product.agrees(a)
 
 
 def test_laurent_division_exhausts_precision():
@@ -361,7 +364,7 @@ def test_reduced_order_is_additive(ring):
 
 def _sparse(ring, rng, count):
     """A zero-heavy list: about half the entries are exactly zero."""
-    return [ring.zero if rng.random() < 0.5 else ring.random_element(rng) for _ in range(count)]
+    return [ring.zero if rng.random() < 0.5 else random_element(ring, rng) for _ in range(count)]
 
 
 def _long_division(f, low, ring):
@@ -409,7 +412,7 @@ def test_monic_division_matches_long_division(ring):
         lows = [
             _sparse(ring, rng, d),  # arbitrary low coefficients
             [ring.zero] * d,  # q = t^d
-            [ring.random_nilpotent(rng) for _ in range(d)],  # strict q
+            [random_nilpotent(ring, rng) for _ in range(d)],  # strict q
         ]
         for low in lows:
             q = MonicPoly(ring, low)
@@ -578,7 +581,7 @@ def test_integer_rings_invert_without_payload_ops(ring, monkeypatch):
     def refuse(*args):
         raise AssertionError("payload op called on the integer path")
 
-    series = [TruncatedSeries.from_ints(ring, [1, 4, 0, -2, 7, 3] * k, 6 * k)
+    series = [TruncatedSeries(ring, [1, 4, 0, -2, 7, 3] * k, 6 * k)
               for k in (1, Ring.NEWTON_INVERT_MIN // 6 + 1)]
     expected = [x.invert() for x in series]
     monkeypatch.setattr(ring, "payload_add", refuse)
@@ -750,7 +753,7 @@ WRAPPER_RINGS = [RationalRing(), PrimeFieldRing(5), F5eps()]
 
 
 def _random_series(ring, rng, n):
-    return TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+    return TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
 
 
 def _count_wrappers(monkeypatch, fn):
@@ -773,7 +776,7 @@ def test_series_arithmetic_builds_no_wrappers(ring, monkeypatch):
     for n in (16, 64):
         rng = random.Random(n)
         a, b = _random_series(ring, rng, n), _random_series(ring, rng, n)
-        c = ring.random_element(rng)
+        c = random_element(ring, rng)
 
         def ops():
             a * b, a + b, a - b, -a, a.truncate(n // 2), a.shift(3)
@@ -788,7 +791,7 @@ def test_fixed_point_solve_wraps_per_round_not_per_coefficient(ring, monkeypatch
         return v[0] * v[1], v[0] + v[1] * v[1]
 
     def dh(v):
-        one = TruncatedSeries.from_ints(v[0].ring, [1], v[0].precision)
+        one = TruncatedSeries(v[0].ring, [1], v[0].precision)
         return (v[1], v[0]), (one, v[1] + v[1])
 
     counts = {}
@@ -837,7 +840,7 @@ def test_correction_jacobian_of_a_quadratic_h_runs_no_product(ring, monkeypatch)
 
 def test_scale_runs_no_product(monkeypatch):
     q = RationalRing()
-    x = TruncatedSeries.from_ints(q, [1, 2, 3], 3)
+    x = TruncatedSeries(q, [1, 2, 3], 3)
     assert _count_products(monkeypatch, lambda: x.scale(q.element(Fraction(2, 3)))) == 0
 
 
@@ -868,7 +871,7 @@ def _scale_cases():
 
 def _scale_operand(ring, rng):
     try:
-        return ring.random_element(rng)
+        return random_element(ring, rng)
     except NotImplementedError:  # colimit rings: levels 0 and 1, and zeros
         return rng.choice([ring.zero, ring.one, ring.q0(), ring.x(1), ring.q0() * ring.x(1)])
 
@@ -944,7 +947,7 @@ def test_fixed_point_solve_over_q_builds_fractions_per_round_not_per_coefficient
         return v[0] * v[1], v[0] + v[1] * v[1]
 
     def dh(v):
-        one = TruncatedSeries.from_ints(v[0].ring, [1], v[0].precision)
+        one = TruncatedSeries(v[0].ring, [1], v[0].precision)
         return (v[1], v[0]), (one, v[1] + v[1])
 
     counts = {}

@@ -43,7 +43,7 @@ from arclift import (
 )
 from arclift.jets import ModQVector
 
-from _helpers import acceptance_rings, random_nondegenerate
+from _helpers import acceptance_rings, random_element, random_nilpotent, random_nondegenerate
 
 EXTRA = 8  # orders of random tail beyond N
 
@@ -51,7 +51,7 @@ EXTRA = 8  # orders of random tail beyond N
 def _with_tail(x, rng, extra=EXTRA):
     """x's N known coefficients followed by ``extra`` random ones."""
     ring = x.ring
-    tail = [ring.random_element(rng) for _ in range(extra)]
+    tail = [random_element(ring, rng) for _ in range(extra)]
     return TruncatedSeries(ring, list(x.coeffs) + tail, x.precision + extra)
 
 
@@ -59,7 +59,7 @@ def _strict_modulus(ring, rng):
     """A strict monic q of degree d <= 4 and a precision N >= d*(e+1)."""
     e = ring.nilpotency_exponent()
     d = rng.randrange(5)
-    q = MonicPoly(ring, [ring.random_nilpotent(rng) for _ in range(d)])
+    q = MonicPoly(ring, [random_nilpotent(ring, rng) for _ in range(d)])
     return q, d * (e + 1) + 1 + rng.randrange(3)
 
 
@@ -68,7 +68,7 @@ def test_exact_reduction_ignores_the_tail(ring):
     rng = random.Random(61)
     for _ in range(30):
         q, n = _strict_modulus(ring, rng)
-        x = TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+        x = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
         out = mod_q_reduce(x, q)
         assert out.exact
         for _ in range(3):
@@ -81,7 +81,7 @@ def test_exact_division_ignores_the_tail(ring):
     e = ring.nilpotency_exponent()
     for _ in range(30):
         q, n = _strict_modulus(ring, rng)
-        f = TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+        f = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
         out = weierstrass_divide(f, q)
         assert out.exact
         for _ in range(3):
@@ -110,7 +110,7 @@ def test_laurent_division_ignores_the_tails(ring):
     for _ in range(30):
         b, _ = random_nondegenerate(ring, rng)
         n = b.precision
-        a = TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+        a = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
         out = laurent_divide(a, b)
         for _ in range(3):
             again = laurent_divide(_with_tail(a, rng), _with_tail(b, rng))
@@ -130,7 +130,7 @@ def test_congruence_correction_ignores_the_tails(ring):
     e = ring.nilpotency_exponent()
     for _ in range(20):
         n = 5 * (e + 1) - 1 + rng.randrange(4)  # the least N check_congruence takes, and more
-        y = [ring.zero] * 3 + [ring.random_element(rng) for _ in range(n - 3)]
+        y = [ring.zero] * 3 + [random_element(ring, rng) for _ in range(n - 3)]
         arc = (TruncatedSeries.t_power(ring, 2, n), TruncatedSeries(ring, y, n))
         v1 = check_congruence(ArcPoint(NODE, arc))
         assert v1[0].precision == n - 5 * e
@@ -147,12 +147,12 @@ def test_expansion_ignores_the_perturbation_tail(ring):
                                   MultiPoly(2, {(0, 2): 1, (1, 0): -2})])
     for _ in range(20):
         d = rng.randrange(4)
-        low = [ring.random_element(rng) for _ in range(d)]
+        low = [random_element(ring, rng) for _ in range(d)]
         q, tq = MonicPoly(ring, low), MonicPoly(ring, [ring.zero] + low)
-        xbar = ModQVector(tq, [LowPoly(ring, d + 1, [ring.random_element(rng) for _ in range(d + 1)])
+        xbar = ModQVector(tq, [LowPoly(ring, d + 1, [random_element(ring, rng) for _ in range(d + 1)])
                                for _ in range(2)])
         k = d + 1 + rng.randrange(3)
-        xprime = [TruncatedSeries(ring, [ring.random_element(rng) for _ in range(k)], k)
+        xprime = [TruncatedSeries(ring, [random_element(ring, rng) for _ in range(k)], k)
                   for _ in range(2)]
         out = expand_around(g, q, xbar, xprime)
         for _ in range(3):
@@ -166,8 +166,8 @@ def test_inexact_remainder_does_change_with_the_tail():
     # q = t - 1 is not strict: reducing mod q evaluates at t = 1, so the
     # remainder is the sum of all coefficients, tail included
     f7 = PrimeFieldRing(7)
-    q = MonicPoly.from_ints(f7, [-1])
-    x = TruncatedSeries.from_ints(f7, [1, 1, 1], 3)
+    q = MonicPoly(f7, [-1])
+    x = TruncatedSeries(f7, [1, 1, 1], 3)
     rng = random.Random(64)
     tails = [_with_tail(x, rng) for _ in range(5)]
     reduced = mod_q_reduce(x, q)
@@ -191,7 +191,7 @@ def _perturbed_arc(ring, rng, leads, low, n):
     comps = [TruncatedSeries.t_power(ring, leads[0], n)]
     for lead in leads[1:]:
         coeffs = [ring.zero] * lead + [ring.one] + [ring.zero] * (low - lead - 1)
-        coeffs += [ring.random_element(rng) for _ in range(n - low)]
+        coeffs += [random_element(ring, rng) for _ in range(n - low)]
         comps.append(TruncatedSeries(ring, coeffs, n))
     return comps
 

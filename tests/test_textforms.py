@@ -19,15 +19,11 @@ from arclift import (
 from arclift.textforms import (
     MAX_DIGITS,
     MAX_NESTING,
-    format_element,
     format_factorization,
-    format_low,
-    format_monic,
     format_poly_map,
     format_t_poly,
     parse_element,
     parse_factorization,
-    parse_low,
     parse_monic,
     parse_poly_map,
     parse_ring,
@@ -37,7 +33,7 @@ from arclift.textforms import (
 from arclift.series import format_series
 from arclift.weierstrass import poly_mul
 
-from _helpers import acceptance_rings
+from _helpers import acceptance_rings, random_element
 
 
 def test_ring_descriptor_roundtrip():
@@ -112,8 +108,8 @@ def test_element_rejects_t_and_unknown_names():
 def test_element_format_parse_roundtrip(ring):
     rng = random.Random(17)
     for _ in range(200):
-        a = ring.random_element(rng)
-        assert parse_element(format_element(ring, a), ring) == a
+        a = random_element(ring, rng)
+        assert parse_element(repr(a), ring) == a
 
 
 def test_series_literals():
@@ -123,7 +119,7 @@ def test_series_literals():
     assert s.coeffs[0] == r.generators()["eps"]
     assert s.coeffs[1] == r.one
     t_form = parse_series("t^2 + 3*t + 1 + O(t^5)", PrimeFieldRing(7))
-    assert t_form == TruncatedSeries.from_ints(PrimeFieldRing(7), [1, 3, 1], 5)
+    assert t_form == TruncatedSeries(PrimeFieldRing(7), [1, 3, 1], 5)
     with pytest.raises(ParseError):
         parse_series("t^2", PrimeFieldRing(7))  # no precision anywhere
 
@@ -132,17 +128,17 @@ def test_series_literals():
 def test_series_format_parse_roundtrip(ring):
     rng = random.Random(19)
     for _ in range(40):
-        s = TruncatedSeries(ring, [ring.random_element(rng) for _ in range(6)], 8)
+        s = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(6)], 8)
         assert parse_series(format_series(s), ring) == s
 
 
 def test_monic_poly_roundtrip():
     z9 = IntegersMod(9)
-    q = MonicPoly.from_ints(z9, [3, 0, 6])
-    text = format_monic(q)
+    q = MonicPoly(z9, [3, 0, 6])
+    text = repr(q)
     assert text == "t^3 + 6*t^2 + 3"
     assert parse_monic(text, z9) == q
-    assert format_monic(MonicPoly.t_power(z9, 0)) == "1"
+    assert repr(MonicPoly.t_power(z9, 0)) == "1"
     with pytest.raises(ParseError):
         parse_monic("2*t + 1", z9)
 
@@ -151,10 +147,11 @@ def test_low_poly_roundtrip():
     f7 = PrimeFieldRing(7)
     from arclift import LowPoly
 
-    a = LowPoly.from_ints(f7, 3, [1, 0, 5])
-    text = format_low(a)
-    assert parse_low(text, f7, 3) == a
-    assert format_low(LowPoly(f7, 2, [])) == "0"
+    a = LowPoly(f7, 3, [1, 0, 5])
+    text = repr(a)
+    assert text == "5*t^2 + 1"
+    assert parse_series(text, f7, 3) == a.as_series(3)
+    assert repr(LowPoly(f7, 2, [])) == "0"
 
 
 def test_factorization_roundtrip():
@@ -225,6 +222,39 @@ def test_records_refuse_a_missing_key():
     _refuse_record("vars: [y]; eqs: [y]", "u: [1] + O(t^1), q: t, N: 1", "is missing")
 
 
+@pytest.mark.parametrize("names", ["x, ", "x, 2", "y, y z"])
+def test_poly_map_refuses_variables_that_are_not_names(names):
+    # each parsed before, to a coordinate no equation can name
+    with pytest.raises(ParseError, match="is not a name"):
+        parse_poly_map(f"vars: [{names}]; split: 0; eqs: [x]")
+
+
+@pytest.mark.parametrize("names", ["2", "a b", "a, "])
+def test_ring_refuses_generators_that_are_not_names(names):
+    with pytest.raises(ParseError, match="is not a name"):
+        parse_ring(f"Artin(Fp(5); {names}; 2)")
+
+
+def test_ring_refuses_t_as_a_generator():
+    # its elements would print as t, which reads back as the series variable
+    with pytest.raises(ParseError, match="series variable"):
+        parse_ring("Artin(Fp(5); t; 2)")
+    r = parse_ring("Artin(Fp(5); _t1, T; 2)")
+    assert r.names == ("_t1", "T")
+    assert parse_element(repr(r.generators()["_t1"]), r) == r.generators()["_t1"]
+
+
+@pytest.mark.parametrize("text, match", [
+    ("vars: [y]]; split: 0; eqs: [y]", "unbalanced ']'"),
+    ("vars: [y; split: 0; eqs: [y]", "unclosed '\\['"),
+    ("vars: [y); split: 0; eqs: [y]", "unbalanced '\\)'"),
+])
+def test_unbalanced_brackets_are_named(text, match):
+    # the first two once reported "map is missing ['eqs', 'split']"
+    with pytest.raises(ParseError, match=match):
+        parse_poly_map(text)
+
+
 def test_poly_map_with_rational_coefficients():
     pm = parse_poly_map("vars: [y]; split: 0; eqs: [y^2/2 - 3]")
     from fractions import Fraction
@@ -236,7 +266,7 @@ def test_poly_map_with_rational_coefficients():
 def test_parsed_powers_match_repeated_products(ring):
     rng = random.Random(29)
     for _ in range(6):
-        coeffs = [ring.random_element(rng) for _ in range(rng.randint(1, 4))]
+        coeffs = [random_element(ring, rng) for _ in range(rng.randint(1, 4))]
         text = format_t_poly(ring, [c.value for c in coeffs])
         base = parse_t_poly(text, ring)
         expected = (ring.item_ring.payload_from_int(1),), 1

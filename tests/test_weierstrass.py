@@ -38,6 +38,8 @@ from _helpers import (
     acceptance_rings,
     brute_force_fiber_dimension,
     charpoly_of_t,
+    random_element,
+    random_nilpotent,
     random_nondegenerate,
     reconstruct_factorization,
     strict_by_linear_system,
@@ -68,15 +70,15 @@ def test_prepare_pure_power_is_already_strict():
 
 def test_prepare_over_z9_with_certificate():
     z9 = IntegersMod(9)
-    x = TruncatedSeries.from_ints(z9, [3, 1], 6)
+    x = TruncatedSeries(z9, [3, 1], 6)
     fact = strict_prepare(x)
-    assert fact.q == MonicPoly.from_ints(z9, [3])
-    assert fact.u == TruncatedSeries.from_ints(z9, [1], 5)
+    assert fact.q == MonicPoly(z9, [3])
+    assert fact.u == TruncatedSeries(z9, [1], 5)
     qprime = divides_power_of_t(fact.q, 2)
-    assert qprime == MonicPoly.from_ints(z9, [-3])
+    assert qprime == MonicPoly(z9, [-3])
     # (t + 3)(t - 3) = t^2 - 9 = t^2 exactly in Z/9
     prod = qprime.as_series(4) * fact.q.as_series(4)
-    assert prod == TruncatedSeries.from_ints(z9, [0, 0, 1, 0], 4)
+    assert prod == TruncatedSeries(z9, [0, 0, 1, 0], 4)
 
 
 def test_prepare_at_the_exact_precision_boundary():
@@ -86,13 +88,12 @@ def test_prepare_at_the_exact_precision_boundary():
     fact = strict_prepare(x)
     assert fact.q == MonicPoly(r, [eps])
     assert fact.u.precision == 2
-    assert fact.q.eval_at(-eps) == r.zero
 
 
 def test_prepare_requires_local_ring_and_precision():
     z6 = IntegersMod(6)
     with pytest.raises(NonLocalRing):
-        strict_prepare(TruncatedSeries.from_ints(z6, [1, 1], 4))
+        strict_prepare(TruncatedSeries(z6, [1, 1], 4))
     r = F5eps()
     eps = r.generators()["eps"]
     with pytest.raises(InsufficientPrecision):
@@ -139,10 +140,10 @@ def test_polynomials_refuse_coefficients_from_another_ring():
 def test_polynomials_take_ints_as_canonical_elements():
     f5 = PrimeFieldRing(5)
     a = LowPoly(f5, 2, [1, 7])
-    assert a == LowPoly.from_ints(f5, 2, [1, 2])
+    assert a == LowPoly(f5, 2, [1, 2])
     assert repr(a) == "2*t + 1"
     q = MonicPoly(f5, [6, -1])
-    assert q == MonicPoly.from_ints(f5, [1, 4])
+    assert q == MonicPoly(f5, [1, 4])
     assert repr(q) == "t^2 + 4*t + 1"
 
 
@@ -159,28 +160,28 @@ def test_division_by_strict_linear_factor():
 
 def test_division_of_q_by_itself():
     z9 = IntegersMod(9)
-    q = MonicPoly.from_ints(z9, [3, 6])
+    q = MonicPoly(z9, [3, 6])
     f = q.as_series(8)
     result = weierstrass_divide(f, q)
     assert result.a.is_zero()
-    assert result.h == TruncatedSeries.from_ints(z9, [1], 6)
+    assert result.h == TruncatedSeries(z9, [1], 6)
 
 
 def test_division_splits_truncation():
     f7 = PrimeFieldRing(7)
-    f = TruncatedSeries.from_ints(f7, [1, 1, 1], 3)
+    f = TruncatedSeries(f7, [1, 1, 1], 3)
     result = weierstrass_divide(f, MonicPoly.t_power(f7, 2))
     assert result.exact
-    assert result.h == TruncatedSeries.from_ints(f7, [1], 1)
-    assert result.a == LowPoly.from_ints(f7, 2, [1, 1])
+    assert result.h == TruncatedSeries(f7, [1], 1)
+    assert result.a == LowPoly(f7, 2, [1, 1])
 
 
 def test_division_by_non_strict_divisor_is_flagged():
     f7 = PrimeFieldRing(7)
-    f = TruncatedSeries.from_ints(f7, [1, 2, 3, 4], 4)
-    result = weierstrass_divide(f, MonicPoly.from_ints(f7, [-1]))  # q = t - 1
+    f = TruncatedSeries(f7, [1, 2, 3, 4], 4)
+    result = weierstrass_divide(f, MonicPoly(f7, [-1]))  # q = t - 1
     assert not result.exact
-    assert recombine_division(MonicPoly.from_ints(f7, [-1]), result.a, result.h).agrees(f, 2)
+    assert recombine_division(MonicPoly(f7, [-1]), result.a, result.h).agrees(f, 2)
 
 
 def test_division_by_strict_divisor_below_budget_is_flagged():
@@ -198,7 +199,7 @@ def test_division_by_strict_divisor_below_budget_is_flagged():
 def test_division_needs_one_order_beyond_the_degree():
     f7 = PrimeFieldRing(7)
     with pytest.raises(InsufficientPrecision):
-        weierstrass_divide(TruncatedSeries.from_ints(f7, [1, 1], 2), MonicPoly.t_power(f7, 2))
+        weierstrass_divide(TruncatedSeries(f7, [1, 1], 2), MonicPoly.t_power(f7, 2))
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
@@ -208,11 +209,11 @@ def test_division_reconstructs_to_reduced_precision(ring):
     for _ in range(60):
         d = rng.randrange(1, 5)
         n = d * (e + 1) + 4
-        q = MonicPoly(ring, [ring.random_nilpotent(rng) for _ in range(d)])
-        f = TruncatedSeries(ring, [ring.random_element(rng) for _ in range(n)], n)
+        q = MonicPoly(ring, [random_nilpotent(ring, rng) for _ in range(d)])
+        f = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
         result = weierstrass_divide(f, q)
         assert result.exact
-        assert result.a.degree() < d
+        assert result.a.bound == d
         back = recombine_division(q, result.a, result.h)
         assert back.agrees(f, n - d)
 
@@ -222,8 +223,8 @@ def test_divides_power_examples():
     assert divides_power_of_t(MonicPoly.t_power(f7, 2), 5) == MonicPoly.t_power(f7, 3)
     q = RationalRing()
     with pytest.raises(NoDivide) as info:
-        divides_power_of_t(MonicPoly.from_ints(q, [-1]), 3)
-    assert info.value.remainder == LowPoly.from_ints(q, 1, [1])
+        divides_power_of_t(MonicPoly(q, [-1]), 3)
+    assert info.value.remainder == LowPoly(q, 1, [1])
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
@@ -242,15 +243,15 @@ def test_certificate_exponent_always_verifies(ring):
 def test_recombination_maps():
     q = RationalRing()
     out = recombine_division(
-        MonicPoly.t_power(q, 2), LowPoly.from_ints(q, 2, [1, 1]), TruncatedSeries.from_ints(q, [1], 3)
+        MonicPoly.t_power(q, 2), LowPoly(q, 2, [1, 1]), TruncatedSeries(q, [1], 3)
     )
-    assert out == TruncatedSeries.from_ints(q, [1, 1, 1], 3)
+    assert out == TruncatedSeries(q, [1, 1, 1], 3)
     r = F5eps()
     eps = r.generators()["eps"]
     out = recombine_factorization(MonicPoly(r, [eps]), TruncatedSeries(r, [r.one], 3))
     assert out == TruncatedSeries(r, [eps, r.one, r.zero], 3)
     zero = recombine_division(
-        MonicPoly.t_power(q, 2), LowPoly(q, 2, []), TruncatedSeries.from_ints(q, [0], 4)
+        MonicPoly.t_power(q, 2), LowPoly(q, 2, []), TruncatedSeries(q, [0], 4)
     )
     assert zero.is_zero()
 
@@ -263,7 +264,7 @@ def test_fiber_of_pure_power_is_trivial():
 
 def test_fiber_of_unit_constant_term_is_full():
     f5 = PrimeFieldRing(5)
-    q = MonicPoly.from_ints(f5, [1, 2, 3])
+    q = MonicPoly(f5, [1, 2, 3])
     pairs = kernel_fiber_basis(q, 12)
     assert len(pairs) == 3
     for a, v in pairs:
@@ -273,7 +274,7 @@ def test_fiber_of_unit_constant_term_is_full():
 def test_fiber_dimension_with_single_root_at_zero():
     f7 = PrimeFieldRing(7)
     # q = t(t-1)(t-2) = t^3 - 3t^2 + 2t
-    q = MonicPoly.from_ints(f7, [0, 2, -3])
+    q = MonicPoly(f7, [0, 2, -3])
     pairs = kernel_fiber_basis(q, 12)
     assert len(pairs) == 2
     assert brute_force_fiber_dimension(q, 12) == 2
@@ -283,7 +284,7 @@ def test_fiber_dimension_with_single_root_at_zero():
 
 def test_fiber_pairs_are_independent():
     f5 = PrimeFieldRing(5)
-    q = MonicPoly.from_ints(f5, [0, 1])  # t^2 + t: e = 1, d = 2
+    q = MonicPoly(f5, [0, 1])  # t^2 + t: e = 1, d = 2
     pairs = kernel_fiber_basis(q, 12)
     assert len(pairs) == 1
     a, v = pairs[0]
