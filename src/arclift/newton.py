@@ -435,18 +435,21 @@ def check_congruence(arc: ArcPoint):
     return tuple(p.truncate(prec) for p in parts)
 
 
-def _solve_near_identity(mat, rhs):
+def _solve_near_identity(mat, rhs, inv):
     """Solve mat * x = rhs for a series matrix with mat == Id mod t.
 
     Plain elimination: every pivot stays 1 mod t, so it is a unit.  All
     entries share one precision, so skipping the zero ones changes nothing.
+    ``inv[k]`` is None or the inverse of a series that agrees with pivot k
+    to at least half its precision; it is replaced by the inverse of pivot
+    k, from ``invert`` or from one ``refine_inverse`` step.
     """
     n = len(rhs)
     a = [list(row) for row in mat]
     b = list(rhs)
-    inv = []
     for k in range(n):
-        inv.append(a[k][k].invert())
+        pivot = a[k][k]
+        inv[k] = pivot.invert() if inv[k] is None else pivot.refine_inverse(inv[k])
         for i in range(k + 1, n):
             if not a[i][k]:  # nothing to eliminate
                 continue
@@ -491,6 +494,20 @@ def fixed_point_solve(hd, v1, precision: int):
     catches.  The last call evaluates h at the result at full precision
     and certifies v0 + t*h(v0) = v1 mod t^precision coefficient by
     coefficient.
+
+    Only the first round that has Dh inverts its pivots; later rounds
+    carry each pivot's inverse over and refine it by one Newton step of
+    two products (``TruncatedSeries.refine_inverse``).  That is exact: a
+    round from p to q = 2p reads Dh mod t^(p-1) at v mod t^(p-1), so its
+    matrix Id + t*Dh is known mod t^p, and it ends by moving v by t^p*e.
+    The next round reads Dh to more orders, but the first p-1 of them
+    depend only on v mod t^(p-1), which did not move.  So the two
+    matrices, and with them the pivots of the elimination, agree mod t^p,
+    while the next matrix is known mod at most t^(2p): each kept inverse
+    is right to at least half the precision needed.  If Dh is not the
+    Jacobian of h and changes below t^p between rounds, the refined
+    inverse is wrong, and so is the update; that is a wrong Dh as above,
+    and a residual check or the final certificate raises.
     """
     v1 = tuple(v1)
     n = len(v1)
@@ -516,6 +533,7 @@ def fixed_point_solve(hd, v1, precision: int):
         return hv, tuple(tuple(x.truncate(k) for x in row) for row in rows)
 
     one = TruncatedSeries(v1[0].ring, [1], precision)
+    inverses = [None] * n  # the pivot inverses of the last solve, carried
     v = tuple(x.truncate(1) for x in v1)  # F(v) = v - v1 mod t
     p = 1
     while p < precision:
@@ -539,7 +557,7 @@ def fixed_point_solve(hd, v1, precision: int):
                 [x.shift(1) + one if i == j else x.shift(1) for j, x in enumerate(row)]
                 for i, row in enumerate(dh)
             ]
-            eps = _solve_near_identity(mat, rho)
+            eps = _solve_near_identity(mat, rho, inverses)
         v = tuple(v[i] + eps[i].shift(p) for i in range(n))
         p = q
     hv, _ = hd_at(v, precision, 0)

@@ -41,7 +41,12 @@ the O(n^2) work: Kronecker substitution (von zur Gathen and Gerhard,
 multiplication via multipoint Kronecker substitution", J. Symb. Comp.
 2009).  The threshold counts nonzero terms, not length: one-term and
 shifted operands are frequent in Newton lifting, and the term-by-term loop
-multiplies them in a few steps whatever their length.
+multiplies them in a few steps whatever their length.  A residue ring
+states the largest item of its canonical form (``Ring.item_top``: p - 1
+for Fp, n - 1 for Z/n), and an Artinian ring over Fp its base's, so their
+slots are unsigned and sized from that bound without reading the
+operands; Q's ints, which have no bound, are scanned and packed in signed
+slots.
 
 Every ring is immutable and every operation is a pure function, so values
 can be shared freely across threads.
@@ -131,19 +136,34 @@ KRONECKER_MIN_TERMS = 16
 """The sparser operand's nonzero count from which ``_int_product`` packs.
 
 Measured on CPython 3.11 (2-vCPU VM), schoolbook over Kronecker time on
-dense lists: with slots of up to 8 bytes (residues, 20-bit numerators)
-Kronecker breaks even near 10 nonzero terms and is 1.3-2.9x faster at 16;
-with 100-bit numerators it is 0.85-0.95x at 16 and wins from 32.  On the
-products of the ``lift`` and ``prepare`` benchmark workloads it breaks even
-near 9, so 12 instead of 16 would gain about 0.3% of a ``lift`` cycle.
+dense lists of n terms, mod t^n:
+
+| operands | n=8 | 12 | 16 | 24 | 32 |
+|---|---|---|---|---|---|
+| Fp(5), unsigned | 1.5 | 3.2 | 3.2 | 5.9 | 10.8 |
+| Zmod(27), unsigned | 1.6 | 2.5 | 3.6 | 6.6 | 9.0 |
+| Zmod(2^40), unsigned, 11-byte slots | 0.85 | 1.6 | 1.35 | 1.9 | 1.9 |
+| Q, 20-bit numerators, signed | 0.8 | 1.1 | 1.6 | 2.6 | 2.4 |
+| Q, 100-bit numerators, signed | 0.9 | 0.7 | 0.8 | 1.2 | 0.9 |
+
+Unsigned residue slots break even near 6 terms; with the signed, scanned
+slots that residues used before, Fp(5) and Zmod(27) broke even near 10
+and ran 1.6-1.9x at 16.  The threshold stays at 16, where every kind of
+operand but wide Q numerators gains; on the products of the ``lift`` and
+``prepare`` benchmark workloads the signed packing broke even near 9, and
+12 instead of 16 would then have gained about 0.3% of a ``lift`` cycle.
 """
 
 
-def _int_product(a, b, n):
-    """a*b mod t^n, as n Python ints, for int lists a and b no longer than n."""
+def _int_product(a, b, n, top=None):
+    """a*b mod t^n, as n Python ints, for int lists a and b no longer than n.
+
+    ``top`` is the largest item either list may hold, for lists of
+    canonical residues in [0, top] (``Ring.item_top``); None allows any
+    ints."""
     terms = min(len(a) - a.count(0), len(b) - b.count(0))
     if terms >= KRONECKER_MIN_TERMS:
-        return _kronecker_product(a, b, n, terms)
+        return _kronecker_product(a, b, n, terms, top)
     out = [0] * n
     b = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
@@ -157,25 +177,33 @@ def _int_product(a, b, n):
     return out
 
 
-def _kronecker_product(a, b, n, terms):
+def _kronecker_product(a, b, n, terms, top):
     """``_int_product`` by one big-int multiply; ``terms`` is the smaller
     operand's count of nonzero ints.
 
     Each list is packed into sum c_i 2^(w i), w bits per slot, and the two
     are multiplied once (CPython multiplies large ints by Karatsuba, in C).
     Every product coefficient is a sum of at most ``terms`` products, so
-    |c_k| <= max|a| max|b| terms < 2^(w-1), and each of the first m slots of
-    the product holds exactly one coefficient.
+    |c_k| <= max|a| max|b| terms, and each of the first m slots of the
+    product holds exactly one coefficient.  Residues (``top`` given) are
+    non-negative, so their slots are unsigned and sized from top^2 terms
+    without reading the operands; other ints take a sign bit, and their
+    bound comes from scanning both lists.
     """
     m = min(n, len(a) + len(b) - 1)
-    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * terms
-    width = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    signed = top is None
+    if signed:
+        bound = max(max(a), -min(a)) * max(max(b), -min(b)) * terms
+    else:
+        bound = top * top * terms
+    width = (bound.bit_length() + signed + 7) // 8  # bytes per slot
     if width <= 8:
         width = 1 << (width - 1).bit_length()  # a size ``struct`` packs
-    return _unpack(_pack(a, width) * _pack(b, width), width, m) + [0] * (n - m)
+    packed = _pack(a, width, signed) * _pack(b, width, signed)
+    return _unpack(packed, width, m, signed) + [0] * (n - m)
 
 
-_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # signed; upper case unsigned
 
 
 def _top_bits(width, count):
@@ -183,34 +211,44 @@ def _top_bits(width, count):
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _pack(ints, width):
-    """sum ints[i] 2^(8 width i), for ints in [-2^(8 width - 1), 2^(8 width - 1)).
+def _pack(ints, width, signed):
+    """sum ints[i] 2^(8 width i), for ints in [0, 2^(8 width)), or for
+    ``signed`` ints in [-2^(8 width - 1), 2^(8 width - 1)).
 
-    The slots are written in two's complement; flipping each slot's top bit
-    turns them into ints[i] + 2^(8 width - 1), a sum without carries."""
+    Signed slots are written in two's complement; flipping each slot's top
+    bit turns them into ints[i] + 2^(8 width - 1), a sum without carries."""
     code = _STRUCT_CODES.get(width)
     if code:
-        data = struct.pack(f"<{len(ints)}{code}", *ints)
+        data = struct.pack(f"<{len(ints)}{code if signed else code.upper()}", *ints)
     else:
-        data = b"".join([c.to_bytes(width, "little", signed=True) for c in ints])
+        data = b"".join([c.to_bytes(width, "little", signed=signed) for c in ints])
+    if not signed:
+        return int.from_bytes(data, "little")
     top = _top_bits(width, len(ints))
     return (int.from_bytes(data, "little") ^ top) - top
 
 
-def _unpack(x, width, m):
-    """[c_0, ..., c_{m-1}] for x = sum c_k 2^(8 width k), |c_k| < 2^(8 width - 1).
+def _unpack(x, width, m, signed):
+    """[c_0, ..., c_{m-1}] for x = sum c_k 2^(8 width k), with every c_k in
+    [0, 2^(8 width)), or for ``signed`` |c_k| < 2^(8 width - 1).
 
-    Adding 2^(8 width - 1) to each of the m slots makes every slot
-    non-negative, so slot k holds c_k + 2^(8 width - 1) with no borrow from
-    below; the mask drops the slots from m on.  Flipping the top bits back
-    leaves c_k in two's complement."""
-    top = _top_bits(width, m)
-    data = (((x + top) & ((1 << (8 * width * m)) - 1)) ^ top).to_bytes(width * m, "little")
+    Unsigned slots hold c_k as they are, and the mask drops the slots from
+    m on.  For signed ones, adding 2^(8 width - 1) to each of the m slots
+    first makes every slot non-negative, so slot k holds
+    c_k + 2^(8 width - 1) with no borrow from below; flipping the top bits
+    back after the mask leaves c_k in two's complement."""
+    mask = (1 << (8 * width * m)) - 1
+    if signed:
+        top = _top_bits(width, m)
+        x = ((x + top) & mask) ^ top
+    else:
+        x &= mask
+    data = x.to_bytes(width * m, "little")
     code = _STRUCT_CODES.get(width)
     if code:
-        return list(struct.unpack(f"<{m}{code}", data))
+        return list(struct.unpack(f"<{m}{code if signed else code.upper()}", data))
     return [
-        int.from_bytes(data[i : i + width], "little", signed=True)
+        int.from_bytes(data[i : i + width], "little", signed=signed)
         for i in range(0, width * m, width)
     ]
 
@@ -351,11 +389,17 @@ class Ring:
         Python ints and a unit scale."""
         raise NotImplementedError
 
+    item_top = None
+    """The largest item of this ring's canonical series forms, which are
+    then residues in [0, item_top]: p - 1 for Fp, n - 1 for Z/n.  None for
+    Q, whose items have no bound, and for payload rings, whose items are
+    not ints.  ``convolve`` sizes unsigned Kronecker slots from it."""
+
     def convolve(self, a, b, n):
         """The items of a*b mod t^n, over the product of the two scales and
         not yet canonical, for the items a and b (no longer than n) of two
         series forms.  Here one ``_int_product``."""
-        return _int_product(a, b, n)
+        return _int_product(a, b, n, self.item_top)
 
     def invert_series(self, ints, scale):
         """A series form, not necessarily canonical, of the inverse mod t^n
@@ -479,6 +523,7 @@ class PrimeFieldRing(Ring):
         if not is_prime(p):
             raise InvalidDescriptor(f"{p} is not prime")
         self.p = p
+        self.item_top = p - 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeFieldRing) and other.p == self.p
@@ -617,6 +662,7 @@ class IntegersMod(Ring):
             raise InvalidDescriptor("modulus must be >= 2")
         check_modulus(n, "modulus")
         self.n = n
+        self.item_top = n - 1
         self._pe = prime_power(n)
 
     @classmethod
@@ -625,6 +671,7 @@ class IntegersMod(Ring):
         ``MAX_MODULUS``, since no trial division runs."""
         self = object.__new__(cls)
         self.n = p**e
+        self.item_top = self.n - 1
         self._pe = (p, e)
         return self
 
@@ -818,14 +865,14 @@ class ArtinianLocalRing(PayloadRing):
         pair makes it slower than multiplying term by term."""
         slices_a, scale_a = self._integer_slices(a)
         slices_b, scale_b = self._integer_slices(b)
-        e = self.e
+        e, top = self.e, self.base.item_top
         slots = {}
         for db, xb, sb in slices_b:
             for da, xa, sa in slices_a:
                 if da + db >= e:
                     break
                 x = tuple(map(add, xa, xb))
-                c = _int_product(sa, sb, n)
+                c = _int_product(sa, sb, n, top)
                 acc = slots.get(x)
                 slots[x] = c if acc is None else list(map(add, acc, c))
         terms = [(k, x) for x, acc in slots.items() for k in compress(range(n), acc)]

@@ -283,10 +283,8 @@ class TruncatedSeries:
     def invert(self):
         """Inverse, for a unit constant term.  Below the ring's
         ``NEWTON_INVERT_MIN`` known orders, by ``Ring.invert_series``; from
-        there on by precision doubling (Brent and Kung, JACM 1978): with
-        g = (x mod t^h)^{-1}, h = ceil(N/2), x*g = 1 + t^h*e and the inverse
-        mod t^N is g - t^h*(g mod t^(N-h))*e, so the second product runs at
-        half length."""
+        there on by precision doubling, one ``refine_inverse`` step from
+        the inverse mod t^ceil(N/2)."""
         ring = self.ring
         if not ring.is_unit(self.coefficient(0)):
             raise NotAUnit("constant coefficient is not a unit")
@@ -297,11 +295,22 @@ class TruncatedSeries:
         items, scale = ring.invert_series(*self.truncate(h).form)
         g = TruncatedSeries._of_form(ring, *ring.canonical_form(items, scale), h)
         for n in reversed(ladder):
-            g = g.pad(n)
-            e = (self * g).drop(h)
-            g -= (g.truncate(n - h) * e).shift(h)
-            h = n
+            g = self.truncate(n).refine_inverse(g)
         return g
+
+    def refine_inverse(self, g):
+        """The inverse mod t^N of the series from g, its inverse mod t^h for
+        an h with 2h >= N, by one Newton step (Brent and Kung, JACM 1978):
+        x*g = 1 + t^h*e, and the inverse mod t^N is g - t^h*(g mod t^(N-h))*e,
+        so the second product runs at half length.  For h >= N, g cut to N.
+        Nothing is checked: a g that is not that inverse gives a series that
+        is not the inverse."""
+        n, h = self.precision, g.precision
+        if h >= n:
+            return g.truncate(n)
+        g = g.pad(n)
+        e = (self * g).drop(h)
+        return g - (g.truncate(n - h) * e).shift(h)
 
     def __repr__(self):
         return format_series(self)

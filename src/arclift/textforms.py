@@ -22,6 +22,13 @@ is checked before the power is formed, which then costs O(log INT)
 products (``rings.power``); a larger exponent is a ``ParseError``.  So are
 an integer of more than ``MAX_DIGITS`` digits, anywhere in a text input,
 and nesting (parentheses and unary minus) deeper than ``MAX_NESTING``.
+What a literal builds is bounded too: a product or power whose
+t-polynomial or map equation would pass degree ``MAX_PRECISION`` is a
+``ParseError`` before it is formed, and so is a sum, product, quotient or
+power that holds an integer of more than ``MAX_DIGITS`` digits, once
+formed.  So ``(t^512)^512`` builds nothing of degree above 512, and
+``((2^512)^512)^512`` over Q stops at the fifth squaring inside
+``(2^512)^512``.
 
 All formatters order monomials by degree (then lexicographically) and
 print canonical coefficient forms, so identical values serialize to
@@ -45,6 +52,7 @@ _TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|([-+*/^()]))")
 
 # CPython's default limit on the digits ``int`` converts from text.
 MAX_DIGITS = 4300
+_INT_CEILING = 10**MAX_DIGITS  # the smallest int of MAX_DIGITS + 1 digits
 # The parser recurses a few frames per level of nesting.
 MAX_NESTING = 100
 
@@ -148,7 +156,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError(f"exponent must be an integer in {self.source!r}")
             check_precision(k, "exponent")
-            value = power(value, k, self.algebra.mul, self.algebra.from_int(1))
+            value = self.algebra.power(value, k)
         return value
 
     def atom(self):
@@ -164,7 +172,40 @@ class _Parser:
         raise ParseError(f"unexpected token in {self.source!r}")
 
 
-class _TPolyAlgebra:
+class _Algebra:
+    """What the algebras share: sums, products, quotients and powers that
+    refuse a value of degree above ``MAX_PRECISION`` before it is formed,
+    and one holding an integer of more than ``MAX_DIGITS`` digits once it
+    is.  Subclasses give ``_add``, ``_mul`` and ``_div``, a value's
+    ``degree`` and the ints in it that can grow (``_ints``)."""
+
+    def _bounded(self, value):
+        for c in self._ints(value):
+            if not -_INT_CEILING < c < _INT_CEILING:
+                raise ParseError(f"an integer of the literal exceeds the ceiling {MAX_DIGITS} digits")
+        return value
+
+    def add(self, a, b):
+        return self._bounded(self._add(a, b))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        check_precision(self.degree(a) + self.degree(b), "degree")
+        return self._bounded(self._mul(a, b))
+
+    def div(self, a, b):
+        return self._bounded(self._div(a, b))
+
+    def power(self, a, k):
+        """a^k by square-and-multiply over ``mul``, whose checks bound each
+        step; the degree is checked once more for all of a^k first."""
+        check_precision(self.degree(a) * k, "degree")
+        return power(a, k, self.mul, self.from_int(1))
+
+
+class _TPolyAlgebra(_Algebra):
     """Values are exact t-polynomials as canonical series forms of the ring
     (``weierstrass.poly_mul``) with no trailing zero item; ((), 1) is 0."""
 
@@ -192,22 +233,33 @@ class _TPolyAlgebra:
             return self._of([self.gens[name].value])
         raise ParseError(f"unknown name {name!r} over {self.ring}")
 
-    def add(self, a, b):
+    @staticmethod
+    def degree(a):
+        return max(len(a[0]) - 1, 0)
+
+    def _ints(self, a):
+        """Q's items and scale, or the coefficients of Artinian items over
+        Q; residues have a bound already."""
+        ring = self.ring
+        if isinstance(ring, RationalRing):
+            return (*a[0], a[1])
+        if isinstance(ring, ArtinianLocalRing) and isinstance(ring.base, RationalRing):
+            return [x for c in a[0] for q in c.values() for x in (q.numerator, q.denominator)]
+        return ()
+
+    def _add(self, a, b):
         n = max(len(a[0]), len(b[0]), 1)
         a, b = (TruncatedSeries._of_form(self.ring, *x, n) for x in (a, b))
         return self._trim(*(a + b).form)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def neg(self, a):
         ring = self.ring
         return self._trim(*ring.canonical_form(list(map(ring.item_ring.payload_neg, a[0])), a[1]))
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         return self._trim(*poly_mul(a, b, self.ring))
 
-    def div(self, a, b):
+    def _div(self, a, b):
         if len(b[0]) > 1:
             raise ParseError("division is only allowed by scalars")
         if not b[0]:
@@ -218,10 +270,10 @@ class _TPolyAlgebra:
             inv = ring.invert(c)
         except NotAUnit:
             raise NotAUnit(f"cannot divide by {c!r}: it is not a unit in {ring}") from None
-        return self.mul(a, self._of([inv.value]))
+        return self._mul(a, self._of([inv.value]))
 
 
-class _MapAlgebra:
+class _MapAlgebra(_Algebra):
     """Values are MultiPoly with int/Fraction coefficients."""
 
     def __init__(self, var_names):
@@ -237,19 +289,24 @@ class _MapAlgebra:
             raise ParseError(f"unknown variable {name!r}") from None
         return MultiPoly.variable(i, len(self.names), 1)
 
-    def add(self, a, b):
-        return a + b
+    @staticmethod
+    def degree(a):
+        return max(map(sum, a.terms), default=0)
 
-    def sub(self, a, b):
-        return a - b
+    @staticmethod
+    def _ints(a):
+        return [x for c in a.terms.values() for x in (c.numerator, c.denominator)]
+
+    def _add(self, a, b):
+        return a + b
 
     def neg(self, a):
         return -a
 
-    def mul(self, a, b):
+    def _mul(self, a, b):
         return a * b
 
-    def div(self, a, b):
+    def _div(self, a, b):
         c = b.terms.get((0,) * b.nvars)
         if len(b.terms) > (1 if c else 0) or not c:
             raise ParseError("division is only allowed by scalar constants")

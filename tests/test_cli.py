@@ -333,3 +333,28 @@ def test_literal_non_unit_divisor_names_it_and_the_ring(capsys, ring, series, me
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, ceiling",
+    [
+        (("prepare", "--ring", "Q", "--series", "1 + (2^512)^512*t + O(t^3)"), f"{MAX_DIGITS} digits"),
+        (("prepare", "--ring", "Q", "--series", "*".join(["2^512"] * 28) + " + t + O(t^3)"),
+         f"{MAX_DIGITS} digits"),
+        (("prepare", "--ring", "Fp(5)", "--series", "1 + ((t^512)^512)^512 + O(t^4)"),
+         str(MAX_PRECISION)),
+        (("lift", "--ring", "Q", "--arc", "t^2; t^3", "--N", "16",
+          "--map", "vars: [x1, y1]; split: 1; eqs: [((y1 + 1)^512)^512 - x1^3]"), str(MAX_PRECISION)),
+        (("lift", "--ring", "Q", "--arc", "t^2; t^3", "--N", "16",
+          "--map", "vars: [x1, y1]; split: 1; eqs: [(2^512)^512*y1^2 - x1^3]"), f"{MAX_DIGITS} digits"),
+    ],
+    ids=["power of 2^512", "product of 2^512", "power of t^512", "map degree", "map integer"],
+)
+def test_literals_that_build_too_much_exit_1(capsys, argv, ceiling):
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "ParseError: " in captured.err and f"exceeds the ceiling {ceiling}" in captured.err
+    assert elapsed < 0.5

@@ -538,6 +538,51 @@ def test_fixed_point_with_a_wrong_dh_from_its_plan_fails_the_residual_certificat
         fixed_point_solve(doubled, v1, precision)
 
 
+@pytest.mark.parametrize(
+    "ring", [RationalRing(), PrimeFieldRing(5), ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2)],
+    ids=repr,
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_fixed_point_inverts_each_pivot_once_per_solve(ring, n, monkeypatch):
+    # the first round with a Jacobian inverts its n pivots; later rounds
+    # refine those inverses, so the count does not grow with the rounds
+    invert = TruncatedSeries.invert
+    for precision in (16, 128):
+        rng = random.Random(precision + n)
+        h, hd = random_polynomial_h(ring, n, precision, rng)
+        v1 = tuple(random_series(ring, precision, rng) for _ in range(n))
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(TruncatedSeries, "invert", lambda x: calls.append(x.precision) or invert(x))
+            v0 = fixed_point_solve(hd, v1, precision)
+        assert calls == [2] * n  # the round from t^2 to t^4, the first with Dh
+        if precision == 16:
+            assert v0 == contraction_solve(h, v1, precision)
+
+
+@pytest.mark.parametrize("precision", [16, 64])
+@pytest.mark.parametrize("changed", ["first", "middle", "last"])
+def test_fixed_point_with_a_dh_that_moves_below_p_fails_a_certificate(precision, changed):
+    # Dh = 2v for h = v^2, plus 1 in one round: that round's Id + t*Dh
+    # differs from its neighbours' at order 1, below the precision p they
+    # share, so the carried pivot inverse is wrong as well as the matrix
+    q = RationalRing()
+    hd = correction_hd([{(2,): TruncatedSeries(q, [1], precision)}])
+    ks = [min(2 * p, precision) - p - 1 for p in (2, 4, 8, 16, 32) if p < precision]
+    target = {"first": ks[0], "middle": ks[len(ks) // 2], "last": ks[-1]}[changed]
+
+    def moved(v, k):
+        hv, dh = hd(v, k)
+        if k == target:
+            dh = [[x + TruncatedSeries(q, [1], k) for x in row] for row in dh]
+        return hv, dh
+
+    v1 = (TruncatedSeries(q, [1], precision),)
+    match = "Newton certificate failed" if changed == "last" else "residual certificate failed"
+    with pytest.raises(RuntimeError, match=match):
+        fixed_point_solve(moved, v1, precision)
+
+
 def test_jacobian_data_is_cached_per_map(monkeypatch):
     calls = []
     real = newton.jacobian_data

@@ -286,3 +286,94 @@ def test_parsed_map_powers_match_explicit_products():
     for _ in range(6):
         seventh = seventh * base
     assert pm.polys == (MultiPoly.constant(4, 1), x + y.scale(2), seventh)
+
+
+# -- what a literal may build ------------------------------------------------
+
+CEILING_RINGS = [PrimeFieldRing(5), RationalRing(), IntegersMod(9),
+                 ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2),
+                 ArtinianLocalRing(RationalRing(), ["a", "b"], 3)]
+
+
+@pytest.mark.parametrize("ring", CEILING_RINGS, ids=repr)
+def test_t_polynomials_above_degree_512_are_refused(ring):
+    assert len(parse_t_poly("t^512", ring)[0]) == 513
+    assert len(parse_t_poly("(t^256)^2", ring)[0]) == 513
+    assert len(parse_t_poly("t^256*t^256", ring)[0]) == 513
+    for text in ("(t^512)^512", "(t^257)^2", "t^300*t^300", "(1 + t)^300*t^300", "t*(t^512)"):
+        with pytest.raises(ParseError, match=r"degree \d+ exceeds the ceiling 512"):
+            parse_t_poly(text, ring)
+    with pytest.raises(ParseError, match="degree 262144 exceeds the ceiling 512"):
+        parse_series("((t^512)^512)^512 + O(t^4)", ring)
+
+
+def test_a_chain_of_powers_is_refused_before_anything_large_is_built(monkeypatch):
+    import arclift.textforms as textforms
+
+    lengths, degrees = [], []
+    real_poly_mul, real_mul = textforms.poly_mul, MultiPoly.__mul__
+
+    def poly_mul_seen(a, b, ring):
+        out = real_poly_mul(a, b, ring)
+        lengths.append(len(out[0]))
+        return out
+
+    def mul_seen(a, b):
+        out = real_mul(a, b)
+        degrees.append(max(map(sum, out.terms), default=0))
+        return out
+
+    monkeypatch.setattr(textforms, "poly_mul", poly_mul_seen)
+    monkeypatch.setattr(MultiPoly, "__mul__", mul_seen)
+    with pytest.raises(ParseError, match="degree 262144"):
+        parse_t_poly("((t^512)^512)^512", PrimeFieldRing(5))
+    with pytest.raises(ParseError, match="degree 262144"):
+        parse_poly_map("vars: [x, y]; split: 1; eqs: [((x + 1)^512)^512]")
+    # the inner powers ran (t^512 and (x + 1)^512), nothing past them
+    assert lengths and max(lengths) == 513
+    assert degrees and max(degrees) == 512
+
+
+def test_map_equations_above_degree_512_are_refused():
+    assert parse_poly_map("vars: [x, y]; split: 1; eqs: [x^512 - y]").polys[0].terms[(512, 0)] == 1
+    for eq in ("x^300*y^300", "(x*y)^257", "((x + 1)^512)^512", "x*(y^512)"):
+        with pytest.raises(ParseError, match=r"degree \d+ exceeds the ceiling 512"):
+            parse_poly_map(f"vars: [x, y]; split: 1; eqs: [{eq}]")
+
+
+NINES = "9*(10^430)^9*10^429"  # 9 * 10^4299: MAX_DIGITS digits
+
+
+@pytest.mark.parametrize("ring", [RationalRing(), ArtinianLocalRing(RationalRing(), ["a", "b"], 3)],
+                         ids=repr)
+def test_integers_above_the_digit_ceiling_are_refused_over_q(ring):
+    assert MAX_DIGITS == 4300
+    assert parse_element(NINES, ring) == ring.from_int(9 * 10**4299)
+    assert parse_element("*".join(["2^512"] * 27), ring) == ring.from_int(2**13824)
+    for text in (
+        "(2^512)^512",
+        "((2^512)^512)^512",
+        "*".join(["2^512"] * 28),  # 2^14336 has 4316 digits
+        f"{NINES} + {NINES}",  # a sum one digit past the ceiling
+        f"t/({NINES})/10",  # a denominator
+        "(2^512)^512*t + a" if ring != RationalRing() else "(2^512)^512*t",
+    ):
+        with pytest.raises(ParseError, match="exceeds the ceiling 4300 digits"):
+            parse_t_poly(text, ring)
+
+
+def test_residue_rings_reduce_large_literals():
+    # over Fp and Z/n every item is a residue, so only the text's own
+    # integers are bounded
+    assert parse_t_poly("(2^512)^512 + t", PrimeFieldRing(5)) == parse_t_poly("1 + t", PrimeFieldRing(5))
+    z9 = IntegersMod(9)
+    assert parse_t_poly("*".join(["2^512"] * 28), z9) == parse_t_poly(str(pow(2, 512 * 28, 9)), z9)
+
+
+def test_map_integers_above_the_digit_ceiling_are_refused():
+    for eq in ("(2^512)^512*x", "*".join(["2^512"] * 28) + "*y", f"x/({NINES})/10",
+               f"{NINES}*x + {NINES}*x"):
+        with pytest.raises(ParseError, match="exceeds the ceiling 4300 digits"):
+            parse_poly_map(f"vars: [x, y]; split: 1; eqs: [{eq}]")
+    pm = parse_poly_map(f"vars: [x, y]; split: 1; eqs: [{NINES}*x - y]")
+    assert pm.polys[0].terms[(1, 0)] == 9 * 10**4299
