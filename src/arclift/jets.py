@@ -118,7 +118,7 @@ def expand_around(g: PolyMap, q: MonicPoly, xbar: ModQVector, xprime) -> Expansi
     d = q.degree
     ring = q.ring
     items, scale = q.form
-    tq = MonicPoly._of_form(ring, (ring.item_ring.payload_from_int(0),) + items, scale)
+    tq = MonicPoly._of_form(ring, *ring.form_window(items, scale, -1, ring.form_len(items)))
     if xbar.modulus != tq:
         raise ArityMismatch("xbar must be reduced mod t*q (bound deg q + 1)")
     if len(xbar.components) != g.m or len(xprime) != g.m:

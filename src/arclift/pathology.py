@@ -122,7 +122,7 @@ class ColimitRing(PayloadRing):
         padd, pmul, pzero = self.payload_add, self.payload_mul, self.payload_is_zero
         out = [self.payload_from_int(0)] * n
         b = [(j, bj) for j, bj in enumerate(b) if not pzero(bj)]
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(a[:n]):
             if pzero(ai):
                 continue
             for j, bj in b:

@@ -11,42 +11,48 @@ that equality is plain representational equality:
   m^e = 0.  Elements are finite maps from exponent multi-indices to nonzero
   base coefficients.
 
-Each ring keeps a series in one canonical *series form* (items, scale),
-c_i = items[i] / scale (``canonical_form``): reduced residues over scale 1
-for Fp and Z/n; ints over a scale with the content divided out for Q, so
-chains of sums and products normalise once per operation, by one gcd, not
-one Fraction per coefficient; canonical payloads over scale 1 for Artinian
-rings and the colimit models in ``pathology`` (``PayloadRing``).  Besides
-``integer_form``/``from_integer_form`` (payloads to form and back) and
-``canonical_form``, the series operations ask a ring for three hooks:
-``item_ring``, whose payload operations add, negate, multiply and compare
-items (plain ints for Fp, Z/n and Q, the ring itself for payload rings);
-``convolve``, the product of two item lists (``_int_product``, slices by
-monomial on the base ring's integer form for Artinian rings, payload
-products for colimit models); and ``invert_series``, the inverse of a
+Each ring keeps a series in one canonical *series form* (items, scale)
+(``canonical_form``): for Fp and Z/n one reduced residue per coefficient
+over scale 1; for Q one int per coefficient over a scale with the content
+divided out, so chains of sums and products normalise once per operation,
+by one gcd, not one Fraction per coefficient; for Artinian rings one slice
+per monomial that occurs, the base ints of its coefficient at every power
+of t over one scale (``ArtinianLocalRing``), so their sums, scaling and
+products run on base ints too; for the colimit models in ``pathology``
+their canonical payloads over scale 1 (``PayloadRing``).  The layout of the
+items stays inside the rings: ``TruncatedSeries`` and the t-polynomials of
+``weierstrass`` hand a form to the ring's ``form_*`` operations (length,
+window, sum, negation, scaling, equality, zero and leading or trailing
+zeros), to ``integer_form``/``from_integer_form`` (payloads to form and
+back) and ``canonical_form``, to ``convolve``, the product of two forms'
+items (``_int_product``, once per slice pair for Artinian rings, payload
+products for colimit models), and to ``invert_series``, the inverse of a
 short series: the fraction-free recurrence over one common denominator for
-Fp, Z/n and Q, the payload recurrence for payload rings.  From
-``NEWTON_INVERT_MIN`` known orders on, ``TruncatedSeries.invert`` calls it
-only at the base of a Newton doubling, whose products go through
-``convolve``; Q opts out and inverts by the recurrence at every length.  An
-Artinian ring has at most ``MAX_MONOMIALS`` monomials.
+Fp, Z/n and Q, the payload recurrence on payloads for Artinian and colimit
+rings.  The ``Ring`` defaults of the form operations take one item per
+coefficient and do their arithmetic through ``item_ring``: plain ints for
+Fp, Z/n and Q, the ring's own payload operations for colimit models.  From
+``NEWTON_INVERT_MIN`` known orders on, ``TruncatedSeries.invert`` calls
+``invert_series`` only at the base of a Newton doubling, whose products go
+through ``convolve``; Q opts out and inverts by the recurrence at every
+length.  An Artinian ring has at most ``MAX_MONOMIALS`` monomials.
 
 ``_int_product`` is the package's only int product loop: ``Ring.convolve``
-and the Artinian slices call it.  Below ``KRONECKER_MIN_TERMS`` nonzero
-ints in the sparser operand it multiplies term by term; from there on it
-packs each list into one Python int, w bits
-per coefficient, so that a single big-int multiply (Karatsuba, in C) does
-the O(n^2) work: Kronecker substitution (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, section 8.4; D. Harvey, "Faster polynomial
-multiplication via multipoint Kronecker substitution", J. Symb. Comp.
-2009).  The threshold counts nonzero terms, not length: one-term and
-shifted operands are frequent in Newton lifting, and the term-by-term loop
-multiplies them in a few steps whatever their length.  A residue ring
-states the largest item of its canonical form (``Ring.item_top``: p - 1
-for Fp, n - 1 for Z/n), and an Artinian ring over Fp its base's, so their
-slots are unsigned and sized from that bound without reading the
-operands; Q's ints, which have no bound, are scanned and packed in signed
-slots.
+and the Artinian slices call it.  Below ``KRONECKER_MIN_RESIDUE_TERMS``
+nonzero residues, or ``KRONECKER_MIN_TERMS`` nonzero Q ints, in the
+sparser operand it multiplies term by term; from there on it packs each
+list into one Python int, w bits per coefficient, so that a single big-int
+multiply (Karatsuba, in C) does the O(n^2) work: Kronecker substitution
+(von zur Gathen and Gerhard, *Modern Computer Algebra*, section 8.4;
+D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comp. 2009).  The thresholds count nonzero terms,
+not length: one-term and shifted operands are frequent in Newton lifting,
+and the term-by-term loop multiplies them in a few steps whatever their
+length.  A residue ring states the largest item of its canonical form
+(``Ring.item_top``: p - 1 for Fp, n - 1 for Z/n), and an Artinian ring
+over Fp passes its base's, so their slots are unsigned and sized from that
+bound without reading the operands; Q's ints, which have no bound, are
+scanned and packed in signed slots.
 
 Every ring is immutable and every operation is a pure function, so values
 can be shared freely across threads.
@@ -57,7 +63,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
 from operator import add, eq, mul, neg, not_, sub
 from types import SimpleNamespace
 
@@ -133,26 +139,30 @@ def prime_power(n: int):
 
 
 KRONECKER_MIN_TERMS = 16
-"""The sparser operand's nonzero count from which ``_int_product`` packs.
+"""The sparser operand's nonzero count from which ``_int_product`` packs
+ints of no known bound (Q's), in signed, scanned slots.
 
 Measured on CPython 3.11 (2-vCPU VM), schoolbook over Kronecker time on
-dense lists of n terms, mod t^n:
+dense lists of n terms, mod t^n, the median of three runs:
 
-| operands | n=8 | 12 | 16 | 24 | 32 |
-|---|---|---|---|---|---|
-| Fp(5), unsigned | 1.5 | 3.2 | 3.2 | 5.9 | 10.8 |
-| Zmod(27), unsigned | 1.6 | 2.5 | 3.6 | 6.6 | 9.0 |
-| Zmod(2^40), unsigned, 11-byte slots | 0.85 | 1.6 | 1.35 | 1.9 | 1.9 |
-| Q, 20-bit numerators, signed | 0.8 | 1.1 | 1.6 | 2.6 | 2.4 |
-| Q, 100-bit numerators, signed | 0.9 | 0.7 | 0.8 | 1.2 | 0.9 |
+| operands | n=4 | 5 | 6 | 7 | 8 | 12 | 16 | 24 | 32 |
+|---|---|---|---|---|---|---|---|---|---|
+| Fp(5), unsigned | 0.59 | 0.71 | 0.97 | 1.03 | 1.55 | 2.1 | 2.5 | 5.2 | 5.9 |
+| Zmod(27), unsigned | 0.59 | 0.73 | 0.92 | 1.07 | 1.25 | 2.2 | 3.2 | 6.3 | 9.5 |
+| Zmod(2^40), unsigned, 11-byte slots | 0.50 | 0.57 | 0.44 | 0.67 | 0.84 | 1.04 | 1.17 | 2.3 | 2.6 |
+| Q, 20-bit numerators, signed | 0.37 | 0.48 | 0.59 | 0.64 | 0.83 | 1.34 | 1.36 | 2.5 | 4.0 |
+| Q, 100-bit numerators, signed | 0.31 | 0.36 | 0.45 | 0.50 | 0.48 | 0.72 | 0.79 | 1.18 | 1.44 |
 
-Unsigned residue slots break even near 6 terms; with the signed, scanned
-slots that residues used before, Fp(5) and Zmod(27) broke even near 10
-and ran 1.6-1.9x at 16.  The threshold stays at 16, where every kind of
-operand but wide Q numerators gains; on the products of the ``lift`` and
-``prepare`` benchmark workloads the signed packing broke even near 9, and
-12 instead of 16 would then have gained about 0.3% of a ``lift`` cycle.
+Signed Q slots break even between 8 and 12 terms, and the threshold stays
+at 16, where every kind of operand but wide Q numerators gains.
 """
+
+KRONECKER_MIN_RESIDUE_TERMS = 6
+"""The sparser operand's nonzero count from which ``_int_product`` packs
+residues (a ``top`` given), in unsigned slots sized from the bound.  By
+the table above, small residues break even near 6 terms and run 1.3-2.2x
+at 8-12; slots of 11 bytes, near ``MAX_MODULUS``, break even only near 12,
+and lose up to 2x between 6 and 12 terms."""
 
 
 def _int_product(a, b, n, top=None):
@@ -162,7 +172,7 @@ def _int_product(a, b, n, top=None):
     canonical residues in [0, top] (``Ring.item_top``); None allows any
     ints."""
     terms = min(len(a) - a.count(0), len(b) - b.count(0))
-    if terms >= KRONECKER_MIN_TERMS:
+    if terms >= (KRONECKER_MIN_TERMS if top is None else KRONECKER_MIN_RESIDUE_TERMS):
         return _kronecker_product(a, b, n, terms, top)
     out = [0] * n
     b = [(j, bj) for j, bj in enumerate(b) if bj]
@@ -370,8 +380,9 @@ class Ring:
 
     # -- series forms (see the module docstring) -------------------------
     item_ring = INT_ITEMS
-    """What adds, subtracts, negates, multiplies, compares and pads the
-    items of this ring's series forms, by its ``payload_*`` operations."""
+    """What adds, subtracts, negates, multiplies and compares the items of
+    this ring's series forms, in the default form operations below, by its
+    ``payload_*`` operations."""
 
     def integer_form(self, payloads):
         """The canonical series form ``(items, scale)`` of the payloads,
@@ -395,11 +406,99 @@ class Ring:
     Q, whose items have no bound, and for payload rings, whose items are
     not ints.  ``convolve`` sizes unsigned Kronecker slots from it."""
 
+    # Code outside the rings reads the items of a form only through the
+    # form operations below, which take canonical forms and return one.
+    # The defaults run on one item per coefficient, through ``item_ring``.
+
+    def form_len(self, items):
+        """How many coefficients the items of a series form hold."""
+        return len(items)
+
+    def form_window(self, items, scale, start, stop):
+        """The form, its items a tuple, of the coefficients start..stop-1
+        (start <= stop) of the form read as an exact polynomial: zero where
+        the index is negative or past the last item.  A negative start
+        shifts up, a stop past the end pads, and a cut over a scale above 1
+        is brought back to canonical form (it may have lost the items that
+        kept the content 1)."""
+        n = len(items)
+        if start < 0:
+            out = (self.item_ring.payload_from_int(0),) * -start + tuple(items[:stop])
+        else:
+            out = tuple(items[start:stop])
+        if stop > n:
+            out += (self.item_ring.payload_from_int(0),) * (stop - max(n, start))
+        if scale != 1 and (start > 0 or stop < n):
+            out, scale = self.canonical_form(out, scale)
+            return tuple(out), scale
+        return out, scale
+
+    def form_sum(self, a, s, b, r, subtract=False):
+        """The form of a + b (a - b if ``subtract``) for the forms (a, s)
+        and (b, r), over the lcm of the two scales, as long as the shorter."""
+        item_ring = self.item_ring
+        op = item_ring.payload_sub if subtract else item_ring.payload_add
+        if s == r:
+            items = list(map(op, a, b))
+        else:
+            g = math.gcd(s, r)
+            fa, fb = r // g, s // g
+            items = [op(x * fa, y * fb) for x, y in zip(a, b)]
+            s *= fa
+        return self.canonical_form(items, s)
+
+    def form_neg(self, items, scale):
+        """The form of the negated coefficients."""
+        return self.canonical_form(list(map(self.item_ring.payload_neg, items)), scale)
+
+    def form_scale(self, items, scale, c):
+        """The form of c times each coefficient, for a payload c: each item
+        times the item of c's own form, over the product of the scales.  As
+        in ``convolve``, a zero factor leaves a zero item, so the result is
+        the form of the product with the constant series c."""
+        (ci,), cs = self.integer_form([c])
+        item_ring = self.item_ring
+        mul, is_zero = item_ring.payload_mul, item_ring.payload_is_zero
+        zero = item_ring.payload_from_int(0)
+        if is_zero(ci):
+            items = [zero] * len(items)
+        else:
+            items = [zero if is_zero(x) else mul(ci, x) for x in items]
+        return self.canonical_form(items, scale * cs)
+
+    def form_eq(self, a, b):
+        """Whether the canonical items a and b, over one scale and of one
+        length, hold equal coefficients.  Canonical items compare equal as
+        they are, except colimit payloads, whose ``payload_eq`` first
+        raises both to a common level."""
+        return a == b or all(map(self.item_ring.payload_eq, a, b))
+
+    def form_is_zero(self, items):
+        return all(map(self.item_ring.payload_is_zero, items))
+
+    def form_leading_zeros(self, items):
+        """How many coefficients are zero before the first nonzero one (all
+        of them for zero)."""
+        nonzero = map(not_, map(self.item_ring.payload_is_zero, items))
+        return next(compress(count(), nonzero), len(items))
+
+    def form_trimmed_len(self, items):
+        """How many coefficients are left without the trailing zero ones."""
+        is_zero, n = self.item_ring.payload_is_zero, len(items)
+        while n and is_zero(items[n - 1]):
+            n -= 1
+        return n
+
+    def form_ints(self, items, scale):
+        """The ints of a form that can grow without bound: Q's items and
+        scale; none for a residue ring, whose items are reduced."""
+        return (*items, scale) if self.item_top is None else ()
+
     def convolve(self, a, b, n):
         """The items of a*b mod t^n, over the product of the two scales and
-        not yet canonical, for the items a and b (no longer than n) of two
-        series forms.  Here one ``_int_product``."""
-        return _int_product(a, b, n, self.item_top)
+        not yet canonical, for the items a and b of two series forms.  Here
+        one ``_int_product`` of the first n items of each."""
+        return _int_product(a[:n], b[:n], n, self.item_top)
 
     def invert_series(self, ints, scale):
         """A series form, not necessarily canonical, of the inverse mod t^n
@@ -441,9 +540,14 @@ class Ring:
     |---|---|---|---|---|---|---|
     | Fp(5) | 0.056 -> 0.076 | 0.097 -> 0.084 | 0.20 -> 0.16 | 0.43 -> 0.18 | 1.8 -> 0.34 | 5.8 -> 0.64 |
     | Zmod(27) | 0.051 -> 0.071 | 0.097 -> 0.086 | 0.16 -> 0.14 | 0.49 -> 0.22 | 2.0 -> 0.64 | 7.4 -> 0.96 |
-    | Artin(Fp(5); eps; 2) | 1.3 -> 0.54 | 3.2 -> 1.1 | 5.5 -> 1.8 | 25 -> 2.4 | 120 -> 4.3 | |
-    | Artin(Fp(2); s1,s2; 3) | 1.8 -> 1.1 | 8.7 -> 3.6 | 14 -> 3.9 | 56 -> 5.7 | 250 -> 8.9 | |
+    | Artin(Fp(5); eps; 2) | 1.6 -> 0.50 | 3.8 -> 1.1 | 6.3 -> 1.7 | 26 -> 1.9 | 97 -> 2.1 | |
+    | Artin(Fp(2); s1,s2; 3) | 5.1 -> 1.5 | 12 -> 3.5 | 22 -> 6.5 | 73 -> 5.3 | 290 -> 6.2 | |
 
+    The Artinian rows were measured with series products on slices, the
+    best of two runs interleaved with runs of the payload-dict products
+    before them, where Newton took 0.61, 1.2, 2.0, 2.4 and 2.9 ms (eps) and
+    1.7, 4.1, 6.7, 6.0 and 7.7 ms (s1, s2) at the same N: the recurrence at
+    the base of the doubling, which did not change, is most of an inverse.
     Over Fp and Z/n the one-step break-even lies between N = 40 and 48.
     Artinian rings gain below 48 as well, but no inverse of the ``prepare``
     and ``cli`` benchmark workloads reaches 48 (they stop at N = 40), so
@@ -515,7 +619,30 @@ class Ring:
         raise NotImplementedError
 
 
-class PrimeFieldRing(Ring):
+class _ResidueRing(Ring):
+    """Fp and Z/n: series forms are residues in [0, m) over scale 1, for
+    m = ``item_top`` + 1, and a sum, negation or scaling reduces each item
+    as it forms it, in one pass."""
+
+    def canonical_form(self, ints, scale):
+        return _residues(ints, scale, self.item_top + 1), 1
+
+    def form_sum(self, a, s, b, r, subtract=False):
+        m = self.item_top + 1
+        if subtract:
+            return [(x - y) % m for x, y in zip(a, b)], 1
+        return [(x + y) % m for x, y in zip(a, b)], 1
+
+    def form_neg(self, items, scale):
+        m = self.item_top + 1
+        return [-x % m for x in items], 1
+
+    def form_scale(self, items, scale, c):
+        m = self.item_top + 1
+        return [x * c % m for x in items], 1
+
+
+class PrimeFieldRing(_ResidueRing):
     is_field = True
 
     def __init__(self, p: int):
@@ -551,9 +678,6 @@ class PrimeFieldRing(Ring):
 
     def payload_is_zero(self, a):
         return a == 0
-
-    def canonical_form(self, ints, scale):
-        return _residues(ints, scale, self.p), 1
 
     def is_unit(self, a):
         return a.value != 0
@@ -654,7 +778,7 @@ class RationalRing(Ring):
         return str(value)
 
 
-class IntegersMod(Ring):
+class IntegersMod(_ResidueRing):
     """Z/n.  Arithmetic for every n >= 2; residue theory only for n = p^e."""
 
     def __init__(self, n: int):
@@ -702,9 +826,6 @@ class IntegersMod(Ring):
     def payload_is_zero(self, a):
         return a == 0
 
-    def canonical_form(self, ints, scale):
-        return _residues(ints, scale, self.n), 1
-
     def is_unit(self, a):
         return math.gcd(a.value, self.n) == 1
 
@@ -735,6 +856,23 @@ class IntegersMod(Ring):
         return str(value)
 
 
+def _payload_inverse(ring, payloads):
+    """The payloads of the inverse mod t^n of n payloads, whose first is a
+    unit, by the recurrence: one ``payload_mul`` and one ``payload_add``
+    per term, after ``invert`` of the constant term."""
+    inv0 = ring.invert(RingElement(ring, payloads[0])).value
+    out = [inv0]
+    padd, pmul = ring.payload_add, ring.payload_mul
+    neg_inv0 = ring.payload_neg(inv0)
+    for k in range(1, len(payloads)):
+        acc = None
+        for i in range(1, k + 1):
+            term = pmul(payloads[i], out[k - i])
+            acc = term if acc is None else padd(acc, term)
+        out.append(pmul(neg_inv0, acc))
+    return out
+
+
 class PayloadRing(Ring):
     """A ring whose series form is its canonical payloads over scale 1, so
     ``integer_form``, ``from_integer_form`` and ``canonical_form`` pass them
@@ -748,29 +886,32 @@ class PayloadRing(Ring):
     def canonical_form(self, items, scale):
         return items, scale
 
+    def form_ints(self, items, scale):
+        return ()
+
     def invert_series(self, payloads, scale):
-        """``Ring.invert_series`` by the payload recurrence: one
-        ``payload_mul`` and one ``payload_add`` per term, after ``invert``
-        of the constant term."""
-        inv0 = self.invert(RingElement(self, payloads[0])).value
-        out = [inv0]
-        padd, pmul = self.payload_add, self.payload_mul
-        neg_inv0 = self.payload_neg(inv0)
-        for k in range(1, len(payloads)):
-            acc = None
-            for i in range(1, k + 1):
-                term = pmul(payloads[i], out[k - i])
-                acc = term if acc is None else padd(acc, term)
-            out.append(pmul(neg_inv0, acc))
-        return out, 1
+        """``Ring.invert_series`` by the payload recurrence."""
+        return _payload_inverse(self, payloads), 1
 
 
-class ArtinianLocalRing(PayloadRing):
+class ArtinianLocalRing(Ring):
     """base[s_1..s_m] / (all monomials of total degree >= e).
 
     Payloads are dicts mapping exponent tuples (total degree < e) to nonzero
     base payloads.  Multiplication convolves exponents and discards any
     monomial of total degree >= e, which is exactly m^e = 0.
+
+    The series form is slice-major: its items are ``(n, slices)``, n the
+    number of coefficients and ``slices`` one ``(deg, exps, ints)`` for
+    each monomial exps, of total degree deg, that occurs, where ``ints``
+    holds the n base ints of its coefficients over the form's one scale:
+    residues over scale 1 for an Fp base, and over a Q base ints with one
+    content, that of all the slices, divided out.  All-zero slices are
+    dropped and the rest sorted by (deg, exps), so equal series have equal
+    forms.  Sums, negations, scaling and windows are one pass over each
+    slice, and a product one ``_int_product`` per slice pair; payload dicts
+    are built only where a payload is read, and for the payload recurrence
+    of ``invert_series``.
     """
 
     def __init__(self, base: Ring, names, truncation_order: int):
@@ -856,50 +997,153 @@ class ArtinianLocalRing(PayloadRing):
     def payload_hash(self, a):
         return hash(tuple(sorted(a.items())))
 
+    # -- series forms: slices by monomial (see the class docstring) ---------
+    def integer_form(self, payloads):
+        """The slices of the payloads: their coefficients gathered by
+        monomial, then over Q the base's integer form of all slices at
+        once."""
+        n = len(payloads)
+        slices = {}
+        for i, a in enumerate(payloads):
+            for x, c in a.items():
+                s = slices.get(x)
+                if s is None:
+                    s = slices[x] = [0] * n
+                s[i] = c
+        keys = sorted(slices, key=lambda x: (sum(x), x))
+        if self.base.item_top is not None:  # residues are their own ints
+            return (n, tuple([(sum(x), x, tuple(slices[x])) for x in keys])), 1
+        ints, scale = self.base.integer_form([c for x in keys for c in slices[x]])
+        return (n, tuple([(sum(x), x, tuple(ints[k * n : (k + 1) * n])) for k, x in enumerate(keys)])), scale
+
+    def from_integer_form(self, items, scale):
+        """The payload dicts of a canonical series form."""
+        n, slices = items
+        out = [{} for _ in range(n)]
+        base = self.base
+        for _, x, s in slices:
+            for i, c in zip(compress(count(), s), base.from_integer_form(list(compress(s, s)), scale)):
+                out[i][x] = c
+        return out
+
+    def canonical_form(self, items, scale):
+        """The canonical form of ``(n, slices)``, for slices of n base ints
+        each over ``scale``, in any order and possibly zero."""
+        n, slices = items
+        base = self.base
+        if base.item_top is None:  # one content for all the slices
+            flat, scale = base.canonical_form([c for _, _, s in slices for c in s], scale)
+            out = [(d, x, tuple(flat[k * n : (k + 1) * n])) for k, (d, x, _) in enumerate(slices)]
+        else:
+            m = base.item_top + 1
+            out = [(d, x, tuple(_residues(s, scale, m))) for d, x, s in slices]
+            scale = 1
+        out = [slice_ for slice_ in out if any(slice_[2])]
+        out.sort()
+        return (n, tuple(out)), scale
+
+    def form_len(self, items):
+        return items[0]
+
+    def form_window(self, items, scale, start, stop):
+        n, slices = items
+        if start == 0 and stop == n:
+            return items, scale
+        if start < 0:
+            head = (0,) * -start
+            out = [(d, x, head + s[:stop]) for d, x, s in slices]
+        else:
+            out = [(d, x, s[start:stop]) for d, x, s in slices]
+        if stop > n:
+            tail = (0,) * (stop - max(n, start))
+            out = [(d, x, s + tail) for d, x, s in out]
+        if start > 0 or stop < n:
+            if scale != 1:
+                return self.canonical_form((stop - start, out), scale)
+            out = [slice_ for slice_ in out if any(slice_[2])]
+        return (stop - start, tuple(out)), scale
+
+    def form_sum(self, a, s, b, r, subtract=False):
+        (n, slices_a), (m, slices_b) = a, b
+        k = min(n, m)
+        fa = fb = 1
+        if s != r:
+            g = math.gcd(s, r)
+            fa, fb = r // g, s // g
+        op, zeros = (sub if subtract else add), (0,) * k
+        slots = {x: (d, x, c[:k] if fa == 1 else [v * fa for v in c[:k]]) for d, x, c in slices_a}
+        for d, x, c in slices_b:
+            c = c[:k] if fb == 1 else [v * fb for v in c[:k]]
+            acc = slots.get(x)
+            slots[x] = (d, x, list(map(op, zeros if acc is None else acc[2], c)))
+        return self.canonical_form((k, slots.values()), s * fa)
+
+    def form_neg(self, items, scale):
+        n, slices = items
+        return self.canonical_form((n, [(d, x, list(map(neg, c))) for d, x, c in slices]), scale)
+
+    def form_scale(self, items, scale, c):
+        """c times each coefficient: each slice times each slice of c's own
+        form (of one int), slice pair by slice pair as in ``convolve``."""
+        (_, slices_c), cs = self.integer_form([c])
+        slots = self._slice_products(items[1], slices_c, lambda a, b: [v * b[0] for v in a])
+        return self.canonical_form((items[0], slots), scale * cs)
+
+    def form_eq(self, a, b):
+        return a == b
+
+    def form_is_zero(self, items):
+        return not items[1]
+
+    def form_leading_zeros(self, items):
+        n, slices = items
+        return min([next(compress(count(), s)) for _, _, s in slices], default=n)
+
+    def form_trimmed_len(self, items):
+        top = 0
+        for _, _, s in items[1]:  # no slice is all zero
+            k = len(s)
+            while not s[k - 1]:
+                k -= 1
+            top = max(top, k)
+        return top
+
+    def form_ints(self, items, scale):
+        if self.base.item_top is not None:
+            return ()
+        return [c for _, _, s in items[1] for c in s] + [scale]
+
     def convolve(self, a, b, n):
-        """``Ring.convolve`` slice by slice: each slice pair of total degree
-        below e is one ``_int_product`` (slices come by ascending degree, so
-        the first pair reaching e ends the row), added to the ints of its
-        product monomial.  This pays off when monomials recur across
-        t-degrees; when every slice holds one term, the O(n) work per slice
-        pair makes it slower than multiplying term by term."""
-        slices_a, scale_a = self._integer_slices(a)
-        slices_b, scale_b = self._integer_slices(b)
-        e, top = self.e, self.base.item_top
+        """``Ring.convolve`` slice pair by slice pair, each pair of total
+        degree below e one ``_int_product``.  This pays off when monomials
+        recur across t-degrees; when every slice holds one term, the O(n)
+        work per slice pair makes it slower than multiplying term by term."""
+        top = self.base.item_top
+        slots = self._slice_products(
+            a[1], b[1], lambda x, y: _int_product(x[:n], y[:n], n, top))
+        return n, slots
+
+    def _slice_products(self, slices_a, slices_b, product):
+        """The slices ``(deg, exps, ints)`` of the sum, over every pair of
+        a slice of a and one of b of total degree below e, of
+        product(ints_a, ints_b) at the product monomial.  Slices come by
+        ascending degree, so the first pair reaching e ends the row."""
+        e = self.e
         slots = {}
-        for db, xb, sb in slices_b:
-            for da, xa, sa in slices_a:
+        for db, xb, cb in slices_b:
+            for da, xa, ca in slices_a:
                 if da + db >= e:
                     break
                 x = tuple(map(add, xa, xb))
-                c = _int_product(sa, sb, n, top)
+                c = product(ca, cb)
                 acc = slots.get(x)
-                slots[x] = c if acc is None else list(map(add, acc, c))
-        terms = [(k, x) for x, acc in slots.items() for k in compress(range(n), acc)]
-        ints = [c for acc in slots.values() for c in compress(acc, acc)]
-        base = self.base
-        pzero = base.payload_is_zero
-        out = [{} for _ in range(n)]
-        coeffs = base.from_integer_form(*base.canonical_form(ints, scale_a * scale_b))
-        for (k, x), c in zip(terms, coeffs):
-            if not pzero(c):
-                out[k][x] = c
-        return out
+                slots[x] = (da + db, x, c if acc is None else list(map(add, acc[2], c)))
+        return slots.values()
 
-    def _integer_slices(self, payloads):
-        """``([(deg, exps, ints), ...], scale)`` by ascending total degree:
-        the base coefficient of the monomial exps in payloads[i] is
-        ints[i] / scale, and each ``ints`` is as long as ``payloads``."""
-        ints, scale = self.base.integer_form([c for a in payloads for c in a.values()])
-        ints = iter(ints)
-        slices = {}
-        for i, a in enumerate(payloads):
-            for exps in a:
-                s = slices.get(exps)
-                if s is None:
-                    s = slices[exps] = [0] * len(payloads)
-                s[i] = next(ints)
-        return sorted((sum(x), x, s) for x, s in slices.items()), scale
+    def invert_series(self, items, scale):
+        """``Ring.invert_series`` by the payload recurrence, on the payload
+        dicts of the form."""
+        return self.integer_form(_payload_inverse(self, self.from_integer_form(items, scale)))
 
     def generators(self):
         out = {}

@@ -1,19 +1,22 @@
 """Truncated power series R[[t]] mod t^N and Laurent series.
 
 A series keeps its coefficients in its ring's canonical series form
-(items, scale), c_i = items[i] / scale (see ``rings``): reduced residues
-over scale 1 for Fp and Z/n, ints over a content-free scale for Q, and
-canonical payloads over scale 1 for Artinian and colimit rings.  Each
-operation has one body, on that form, with no branch on the ring: sums and
-negations use the ring's item arithmetic (``Ring.item_ring``) and bring the
-result to canonical form once (``Ring.canonical_form``), products hand the
-items to ``Ring.convolve``, and ``invert`` checks the constant term and
-hands the form to ``Ring.invert_series``: at full length below the ring's
+(items, scale) (see ``rings``): reduced residues over scale 1 for Fp and
+Z/n, ints over a content-free scale for Q, one slice of base ints per
+monomial for Artinian rings, and canonical payloads over scale 1 for
+colimit rings.  Each operation has one body, on that form, with no branch
+on the ring and no reading of the items: sums, negations, scaling and
+windows (shift, drop, truncate, pad, one coefficient) are the ring's form
+operations (``Ring.form_sum``, ``form_neg``, ``form_scale``,
+``form_window``), products hand the items to ``Ring.convolve`` and bring
+the result to canonical form once (``Ring.canonical_form``), and
+``invert`` checks the constant term and hands the form to
+``Ring.invert_series``: at full length below the ring's
 ``NEWTON_INVERT_MIN`` orders, and from there on at the base of a Newton
 doubling whose steps are two series products each.  Payloads are built
-from the form only when something reads them (over every ring but Q they
-are the items themselves), and ``RingElement`` wrappers only where a
-coefficient leaves the series API (``coefficient``, ``coeffs``).
+from the form only when something reads them (over Fp, Z/n and colimit
+rings they are the items themselves), and ``RingElement`` wrappers only
+where a coefficient leaves the series API (``coefficient``, ``coeffs``).
 
 Precision is explicit data.  Every operation states the precision of its
 output and never claims a coefficient beyond it: sums and products follow
@@ -26,8 +29,6 @@ is a series product.
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import (
     Indeterminate,
@@ -54,12 +55,12 @@ class TruncatedSeries:
     """c_0 + c_1 t + ... + c_{N-1} t^{N-1} + O(t^N) with exact coefficients.
 
     ``form`` is the canonical series form ``(items, scale)`` of the
-    coefficients, with exactly ``precision`` items, and every operation
-    here runs on it; ``payloads`` is the tuple of their ``precision``
-    canonical payloads.  A series built from payloads computes its form
-    at once (over every ring but Q without a pass over them), one built by
-    an operation its payloads on first read and keeps them.  Both are
-    immutable, so slices and zero padding share them.
+    ``precision`` coefficients (``Ring.form_len`` of the items), and every
+    operation here runs on it; ``payloads`` is the tuple of their
+    ``precision`` canonical payloads.  A series built from payloads
+    computes its form at once (over Fp, Z/n and colimit rings without a
+    pass over them), one built by an operation its payloads on first read
+    and keeps them.  Both are immutable, so windows share them.
     """
 
     __slots__ = ("ring", "precision", "form", "_payloads")
@@ -88,21 +89,9 @@ class TruncatedSeries:
         back to canonical form (it may have lost the content-1 items)."""
         if precision < 1:
             raise InsufficientPrecision("a series needs at least one known coefficient")
-        items = tuple(items)
-        n = len(items)
-        if n < precision:
-            items += (ring.item_ring.payload_from_int(0),) * (precision - n)
-        elif n > precision:
-            items = items[:precision]
-            if scale != 1:
-                items, scale = ring.canonical_form(items, scale)
-                items = tuple(items)
-        self = object.__new__(cls)
-        self.ring = ring
-        self.precision = precision
-        self._payloads = None
-        self.form = (items, scale)
-        return self
+        if ring.form_len(items) != precision:
+            items, scale = ring.form_window(items, scale, 0, precision)
+        return _series(ring, items, scale, precision)
 
     @classmethod
     def constant(cls, value: RingElement, precision):
@@ -132,13 +121,13 @@ class TruncatedSeries:
     def coefficient(self, i) -> RingElement:
         if i >= self.precision:
             raise InsufficientPrecision(f"coefficient {i} beyond precision {self.precision}")
+        ring = self.ring
         if self._payloads is None:
-            items, scale = self.form
-            return RingElement(self.ring, self.ring.from_integer_form([items[i]], scale)[0])
-        return RingElement(self.ring, self._payloads[i])
+            return RingElement(ring, ring.from_integer_form(*ring.form_window(*self.form, i, i + 1))[0])
+        return RingElement(ring, self._payloads[i])
 
     def is_zero(self) -> bool:
-        return all(map(self.ring.item_ring.payload_is_zero, self.form[0]))
+        return self.ring.form_is_zero(self.form[0])
 
     def __bool__(self):
         return not self.is_zero()
@@ -157,9 +146,7 @@ class TruncatedSeries:
         if self.ring is not other.ring and self.ring != other.ring:
             return False
         (a, s), (b, r) = self.form, other.form
-        # canonical items compare equal as they are, except colimit payloads,
-        # whose ``payload_eq`` first raises both to a common level
-        return s == r and (a == b or all(map(self.ring.item_ring.payload_eq, a, b)))
+        return s == r and self.ring.form_eq(a, b)
 
     def __hash__(self):
         return hash((self.ring, self.precision))
@@ -175,32 +162,19 @@ class TruncatedSeries:
         return self.truncate(n) == other.truncate(n)
 
     # -- arithmetic ----------------------------------------------------------
-    def _sum(self, other, op):
-        """self op other, for op the item addition or subtraction, over the
-        lcm of the two scales."""
+    def _sum(self, other, subtract):
         self._check(other)
         ring, n = self.ring, min(self.precision, other.precision)
-        (a, s), (b, r) = self.form, other.form
-        if s == r:
-            items = list(map(op, a, b))
-        else:
-            g = math.gcd(s, r)
-            fa, fb = r // g, s // g
-            items = [op(x * fa, y * fb) for x, y in zip(a, b)]
-            s *= fa
-        return TruncatedSeries._of_form(ring, *ring.canonical_form(items, s), n)
+        return _series(ring, *ring.form_sum(*self.form, *other.form, subtract), n)
 
     def __add__(self, other):
-        return self._sum(other, self.ring.item_ring.payload_add)
+        return self._sum(other, False)
 
     def __sub__(self, other):
-        return self._sum(other, self.ring.item_ring.payload_sub)
+        return self._sum(other, True)
 
     def __neg__(self):
-        ring = self.ring
-        items, scale = self.form
-        items = list(map(ring.item_ring.payload_neg, items))
-        return TruncatedSeries._of_form(ring, *ring.canonical_form(items, scale), self.precision)
+        return _series(self.ring, *self.ring.form_neg(*self.form), self.precision)
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -208,27 +182,14 @@ class TruncatedSeries:
         self._check(other)
         ring, n = self.ring, min(self.precision, other.precision)
         (a, s), (b, r) = self.form, other.form
-        return TruncatedSeries._of_form(
-            ring, *ring.canonical_form(ring.convolve(a[:n], b[:n], n), s * r), n
-        )
+        return _series(ring, *ring.canonical_form(ring.convolve(a, b, n), s * r), n)
 
     def scale(self, c: RingElement):
-        """c times the series, for c in the ring or an int: each item times
-        the item of c's own series form, over the product of the scales.
-        As in ``Ring.convolve``, a zero factor leaves a zero item, so the
-        result is the product with the constant series c, form and all."""
+        """c times the series, for c in the ring or an int, by
+        ``Ring.form_scale``: the product with the constant series c, form
+        and all, in one pass."""
         ring = self.ring
-        (ci,), cs = ring.integer_form([_payload(ring, c)])
-        items, scale = self.form
-        item_ring = ring.item_ring
-        mul, is_zero = item_ring.payload_mul, item_ring.payload_is_zero
-        zero = item_ring.payload_from_int(0)
-        if is_zero(ci):
-            items = [zero] * len(items)
-        else:
-            items = [zero if is_zero(x) else mul(ci, x) for x in items]
-        items, scale = ring.canonical_form(items, scale * cs)
-        return TruncatedSeries._of_form(ring, items, scale, self.precision)
+        return _series(ring, *ring.form_scale(*self.form, _payload(ring, c)), self.precision)
 
     def shift(self, k):
         """Multiply by t^k (k >= 0); gains k orders of precision."""
@@ -236,10 +197,8 @@ class TruncatedSeries:
             raise ValueError("negative shifts live in LaurentSeries")
         if k == 0:
             return self
-        ring = self.ring
-        items, scale = self.form
-        zeros = (ring.item_ring.payload_from_int(0),) * k
-        return TruncatedSeries._of_form(ring, zeros + items, scale, self.precision + k)
+        ring, n = self.ring, self.precision
+        return _series(ring, *ring.form_window(*self.form, -k, n), n + k)
 
     def drop(self, k):
         """(x - (x mod t^k)) / t^k: the coefficients from index k on, at
@@ -248,19 +207,17 @@ class TruncatedSeries:
             raise InsufficientPrecision(f"cannot drop {k} of {self.precision} known orders")
         if k == 0:
             return self
-        ring = self.ring
-        items, scale = self.form
-        items = items[k:]
-        if scale != 1:  # the cut may have lost the items that kept the content 1
-            items, scale = ring.canonical_form(items, scale)
-        return TruncatedSeries._of_form(ring, items, scale, self.precision - k)
+        ring, n = self.ring, self.precision
+        return _series(ring, *ring.form_window(*self.form, k, n), n - k)
 
     def truncate(self, n):
         if n > self.precision:
             raise InsufficientPrecision(f"cannot extend precision {self.precision} to {n}")
         if n == self.precision:
             return self
-        return TruncatedSeries._of_form(self.ring, *self.form, n)
+        if n < 1:
+            raise InsufficientPrecision("a series needs at least one known coefficient")
+        return _series(self.ring, *self.ring.form_window(*self.form, 0, n), n)
 
     def pad(self, n):
         """x mod t^N read as an exact polynomial, at precision n >= N: the
@@ -269,16 +226,12 @@ class TruncatedSeries:
             raise ValueError(f"cannot pad precision {self.precision} down to {n}")
         if n == self.precision:
             return self
-        return TruncatedSeries._of_form(self.ring, *self.form, n)
+        return _series(self.ring, *self.ring.form_window(*self.form, 0, n), n)
 
     def _leading_zeros(self):
         """How many coefficients are exactly zero before the first nonzero
         one, at most N - 1."""
-        items, is_zero = self.form[0], self.ring.item_ring.payload_is_zero
-        k, last = 0, self.precision - 1
-        while k < last and is_zero(items[k]):
-            k += 1
-        return k
+        return min(self.ring.form_leading_zeros(self.form[0]), self.precision - 1)
 
     def invert(self):
         """Inverse, for a unit constant term.  Below the ring's
@@ -293,7 +246,7 @@ class TruncatedSeries:
             ladder.append((ladder[-1] + 1) // 2)
         h = ladder.pop()
         items, scale = ring.invert_series(*self.truncate(h).form)
-        g = TruncatedSeries._of_form(ring, *ring.canonical_form(items, scale), h)
+        g = _series(ring, *ring.canonical_form(items, scale), h)
         for n in reversed(ladder):
             g = self.truncate(n).refine_inverse(g)
         return g
@@ -314,6 +267,17 @@ class TruncatedSeries:
 
     def __repr__(self):
         return format_series(self)
+
+
+def _series(ring, items, scale, precision):
+    """Unchecked constructor from a canonical series form of ``ring`` of
+    exactly ``precision`` coefficients."""
+    self = object.__new__(TruncatedSeries)
+    self.ring = ring
+    self.precision = precision
+    self._payloads = None
+    self.form = (tuple(items), scale)
+    return self
 
 
 def format_series(x: TruncatedSeries) -> str:

@@ -24,11 +24,13 @@ an integer of more than ``MAX_DIGITS`` digits, anywhere in a text input,
 and nesting (parentheses and unary minus) deeper than ``MAX_NESTING``.
 What a literal builds is bounded too: a product or power whose
 t-polynomial or map equation would pass degree ``MAX_PRECISION`` is a
-``ParseError`` before it is formed, and so is a sum, product, quotient or
-power that holds an integer of more than ``MAX_DIGITS`` digits, once
-formed.  So ``(t^512)^512`` builds nothing of degree above 512, and
-``((2^512)^512)^512`` over Q stops at the fifth squaring inside
-``(2^512)^512``.
+``ParseError`` before it is formed, and so is a product whose operands'
+term counts multiply past ``MAX_TERM_PAIRS``, and a sum, product,
+quotient or power that holds an integer of more than ``MAX_DIGITS``
+digits, once formed.  So ``(t^512)^512`` builds nothing of degree above
+512, ``(x + y + z + w + u)^32`` stops before squaring the 495 terms of
+its eighth power, and ``((2^512)^512)^512`` over Q stops at the fifth
+squaring inside ``(2^512)^512``.
 
 All formatters order monomials by degree (then lexicographically) and
 print canonical coefficient forms, so identical values serialize to
@@ -55,6 +57,11 @@ MAX_DIGITS = 4300
 _INT_CEILING = 10**MAX_DIGITS  # the smallest int of MAX_DIGITS + 1 digits
 # The parser recurses a few frames per level of nesting.
 MAX_NESTING = 100
+# The most term pairs one product in a literal may multiply, which bounds
+# the work of a map equation such as (x + y + z + w + u)^32 (58,905 terms,
+# 45 s to build); a t-polynomial of degree <= MAX_PRECISION never reaches
+# it (at most 257 * 257 pairs).
+MAX_TERM_PAIRS = 2**17
 
 
 def parse_int(digits: str) -> int:
@@ -176,8 +183,10 @@ class _Algebra:
     """What the algebras share: sums, products, quotients and powers that
     refuse a value of degree above ``MAX_PRECISION`` before it is formed,
     and one holding an integer of more than ``MAX_DIGITS`` digits once it
-    is.  Subclasses give ``_add``, ``_mul`` and ``_div``, a value's
-    ``degree`` and the ints in it that can grow (``_ints``)."""
+    is; a product also refuses operands whose term counts multiply past
+    ``MAX_TERM_PAIRS``, before it is formed.  Subclasses give ``_add``,
+    ``_mul`` and ``_div``, a value's ``degree``, its number of terms
+    (``_terms``) and the ints in it that can grow (``_ints``)."""
 
     def _bounded(self, value):
         for c in self._ints(value):
@@ -193,6 +202,10 @@ class _Algebra:
 
     def mul(self, a, b):
         check_precision(self.degree(a) + self.degree(b), "degree")
+        ta, tb = self._terms(a), self._terms(b)
+        if ta * tb > MAX_TERM_PAIRS:
+            raise ParseError(
+                f"a product of {ta} by {tb} terms exceeds the ceiling {MAX_TERM_PAIRS} term pairs")
         return self._bounded(self._mul(a, b))
 
     def div(self, a, b):
@@ -207,18 +220,16 @@ class _Algebra:
 
 class _TPolyAlgebra(_Algebra):
     """Values are exact t-polynomials as canonical series forms of the ring
-    (``weierstrass.poly_mul``) with no trailing zero item; ((), 1) is 0."""
+    (``weierstrass.poly_mul``) with no trailing zero coefficient, so 0 is
+    the form of no coefficients."""
 
     def __init__(self, ring):
         self.ring = ring
         self.gens = ring.generators()
 
     def _trim(self, items, scale):
-        """The form without its trailing zero items, which carry no content."""
-        is_zero = self.ring.item_ring.payload_is_zero
-        while items and is_zero(items[-1]):
-            items = items[:-1]
-        return tuple(items), scale
+        """The form without its trailing zero coefficients."""
+        return self.ring.form_window(items, scale, 0, self.ring.form_trimmed_len(items))
 
     def _of(self, payloads):
         return self._trim(*self.ring.integer_form(payloads))
@@ -233,36 +244,33 @@ class _TPolyAlgebra(_Algebra):
             return self._of([self.gens[name].value])
         raise ParseError(f"unknown name {name!r} over {self.ring}")
 
-    @staticmethod
-    def degree(a):
-        return max(len(a[0]) - 1, 0)
+    def degree(self, a):
+        return max(self.ring.form_len(a[0]) - 1, 0)
+
+    def _terms(self, a):
+        return self.ring.form_len(a[0])
 
     def _ints(self, a):
-        """Q's items and scale, or the coefficients of Artinian items over
-        Q; residues have a bound already."""
-        ring = self.ring
-        if isinstance(ring, RationalRing):
-            return (*a[0], a[1])
-        if isinstance(ring, ArtinianLocalRing) and isinstance(ring.base, RationalRing):
-            return [x for c in a[0] for q in c.values() for x in (q.numerator, q.denominator)]
-        return ()
+        """The ints of the form over Q or an Artinian ring over Q; residues
+        have a bound already."""
+        return self.ring.form_ints(*a)
 
     def _add(self, a, b):
-        n = max(len(a[0]), len(b[0]), 1)
-        a, b = (TruncatedSeries._of_form(self.ring, *x, n) for x in (a, b))
-        return self._trim(*(a + b).form)
+        ring = self.ring
+        n = max(ring.form_len(a[0]), ring.form_len(b[0]))
+        return self._trim(*ring.form_sum(*ring.form_window(*a, 0, n), *ring.form_window(*b, 0, n)))
 
     def neg(self, a):
-        ring = self.ring
-        return self._trim(*ring.canonical_form(list(map(ring.item_ring.payload_neg, a[0])), a[1]))
+        return self._trim(*self.ring.form_neg(*a))
 
     def _mul(self, a, b):
         return self._trim(*poly_mul(a, b, self.ring))
 
     def _div(self, a, b):
-        if len(b[0]) > 1:
+        size = self.ring.form_len(b[0])
+        if size > 1:
             raise ParseError("division is only allowed by scalars")
-        if not b[0]:
+        if not size:
             raise ParseError("division by zero")
         ring = self.ring
         c = ring.element(ring.from_integer_form(*b)[0])
@@ -292,6 +300,10 @@ class _MapAlgebra(_Algebra):
     @staticmethod
     def degree(a):
         return max(map(sum, a.terms), default=0)
+
+    @staticmethod
+    def _terms(a):
+        return len(a.terms)
 
     @staticmethod
     def _ints(a):
@@ -390,9 +402,10 @@ def parse_t_poly(text: str, ring) -> tuple:
 
 def parse_element(text: str, ring):
     items, scale = parse_t_poly(text, ring)
-    if len(items) > 1:
+    size = ring.form_len(items)
+    if size > 1:
         raise ParseError(f"{text!r} is not a scalar (it mentions t)")
-    return ring.element(ring.from_integer_form(items, scale)[0]) if items else ring.zero
+    return ring.element(ring.from_integer_form(items, scale)[0]) if size else ring.zero
 
 
 _O_TAIL = re.compile(r"\+\s*O\(\s*t\^(\d+)\s*\)\s*$")
@@ -441,7 +454,8 @@ def parse_series(text: str, ring, default_precision=None) -> TruncatedSeries:
 
 def parse_monic(text: str, ring) -> MonicPoly:
     items, scale = parse_t_poly(text, ring)
-    if not items or ring.element(ring.from_integer_form(items[-1:], scale)[0]) != ring.one:
+    size = ring.form_len(items)
+    if not size or ring.element(ring.from_integer_form(items, scale)[-1]) != ring.one:
         raise ParseError(f"{text!r} is not monic")
     return MonicPoly._of_form(ring, items, scale)
 

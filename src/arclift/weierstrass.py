@@ -46,7 +46,7 @@ class _ExactPoly:
     """An exact t-polynomial, kept as the canonical series form ``form`` of
     its coefficients (see the module docstring)."""
 
-    __slots__ = ("ring", "form")
+    __slots__ = ("ring", "form", "_payloads")
 
     @classmethod
     def _of_form(cls, ring, items, scale):
@@ -54,12 +54,16 @@ class _ExactPoly:
         self = object.__new__(cls)
         self.ring = ring
         self.form = (tuple(items), scale)
+        self._payloads = None
         return self
 
     @property
     def payloads(self):
-        """The coefficients as canonical payloads."""
-        return self.ring.from_integer_form(*self.form)
+        """The coefficients as a tuple of canonical payloads, built on first
+        read."""
+        if self._payloads is None:
+            self._payloads = tuple(self.ring.from_integer_form(*self.form))
+        return self._payloads
 
     @property
     def coeffs(self):
@@ -74,12 +78,11 @@ class _ExactPoly:
         if type(other) is not type(self):
             return NotImplemented
         (a, s), (b, r) = self.form, other.form
-        # canonical items compare equal as they are, except colimit payloads
-        return self.ring == other.ring and s == r and len(a) == len(b) and (
-            a == b or all(map(self.ring.item_ring.payload_eq, a, b)))
+        ring = self.ring
+        return ring == other.ring and s == r and ring.form_len(a) == ring.form_len(b) and ring.form_eq(a, b)
 
     def __hash__(self):
-        return hash((self.ring, len(self.form[0])))
+        return hash((self.ring, self.ring.form_len(self.form[0])))
 
     def __repr__(self):
         from .textforms import format_t_poly
@@ -96,15 +99,16 @@ class MonicPoly(_ExactPoly):
     def __init__(self, ring, low):
         self.ring = ring
         self.form = _form(ring, [_payload(ring, c) for c in [*low, 1]])
+        self._payloads = None
 
     @classmethod
     def t_power(cls, ring, d):
-        zero, one = map(ring.item_ring.payload_from_int, (0, 1))
-        return cls._of_form(ring, (zero,) * d + (one,), 1)
+        one = ring.integer_form([ring.payload_from_int(1)])
+        return cls._of_form(ring, *ring.form_window(*one, -d, 1))
 
     @property
     def degree(self):
-        return len(self.form[0]) - 1
+        return self.ring.form_len(self.form[0]) - 1
 
     @property
     def low(self):
@@ -116,8 +120,7 @@ class MonicPoly(_ExactPoly):
 
     def t_multiplicity(self) -> int:
         """Largest e with t^e dividing q exactly (e = d when all lows vanish)."""
-        is_zero = self.ring.item_ring.payload_is_zero
-        return next(i for i, c in enumerate(self.form[0]) if not is_zero(c))
+        return self.ring.form_leading_zeros(self.form[0])
 
 
 class LowPoly(_ExactPoly):
@@ -127,24 +130,22 @@ class LowPoly(_ExactPoly):
     __slots__ = ()
 
     def __init__(self, ring, bound, coeffs):
-        items, scale = _form(ring, [_payload(ring, c) for c in coeffs])
-        if len(items) > bound:
-            raise InvalidDescriptor(f"{len(items)} coefficients exceed bound {bound}")
+        payloads = [_payload(ring, c) for c in coeffs]
+        if len(payloads) > bound:
+            raise InvalidDescriptor(f"{len(payloads)} coefficients exceed bound {bound}")
         self.ring = ring
-        self.form = (items + (ring.item_ring.payload_from_int(0),) * (bound - len(items)), scale)
+        self.form = ring.form_window(*_form(ring, payloads), 0, bound)
+        self._payloads = None
 
     @property
     def bound(self):
-        return len(self.form[0])
+        return self.ring.form_len(self.form[0])
 
     def is_zero(self):
-        return all(map(self.ring.item_ring.payload_is_zero, self.form[0]))
+        return self.ring.form_is_zero(self.form[0])
 
     def __neg__(self):
-        ring = self.ring
-        items, scale = self.form
-        items = list(map(ring.item_ring.payload_neg, items))
-        return LowPoly._of_form(ring, *ring.canonical_form(items, scale))
+        return LowPoly._of_form(self.ring, *self.ring.form_neg(*self.form))
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,10 @@ def poly_mul(a, b, ring):
     """The exact product of two t-polynomials given as canonical series
     forms of ``ring``, as a canonical series form: one ``Ring.convolve``."""
     (a, s), (b, r) = a, b
-    if not a or not b:
-        return (), 1
-    items, scale = ring.canonical_form(ring.convolve(a, b, len(a) + len(b) - 1), s * r)
+    la, lb = ring.form_len(a), ring.form_len(b)
+    if not la or not lb:
+        return _form(ring, [])
+    items, scale = ring.canonical_form(ring.convolve(a, b, la + lb - 1), s * r)
     return tuple(items), scale
 
 
@@ -171,9 +173,10 @@ def divide_by_monic(f, q: MonicPoly):
     """Euclidean division by a monic polynomial: f = q * quot + rem.
 
     Exact synthetic division of f, a canonical series form of q's ring read
-    as an exact polynomial, on its payloads (the items themselves over
-    every ring but Q); returns the form of quot and rem as a ``LowPoly`` of
-    bound deg q.  No inversions are needed because q is monic.
+    as an exact polynomial, on its payloads (the items themselves over Fp,
+    Z/n and colimit rings); returns the form of quot and rem as a
+    ``LowPoly`` of bound deg q.  No inversions are needed because q is
+    monic.
     """
     d = q.degree
     ring = q.ring

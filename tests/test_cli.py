@@ -9,6 +9,7 @@ from arclift.textforms import (
     MAX_DIGITS,
     MAX_NESTING,
     MAX_PRECISION,
+    MAX_TERM_PAIRS,
     parse_factorization,
     parse_ring,
     parse_series,
@@ -347,8 +348,12 @@ def test_literal_non_unit_divisor_names_it_and_the_ring(capsys, ring, series, me
           "--map", "vars: [x1, y1]; split: 1; eqs: [((y1 + 1)^512)^512 - x1^3]"), str(MAX_PRECISION)),
         (("lift", "--ring", "Q", "--arc", "t^2; t^3", "--N", "16",
           "--map", "vars: [x1, y1]; split: 1; eqs: [(2^512)^512*y1^2 - x1^3]"), f"{MAX_DIGITS} digits"),
+        (("lift", "--ring", "Fp(5)", "--arc", "t^2; t^3; t; t; t", "--N", "16",
+          "--map", "vars: [x, y, z, w, u]; split: 4; eqs: [(x + y + z + w + u)^32]"),
+         f"{MAX_TERM_PAIRS} term pairs"),
     ],
-    ids=["power of 2^512", "product of 2^512", "power of t^512", "map degree", "map integer"],
+    ids=["power of 2^512", "product of 2^512", "power of t^512", "map degree", "map integer",
+         "map terms"],
 )
 def test_literals_that_build_too_much_exit_1(capsys, argv, ceiling):
     start = time.perf_counter()

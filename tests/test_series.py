@@ -30,7 +30,7 @@ from arclift import (
     weierstrass_divide,
 )
 from arclift import rings
-from arclift.rings import KRONECKER_MIN_TERMS, Ring
+from arclift.rings import KRONECKER_MIN_RESIDUE_TERMS, KRONECKER_MIN_TERMS, Ring
 from arclift.weierstrass import divide_by_monic, poly_mul
 
 from _helpers import (
@@ -223,7 +223,7 @@ def test_newton_inverse_matches_the_recurrence(ring, monkeypatch):
     calls = []
     real = type(ring).invert_series
     monkeypatch.setattr(ring, "invert_series",
-                        lambda items, scale: calls.append(len(items)) or real(ring, items, scale))
+                        lambda items, scale: calls.append(ring.form_len(items)) or real(ring, items, scale))
     rng = random.Random(31)
     for coeffs in _newton_cases(ring, rng):
         n = len(coeffs)
@@ -406,8 +406,9 @@ def test_products_match_schoolbook(ring):
         assert _poly_mul(f, g, ring) == schoolbook_product(f, g, ring)
         expected = _form(ring, schoolbook_product(f, g, ring))
         assert poly_mul(_form(ring, f), _form(ring, g), ring) == expected
-        assert poly_mul(((), 1), _form(ring, g), ring) == ((), 1)
-        assert poly_mul(_form(ring, f), ((), 1), ring) == ((), 1)
+        zero = _form(ring, [])
+        assert poly_mul(zero, _form(ring, g), ring) == zero
+        assert poly_mul(_form(ring, f), zero, ring) == zero
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
@@ -512,6 +513,23 @@ def _integer_cases(ring, rng):
         sparse = [zero] * (2 * terms)
         sparse[1::2] = [ring.payload_from_int(1 + k % top) for k in range(terms)]
         yield sparse, sparse[::-1]  # nonzero terms, not length, pick the regime
+    # around the residue crossover, K = KRONECKER_MIN_RESIDUE_TERMS
+    k = KRONECKER_MIN_RESIDUE_TERMS
+    for terms in (k - 1, k, 3 * k):
+        if m is None:
+            yield [Fraction(-26)] * terms, [Fraction(26, 3)] * (terms + 5)
+            continue
+        yield [m - 1] * terms, [m - 1] * terms
+        yield [m - 1] * terms, draw(2 * terms)
+        sparse = [zero] * (2 * terms)
+        sparse[::2] = [ring.payload_from_int(1 + i % (m - 1)) for i in range(terms)]
+        yield sparse, sparse[::-1]
+
+
+def _kronecker_threshold(ring):
+    """The nonzero count from which the ring's (or its base's) ints pack."""
+    ring = getattr(ring, "base", ring)
+    return KRONECKER_MIN_TERMS if isinstance(ring, RationalRing) else KRONECKER_MIN_RESIDUE_TERMS
 
 
 def _canonical_values(ring, elements):
@@ -577,7 +595,7 @@ def test_integer_path_takes_both_regimes(ring, monkeypatch):
         convolve(ring, a, b, len(a) + len(b))
         regimes.add(len(packed) > before)
     assert regimes == {False, True}
-    assert min(len(ints) - ints.count(0) for ints, _, _ in packed) == KRONECKER_MIN_TERMS
+    assert min(len(ints) - ints.count(0) for ints, _, _ in packed) == _kronecker_threshold(ring)
     # residues pack into unsigned slots, Q's ints into signed ones
     assert {signed for _, _, signed in packed} == {_modulus(ring) is None}
 
@@ -732,27 +750,28 @@ def _artin_cases(ring, rng):
         yield tiny, [ring.element({one: Fraction(-1, 3**20)})] * 4
     for _ in range(25):
         yield draw(rng.randint(1, 12)), draw(rng.randint(1, 12), density=rng.random())
-    # around the Kronecker crossover: lists of 3K coefficients whose nonzero
+    # around the Kronecker crossovers: lists of 3K coefficients whose nonzero
     # ones share a support of up to three monomials, 1 among them, so that
-    # each slice holds K-1, K or 3K nonzero ints
-    length = 3 * KRONECKER_MIN_TERMS
-    for terms in (KRONECKER_MIN_TERMS - 1, KRONECKER_MIN_TERMS, length):
-        def spread():
-            one, *monomials = ring.monomials()
-            support = [one] + rng.sample(monomials, min(2, len(monomials)))
-            out = [ring.zero] * length
-            for i in rng.sample(range(length), terms):
-                out[i] = ring.element({x: _artin_coefficient(ring, rng) for x in support})
-            return out
-        yield spread(), spread()
-        if not isinstance(ring.base, RationalRing):
-            # every coefficient the base's top residue on 1 and one more
-            # monomial: the slice products reach top^2 * terms, the bound
-            # their unsigned slots are sized from
-            one, *rest = ring.monomials()
-            top = {x: ring.base.p - 1 for x in [one] + rest[:1]}
-            filled = [ring.element(top)] * terms + [ring.zero] * (length - terms)
-            yield filled, filled[::-1]
+    # each slice holds K-1, K or 3K nonzero ints, for either threshold K
+    for k in (KRONECKER_MIN_TERMS, KRONECKER_MIN_RESIDUE_TERMS):
+        length = 3 * k
+        for terms in (k - 1, k, length):
+            def spread():
+                one, *monomials = ring.monomials()
+                support = [one] + rng.sample(monomials, min(2, len(monomials)))
+                out = [ring.zero] * length
+                for i in rng.sample(range(length), terms):
+                    out[i] = ring.element({x: _artin_coefficient(ring, rng) for x in support})
+                return out
+            yield spread(), spread()
+            if not isinstance(ring.base, RationalRing):
+                # every coefficient the base's top residue on 1 and one more
+                # monomial: the slice products reach top^2 * terms, the bound
+                # their unsigned slots are sized from
+                one, *rest = ring.monomials()
+                top = {x: ring.base.p - 1 for x in [one] + rest[:1]}
+                filled = [ring.element(top)] * terms + [ring.zero] * (length - terms)
+                yield filled, filled[::-1]
 
 
 def _canonical_artin(ring, elements):
@@ -805,7 +824,7 @@ def test_sliced_path_takes_both_regimes(ring, monkeypatch):
         convolve(ring, [c.value for c in f], [c.value for c in g], len(f) + len(g))
         regimes.add(len(packed) > before)
     assert regimes == {False, True}
-    assert min(len(ints) - ints.count(0) for ints, _, _ in packed) == KRONECKER_MIN_TERMS
+    assert min(len(ints) - ints.count(0) for ints, _, _ in packed) == _kronecker_threshold(ring)
     # slices over an Fp base pack unsigned, over Q signed
     assert {signed for _, _, signed in packed} == {isinstance(ring.base, RationalRing)}
 
@@ -838,6 +857,40 @@ def test_artinian_products_skip_payload_ops_and_colimit_products_keep_them(monke
     a = TruncatedSeries(ring, [ring.x(1), ring.one], 2)
     product = a * TruncatedSeries(ring, [ring.q0(), ring.x(2)], 2)
     assert calls and product.coefficient(0) == ring.x(1) * ring.q0()
+
+
+@pytest.mark.parametrize("ring", ARTIN_RINGS, ids=repr)
+def test_artinian_series_arithmetic_calls_no_payload_op(ring, monkeypatch):
+    """Series products, sums, differences, negations and scaling over an
+    Artinian ring run on the base ints of its slices: neither
+    ``payload_mul`` nor ``payload_add`` is called, and each result is the
+    one the payload operations give."""
+    rng = random.Random(43)
+    f = [_artin_element(ring, rng, 0.7) for _ in range(9)]
+    g = [_artin_element(ring, rng, 0.7) for _ in range(7)]
+    c = _artin_element(ring, rng, 0.7)
+    expected = {
+        "mul": schoolbook_product(f, g, ring)[:7],
+        "add": [a + b for a, b in zip(f, g)],
+        "sub": [a - b for a, b in zip(f, g)],
+        "neg": [-a for a in f],
+        "scale": [a * c for a in f],
+        "scale by 2": [a * 2 for a in f],
+    }
+    expected = {k: TruncatedSeries(ring, v, len(v)) for k, v in expected.items()}
+    x, y = TruncatedSeries(ring, f, 9), TruncatedSeries(ring, g, 7)
+    calls = []
+    for name in ("payload_mul", "payload_add"):
+        real = getattr(ArtinianLocalRing, name)
+        monkeypatch.setattr(ArtinianLocalRing, name,
+                            lambda self, a, b, real=real, name=name: calls.append(name) or real(self, a, b))
+    got = {"mul": x * y, "add": x + y, "sub": x - y, "neg": -x, "scale": x.scale(c),
+           "scale by 2": x.scale(2)}
+    assert x * c == got["scale"]
+    assert calls == []
+    for k, want in expected.items():
+        assert got[k] == want, k
+    assert ring.zero * ring.one == ring.zero and calls  # the spies are live
 
 
 # -- payload storage: series arithmetic builds no RingElement ----------------

@@ -10,8 +10,9 @@ arclift's series kernel.
 After every step the result must equal the oracle, equal the series rebuilt
 from its own payloads (with the same hash), and store its form in its
 family's canonical shape: reduced residues over scale 1 for Fp and Z/n,
-ints with the content divided out for Q, canonical payloads over scale 1
-for Artinian and colimit rings.
+ints with the content divided out for Q, one slice of base ints per
+monomial for Artinian rings (``_check_slices``), canonical payloads over
+scale 1 for colimit rings.
 """
 
 import math
@@ -78,17 +79,24 @@ def _elements(ring):
         )
     monomials = [ring.element({x: ring.base.payload_from_int(1)}) for x in ring.monomials()]
     coeffs = st.integers(-4, 4) if isinstance(ring.base, PrimeFieldRing) else rationals
+    if len(monomials) > SPARSE_FROM:  # one monomial per coefficient
+        return st.tuples(st.sampled_from(monomials), coeffs).map(lambda mc: mc[0] * ring.from_fraction(mc[1]))
     coeffs = st.one_of(st.just(0), coeffs)
     return st.lists(coeffs, min_size=len(monomials), max_size=len(monomials)).map(
         _combination(ring, monomials)
     )
 
 
+SPARSE_FROM = 20
+"""Over an Artinian ring with more monomials, an element has one monomial."""
+
 FAMILIES = [  # Q has its own test below, with its examples
     PrimeFieldRing(5),
     IntegersMod(9),
     ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2),
     ArtinianLocalRing(Q, ["a", "b"], 3),
+    ArtinianLocalRing(Q, ["a"], 1),
+    ArtinianLocalRing(PrimeFieldRing(5), ["a", "b", "c", "d", "e", "f"], 10),  # 5,005 monomials
     arc_kernel_ring(PrimeFieldRing(5)),
 ]
 
@@ -168,6 +176,9 @@ def _check_form(x):
     """The family's canonical form invariant."""
     ring = x.ring
     items, scale = x.form
+    if isinstance(ring, ArtinianLocalRing):
+        _check_slices(x)
+        return
     assert type(items) is tuple and len(items) == x.precision
     if ring == Q:
         assert all(type(c) is int for c in items)
@@ -178,18 +189,41 @@ def _check_form(x):
     if isinstance(ring, (PrimeFieldRing, IntegersMod)):
         m = ring.p if isinstance(ring, PrimeFieldRing) else ring.n
         assert all(type(c) is int and 0 <= c < m for c in items)
-    elif isinstance(ring, ColimitRing):
+    else:
         for level, _, xpart in items:
             assert all(e[0] <= level for e in xpart.terms)
+
+
+def _check_slices(x):
+    """The Artinian slice invariant: the items are (precision, slices), one
+    slice (deg, exps, ints) per monomial that occurs, sorted by (deg, exps),
+    each with exactly ``precision`` base ints, not all zero, over the form's
+    one scale: residues in [0, p) over scale 1, or over a Q base ints with
+    the content of all slices divided out.  The payloads hold the same
+    terms."""
+    ring, base = x.ring, x.ring.base
+    (n, slices), scale = x.form
+    assert n == x.precision and type(slices) is tuple
+    keys = [(d, exps) for d, exps, _ in slices]
+    assert keys == sorted(set(keys)) and len({exps for _, exps in keys}) == len(keys)
+    flat = []
+    for d, exps, ints in slices:
+        assert type(exps) is tuple and len(exps) == ring.m and d == sum(exps) < ring.e
+        assert type(ints) is tuple and len(ints) == n and any(ints)
+        assert all(type(c) is int for c in ints)
+        flat += ints
+    if base == Q:
+        assert scale > 0 and math.gcd(scale, *flat) == 1
     else:
-        base = ring.base
-        for a in items:
-            for exps, c in a.items():
-                assert len(exps) == ring.m and sum(exps) < ring.e
-                if base == Q:
-                    assert type(c) is Fraction and c
-                else:
-                    assert type(c) is int and 0 < c < base.p
+        assert scale == 1 and all(0 <= c < base.p for c in flat)
+    for a in x.payloads:
+        for exps, c in a.items():
+            assert len(exps) == ring.m and sum(exps) < ring.e
+            if base == Q:
+                assert type(c) is Fraction and c
+            else:
+                assert type(c) is int and 0 < c < base.p
+    assert sum(map(len, x.payloads)) == len(flat) - flat.count(0)
 
 
 def _check(x, expected):

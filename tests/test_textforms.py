@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from arclift import (
 from arclift.textforms import (
     MAX_DIGITS,
     MAX_NESTING,
+    MAX_TERM_PAIRS,
     format_factorization,
     format_poly_map,
     format_t_poly,
@@ -269,13 +271,12 @@ def test_parsed_powers_match_repeated_products(ring):
         coeffs = [random_element(ring, rng) for _ in range(rng.randint(1, 4))]
         text = format_t_poly(ring, [c.value for c in coeffs])
         base = parse_t_poly(text, ring)
-        expected = (ring.item_ring.payload_from_int(1),), 1
+        items, scale = ring.integer_form([ring.payload_from_int(1)])
+        expected = tuple(items), scale
         for k in range(21):
             assert parse_t_poly(f"({text})^{k}", ring) == expected, (text, k)
             items, scale = poly_mul(expected, base, ring)
-            while items and ring.item_ring.payload_is_zero(items[-1]):
-                items = items[:-1]
-            expected = tuple(items), scale
+            expected = ring.form_window(items, scale, 0, ring.form_trimmed_len(items))
 
 
 def test_parsed_map_powers_match_explicit_products():
@@ -297,9 +298,9 @@ CEILING_RINGS = [PrimeFieldRing(5), RationalRing(), IntegersMod(9),
 
 @pytest.mark.parametrize("ring", CEILING_RINGS, ids=repr)
 def test_t_polynomials_above_degree_512_are_refused(ring):
-    assert len(parse_t_poly("t^512", ring)[0]) == 513
-    assert len(parse_t_poly("(t^256)^2", ring)[0]) == 513
-    assert len(parse_t_poly("t^256*t^256", ring)[0]) == 513
+    assert ring.form_len(parse_t_poly("t^512", ring)[0]) == 513
+    assert ring.form_len(parse_t_poly("(t^256)^2", ring)[0]) == 513
+    assert ring.form_len(parse_t_poly("t^256*t^256", ring)[0]) == 513
     for text in ("(t^512)^512", "(t^257)^2", "t^300*t^300", "(1 + t)^300*t^300", "t*(t^512)"):
         with pytest.raises(ParseError, match=r"degree \d+ exceeds the ceiling 512"):
             parse_t_poly(text, ring)
@@ -339,6 +340,28 @@ def test_map_equations_above_degree_512_are_refused():
     for eq in ("x^300*y^300", "(x*y)^257", "((x + 1)^512)^512", "x*(y^512)"):
         with pytest.raises(ParseError, match=r"degree \d+ exceeds the ceiling 512"):
             parse_poly_map(f"vars: [x, y]; split: 1; eqs: [{eq}]")
+
+
+SUM5 = "vars: [x, y, z, w, u]; split: 4; eqs: [(x + y + z + w + u)^{}]"
+
+
+def test_map_products_past_the_term_pair_ceiling_are_refused(monkeypatch):
+    """(x + y + z + w + u)^32 has 58,905 terms; its square-and-multiply
+    would multiply two 4,845-term powers.  The product of 495 by 495 terms
+    (245,025 pairs, for ^16) is refused before it is formed."""
+    assert len(parse_poly_map(SUM5.format(8)).polys[0].terms) == 495
+    sizes = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: sizes.append(len(a.terms) * len(b.terms)) or mul(a, b))
+    for k in (16, 32, 512):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"product of 495 by 495 terms exceeds the ceiling {MAX_TERM_PAIRS} term pairs"):
+            parse_poly_map(SUM5.format(k))
+        assert time.perf_counter() - start < 1
+    assert sizes and max(sizes) <= MAX_TERM_PAIRS
+    # a t-polynomial under the degree ceiling stays below the pair ceiling
+    assert 257 * 257 <= MAX_TERM_PAIRS
+    assert len(parse_t_poly("(1 + t)^256 * (1 + t)^256", PrimeFieldRing(7))[0]) == 513
 
 
 NINES = "9*(10^430)^9*10^429"  # 9 * 10^4299: MAX_DIGITS digits
