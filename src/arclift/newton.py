@@ -24,10 +24,10 @@ and the plan holds no program for them.
 
 The correction v0 solves v + t*h(v) = v1 for the adjugate remainder h.
 ``fixed_point_solve`` does this by Newton iteration, whose Jacobian
-Id + t*Dh is the identity mod t: each round doubles the certified
-precision and works only at that precision.  h is ``ArcPoint.correction``,
-the map's ``CorrectionPlan`` bound to the arc's coefficients of adj * H; it
-forms each term c*v^a as (c*v^(a-e_j))*v_j and returns Dh at half the
+Id + t*Dh is the identity mod t: each round takes the certified precision
+from p to 2p + 1 and works only at that precision.  h is
+``ArcPoint.correction``, the map's ``CorrectionPlan`` bound to the arc's
+coefficients of adj * H; it forms each term c*v^a as (c*v^(a-e_j))*v_j and returns Dh at half the
 precision from those cofactors, truncated, so a quadratic h costs Dh no
 series product; a lift to t^N evaluates h and Dh O(log N) times.
 Identically zero entries of adj and Dh are skipped.  Every round checks
@@ -114,8 +114,9 @@ class JacobianData:
 
     ``plan`` evaluates f, the adjugate, det and the coefficients of
     ``remainder`` along an arc (``matrix`` and ``taylor`` stay symbolic),
-    and ``correction`` is the solver's program for ``remainder`` in v; both
-    follow from the other fields."""
+    ``passive`` lists its monomial slots in the passive variables alone,
+    and ``correction`` is the solver's program for ``remainder`` in v; all
+    three follow from the other fields."""
 
     matrix: tuple
     adjugate: tuple
@@ -123,6 +124,7 @@ class JacobianData:
     taylor: tuple
     remainder: tuple
     plan: EvaluationPlan = field(compare=False, repr=False)
+    passive: tuple = field(compare=False, repr=False)
     correction: "CorrectionPlan" = field(compare=False, repr=False)
 
 
@@ -202,7 +204,8 @@ def jacobian_data(pm: PolyMap) -> JacobianData:
     ])
     return JacobianData(
         matrix=matrix, adjugate=adj, det=det, taylor=taylor, remainder=tuple(remainder),
-        plan=plan, correction=CorrectionPlan(n, [r.terms for r in remainder]),
+        plan=plan, passive=plan.monomials.within(pm.split),
+        correction=CorrectionPlan(n, [r.terms for r in remainder]),
     )
 
 
@@ -254,6 +257,26 @@ class ArcPoint:
 
     def truncated(self, n):
         return ArcPoint(self.map, tuple(c.truncate(min(n, c.precision)) for c in self.components))
+
+    def moved(self, steps) -> "ArcPoint":
+        """The arc with steps[j] added to moving coordinate j, each sum cut
+        to the lowest precision n of the steps and the arc.  The passive
+        block does not move, so the new arc's monomial table starts from
+        this arc's values of the passive-only monomials, cut to n, and
+        does not recompute them."""
+        split = self.map.split
+        n = min(self.precision, *(x.precision for x in steps))
+        components = list(self.components)
+        for j, step in enumerate(steps, split):
+            components[j] = (components[j] + step).truncate(n)
+        out = ArcPoint(self.map, components)
+        values = self._monomials.values
+        out._monomials = MonomialTable(
+            self.jacobian.plan.monomials,
+            _cut(out.components, out.precision),
+            [(s, values[s].truncate(n)) for s in self.jacobian.passive if values[s] is not None],
+        )
+        return out
 
     @cached_property
     def _monomials(self) -> MonomialTable:
@@ -385,15 +408,18 @@ class CorrectionPlan:
                         term = cofactor * v[j]
                         if k:
                             add(dh[i], j, cofactor.truncate(k), mult)
-                            for j, s, mult in rest:
-                                add(dh[i], j, c.truncate(k) * table[s].truncate(k), mult)
+                            for j, s, mult in rest:  # c is longer: the product keeps k
+                                add(dh[i], j, c * table[s].truncate(k), mult)
                     acc = term if acc is None else acc + term
-                hv.append(TruncatedSeries(ring, [], kh) if acc is None else acc)
+                hv.append(TruncatedSeries.zero(ring, kh) if acc is None else acc)
             if k:
+                zero = None  # one series for every identically zero entry
                 for row in dh:
                     for j, x in enumerate(row):
-                        if x is None:  # identically zero
-                            row[j] = TruncatedSeries(ring, [], k)
+                        if x is None:
+                            if zero is None:
+                                zero = TruncatedSeries.zero(ring, k)
+                            row[j] = zero
             return hv, dh
 
         return hd
@@ -438,8 +464,10 @@ def check_congruence(arc: ArcPoint):
 def _solve_near_identity(mat, rhs, inv):
     """Solve mat * x = rhs for a series matrix with mat == Id mod t.
 
-    Plain elimination: every pivot stays 1 mod t, so it is a unit.  All
-    entries share one precision, so skipping the zero ones changes nothing.
+    Plain elimination: every pivot stays 1 mod t, so it is a unit.  Zero
+    entries are skipped and may be known to fewer orders than the others,
+    which all share one precision; one that fills in becomes a negated
+    product at that precision.
     ``inv[k]`` is None or the inverse of a series that agrees with pivot k
     to at least half its precision; it is replaced by the inverse of pivot
     k, from ``invert`` or from one ``refine_inverse`` step.
@@ -456,7 +484,8 @@ def _solve_near_identity(mat, rhs, inv):
             f = a[i][k] * inv[k]
             for j in range(k + 1, n):
                 if a[k][j]:
-                    a[i][j] = a[i][j] - f * a[k][j]
+                    g = f * a[k][j]
+                    a[i][j] = a[i][j] - g if a[i][j] else -g
             b[i] = b[i] - f * b[k]
     x = [None] * n
     for k in reversed(range(n)):
@@ -479,35 +508,40 @@ def fixed_point_solve(hd, v1, precision: int):
     solver calls it on series truncated to a working precision.
 
     Each round lifts v from certified mod t^p to certified mod t^q,
-    q = min(2p, precision):
+    q = min(2p + 1, precision).  The t in front of h is what buys the
+    extra order: for a correction t^p*e, F(v + t^p*e) - F(v) is
+    t^p*(Id + t*Dh(v))*e plus t times terms in (t^p*e)^2, so the error of
+    the linear step is O(t^(2p+1)), and it needs Dh(v) only mod t^p,
+    which depends only on the certified v mod t^p.  A round:
 
-    * one call of hd at v mod t^(q-1) with k = q-p-1 gives h(v) and Dh mod
-      t^(q-p-1), which depends only on v mod t^(q-p-1), so Id + t*Dh is
-      known mod t^(q-p);
-    * the residual r = v1 - v - t*h(v) at precision q must vanish mod t^p
-      (checked);
-    * (Id + t*Dh) e = r / t^p mod t^(q-p), and v <- v + t^p e.
+    * calls hd once at v mod t^(q-1) with k = q-p-1 (at most p), giving
+      h(v) and Dh mod t^(q-p-1), so Id + t*Dh is known mod t^(q-p);
+    * checks that the residual r = v1 - v - t*h(v) at precision q
+      vanishes mod t^p;
+    * solves (Id + t*Dh) e = r / t^p mod t^(q-p) and sets v <- v + t^p e.
 
-    So hd is called ceil(log2 precision) + 1 times, and asks for Dh at
-    most ceil(log2 precision) - 1 times, below the precision of h in its
-    call.  A wrong Dh leaves v right only mod t^(p+1), which a later check
-    catches.  The last call evaluates h at the result at full precision
-    and certifies v0 + t*h(v0) = v1 mod t^precision coefficient by
-    coefficient.
+    From p = 1 the rounds reach 3, 7, ..., 2^r - 1, so hd is called
+    ceil(log2(precision + 1)) times: ceil(log2(precision + 1)) - 1 rounds,
+    then the certificate.  Every round but a last one from p to p + 1 asks
+    for Dh, below the precision of h in its call.  A wrong Dh leaves v
+    right only mod t^(p+1), which a later check catches.  The last call
+    evaluates h at the result at full precision and certifies
+    v0 + t*h(v0) = v1 mod t^precision coefficient by coefficient.
 
     Only the first round that has Dh inverts its pivots; later rounds
     carry each pivot's inverse over and refine it by one Newton step of
     two products (``TruncatedSeries.refine_inverse``).  That is exact: a
-    round from p to q = 2p reads Dh mod t^(p-1) at v mod t^(p-1), so its
-    matrix Id + t*Dh is known mod t^p, and it ends by moving v by t^p*e.
-    The next round reads Dh to more orders, but the first p-1 of them
-    depend only on v mod t^(p-1), which did not move.  So the two
-    matrices, and with them the pivots of the elimination, agree mod t^p,
-    while the next matrix is known mod at most t^(2p): each kept inverse
-    is right to at least half the precision needed.  If Dh is not the
-    Jacobian of h and changes below t^p between rounds, the refined
-    inverse is wrong, and so is the update; that is a wrong Dh as above,
-    and a residual check or the final certificate raises.
+    round from p to q = 2p + 1 reads Dh mod t^p at v mod t^p, so its
+    matrix Id + t*Dh is known mod t^(p+1), and it ends by moving v by
+    t^p*e.  The next round reads Dh to more orders, but the first p of
+    them depend only on v mod t^p, which did not move.  So the two
+    matrices, and with them the pivots of the elimination, agree mod
+    t^(p+1), while the next matrix is known mod at most t^(2p+2): each
+    kept inverse is right mod t^h with 2h >= N for the N it is refined
+    to, as ``refine_inverse`` needs.  If Dh is not the Jacobian of h and
+    changes below t^(p+1) between rounds, the refined inverse is wrong,
+    and so is the update; that is a wrong Dh as above, and a residual
+    check or the final certificate raises.
     """
     v1 = tuple(v1)
     n = len(v1)
@@ -532,17 +566,18 @@ def fixed_point_solve(hd, v1, precision: int):
             raise ArityMismatch(f"dh must return {n} rows of {n} entries")
         return hv, tuple(tuple(x.truncate(k) for x in row) for row in rows)
 
-    one = TruncatedSeries(v1[0].ring, [1], precision)
+    ring = v1[0].ring
+    one = TruncatedSeries.constant(ring.one, precision)
     inverses = [None] * n  # the pivot inverses of the last solve, carried
     v = tuple(x.truncate(1) for x in v1)  # F(v) = v - v1 mod t
     p = 1
     while p < precision:
-        q = min(2 * p, precision)
+        q = min(2 * p + 1, precision)
         v = tuple(x.pad(q) for x in v)
         hv, dh = hd_at(v, q - 1, q - p - 1)
         rho = []
         for i in range(n):
-            r = v1[i].truncate(q) - v[i] - hv[i].shift(1)
+            r = v1[i] - v[i] - hv[i].shift(1)  # at precision q, the least
             if not r.truncate(p).is_zero():
                 raise RuntimeError(
                     "Newton residual certificate failed: h is not a t-adic "
@@ -552,9 +587,10 @@ def fixed_point_solve(hd, v1, precision: int):
         if dh is None:
             eps = rho  # q - p == 1: Id + t*Dh = Id mod t
         else:
-            # mat = Id + t*Dh(v) mod t^(q-p): a sum keeps the lower precision
+            # mat = Id + t*Dh(v) mod t^(q-p): a sum keeps the lower
+            # precision; zero entries off the diagonal stay as they are
             mat = [
-                [x.shift(1) + one if i == j else x.shift(1) for j, x in enumerate(row)]
+                [x.shift(1) + one if i == j else x.shift(1) if x else x for j, x in enumerate(row)]
                 for i, row in enumerate(dh)
             ]
             eps = _solve_near_identity(mat, rho, inverses)
@@ -562,7 +598,7 @@ def fixed_point_solve(hd, v1, precision: int):
         p = q
     hv, _ = hd_at(v, precision, 0)
     for i in range(n):
-        if not (v[i] + hv[i].shift(1).truncate(precision)).agrees(v1[i], precision):
+        if not (v[i] + hv[i].shift(1)).agrees(v1[i], precision):
             raise RuntimeError(
                 "Newton certificate failed: v0 + t*h(v0) != v1; h is not a t-adic "
                 "power-series map, or this is a bug"
@@ -593,9 +629,11 @@ def arc_lift(arc: ArcPoint, working_precision=None) -> LiftResult:
 
     Pipeline: the congruence correction v1, the fixed point v0 of
     v + t*adj(H(v)), then the update x_new = x + t*det(x)*v0 applied to the
-    moving block only.  The residual f(x_new) is checked to vanish at the
-    certified precision N'; over the supported rings a failure would be an
-    internal bug (ResidualNonzero), not a legitimate outcome.
+    moving block only (``ArcPoint.moved``, which keeps the input's values
+    of the passive-only monomials).  The residual f(x_new) is checked to
+    vanish at the certified precision N'; over the supported rings a
+    failure would be an internal bug (ResidualNonzero), not a legitimate
+    outcome.
     """
     if working_precision is not None:
         arc = arc.truncated(working_precision)
@@ -603,14 +641,7 @@ def arc_lift(arc: ArcPoint, working_precision=None) -> LiftResult:
     out_prec = min(x.precision for x in v1)
     v0 = fixed_point_solve(arc.correction, v1, out_prec)
     det_series = arc.det_at
-    pm = arc.map
-    new_components = list(arc.components)
-    for j in range(pm.n):
-        step = (det_series * v0[j]).shift(1)
-        new_components[pm.split + j] = (arc.components[pm.split + j] + step).truncate(
-            min(out_prec + 1, arc.precision)
-        )
-    lifted = ArcPoint(pm, new_components)
+    lifted = arc.moved([(det_series * x).shift(1) for x in v0])
     for value in lifted.values:
         if not value.truncate(out_prec).is_zero():
             raise ResidualNonzero(

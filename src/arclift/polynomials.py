@@ -188,19 +188,30 @@ class Monomials:
             self.steps.append((parent, j))
         return s
 
+    def within(self, k):
+        """The slots of degree >= 2 whose monomials use only the variables
+        0..k-1, in slot order (a parent's slot is below its child's)."""
+        inside = [j < k for j in range(self.nvars)]
+        for parent, j in self.steps:
+            inside.append(inside[parent] and j < k)
+        return tuple(s for s in range(self.nvars, len(inside)) if inside[s])
+
 
 class MonomialTable:
     """The values of a ``Monomials`` at ``values``, each computed on first
-    read and kept."""
+    read and kept; ``known`` holds (slot, value) pairs computed elsewhere,
+    which are kept as they are."""
 
     __slots__ = ("steps", "nvars", "values")
 
-    def __init__(self, monomials: Monomials, values):
+    def __init__(self, monomials: Monomials, values, known=()):
         if len(values) != monomials.nvars:
             raise ArityMismatch(f"expected {monomials.nvars} values, got {len(values)}")
         self.steps = monomials.steps
         self.nvars = monomials.nvars
         self.values = list(values) + [None] * len(self.steps)
+        for s, x in known:
+            self.values[s] = x
 
     def __getitem__(self, s):
         x = self.values[s]

@@ -22,16 +22,17 @@ products run on base ints too; for the colimit models in ``pathology``
 their canonical payloads over scale 1 (``PayloadRing``).  The layout of the
 items stays inside the rings: ``TruncatedSeries`` and the t-polynomials of
 ``weierstrass`` hand a form to the ring's ``form_*`` operations (length,
-window, sum, negation, scaling, equality, zero and leading or trailing
-zeros), to ``integer_form``/``from_integer_form`` (payloads to form and
-back) and ``canonical_form``, to ``convolve``, the product of two forms'
-items (``_int_product``, once per slice pair for Artinian rings, payload
-products for colimit models), and to ``invert_series``, the inverse of a
-short series: the fraction-free recurrence over one common denominator for
-Fp, Z/n and Q, the payload recurrence on payloads for Artinian and colimit
-rings.  The ``Ring`` defaults of the form operations take one item per
-coefficient and do their arithmetic through ``item_ring``: plain ints for
-Fp, Z/n and Q, the ring's own payload operations for colimit models.  From
+window, sum, negation, scaling, equality, zero, leading or trailing zeros
+and reduced order), to ``integer_form``/``from_integer_form`` (payloads
+to form and back) and ``canonical_form``, to ``convolve``, the product of
+two forms' items (``_int_product``, once per slice pair for Artinian
+rings, payload products for colimit models), and to ``invert_series``, the
+inverse of a short series: the fraction-free recurrence over one common
+denominator for Fp, Z/n and Q, the payload recurrence on payloads for
+Artinian and colimit rings.  The ``Ring`` defaults of the form operations
+take one item per coefficient and do their arithmetic through
+``item_ring``: plain ints for Fp, Z/n and Q, the ring's own payload
+operations for colimit models.  From
 ``NEWTON_INVERT_MIN`` known orders on, ``TruncatedSeries.invert`` calls
 ``invert_series`` only at the base of a Newton doubling, whose products go
 through ``convolve``; Q opts out and inverts by the recurrence at every
@@ -482,6 +483,20 @@ class Ring:
         nonzero = map(not_, map(self.item_ring.payload_is_zero, items))
         return next(compress(count(), nonzero), len(items))
 
+    def form_reduced_order(self, items, scale):
+        """The index of the first coefficient with a nonzero residue, or
+        the number of coefficients when there is none.  Over a field that
+        is the first nonzero coefficient; otherwise the default reads the
+        payloads through ``residue`` (colimit rings, which then refuse as
+        ``residue`` does)."""
+        if self.is_field:
+            return self.form_leading_zeros(items)
+        residue, element = self.residue, self.element
+        for d, v in enumerate(self.from_integer_form(items, scale)):
+            if residue(element(v)):
+                return d
+        return self.form_len(items)
+
     def form_trimmed_len(self, items):
         """How many coefficients are left without the trailing zero ones."""
         is_zero, n = self.item_ring.payload_is_zero, len(items)
@@ -852,6 +867,11 @@ class IntegersMod(_ResidueRing):
     def residue(self, a):
         return self.residue_field().from_int(a.value)
 
+    def form_reduced_order(self, items, scale):
+        """The first residue prime to p, for n = p^e."""
+        p = self.residue_field().p
+        return next(compress(count(), [c % p for c in items]), len(items))
+
     def format_element(self, value):
         return str(value)
 
@@ -1098,6 +1118,14 @@ class ArtinianLocalRing(Ring):
     def form_leading_zeros(self, items):
         n, slices = items
         return min([next(compress(count(), s)) for _, _, s in slices], default=n)
+
+    def form_reduced_order(self, items, scale):
+        """The first nonzero int of the constant monomial's slice, which
+        sorts first when it occurs."""
+        n, slices = items
+        if slices and not slices[0][0]:
+            return next(compress(count(), slices[0][2]))
+        return n
 
     def form_trimmed_len(self, items):
         top = 0

@@ -99,6 +99,12 @@ class TruncatedSeries:
         return cls._of_form(ring, *ring.integer_form([value.value]), precision)
 
     @classmethod
+    def zero(cls, ring, precision):
+        """The zero series mod t^precision, from the ring's form of no
+        coefficients: no payload is built."""
+        return cls._of_form(ring, *ring.integer_form(()), precision)
+
+    @classmethod
     def t_power(cls, ring, k, precision):
         if k >= precision:
             raise InsufficientPrecision(f"t^{k} is invisible at precision {precision}")
@@ -299,11 +305,11 @@ def is_nondegenerate(x: TruncatedSeries) -> bool:
 
 
 def reduced_order(x: TruncatedSeries) -> int:
-    """Smallest d whose coefficient has nonzero residue (vanishing order)."""
-    ring = x.ring
-    for d, v in enumerate(x.payloads):
-        if ring.residue(RingElement(ring, v)):
-            return d
+    """Smallest d whose coefficient has nonzero residue (vanishing order),
+    read from the series form by ``Ring.form_reduced_order``."""
+    d = x.ring.form_reduced_order(*x.form)
+    if d < x.precision:
+        return d
     raise Indeterminate(
         f"all {x.precision} known coefficients are nilpotent; order is invisible"
     )
@@ -358,7 +364,7 @@ class LaurentSeries:
             n = norm.precision_bound
             if n < 1:
                 raise PrecisionExhausted("no non-negative exponent is certified")
-            return TruncatedSeries(norm.ring, (), n)
+            return TruncatedSeries.zero(norm.ring, n)
         return norm.body.shift(norm.offset)
 
     def first_pole(self):
@@ -389,20 +395,33 @@ def laurent_divide(a: TruncatedSeries, b: TruncatedSeries) -> LaurentSeries:
 def laurent_divider(b: TruncatedSeries):
     """The map a -> ``laurent_divide(a, b)``, for dividends over b's ring.
 
-    The strict factorization of b, the certificate q' and u^{-1} are
-    computed once here, so dividing several series by one b repeats none of
-    them.
+    The strict factorization b = u * q, the certificate q * q' = t^n and
+    u^{-1} are computed once here, so dividing several series by one b
+    repeats none of them.  When q is a power of t, as it is for every b
+    over a field, q = t^d needs no division for its certificate, q' is
+    t^(n-d), and the product a * q' is a shift: no ``divide_by_monic`` and
+    no product.  Otherwise ``divides_power_of_t`` finds q' and each
+    dividend pays one product with it.
     """
     from .weierstrass import divides_power_of_t, strict_prepare
 
     fact = strict_prepare(b)
-    n = fact.certificate_n
-    qprime = divides_power_of_t(fact.q, n)
+    n, q = fact.certificate_n, fact.q
     u_inv = fact.u.invert()
+    if q.t_multiplicity() == q.degree:
+        k = n - q.degree
+
+        def times_qprime(a):
+            return a.shift(k).truncate(a.precision)
+    else:
+        qprime = divides_power_of_t(q, n)
+
+        def times_qprime(a):
+            return a * qprime.as_series(a.precision)
 
     def divide(a: TruncatedSeries) -> LaurentSeries:
         b._check(a)
-        out = LaurentSeries(-n, a * qprime.as_series(a.precision)).normalize()
+        out = LaurentSeries(-n, times_qprime(a)).normalize()
         out = out.times_series(u_inv).normalize()
         if out.precision_bound < 1:
             raise PrecisionExhausted(f"certificate consumed {n} orders, none remain")

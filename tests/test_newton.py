@@ -17,6 +17,7 @@ from arclift import (
     PrecisionExhausted,
     PrimeFieldRing,
     RationalRing,
+    ResidualNonzero,
     TruncatedSeries,
     arc_lift,
     check_congruence,
@@ -403,25 +404,41 @@ def test_fixed_point_matches_contraction_oracle(ring, n, precision):
         assert fixed_point_solve(hd, v1, precision) == contraction_solve(h, v1, precision)
 
 
+def newton_ladder(precision):
+    """The precisions ``fixed_point_solve`` certifies, round by round:
+    from 1, p -> min(2p + 1, precision)."""
+    ladder = [1]
+    while ladder[-1] < precision:
+        ladder.append(min(2 * ladder[-1] + 1, precision))
+    return ladder
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_fixed_point_calls_h_logarithmically(n):
     ring = PrimeFieldRing(5)
-    rng = random.Random(7)
-    _, inner = random_polynomial_h(ring, n, 128, rng)
-    calls = []
+    for precision, rounds, dh_rounds in [
+        (128, 7, 6),  # 1, 3, 7, ..., 127, 128: the last round has no Dh
+        (121, 6, 6),  # 1, 3, 7, 15, 31, 63, 121
+        (57, 5, 5),  # 1, 3, 7, 15, 31, 57
+    ]:
+        rng = random.Random(7)
+        _, inner = random_polynomial_h(ring, n, precision, rng)
+        calls = []
 
-    def hd(v, k):
-        calls.append((min(x.precision for x in v), k))
-        return inner(v, k)
+        def hd(v, k):
+            calls.append((min(x.precision for x in v), k))
+            return inner(v, k)
 
-    v1 = tuple(random_series(ring, 128, rng) for _ in range(n))
-    fixed_point_solve(hd, v1, 128)
-    assert len(calls) == 7 + 1  # ceil(log2 128) = 7 rounds, then the certificate
-    assert calls[-1] == (128, 0) and max(kh for kh, _ in calls[:-1]) < 128
-    dh_at = [k for _, k in calls if k]
-    assert 0 < len(dh_at) <= 7 - 1
-    for kh, k in calls:  # Dh is asked for below the precision of h
-        assert k < kh
+        v1 = tuple(random_series(ring, precision, rng) for _ in range(n))
+        fixed_point_solve(hd, v1, precision)
+        # ceil(log2(precision + 1)) - 1 rounds, then the certificate
+        assert len(newton_ladder(precision)) - 1 == rounds
+        assert len(calls) == rounds + 1
+        assert calls[-1] == (precision, 0) and max(kh for kh, _ in calls[:-1]) < precision
+        dh_at = [k for _, k in calls if k]
+        assert len(dh_at) == dh_rounds
+        for kh, k in calls:  # Dh is asked for below the precision of h
+            assert k < kh
 
 
 def test_fixed_point_final_certificate_can_fail():
@@ -522,6 +539,24 @@ def test_fixed_point_on_diagonal_and_lower_triangular_systems(ring, shape, monom
             assert dh[0][1].is_zero() and (shape == "lower" or dh[1][0].is_zero())
 
 
+@pytest.mark.parametrize(
+    "ring", [RationalRing(), PrimeFieldRing(5), ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2)],
+    ids=repr,
+)
+def test_fixed_point_fills_in_a_zero_jacobian_entry(ring):
+    # dh[1][2] is identically zero, and known to one order fewer than the
+    # shifted entries around it, but eliminating v0 from row 1 fills it in
+    # from dh[1][0] and dh[0][2]
+    monomials = [[(1, 0, 1), (2, 0, 0)], [(1, 1, 0), (0, 2, 0)], [(0, 0, 2), (0, 1, 1)]]
+    rng = random.Random(3)
+    for precision in (9, 33, 64):
+        h, hd = random_polynomial_h(ring, 3, precision, rng, monomials)
+        v1 = tuple(random_series(ring, precision, rng) for _ in range(3))
+        assert fixed_point_solve(hd, v1, precision) == contraction_solve(h, v1, precision)
+        _, dh = hd(v1, 4)
+        assert dh[1][2].is_zero() and dh[1][0] and dh[0][2]
+
+
 @pytest.mark.parametrize("precision", [8, 64])
 def test_fixed_point_with_a_wrong_dh_from_its_plan_fails_the_residual_certificate(precision):
     q = RationalRing()
@@ -555,21 +590,26 @@ def test_fixed_point_inverts_each_pivot_once_per_solve(ring, n, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(TruncatedSeries, "invert", lambda x: calls.append(x.precision) or invert(x))
             v0 = fixed_point_solve(hd, v1, precision)
-        assert calls == [2] * n  # the round from t^2 to t^4, the first with Dh
+        assert calls == [2] * n  # the round from t to t^3, the first with Dh
         if precision == 16:
             assert v0 == contraction_solve(h, v1, precision)
 
 
-@pytest.mark.parametrize("precision", [16, 64])
+@pytest.mark.parametrize("precision", [15, 16, 63, 64])
 @pytest.mark.parametrize("changed", ["first", "middle", "last"])
 def test_fixed_point_with_a_dh_that_moves_below_p_fails_a_certificate(precision, changed):
     # Dh = 2v for h = v^2, plus 1 in one round: that round's Id + t*Dh
-    # differs from its neighbours' at order 1, below the precision p they
-    # share, so the carried pivot inverse is wrong as well as the matrix
+    # differs from its neighbours' at order 1, below the precision p + 1
+    # they share, so the carried pivot inverse is wrong as well as the
+    # matrix.  A change in the last round of the ladder is left to the
+    # final certificate; at 16 and 64 that round, from 2^r - 1 to 2^r,
+    # has no Dh, so the last change is caught by its residual check.
     q = RationalRing()
     hd = correction_hd([{(2,): TruncatedSeries(q, [1], precision)}])
-    ks = [min(2 * p, precision) - p - 1 for p in (2, 4, 8, 16, 32) if p < precision]
+    ladder = newton_ladder(precision)
+    ks = [hi - lo - 1 for lo, hi in zip(ladder, ladder[1:]) if hi - lo - 1]
     target = {"first": ks[0], "middle": ks[len(ks) // 2], "last": ks[-1]}[changed]
+    final = ladder[-1] - ladder[-2] - 1
 
     def moved(v, k):
         hv, dh = hd(v, k)
@@ -578,7 +618,7 @@ def test_fixed_point_with_a_dh_that_moves_below_p_fails_a_certificate(precision,
         return hv, dh
 
     v1 = (TruncatedSeries(q, [1], precision),)
-    match = "Newton certificate failed" if changed == "last" else "residual certificate failed"
+    match = "Newton certificate failed" if target == final else "residual certificate failed"
     with pytest.raises(RuntimeError, match=match):
         fixed_point_solve(moved, v1, precision)
 
@@ -731,6 +771,79 @@ def test_two_equation_membership_rejects_large_perturbations():
         check_congruence(arc)
     assert info.value.component == 0
     assert info.value.witness.first_pole()[0] == -5
+
+
+LIFT_RINGS = [PrimeFieldRing(5), RationalRing(), ArtinianLocalRing(PrimeFieldRing(5), ["eps"], 2)]
+CURVES = {
+    # map, leading exponent of each coordinate, lowest perturbed order
+    "cusp": (cusp_map, (2, 3), 4),
+    "space curve": (_two_equation_map, (2, 3, 5), 9),
+}
+
+
+def perturbed_arc(ring, curve, precision, rng):
+    """x = t^2 and each moving coordinate t^lead plus a perturbation from
+    the curve's lowest perturbed order on, with small nonzero coefficients
+    (and an eps part over the Artinian ring)."""
+    make_map, lead, min_order = CURVES[curve]
+    comps = []
+    for i, k in enumerate(lead):
+        coeffs = [ring.zero] * precision
+        coeffs[k] = ring.one
+        for j in range(min_order if i else precision, precision):
+            c = ring.from_int(rng.choice((-2, -1, 1, 2)))
+            if isinstance(ring, ArtinianLocalRing):
+                c = c + ring.generators()["eps"] * rng.randint(1, 4)
+            coeffs[j] = coeffs[j] + c
+        comps.append(TruncatedSeries(ring, coeffs, precision))
+    return ArcPoint(make_map(), comps)
+
+
+@pytest.mark.parametrize("ring", LIFT_RINGS, ids=repr)
+@pytest.mark.parametrize("curve, moving", [("cusp", 0), ("space curve", 0), ("space curve", 1)])
+def test_lift_residual_check_fails_on_a_wrong_correction(ring, curve, moving, monkeypatch):
+    # v0 with its order-1 coefficient moved by 1 in one moving coordinate
+    # moves that coordinate at order 2 + ord(det), well below N', so
+    # f(x_new) cannot vanish there; the passive-only monomials the lifted
+    # arc takes from the input must not hide it
+    arc = perturbed_arc(ring, curve, 64, random.Random(curve))
+    arc_lift(arc)  # the true correction passes the check
+    real = newton.fixed_point_solve
+
+    def wrong(hd, v1, precision):
+        v0 = list(real(hd, v1, precision))
+        coeffs = list(v0[moving].coeffs)
+        coeffs[1] = coeffs[1] + ring.one
+        v0[moving] = TruncatedSeries(ring, coeffs, v0[moving].precision)
+        return tuple(v0)
+
+    monkeypatch.setattr(newton, "fixed_point_solve", wrong)
+    with pytest.raises(ResidualNonzero):
+        arc_lift(arc)
+
+
+@pytest.mark.parametrize("ring", LIFT_RINGS, ids=repr)
+@pytest.mark.parametrize("curve", CURVES)
+def test_moved_arc_starts_from_the_passive_monomials(ring, curve):
+    arc = perturbed_arc(ring, curve, 64, random.Random(7))
+    arc.values  # fills the monomials f reads
+    rng = random.Random(8)
+    steps = [
+        TruncatedSeries(ring, [random_element(ring, rng) for _ in range(31)], 31)
+        for _ in range(arc.map.n)
+    ]
+    moved = arc.moved(steps)
+    fresh = ArcPoint(arc.map, moved.components)
+    assert moved.precision == 31
+    assert moved.components[0] is arc.components[0]
+    for j, step in enumerate(steps, arc.map.split):
+        assert moved.components[j] == (arc.components[j] + step)
+    passive = arc.jacobian.passive
+    assert passive  # x^3, and x^5 on the space curve
+    for s in passive:
+        assert moved._monomials.values[s] == arc._monomials.values[s].truncate(31)
+    assert moved.values == fresh.values
+    assert moved.det_at == fresh.det_at and moved.adjugate_at == fresh.adjugate_at
 
 
 def test_lift_over_modular_integers():

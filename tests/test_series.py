@@ -299,6 +299,123 @@ def test_reduced_order_examples():
     assert reduced_order(TruncatedSeries(q, [5, 1], 2)) == 0
 
 
+def _payload_reduced_order(x):
+    """The reduced order by its definition on the coefficients: the first
+    whose residue is nonzero, None when there is none."""
+    ring = x.ring
+    return next((d for d, c in enumerate(x.coeffs) if ring.residue(c)), None)
+
+
+@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+def test_reduced_order_reads_the_form_as_the_payloads_define_it(ring):
+    # leading coefficients drawn from the maximal ideal (nonzero ones over
+    # Z/p^e and the Artinian rings), then anything; with all of them
+    # nilpotent both readings find no order
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        lead = rng.randint(0, n)
+        coeffs = [random_nilpotent(ring, rng) for _ in range(lead)]
+        coeffs += [random_element(ring, rng) for _ in range(n - lead)]
+        x = TruncatedSeries(ring, coeffs, n)
+        want = _payload_reduced_order(x)
+        assert ring.form_reduced_order(*x.form) == (n if want is None else want)
+        if want is None:
+            with pytest.raises(Indeterminate):
+                reduced_order(x)
+        else:
+            assert reduced_order(x) == want
+
+
+def test_reduced_order_skips_nonzero_nilpotent_leading_coefficients():
+    z9 = IntegersMod(9)
+    assert reduced_order(TruncatedSeries(z9, [3, 6, 1], 3)) == 2
+    with pytest.raises(Indeterminate):
+        reduced_order(TruncatedSeries(z9, [3, 6, 0], 3))
+    r = F5eps()
+    eps = r.generators()["eps"]
+    assert reduced_order(TruncatedSeries(r, [eps, 2 * eps, eps + r.one], 3)) == 2
+    with pytest.raises(Indeterminate):
+        reduced_order(TruncatedSeries(r, [eps, 2 * eps, r.zero], 3))
+    for ring in (ArtinianLocalRing(RationalRing(), ["a", "b"], 3), IntegersMod(27)):
+        rng = random.Random(41)
+        for _ in range(30):
+            coeffs = [random_nilpotent(ring, rng) for _ in range(3)] + [random_element(ring, rng)]
+            x = TruncatedSeries(ring, coeffs, 4)
+            assert ring.form_reduced_order(*x.form) == (_payload_reduced_order(x) or 4)
+
+
+@pytest.mark.parametrize("ring", [arc_kernel_ring(PrimeFieldRing(5)), IntegersMod(6)], ids=repr)
+def test_reduced_order_refuses_rings_without_a_residue_field(ring):
+    # a colimit model takes the payload default, Z/6 its residue shortcut;
+    # both refuse as ``residue`` does
+    x = TruncatedSeries(ring, [ring.one, ring.zero], 2)
+    with pytest.raises(NonLocalRing):
+        ring.residue(ring.one)
+    with pytest.raises(NonLocalRing):
+        reduced_order(x)
+
+
+def _schoolbook_quotient_holds(quotient, a, b):
+    """Whether quotient * b = a on every exponent the known coefficients of
+    the Laurent quotient and of b determine, by a schoolbook sum over ring
+    elements: zero below exponent 0, a's coefficient from 0 on.  Returns
+    how many exponents were checked."""
+    ring = a.ring
+    low, m = quotient.offset, quotient.body.precision
+    body, bs, az = quotient.body.coeffs, b.coeffs, a.coeffs
+    checked = 0
+    for e in range(low, min(low + m, low + b.precision, a.precision)):
+        acc = ring.zero
+        for i in range(low, e + 1):
+            acc = acc + body[i - low] * bs[e - i]
+        if acc != (az[e] if e >= 0 else ring.zero):
+            return 0
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize(
+    "ring, b_coeffs, shape",
+    [
+        (IntegersMod(9), [0, 0, 1, 3, 4, 2], "t-power"),  # q = t^2
+        (IntegersMod(9), [3, 6, 1, 3, 4, 2], "strict"),  # q = t^2 + 6t + 3
+        (F5eps(), [0, 0, "1+eps", 3, "2*eps", 1], "t-power"),
+        (F5eps(), ["eps", 0, 1, "eps", 4, 1], "strict"),  # q = t^2 + eps
+    ],
+)
+def test_laurent_divide_by_a_t_power_or_a_strict_q_matches_the_oracle(
+    ring, b_coeffs, shape, monkeypatch
+):
+    from arclift import divides_power_of_t, weierstrass
+    from arclift.series import LaurentSeries
+    from arclift.textforms import parse_element
+
+    def element(c):
+        return parse_element(c, ring) if isinstance(c, str) else ring.from_int(c)
+
+    n = 14
+    b = TruncatedSeries(ring, [element(c) for c in b_coeffs] + [ring.one] * (n - len(b_coeffs)), n)
+    fact = strict_prepare(b)
+    assert (fact.q.t_multiplicity() == fact.q.degree) == (shape == "t-power")
+    real = weierstrass.divide_by_monic
+    rng = random.Random(43)
+    for _ in range(20):
+        a = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(weierstrass, "divide_by_monic", lambda f, q: calls.append(q) or real(f, q))
+            quotient = laurent_divide(a, b)
+        # q = t^d needs no division: its q' is a power of t
+        assert bool(calls) == (shape == "strict")
+        assert _schoolbook_quotient_holds(quotient, a, b) > 0
+        # the general route through q' = t^n / q gives the same window
+        qprime = divides_power_of_t(fact.q, fact.certificate_n).as_series(n)
+        general = LaurentSeries(-fact.certificate_n, a * qprime).normalize()
+        general = general.times_series(fact.u.invert()).normalize()
+        assert (quotient.offset, quotient.body) == (general.offset, general.body)
+
+
 def test_laurent_divide_shifts_plain_powers():
     f7 = PrimeFieldRing(7)
     a = TruncatedSeries.t_power(f7, 3, 6)
