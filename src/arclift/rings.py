@@ -55,6 +55,13 @@ over Fp passes its base's, so their slots are unsigned and sized from that
 bound without reading the operands; Q's ints, which have no bound, are
 scanned and packed in signed slots.
 
+Element-level bodies have one home each.  ``Ring`` tests a payload for
+zero as ``a == 0`` and formats it with ``str``; ``_ResidueRing`` holds
+``payload_from_int``, ``payload_neg`` and ``payload_sub`` for Fp and Z/n,
+modulo ``item_top`` + 1; ``_Field`` holds units, locality and the residue
+field for Fp and Q.  ``payload_add`` and ``payload_mul`` stay on each
+family's own class, where the benchmark's tracer counts them.
+
 Every ring is immutable and every operation is a pure function, so values
 can be shared freely across threads.
 """
@@ -346,7 +353,12 @@ class RingElement:
 
 
 class Ring:
-    """Common interface; subclasses implement the payload-level arithmetic."""
+    """Common interface; subclasses implement the payload-level arithmetic.
+
+    The defaults here serve every family whose payloads they fit: a payload
+    is zero when it equals 0 and prints as ``str`` of itself (Fp, Z/n, Q),
+    a difference is the sum with the negation, and the series form
+    operations below run one item per coefficient."""
 
     is_field = False
 
@@ -368,7 +380,7 @@ class Ring:
         raise NotImplementedError
 
     def payload_is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return a == 0
 
     def payload_eq(self, a, b) -> bool:
         """Representational equality; overridden where payloads carry a
@@ -631,13 +643,24 @@ class Ring:
         return not self.residue(a)
 
     def format_element(self, value) -> str:
-        raise NotImplementedError
+        return str(value)
 
 
 class _ResidueRing(Ring):
-    """Fp and Z/n: series forms are residues in [0, m) over scale 1, for
-    m = ``item_top`` + 1, and a sum, negation or scaling reduces each item
-    as it forms it, in one pass."""
+    """Fp and Z/n: payloads and series items are residues in [0, m), for
+    m = ``item_top`` + 1, forms are over scale 1, and a sum, negation or
+    scaling of forms reduces each item as it forms it, in one pass.  Each
+    subclass keeps its own ``payload_add`` and ``payload_mul``, which the
+    benchmark tracer counts per class."""
+
+    def payload_from_int(self, k):
+        return k % (self.item_top + 1)
+
+    def payload_neg(self, a):
+        return -a % (self.item_top + 1)
+
+    def payload_sub(self, a, b):
+        return (a - b) % (self.item_top + 1)
 
     def canonical_form(self, ints, scale):
         return _residues(ints, scale, self.item_top + 1), 1
@@ -657,9 +680,30 @@ class _ResidueRing(Ring):
         return [x * c % m for x in items], 1
 
 
-class PrimeFieldRing(_ResidueRing):
+class _Field(Ring):
+    """Fp and Q: every nonzero element is a unit, and the maximal ideal is
+    zero, so the ring is its own residue field."""
+
     is_field = True
 
+    def is_unit(self, a):
+        return a.value != 0
+
+    @property
+    def is_local(self):
+        return True
+
+    def nilpotency_exponent(self):
+        return 1
+
+    def residue_field(self):
+        return self
+
+    def residue(self, a):
+        return a
+
+
+class PrimeFieldRing(_ResidueRing, _Field):
     def __init__(self, p: int):
         check_modulus(p, "prime")
         if not is_prime(p):
@@ -676,54 +720,22 @@ class PrimeFieldRing(_ResidueRing):
     def __repr__(self):
         return f"Fp({self.p})"
 
-    def payload_from_int(self, k):
-        return k % self.p
-
     def payload_add(self, a, b):
         return (a + b) % self.p
 
-    def payload_neg(self, a):
-        return (-a) % self.p
-
-    def payload_sub(self, a, b):
-        return (a - b) % self.p
-
     def payload_mul(self, a, b):
         return (a * b) % self.p
-
-    def payload_is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a.value != 0
 
     def invert(self, a):
         if a.value == 0:
             raise NotAUnit("0 is not invertible")
         return self.element(pow(a.value, -1, self.p))
 
-    @property
-    def is_local(self):
-        return True
-
-    def nilpotency_exponent(self):
-        return 1
-
-    def residue_field(self):
-        return self
-
-    def residue(self, a):
-        return a
-
     def elements(self):
         return [self.element(k) for k in range(self.p)]
 
-    def format_element(self, value):
-        return str(value)
 
-
-class RationalRing(Ring):
-    is_field = True
+class RationalRing(_Field):
     NEWTON_INVERT_MIN = math.inf  # coefficient growth: see Ring.NEWTON_INVERT_MIN
 
     def __eq__(self, other):
@@ -750,9 +762,6 @@ class RationalRing(Ring):
     def payload_mul(self, a, b):
         return a * b
 
-    def payload_is_zero(self, a):
-        return a == 0
-
     def integer_form(self, payloads):
         """The numerators over the lcm of the denominators, which is
         canonical."""
@@ -768,29 +777,10 @@ class RationalRing(Ring):
         g = math.gcd(scale, *ints) if scale > 0 else -math.gcd(scale, *ints)
         return (ints, scale) if g == 1 else ([c // g for c in ints], scale // g)
 
-    def is_unit(self, a):
-        return a.value != 0
-
     def invert(self, a):
         if a.value == 0:
             raise NotAUnit("0 is not invertible")
         return self.element(1 / a.value)
-
-    @property
-    def is_local(self):
-        return True
-
-    def nilpotency_exponent(self):
-        return 1
-
-    def residue_field(self):
-        return self
-
-    def residue(self, a):
-        return a
-
-    def format_element(self, value):
-        return str(value)
 
 
 class IntegersMod(_ResidueRing):
@@ -823,23 +813,11 @@ class IntegersMod(_ResidueRing):
     def __repr__(self):
         return f"Zmod({self.n})"
 
-    def payload_from_int(self, k):
-        return k % self.n
-
     def payload_add(self, a, b):
         return (a + b) % self.n
 
-    def payload_neg(self, a):
-        return (-a) % self.n
-
-    def payload_sub(self, a, b):
-        return (a - b) % self.n
-
     def payload_mul(self, a, b):
         return (a * b) % self.n
-
-    def payload_is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return math.gcd(a.value, self.n) == 1
@@ -871,9 +849,6 @@ class IntegersMod(_ResidueRing):
         """The first residue prime to p, for n = p^e."""
         p = self.residue_field().p
         return next(compress(count(), [c % p for c in items]), len(items))
-
-    def format_element(self, value):
-        return str(value)
 
 
 def _payload_inverse(ring, payloads):

@@ -24,8 +24,9 @@ the min-precision rule, shifts gain orders, and Laurent division records
 exactly how many orders the strict-factorization certificate consumed.
 
 Exact t-polynomials (``weierstrass.MonicPoly`` and ``LowPoly``) keep the
-same form, so one read mod t^N is a series at once and a product with it
-is a series product.
+same form, so one read mod t^N is a series at once.  A product with a
+monic q goes through ``MonicPoly.times``, which alone knows whether q is a
+power of t: this module has no branch on q's shape.
 """
 
 from __future__ import annotations
@@ -397,31 +398,22 @@ def laurent_divider(b: TruncatedSeries):
 
     The strict factorization b = u * q, the certificate q * q' = t^n and
     u^{-1} are computed once here, so dividing several series by one b
-    repeats none of them.  When q is a power of t, as it is for every b
-    over a field, q = t^d needs no division for its certificate, q' is
-    t^(n-d), and the product a * q' is a shift: no ``divide_by_monic`` and
-    no product.  Otherwise ``divides_power_of_t`` finds q' and each
-    dividend pays one product with it.
+    repeats none of them.  ``divides_power_of_t`` finds q', and each
+    dividend is multiplied by it through ``MonicPoly.times``, which knows
+    the shape of q': when q is a power of t, as it is for every b over a
+    field, q' is too, its division takes two windows and the product is a
+    shift.
     """
     from .weierstrass import divides_power_of_t, strict_prepare
 
     fact = strict_prepare(b)
-    n, q = fact.certificate_n, fact.q
+    n = fact.certificate_n
+    qprime = divides_power_of_t(fact.q, n)
     u_inv = fact.u.invert()
-    if q.t_multiplicity() == q.degree:
-        k = n - q.degree
-
-        def times_qprime(a):
-            return a.shift(k).truncate(a.precision)
-    else:
-        qprime = divides_power_of_t(q, n)
-
-        def times_qprime(a):
-            return a * qprime.as_series(a.precision)
 
     def divide(a: TruncatedSeries) -> LaurentSeries:
         b._check(a)
-        out = LaurentSeries(-n, times_qprime(a)).normalize()
+        out = LaurentSeries(-n, qprime.times(a)).normalize()
         out = out.times_series(u_inv).normalize()
         if out.precision_bound < 1:
             raise PrecisionExhausted(f"certificate consumed {n} orders, none remain")

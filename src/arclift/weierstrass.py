@@ -122,6 +122,22 @@ class MonicPoly(_ExactPoly):
         """Largest e with t^e dividing q exactly (e = d when all lows vanish)."""
         return self.ring.form_leading_zeros(self.form[0])
 
+    def is_t_power(self) -> bool:
+        """Whether q = t^d, as every strict q over a field is.  The package
+        decides this shape here and nowhere else: ``times``,
+        ``divide_by_monic``, ``_remainder_exact`` and ``kernel_fiber_basis``
+        ask."""
+        return self.t_multiplicity() == self.degree
+
+    def times(self, x: TruncatedSeries) -> TruncatedSeries:
+        """x * q mod t^N, N the precision of x: for q = t^d one window of x
+        (a shift), otherwise one series product."""
+        ring, n = self.ring, x.precision
+        if self.is_t_power():
+            k = min(self.degree, n)
+            return TruncatedSeries._of_form(ring, *ring.form_window(*x.form, -k, n - k), n)
+        return x * self.as_series(n)
+
 
 class LowPoly(_ExactPoly):
     """A polynomial of degree < bound (an element of the affine space A_d),
@@ -172,14 +188,18 @@ def poly_mul(a, b, ring):
 def divide_by_monic(f, q: MonicPoly):
     """Euclidean division by a monic polynomial: f = q * quot + rem.
 
-    Exact synthetic division of f, a canonical series form of q's ring read
-    as an exact polynomial, on its payloads (the items themselves over Fp,
-    Z/n and colimit rings); returns the form of quot and rem as a
-    ``LowPoly`` of bound deg q.  No inversions are needed because q is
-    monic.
+    f is a canonical series form of q's ring read as an exact polynomial;
+    returns the form of quot and rem as a ``LowPoly`` of bound deg q.  For
+    q = t^d they are the two windows of f, from coefficient d on and below
+    d, with no payload built.  Otherwise exact synthetic division on the
+    payloads of f (the items themselves over Fp, Z/n and colimit rings); no
+    inversions are needed because q is monic.
     """
     d = q.degree
     ring = q.ring
+    if q.is_t_power():
+        n = ring.form_len(f[0])
+        return ring.form_window(*f, d, max(n, d)), LowPoly._of_form(ring, *ring.form_window(*f, 0, d))
     padd, pmul, pzero = ring.payload_add, ring.payload_mul, ring.payload_is_zero
     zero = ring.payload_from_int(0)
     rem = list(ring.from_integer_form(*f))
@@ -204,6 +224,10 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
     Euclidean reduction below stays exact.  The certificate exponent d*e is
     sound (each low coefficient of q is nilpotent, so t^d iterated e times
     dies) though not always minimal.
+
+    Each round's defect x - u * q is one ``MonicPoly.times``.  The first
+    round starts from q = t^d, so its u * q is a shift of u; over a field
+    that defect is zero and the preparation makes no series product.
     """
     ring = x.ring
     if not ring.is_local:
@@ -220,7 +244,7 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
     for _ in range(e + 1):
         # u has degree < N - d, so u * q is exact at precision N
         u_padded = u.pad(big_n)
-        defect = x - u_padded * q.as_series(big_n)
+        defect = x - q.times(u_padded)
         if defect.is_zero():
             return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n)
         g, dq = divide_by_monic((u_padded.invert() * defect).form, q)
@@ -232,14 +256,13 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
 
 def _remainder_exact(q: MonicPoly, precision: int) -> bool:
     """Whether the t^N truncation tail cannot leak into the remainder."""
-    d = q.degree
-    if q.t_multiplicity() == d:
-        return True  # q = t^d: the tail reduces to zero outright
+    if q.is_t_power():
+        return True  # the tail reduces to zero outright
     ring = q.ring
     if not ring.is_local:
         return False
     e = ring.nilpotency_exponent()
-    return q.is_strict() and precision >= d * (e + 1)
+    return q.is_strict() and precision >= q.degree * (e + 1)
 
 
 @dataclass(frozen=True)
@@ -284,7 +307,7 @@ def recombine_division(q: MonicPoly, a: LowPoly, v: TruncatedSeries) -> Truncate
     """q * v + a: reassemble Weierstrass division data into a series."""
     if not (q.ring == a.ring == v.ring):
         raise MixedRings("q, a, v must share one ring")
-    return v * q.as_series(v.precision) + a.as_series(v.precision)
+    return q.times(v) + a.as_series(v.precision)
 
 
 def recombine_factorization(q: MonicPoly, u: TruncatedSeries) -> TruncatedSeries:
@@ -293,7 +316,7 @@ def recombine_factorization(q: MonicPoly, u: TruncatedSeries) -> TruncatedSeries
         raise MixedRings(f"{q.ring} vs {u.ring}")
     if not u.ring.is_unit(u.coefficient(0)):
         raise NotAUnit("constant coefficient of u is not a unit")
-    return u * q.as_series(u.precision)
+    return q.times(u)
 
 
 def kernel_fiber_basis(q: MonicPoly, precision: int):
@@ -306,13 +329,12 @@ def kernel_fiber_basis(q: MonicPoly, precision: int):
     ring = q.ring
     if not ring.is_field:
         raise InvalidDescriptor("fiber computation requires field coefficients")
+    if q.is_t_power():
+        return []  # the fiber is zero, and nothing needs dividing
     d = q.degree
-    e = q.t_multiplicity()
-    if e == d:
-        return []  # q = t^d: the fiber is zero, and nothing needs dividing
     divide = laurent_divider(q.as_series(precision))
     out = []
-    for i in range(e, d):
+    for i in range(q.t_multiplicity(), d):
         a = LowPoly(ring, d, [ring.zero] * i + [ring.one])
         quotient = divide((-a).as_series(precision))
         v = quotient.power_series_part()

@@ -203,3 +203,47 @@ def test_difference_is_the_sum_with_the_negation(ring):
         a, b = random_element(ring, rng), random_element(ring, rng)
         assert ring.payload_sub(a.value, b.value) == ring.payload_add(a.value, ring.payload_neg(b.value))
         assert a - b == a + (-b) and (a - b) + b == a
+
+
+def test_residue_and_field_bodies_have_one_home():
+    # _ResidueRing holds the residue bodies, _Field the field ones and Ring
+    # the zero test and the formatting; each class keeps the payload_add and
+    # payload_mul that the benchmark tracer reads through vars(cls)
+    shared = {"payload_is_zero", "format_element"}
+    residue = {"payload_from_int", "payload_neg", "payload_sub"}
+    field = {"is_unit", "is_local", "nilpotency_exponent", "residue_field", "residue"}
+    for cls, moved in (
+        (PrimeFieldRing, shared | residue | field),
+        (IntegersMod, shared | residue),
+        (RationalRing, shared | field),
+    ):
+        assert not moved & set(vars(cls)), cls
+        assert {"payload_add", "payload_mul"} <= set(vars(cls)), cls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_and_integers_mod_a_prime_agree(p):
+    fp, zp = PrimeFieldRing(p), IntegersMod(p)
+    ints = [-(10**30) - 1, -2 * p - 1, -p, -1, 0, 1, p - 1, p, 3 * p + 2, 10**30 + 7]
+    for k in ints:
+        assert fp.payload_from_int(k) == zp.payload_from_int(k) == k % p
+        assert str(fp.from_int(k)) == str(zp.from_int(k)) == str(k % p)
+    for a in range(p):
+        assert fp.payload_neg(a) == zp.payload_neg(a) == -a % p
+        assert fp.payload_is_zero(a) == zp.payload_is_zero(a) == (a == 0)
+        assert fp.format_element(a) == zp.format_element(a) == str(a)
+        assert fp.is_unit(fp.element(a)) == zp.is_unit(zp.element(a)) == (a != 0)
+        for b in range(p):
+            for op, want in (("payload_add", a + b), ("payload_sub", a - b), ("payload_mul", a * b)):
+                assert getattr(fp, op)(a, b) == getattr(zp, op)(a, b) == want % p, (op, a, b)
+
+
+@pytest.mark.parametrize("field", [PrimeFieldRing(2), PrimeFieldRing(7), RationalRing()], ids=repr)
+def test_fields_are_their_own_residue_fields(field):
+    assert field.is_field and field.is_local
+    assert field.nilpotency_exponent() == 1
+    assert field.residue_field() is field
+    for k in (-3, 0, 1, 5):
+        a = field.from_int(k)
+        assert field.residue(a) == a
+        assert field.is_unit(a) == bool(a)

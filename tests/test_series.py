@@ -397,22 +397,49 @@ def test_laurent_divide_by_a_t_power_or_a_strict_q_matches_the_oracle(
     n = 14
     b = TruncatedSeries(ring, [element(c) for c in b_coeffs] + [ring.one] * (n - len(b_coeffs)), n)
     fact = strict_prepare(b)
-    assert (fact.q.t_multiplicity() == fact.q.degree) == (shape == "t-power")
-    real = weierstrass.divide_by_monic
+    assert fact.q.is_t_power() == (shape == "t-power")
+    qprime = divides_power_of_t(fact.q, fact.certificate_n).as_series(n)
+    u_inv = fact.u.invert()
+    real_divide, real_mul = weierstrass.divide_by_monic, TruncatedSeries.__mul__
+
+    def refuse(*args):
+        raise AssertionError("payload arithmetic in a division by a power of t")
+
+    def divide_by_monic(f, q):
+        divisors.append(q)
+        if not q.is_t_power():
+            return real_divide(f, q)
+        with monkeypatch.context() as m:
+            for name in ("from_integer_form", "payload_add", "payload_mul", "payload_neg"):
+                m.setattr(ring, name, refuse)
+            return real_divide(f, q)
+
+    def mul(x, y):
+        operands.append((x, y))
+        return real_mul(x, y)
+
     rng = random.Random(43)
     for _ in range(20):
         a = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
-        calls = []
+        divisors, operands = [], []
         with monkeypatch.context() as m:
-            m.setattr(weierstrass, "divide_by_monic", lambda f, q: calls.append(q) or real(f, q))
+            m.setattr(weierstrass, "divide_by_monic", divide_by_monic)
+            m.setattr(TruncatedSeries, "__mul__", mul)
             quotient = laurent_divide(a, b)
-        # q = t^d needs no division: its q' is a power of t
-        assert bool(calls) == (shape == "strict")
+        if shape == "t-power":
+            # q = t^d: its one division (q' = t^(n-d)) takes windows of
+            # t^n, and the only product is the one with u^-1
+            assert [q.is_t_power() for q in divisors] == [True]
+            assert all(u_inv in pair for pair in operands) and operands
+        else:
+            # a strict q still divides, and each dividend pays one product
+            # with q'
+            assert not all(q.is_t_power() for q in divisors)
+            assert any(qprime in pair for pair in operands)
         assert _schoolbook_quotient_holds(quotient, a, b) > 0
         # the general route through q' = t^n / q gives the same window
-        qprime = divides_power_of_t(fact.q, fact.certificate_n).as_series(n)
         general = LaurentSeries(-fact.certificate_n, a * qprime).normalize()
-        general = general.times_series(fact.u.invert()).normalize()
+        general = general.times_series(u_inv).normalize()
         assert (quotient.offset, quotient.body) == (general.offset, general.body)
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 import sys
 
 import pytest
@@ -18,6 +19,7 @@ from arclift import (
     PrimeFieldRing,
     RationalRing,
     TruncatedSeries,
+    arc_kernel_ring,
     divides_power_of_t,
     expand_around,
     integer_completion,
@@ -31,6 +33,8 @@ from arclift import (
     weierstrass_divide,
 )
 from arclift import weierstrass
+from arclift.pathology import ColimitRing
+from arclift.weierstrass import divide_by_monic
 from arclift.errors import ArityMismatch, MixedRings
 from arclift.jets import ModQVector
 
@@ -238,6 +242,117 @@ def test_certificate_exponent_always_verifies(ring):
         assert qprime.degree == d * e - d
         prod = qprime.as_series(d * e + 1) * fact.q.as_series(d * e + 1)
         assert prod == TruncatedSeries.t_power(ring, d * e, d * e + 1)
+
+
+@pytest.mark.parametrize("ring", [PrimeFieldRing(5), RationalRing()], ids=repr)
+def test_strict_prepare_over_a_field_makes_no_product(ring, monkeypatch):
+    # Over a field the strict q is t^d: round 1's u * t^d is a shift of u,
+    # and its defect x - u * t^d is zero, so the first round exits.
+    def refuse(*args):
+        raise AssertionError("a series product in strict_prepare over a field")
+
+    rng = random.Random(27)
+    for _ in range(40):
+        x, d = random_nondegenerate(ring, rng)
+        with monkeypatch.context() as m:
+            m.setattr(ring, "convolve", refuse)
+            fact = strict_prepare(x)
+        assert fact.q == MonicPoly.t_power(ring, d)
+        assert reconstruct_factorization(fact) == x
+
+
+DIVISION_RINGS = acceptance_rings() + [arc_kernel_ring(PrimeFieldRing(5))]
+PAYLOAD_OPS = ("from_integer_form", "payload_add", "payload_mul", "payload_neg")
+
+
+def _draw(ring, rng):
+    if isinstance(ring, ColimitRing):
+        return rng.choice([ring.zero, ring.one, ring.q0(), ring.x(1), ring.q0() * ring.x(2)])
+    return random_element(ring, rng)
+
+
+def _refuse(*args):
+    raise AssertionError("a payload operation or a product where a window does")
+
+
+def _is_canonical(ring, form):
+    items, scale = form
+    out, s = ring.canonical_form(items, scale)
+    return (tuple(out), s) == (tuple(items), scale)
+
+
+def _synthetic_division(f, q):
+    """(quot, rem) with f = q * quot + rem, deg rem < deg q, for a list of
+    ring elements f and a monic q, by schoolbook synthetic division on ring
+    elements from the top coefficient down."""
+    ring, d, qs = q.ring, q.degree, q.coeffs
+    rem = list(f) + [ring.zero] * (d - len(f))
+    quot = [ring.zero] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = quot[i - d] = rem[i]
+        for j in range(d + 1):
+            rem[i - d + j] = rem[i - d + j] - c * qs[j]
+    return quot, rem[:d]
+
+
+def _check_division(ring, f, q, monkeypatch):
+    """divide_by_monic of the elements f by q against the oracle: equal
+    coefficients, and both results canonical forms.  A division by a power
+    of t runs with the ring's payload operations refused."""
+    items, scale = ring.integer_form([c.value for c in f])
+    with monkeypatch.context() as m:
+        if q.is_t_power():
+            for name in PAYLOAD_OPS:
+                m.setattr(ring, name, _refuse)
+        quot, rem = divide_by_monic((tuple(items), scale), q)
+    want_quot, want_rem = _synthetic_division(f, q)
+    assert ring.form_len(quot[0]) == len(want_quot)
+    assert list(map(ring.element, ring.from_integer_form(*quot))) == want_quot
+    assert rem.bound == q.degree and list(rem.coeffs) == want_rem
+    assert _is_canonical(ring, quot) and _is_canonical(ring, rem.form)
+
+
+@pytest.mark.parametrize("ring", DIVISION_RINGS, ids=repr)
+def test_division_by_a_t_power_or_a_general_monic_matches_the_oracle(ring, monkeypatch):
+    rng = random.Random(25)
+    t3 = MonicPoly.t_power(ring, 3)
+    assert t3.is_t_power()
+    for length in (0, 2, 3, 4, 7):  # below, at and above deg t^3
+        for _ in range(6):
+            f = [_draw(ring, rng) for _ in range(length)]
+            q = MonicPoly(ring, [ring.one, _draw(ring, rng), _draw(ring, rng)])
+            assert not q.is_t_power()
+            _check_division(ring, f, t3, monkeypatch)  # two windows of f
+            _check_division(ring, f, q, monkeypatch)  # synthetic division
+
+
+def test_division_of_a_q_dividend_over_a_scale_by_a_t_power(monkeypatch):
+    # both windows of ints over the scale 6 lose items; the quotient's
+    # content is 6 and must be divided out
+    q = RationalRing()
+    f = [q.from_fraction(Fraction(*c)) for c in ((1, 2), (1, 3), (1, 1), (2, 1), (4, 1))]
+    assert q.integer_form([c.value for c in f])[1] == 6
+    for d in (1, 2, 3, 5, 6):
+        _check_division(q, f, MonicPoly.t_power(q, d), monkeypatch)
+    quot, rem = divide_by_monic(q.integer_form([c.value for c in f]), MonicPoly.t_power(q, 3))
+    assert quot == ((2, 4), 1) and rem.form == ((3, 2, 6), 6)
+
+
+@pytest.mark.parametrize("ring", DIVISION_RINGS, ids=repr)
+def test_monic_times_is_the_product_with_q(ring, monkeypatch):
+    rng = random.Random(26)
+    for n in (1, 2, 3, 4, 9):
+        for _ in range(4):
+            x = TruncatedSeries(ring, [_draw(ring, rng) for _ in range(n)], n)
+            general = MonicPoly(ring, [ring.one, _draw(ring, rng), _draw(ring, rng)])
+            for q in (MonicPoly.t_power(ring, 0), MonicPoly.t_power(ring, 3), general):
+                want = x * q.as_series(n)
+                with monkeypatch.context() as m:
+                    if q.is_t_power():  # a window of x: no product
+                        m.setattr(ring, "convolve", _refuse)
+                    got = q.times(x)
+                assert got == want and got.precision == n
+                assert _is_canonical(ring, got.form)
 
 
 def test_recombination_maps():

@@ -8,7 +8,10 @@ coefficient is nonzero, with a unit constant term:
 * ``sum``: x + y;
 * ``scale``: x.scale(2), the shape of a map coefficient such as Dh's 2;
 * ``shift``: x.shift(3);
-* ``invert``: x.invert() (a colimit ring refuses it: ``-``).
+* ``invert``: x.invert() (a colimit ring refuses it: ``-``);
+* ``divide t^3``: ``divide_by_monic`` of x by t^3, two windows of x;
+* ``divide q``: ``divide_by_monic`` of x by t^3 + y_2 t^2 + y_1 t + y_0,
+  a monic with nonzero low terms, by synthetic division.
 
 A cell runs the operation in a loop of at least 20 ms, k times, and
 reports the fastest loop's time per call.  Standard library only; run from
@@ -28,10 +31,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from arclift import (  # noqa: E402
-    ArtinianLocalRing, IntegersMod, PrimeFieldRing, RationalRing, TruncatedSeries,
+    ArtinianLocalRing, IntegersMod, MonicPoly, PrimeFieldRing, RationalRing, TruncatedSeries,
     arc_kernel_ring, make_ring,
 )
 from arclift.errors import ArcliftError  # noqa: E402
+from arclift.weierstrass import divide_by_monic  # noqa: E402
 
 RINGS = ("Fp(5)", "Zmod(27)", "Q", "Artin(Fp(5); eps; 2)", "Artin(Fp(2); s1, s2; 3)",
          "Artin(Q; a, b; 3)", "ArcKernel(Fp(5))")
@@ -42,6 +46,12 @@ OPS = {
     "scale": lambda x, y: x.scale(2),
     "shift": lambda x, y: x.shift(3),
     "invert": lambda x, y: x.invert(),
+    "divide t^3": lambda x, q: divide_by_monic(x.form, q),
+    "divide q": lambda x, q: divide_by_monic(x.form, q),
+}
+SECOND = {  # an op's second operand, from y, when it is not y itself
+    "divide t^3": lambda y: MonicPoly.t_power(y.ring, 3),
+    "divide q": lambda y: MonicPoly(y.ring, y.coeffs[:3]),
 }
 SEED = 1
 MIN_LOOP_S = 0.02
@@ -106,7 +116,9 @@ def main(argv=None):
             cells = []
             for n in SIZES:
                 try:
-                    cells.append(f"{best_us(op, *operands[n], args.repeats):.1f}")
+                    x, y = operands[n]
+                    y = SECOND.get(name, lambda y: y)(y)
+                    cells.append(f"{best_us(op, x, y, args.repeats):.1f}")
                 except ArcliftError:
                     cells.append("-")
             print(f"| {desc} | {name} | " + " | ".join(cells) + " |", flush=True)
