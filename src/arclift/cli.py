@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from . import pathology
 from .errors import ArcliftError, ParseError, Verdict
 from .newton import ArcPoint, arc_lift
 from .series import format_series
@@ -141,6 +140,8 @@ def _rows_table(rows):
 
 
 def _cmd_patho(args):
+    from . import pathology  # only patho and completion load it
+
     ring = parse_ring(args.ring)
     if args.check == "identities":
         report = pathology.check_identities(args.bound, ring)
@@ -198,6 +199,8 @@ def _cmd_patho(args):
 
 
 def _cmd_completion(args):
+    from . import pathology
+
     result = pathology.integer_completion(args.p, args.n)
     text = [
         f"{{modulus: {result.modulus}, t: {result.t_image.value}, "
