@@ -13,7 +13,6 @@ import json
 import sys
 
 from .errors import ArcliftError, ParseError, Verdict
-from .newton import ArcPoint, arc_lift
 from .series import format_series
 from .textforms import (
     check_precision,
@@ -92,6 +91,8 @@ def _cmd_divide(args):
 
 
 def _cmd_lift(args):
+    from .newton import ArcPoint, arc_lift  # only lift loads newton
+
     ring = parse_ring(args.ring)
     pm = parse_poly_map(args.map)
     components = parse_arc(args.arc, ring, args.N)

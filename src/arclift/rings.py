@@ -13,49 +13,56 @@ that equality is plain representational equality:
 
 Each ring keeps a series in one canonical *series form* (items, scale)
 (``canonical_form``): for Fp and Z/n one reduced residue per coefficient
-over scale 1; for Q one int per coefficient over a scale with the content
-divided out, so chains of sums and products normalise once per operation,
-by one gcd, not one Fraction per coefficient; for Artinian rings one slice
-per monomial that occurs, the base ints of its coefficient at every power
-of t over one scale (``ArtinianLocalRing``), so their sums, scaling and
-products run on base ints too; for the colimit models in ``pathology``
-their canonical payloads over scale 1 (``PayloadRing``).  The layout of the
-items stays inside the rings: ``TruncatedSeries`` and the t-polynomials of
-``weierstrass`` hand a form to the ring's ``form_*`` operations (length,
-window, sum, negation, scaling, equality, zero, leading or trailing zeros
-and reduced order), to ``integer_form``/``from_integer_form`` (payloads
-to form and back) and ``canonical_form``, to ``convolve``, the product of
-two forms' items (``_int_product``, once per slice pair for Artinian
-rings, payload products for colimit models), and to ``invert_series``, the
-inverse of a short series: the fraction-free recurrence over one common
-denominator for Fp, Z/n and Q, the payload recurrence on payloads for
-Artinian and colimit rings.  The ``Ring`` defaults of the form operations
-take one item per coefficient and do their arithmetic through
-``item_ring``: plain ints for Fp, Z/n and Q, the ring's own payload
-operations for colimit models.  From
+over scale 1, all of them one ``bytes`` object, a byte per residue, for a
+modulus up to 128, and a tuple of ints above (``_ResidueRing``); for Q one
+int per coefficient over a scale with the content divided out, so chains
+of sums and products normalise once per operation, by one gcd, not one
+Fraction per coefficient; for Artinian rings one slice per monomial that
+occurs, the base ints of its coefficient at every power of t over one
+scale (``ArtinianLocalRing``), so their sums, scaling and products run on
+base ints too; for the colimit models in ``pathology`` their canonical
+payloads over scale 1 (``PayloadRing``).  Every form a ring hands out has
+that ring's one item type: ``bytes`` for the byte residue rings, a tuple
+for every other ring.  The layout of the items stays inside the rings:
+``TruncatedSeries`` and the t-polynomials of ``weierstrass`` hand a form
+to the ring's ``form_*`` operations (length, window, sum, negation,
+scaling, equality, zero, leading or trailing zeros and reduced order), to
+``integer_form``/``from_integer_form`` (payloads to form and back) and
+``canonical_form``, to ``convolve``, the product of two forms' items
+(``_byte_product`` for byte forms, ``_int_product`` for int tuples and
+once per slice pair for Artinian rings, payload products for colimit
+models), and to ``invert_series``, the inverse of a short series: the
+fraction-free recurrence over one common denominator for Fp, Z/n and Q
+(over bytes with each coefficient reduced as it is formed), the payload
+recurrence on payloads for Artinian and colimit rings.  The ``Ring``
+defaults of the form operations take one item per coefficient and do their
+arithmetic through ``item_ring``: plain ints for Q and for residue moduli
+above 128, the ring's own payload operations for colimit models;
+``_ResidueRing`` overrides each of them for byte forms.  From
 ``NEWTON_INVERT_MIN`` known orders on, ``TruncatedSeries.invert`` calls
 ``invert_series`` only at the base of a Newton doubling, whose products go
 through ``convolve``; Q opts out and inverts by the recurrence at every
 length.  An Artinian ring has at most ``MAX_MONOMIALS`` monomials.
 
 ``_int_product`` is the package's only int product loop: ``Ring.convolve``
-and the Artinian slices call it.  Below ``KRONECKER_MIN_RESIDUE_TERMS``
-nonzero residues, or ``KRONECKER_MIN_TERMS`` nonzero Q ints, in the
-sparser operand it multiplies term by term; from there on it packs each
-list into one Python int, w bits per coefficient, so that a single big-int
-multiply (Karatsuba, in C) does the O(n^2) work: Kronecker substitution
-(von zur Gathen and Gerhard, *Modern Computer Algebra*, section 8.4;
-D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symb. Comp. 2009).  The thresholds count nonzero terms,
-not length: one-term and shifted operands are frequent in Newton lifting,
-and go term by term.  That loop still walks every item of the denser
-operand, so its cost grows with that operand's length.  With one term
-against a dense operand, term by term against packed took 5.2 / 4.6 µs
-at n = 32, 13.5 / 6.7 at n = 64 and 21.7 / 11.5 at n = 128 over Fp(5),
-and 10.5 / 15.3 at n = 64 and 19.2 / 17.9 at n = 128 over Q (CPython
-3.11.7, 2-vCPU VM); in five ``lift`` benchmark cycles (seed 21), such
-one-term residue products at n >= 32 were 740 calls and 8.4 ms.  A
-residue ring states the largest item of its canonical form
+(Q, residue moduli above 128) and the Artinian slices call it, and
+``_byte_product`` is its counterpart on bytes.  Below
+``KRONECKER_MIN_RESIDUE_TERMS`` nonzero residues, or
+``KRONECKER_MIN_TERMS`` nonzero Q ints, in the sparser operand it
+multiplies term by term; from there on it packs each list into one Python
+int, w bits per coefficient, so that a single big-int multiply (Karatsuba,
+in C) does the O(n^2) work: Kronecker substitution (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, section 8.4; D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J. Symb.
+Comp. 2009).  The thresholds count nonzero terms, not length: one-term and
+shifted operands are frequent in Newton lifting, and go term by term.  That
+loop still walks every item of the denser operand, so its cost grows with
+that operand's length.  With one term against a dense operand, term by term
+against packed took 5.2 / 4.6 µs at n = 32, 13.5 / 6.7 at n = 64 and
+21.7 / 11.5 at n = 128 over Fp(5), and 10.5 / 15.3 at n = 64 and 19.2 /
+17.9 at n = 128 over Q (CPython 3.11.7, 2-vCPU VM); in five ``lift`` benchmark
+cycles (seed 21), such one-term residue products at n >= 32 were 740 calls
+and 8.4 ms.  A residue ring states the largest item of its canonical form
 (``Ring.item_top``: p - 1 for Fp, n - 1 for Z/n), and an Artinian ring
 over Fp passes its base's, so their slots are unsigned and sized from that
 bound without reading the operands; Q's ints, which have no bound, are
@@ -173,10 +180,33 @@ at 16, where every kind of operand but wide Q numerators gains.
 
 KRONECKER_MIN_RESIDUE_TERMS = 6
 """The sparser operand's nonzero count from which ``_int_product`` packs
-residues (a ``top`` given), in unsigned slots sized from the bound.  By
-the table above, small residues break even near 6 terms and run 1.3-2.2x
-at 8-12; slots of 11 bytes, near ``MAX_MODULUS``, break even only near 12,
-and lose up to 2x between 6 and 12 terms."""
+residues (a ``top`` given), in unsigned slots sized from the bound.  It
+serves the int tuples of moduli above 128 and the slices of Artinian rings
+over Fp; the byte forms of smaller moduli go through ``_byte_product``.
+
+Re-measured on CPython 3.11.7 (2-vCPU VM), schoolbook over Kronecker time
+on dense lists of n terms, mod t^n, the best of seven runs:
+
+| operands | n=4 | 5 | 6 | 7 | 8 | 12 | 16 | 24 | 32 |
+|---|---|---|---|---|---|---|---|---|---|
+| Fp(5), Artinian slices | 0.68 | 0.89 | 1.11 | 1.22 | 1.52 | 2.37 | 3.41 | 6.0 | 8.9 |
+| Fp(131) | 0.70 | 0.86 | 1.08 | 1.25 | 1.44 | 2.10 | 3.05 | 5.3 | 8.0 |
+| Fp(251) | 0.70 | 0.90 | 1.13 | 1.26 | 1.40 | 2.11 | 3.14 | 5.4 | 7.0 |
+| Zmod(2^40), 11-byte slots | 0.48 | 0.57 | 0.65 | 0.73 | 0.80 | 1.08 | 1.41 | 1.9 | 2.5 |
+
+Residues below 2^8 break even between 5 and 6 terms; slots of 11 bytes,
+near ``MAX_MODULUS``, break even only near 12, and lose up to 1.5x between
+6 and 12 terms.
+
+``_byte_product`` has a cutoff of its own: it multiplies a one-term
+operand by a window and a ``translate`` (1.0-1.4 µs against a dense
+operand of n = 8-128), and packs from two terms on.  A term-by-term loop
+over translated windows was measured against packing at two and three
+terms: over Fp(5), whose slots stay one byte wide, packing won (1.3 / 1.3
+µs at n = 8, 4.6 / 2.8 at n = 128, three terms); where slots are two
+bytes wide, as for Zmod(27) and Fp(127), the loop won by 2-5 µs (4.4 /
+9.3 at n = 128), but such products were 112 calls in three ``prepare``
+cycles and none in ``lift``, so it is not kept."""
 
 
 def _int_product(a, b, n, top=None):
@@ -285,10 +315,91 @@ def _residues(ints, scale, m):
     return [c * f % m for c in ints]
 
 
+# -- the byte kernel: Fp and Z/n forms for m <= 128 (see _ResidueRing) -------
+
+_BYTE_TOP = 127
+"""The largest ``item_top`` whose series forms are ``bytes``: one residue
+per byte, and a sum of two residues, at most 2 * 127 = 254, still fits
+its byte, so a sum of two strings read as ints carries into no neighbour."""
+
+_TIMES_TABLES = {}
+
+
+def _times_table(m, c):
+    """The ``bytes.translate`` table of x -> x * c mod m for all 256 byte
+    values x, built on first use and kept for the process: one period of m
+    entries, repeated.  c = 1 reduces, c = m - 1 negates.  Rings are built
+    afresh per CLI call, so the tables live here, not on a ring; with
+    c < m <= 128 there are at most 8,255 of them."""
+    table = _TIMES_TABLES.get((m, c))
+    if table is None:
+        period = bytes([x * c % m for x in range(m)])
+        table = _TIMES_TABLES[m, c] = (period * (256 // m + 1))[:256]
+    return table
+
+
+def _byte_sum(a, b, m):
+    """The residues (a_i + b_i) mod m over the shorter length, for byte
+    residues a and b: one int addition, then one ``translate``."""
+    k = min(len(a), len(b))
+    x = int.from_bytes(a[:k], "little") + int.from_bytes(b[:k], "little")
+    return x.to_bytes(k, "little").translate(_times_table(m, 1))
+
+
+def _byte_product(a, b, n, m):
+    """Bytes congruent mod m to the coefficients of a*b mod t^n, for byte
+    residues a and b; ``canonical_form`` reduces them.
+
+    A sparser operand of one nonzero term c t^i makes the product one
+    window of the other times c: a shift and a ``translate``.  Otherwise
+    Kronecker substitution, as in ``_kronecker_product``, straight from the
+    bytes: each operand widened to w-byte slots by one strided
+    ``bytearray`` assignment, w the power of two that holds (m-1)^2 terms,
+    one big-int multiply masked to the slots kept, and each slot reduced
+    by its byte planes, plane j translated by x -> x 256^j mod m and the
+    planes added one by one with a ``translate`` after each add."""
+    a, b = a[:n], b[:n]
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a  # a is the sparser
+    la, lb = len(a), len(b)
+    terms = la - a.count(0)
+    if terms <= 1:
+        if not terms:
+            return bytes(n)
+        i = la - len(a.lstrip(b"\0"))
+        out = (bytes(i) + b.translate(_times_table(m, a[i])))[:n]
+        return out + bytes(n - len(out))
+    k = min(n, la + lb - 1)
+    w = (((m - 1) * (m - 1) * terms).bit_length() + 7) // 8
+    w = 1 << (w - 1).bit_length()  # bytes per slot: 1, 2, 4, 8, ...
+    x = _widened(a, w) * _widened(b, w)
+    if k < la + lb - 1:
+        x &= (1 << (8 * w * k)) - 1
+    data = x.to_bytes(w * k, "little")
+    if w == 1:
+        return data + bytes(n - k)
+    out = data[::w].translate(_times_table(m, 1))
+    for j in range(1, w):
+        f = pow(256, j, m)
+        if f:
+            out = _byte_sum(out, data[j::w].translate(_times_table(m, f)), m)
+    return out + bytes(n - k)
+
+
+def _widened(items, w):
+    """The int whose w-byte slots hold the bytes of ``items``."""
+    if w == 1:
+        return int.from_bytes(items, "little")
+    wide = bytearray(w * len(items))
+    wide[::w] = items
+    return int.from_bytes(wide, "little")
+
+
 INT_ITEMS = SimpleNamespace(payload_add=add, payload_sub=sub, payload_neg=neg, payload_mul=mul,
                             payload_is_zero=not_, payload_eq=eq, payload_from_int=int)
-"""The item arithmetic of the series forms of Fp, Z/n and Q: plain ints,
-which ``canonical_form`` reduces once per operation."""
+"""The item arithmetic of the int-tuple series forms, Q's and those of Fp
+and Z/n above modulus 128: plain ints, which ``canonical_form`` reduces
+once per operation."""
 
 
 class RingElement:
@@ -405,8 +516,9 @@ class Ring:
 
     def integer_form(self, payloads):
         """The canonical series form ``(items, scale)`` of the payloads,
-        payloads[i] = items[i] / scale: here the residues over scale 1."""
-        return payloads, 1
+        payloads[i] = items[i] / scale: here the payloads themselves, as a
+        tuple, over scale 1."""
+        return tuple(payloads), 1
 
     def from_integer_form(self, ints, scale):
         """The canonical payloads of a canonical series form, or of any ints
@@ -416,14 +528,18 @@ class Ring:
 
     def canonical_form(self, ints, scale):
         """The canonical series form of the values ints[i] / scale, for any
-        Python ints and a unit scale."""
+        Python ints and a unit scale.  Its items, as those of every form a
+        ring hands out, are of the ring's one item type: ``bytes`` for Fp
+        and Z/n up to m = 128, a tuple otherwise."""
         raise NotImplementedError
 
     item_top = None
     """The largest item of this ring's canonical series forms, which are
     then residues in [0, item_top]: p - 1 for Fp, n - 1 for Z/n.  None for
     Q, whose items have no bound, and for payload rings, whose items are
-    not ints.  ``convolve`` sizes unsigned Kronecker slots from it."""
+    not ints.  It alone picks the item type of a residue ring's forms
+    (``_ResidueRing``), and ``convolve`` sizes unsigned Kronecker slots
+    from it."""
 
     # Code outside the rings reads the items of a form only through the
     # form operations below, which take canonical forms and return one.
@@ -434,8 +550,8 @@ class Ring:
         return len(items)
 
     def form_window(self, items, scale, start, stop):
-        """The form, its items a tuple, of the coefficients start..stop-1
-        (start <= stop) of the form read as an exact polynomial: zero where
+        """The form of the coefficients start..stop-1 (start <= stop,
+        0 <= stop) of the form read as an exact polynomial: zero where
         the index is negative or past the last item.  A negative start
         shifts up, a stop past the end pads, and a cut over a scale above 1
         is brought back to canonical form (it may have lost the items that
@@ -448,8 +564,7 @@ class Ring:
         if stop > n:
             out += (self.item_ring.payload_from_int(0),) * (stop - max(n, start))
         if scale != 1 and (start > 0 or stop < n):
-            out, scale = self.canonical_form(out, scale)
-            return tuple(out), scale
+            return self.canonical_form(out, scale)
         return out, scale
 
     def form_sum(self, a, s, b, r, subtract=False):
@@ -653,11 +768,18 @@ class Ring:
 
 
 class _ResidueRing(Ring):
-    """Fp and Z/n: payloads and series items are residues in [0, m), for
-    m = ``item_top`` + 1, forms are over scale 1, and a sum, negation or
-    scaling of forms reduces each item as it forms it, in one pass.  Each
-    subclass keeps its own ``payload_add`` and ``payload_mul``, which the
-    benchmark tracer counts per class."""
+    """Fp and Z/n: payloads are residues in [0, m), for m = ``item_top`` +
+    1, and forms are over scale 1.  For m <= 128 (``_BYTE_TOP``) the items
+    of a form are one ``bytes`` object, one residue per byte, and each form
+    operation is a few C-level string operations: a sum adds the two
+    strings read as ints and reduces every byte by one ``translate``, a
+    difference first negates b by one, negation and scaling are one each,
+    windows are slices, the zero tests strip zero bytes, and ``convolve``
+    multiplies the strings by Kronecker substitution (``_byte_product``).
+    For larger m the items are a tuple of ints, and a sum, negation or
+    scaling reduces each item as it forms it, in one pass.  Each subclass
+    keeps its own ``payload_add`` and ``payload_mul``, which the benchmark
+    tracer counts per class."""
 
     def payload_from_int(self, k):
         return k % (self.item_top + 1)
@@ -668,22 +790,80 @@ class _ResidueRing(Ring):
     def payload_sub(self, a, b):
         return (a - b) % (self.item_top + 1)
 
+    def integer_form(self, payloads):
+        if self.item_top <= _BYTE_TOP:
+            return bytes(payloads), 1
+        return tuple(payloads), 1
+
     def canonical_form(self, ints, scale):
-        return _residues(ints, scale, self.item_top + 1), 1
+        m = self.item_top + 1
+        if self.item_top > _BYTE_TOP:
+            return tuple(_residues(ints, scale, m)), 1
+        if scale == 1 and type(ints) is bytes:
+            return ints.translate(_times_table(m, 1)), 1
+        return bytes(_residues(ints, scale, m)), 1
+
+    def form_window(self, items, scale, start, stop):
+        if self.item_top > _BYTE_TOP:
+            return super().form_window(items, scale, start, stop)
+        n = len(items)
+        out = bytes(-start) + items[:stop] if start < 0 else items[start:stop]
+        if stop > n:
+            out += bytes(stop - max(n, start))
+        return out, 1
 
     def form_sum(self, a, s, b, r, subtract=False):
         m = self.item_top + 1
+        if self.item_top <= _BYTE_TOP:
+            return _byte_sum(a, b.translate(_times_table(m, m - 1)) if subtract else b, m), 1
         if subtract:
-            return [(x - y) % m for x, y in zip(a, b)], 1
-        return [(x + y) % m for x, y in zip(a, b)], 1
+            return tuple([(x - y) % m for x, y in zip(a, b)]), 1
+        return tuple([(x + y) % m for x, y in zip(a, b)]), 1
 
     def form_neg(self, items, scale):
         m = self.item_top + 1
-        return [-x % m for x in items], 1
+        if self.item_top <= _BYTE_TOP:
+            return items.translate(_times_table(m, m - 1)), 1
+        return tuple([-x % m for x in items]), 1
 
     def form_scale(self, items, scale, c):
         m = self.item_top + 1
-        return [x * c % m for x in items], 1
+        if self.item_top <= _BYTE_TOP:
+            return items.translate(_times_table(m, c)), 1
+        return tuple([x * c % m for x in items]), 1
+
+    def form_is_zero(self, items):
+        if self.item_top <= _BYTE_TOP:
+            return not items.rstrip(b"\0")
+        return super().form_is_zero(items)
+
+    def form_leading_zeros(self, items):
+        if self.item_top <= _BYTE_TOP:
+            return len(items) - len(items.lstrip(b"\0"))
+        return super().form_leading_zeros(items)
+
+    def form_trimmed_len(self, items):
+        if self.item_top <= _BYTE_TOP:
+            return len(items.rstrip(b"\0"))
+        return super().form_trimmed_len(items)
+
+    def convolve(self, a, b, n):
+        if self.item_top <= _BYTE_TOP:
+            return _byte_product(a, b, n, self.item_top + 1)
+        return super().convolve(a, b, n)
+
+    def invert_series(self, ints, scale):
+        """Over bytes, the recurrence of ``Ring.invert_series`` with each
+        coefficient reduced mod m as it is formed: over scale 1 the common
+        denominator stays 1, so no coefficient needs ``canonical_form``."""
+        if self.item_top > _BYTE_TOP:
+            return super().invert_series(ints, scale)
+        m = self.item_top + 1
+        tail, out = ints[1:], [pow(ints[0], -1, m)]
+        f = m - out[0]  # -1/A_0 mod m
+        for _ in range(1, len(ints)):
+            out.append(sum(map(mul, tail, reversed(out))) * f % m)
+        return bytes(out), 1
 
 
 class _Field(Ring):
@@ -772,7 +952,7 @@ class RationalRing(_Field):
         """The numerators over the lcm of the denominators, which is
         canonical."""
         scale = math.lcm(*[x.denominator for x in payloads])
-        return [x.numerator * (scale // x.denominator) for x in payloads], scale
+        return tuple([x.numerator * (scale // x.denominator) for x in payloads]), scale
 
     def from_integer_form(self, ints, scale):
         return [Fraction(c, scale) for c in ints]
@@ -781,7 +961,7 @@ class RationalRing(_Field):
         """Content divided out: gcd(scale, *ints) = 1 and scale > 0, so
         scale is the lcm of the reduced denominators."""
         g = math.gcd(scale, *ints) if scale > 0 else -math.gcd(scale, *ints)
-        return (ints, scale) if g == 1 else ([c // g for c in ints], scale // g)
+        return (tuple(ints), scale) if g == 1 else (tuple([c // g for c in ints]), scale // g)
 
     def invert(self, a):
         if a.value == 0:
@@ -854,6 +1034,8 @@ class IntegersMod(_ResidueRing):
     def form_reduced_order(self, items, scale):
         """The first residue prime to p, for n = p^e."""
         p = self.residue_field().p
+        if self.item_top <= _BYTE_TOP:
+            return self.form_leading_zeros(items.translate(_times_table(p, 1)))
         return next(compress(count(), [c % p for c in items]), len(items))
 
 
@@ -885,7 +1067,7 @@ class PayloadRing(Ring):
         return self
 
     def canonical_form(self, items, scale):
-        return items, scale
+        return tuple(items), scale
 
     def form_ints(self, items, scale):
         return ()

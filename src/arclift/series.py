@@ -2,11 +2,14 @@
 
 A series keeps its coefficients in its ring's canonical series form
 (items, scale) (see ``rings``): reduced residues over scale 1 for Fp and
-Z/n, ints over a content-free scale for Q, one slice of base ints per
+Z/n, one ``bytes`` object for a modulus up to 128 and a tuple of ints
+above, ints over a content-free scale for Q, one slice of base ints per
 monomial for Artinian rings, and canonical payloads over scale 1 for
-colimit rings.  Each operation has one body, on that form, with no branch
-on the ring and no reading of the items: sums, negations, scaling and
-windows (shift, drop, truncate, pad, one coefficient) are the ring's form
+colimit rings.  A form is stored as the ring hands it out, with no copy
+or re-wrapping: every form of a ring has that ring's one item type.  Each
+operation has one body, on that form, with no branch on the ring and no
+reading of the items: sums, negations, scaling and windows (shift, drop,
+truncate, pad, one coefficient) are the ring's form
 operations (``Ring.form_sum``, ``form_neg``, ``form_scale``,
 ``form_window``), products hand the items to ``Ring.convolve`` and bring
 the result to canonical form once (``Ring.canonical_form``), and
@@ -14,9 +17,10 @@ the result to canonical form once (``Ring.canonical_form``), and
 ``Ring.invert_series``: at full length below the ring's
 ``NEWTON_INVERT_MIN`` orders, and from there on at the base of a Newton
 doubling whose steps are two series products each.  Payloads are built
-from the form only when something reads them (over Fp, Z/n and colimit
-rings they are the items themselves), and ``RingElement`` wrappers only
-where a coefficient leaves the series API (``coefficient``, ``coeffs``).
+from the form only when something reads them (over Fp and Z/n the
+residues of the items, over colimit rings the items themselves), and
+``RingElement`` wrappers only where a coefficient leaves the series API
+(``coefficient``, ``coeffs``).
 
 Precision is explicit data.  Every operation states the precision of its
 output and never claims a coefficient beyond it: sums and products follow
@@ -59,9 +63,10 @@ class TruncatedSeries:
     ``precision`` coefficients (``Ring.form_len`` of the items), and every
     operation here runs on it; ``payloads`` is the tuple of their
     ``precision`` canonical payloads.  A series built from payloads
-    computes its form at once (over Fp, Z/n and colimit rings without a
-    pass over them), one built by an operation its payloads on first read
-    and keeps them.  Both are immutable, so windows share them.
+    computes its form at once (over Fp and Z/n by one ``bytes`` call for a
+    modulus up to 128, over colimit rings without a pass over them), one
+    built by an operation its payloads on first read and keeps them.  Both
+    are immutable, so windows share them.
     """
 
     __slots__ = ("ring", "precision", "form", "_payloads")
@@ -78,8 +83,7 @@ class TruncatedSeries:
         self.ring = ring
         self.precision = precision
         self._payloads = payloads
-        items, scale = ring.integer_form(payloads)
-        self.form = (tuple(items), scale)
+        self.form = ring.integer_form(payloads)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -283,7 +287,7 @@ def _series(ring, items, scale, precision):
     self.ring = ring
     self.precision = precision
     self._payloads = None
-    self.form = (tuple(items), scale)
+    self.form = (items, scale)
     return self
 
 

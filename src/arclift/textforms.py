@@ -43,7 +43,6 @@ import re
 from fractions import Fraction
 
 from .errors import InvalidDescriptor, NotAUnit, ParseError
-from .newton import PolyMap
 from .polynomials import MultiPoly
 from .rings import ArtinianLocalRing, IntegersMod, PrimeFieldRing, RationalRing, Ring, power
 from .series import TruncatedSeries, format_series
@@ -547,6 +546,8 @@ def parse_factorization(text: str, ring) -> StrictFactorization:
 
 def parse_poly_map(text: str) -> PolyMap:
     """``vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]``"""
+    from .newton import PolyMap  # only map parsing loads newton
+
     fields = _read_record(_split_top(text, ";"), ("vars", "split", "eqs"), "map")
 
     def bracket_list(s):

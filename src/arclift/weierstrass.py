@@ -37,11 +37,6 @@ from .errors import (
 from .series import TruncatedSeries, _payload, laurent_divider, reduced_order
 
 
-def _form(ring, payloads):
-    items, scale = ring.integer_form(payloads)
-    return tuple(items), scale
-
-
 class _ExactPoly:
     """An exact t-polynomial, kept as the canonical series form ``form`` of
     its coefficients (see the module docstring)."""
@@ -53,7 +48,7 @@ class _ExactPoly:
         """Unchecked constructor from a canonical series form of ``ring``."""
         self = object.__new__(cls)
         self.ring = ring
-        self.form = (tuple(items), scale)
+        self.form = (items, scale)
         self._payloads = None
         return self
 
@@ -98,7 +93,7 @@ class MonicPoly(_ExactPoly):
 
     def __init__(self, ring, low):
         self.ring = ring
-        self.form = _form(ring, [_payload(ring, c) for c in [*low, 1]])
+        self.form = ring.integer_form([_payload(ring, c) for c in [*low, 1]])
         self._payloads = None
 
     @classmethod
@@ -150,7 +145,7 @@ class LowPoly(_ExactPoly):
         if len(payloads) > bound:
             raise InvalidDescriptor(f"{len(payloads)} coefficients exceed bound {bound}")
         self.ring = ring
-        self.form = ring.form_window(*_form(ring, payloads), 0, bound)
+        self.form = ring.form_window(*ring.integer_form(payloads), 0, bound)
         self._payloads = None
 
     @property
@@ -180,9 +175,8 @@ def poly_mul(a, b, ring):
     (a, s), (b, r) = a, b
     la, lb = ring.form_len(a), ring.form_len(b)
     if not la or not lb:
-        return _form(ring, [])
-    items, scale = ring.canonical_form(ring.convolve(a, b, la + lb - 1), s * r)
-    return tuple(items), scale
+        return ring.integer_form(())
+    return ring.canonical_form(ring.convolve(a, b, la + lb - 1), s * r)
 
 
 def divide_by_monic(f, q: MonicPoly):
@@ -192,8 +186,9 @@ def divide_by_monic(f, q: MonicPoly):
     returns the form of quot and rem as a ``LowPoly`` of bound deg q.  For
     q = t^d they are the two windows of f, from coefficient d on and below
     d, with no payload built.  Otherwise exact synthetic division on the
-    payloads of f (the items themselves over Fp, Z/n and colimit rings); no
-    inversions are needed because q is monic.
+    payloads of f (the residues of its items over Fp and Z/n, the items
+    themselves over colimit rings); no inversions are needed because q is
+    monic.
     """
     d = q.degree
     ring = q.ring
@@ -213,7 +208,7 @@ def divide_by_monic(f, q: MonicPoly):
         quot[i - d] = c
         for j, nqj in neg_low:
             rem[i - d + j] = padd(rem[i - d + j], pmul(c, nqj))
-    return _form(ring, quot), LowPoly._of_form(ring, *ring.integer_form(rem[:d]))
+    return ring.integer_form(quot), LowPoly._of_form(ring, *ring.integer_form(rem[:d]))
 
 
 def strict_prepare(x: TruncatedSeries) -> StrictFactorization:

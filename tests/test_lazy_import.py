@@ -1,5 +1,5 @@
 """``import arclift`` loads no submodule, and the CLI loads ``pathology``
-only for the commands that use it.
+and ``newton`` only for the commands that use them.
 
 Each test runs its check in a fresh interpreter, so that no module an
 earlier test imported is already in ``sys.modules``.
@@ -92,6 +92,32 @@ def test_patho_and_completion_load_pathology(argv):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main({argv!r}) == 0
         print("arclift.pathology" in sys.modules)
+    """)
+    assert out == "True\n"
+
+
+def test_cli_import_and_prepare_leave_newton_unloaded():
+    out = fresh("""
+        import contextlib, io, sys
+        from arclift.cli import main
+        print("arclift.newton" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["prepare", "--ring", "Artin(Fp(5); eps; 2)",
+                         "--series", "[eps, 1] + O(t^4)"]) == 0
+        print("arclift.newton" in sys.modules)
+    """)
+    assert out == "False\nFalse\n"
+
+
+def test_lift_loads_newton():
+    out = fresh("""
+        import contextlib, io, sys
+        from arclift.cli import main
+        assert "arclift.newton" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["lift", "--ring", "Q", "--map", "vars: [x1, y1]; split: 1; eqs: [y1^2 - x1^3]",
+                         "--arc", "t^2; t^3 + t^4", "--N", "16"]) == 0
+        print("arclift.newton" in sys.modules)
     """)
     assert out == "True\n"
 

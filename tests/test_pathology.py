@@ -119,6 +119,14 @@ def test_localization_rows_fail_without_the_level_relation(monkeypatch):
     assert kills and not any(r.ok for r in kills)
 
 
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_check_identities_rows_are_distinct_at_small_bounds(bound):
+    # 0, bound // 2 and bound coincide below 2: each "kills" row comes once
+    statements = [r.statement for r in check_identities(bound).rows]
+    assert len(statements) == len(set(statements))
+    assert {s for s in statements if " kills x" in s}
+
+
 def test_check_identities_bound_guard():
     with pytest.raises(InvalidDescriptor):
         check_identities(13)

@@ -58,8 +58,7 @@ def convolve(ring, a, b, n):
 
 def _form(ring, elements):
     """The canonical series form of an element list, as ``poly_mul`` keeps it."""
-    items, scale = ring.integer_form([c.value for c in elements])
-    return tuple(items), scale
+    return ring.integer_form([c.value for c in elements])
 
 
 def _poly_mul(f, g, ring):
@@ -141,8 +140,8 @@ def test_inverses_over_zmod_with_nilpotent_tails(modulus):
 
 
 def test_integer_rings_divide_by_a_unit_scale():
-    assert PrimeFieldRing(5).from_integer_form([1, 2, -6], 3) == [2, 4, 3]
-    assert IntegersMod(9).from_integer_form([1, 3, 10], 2) == [5, 6, 5]
+    assert list(PrimeFieldRing(5).from_integer_form([1, 2, -6], 3)) == [2, 4, 3]
+    assert list(IntegersMod(9).from_integer_form([1, 3, 10], 2)) == [5, 6, 5]
     assert RationalRing().from_integer_form([1, -6], -4) == [Fraction(-1, 4), Fraction(3, 2)]
 
 
@@ -671,9 +670,18 @@ def _integer_cases(ring, rng):
 
 
 def _kronecker_threshold(ring):
-    """The nonzero count from which the ring's (or its base's) ints pack."""
+    """The nonzero count from which the ring's (or its base's) ints pack:
+    two for the byte forms of Fp and Z/n up to m = 128, whose one-term
+    products are a window and a ``translate``."""
+    if _byte_items(ring):
+        return 2
     ring = getattr(ring, "base", ring)
     return KRONECKER_MIN_TERMS if isinstance(ring, RationalRing) else KRONECKER_MIN_RESIDUE_TERMS
+
+
+def _byte_items(ring):
+    """Whether the ring's series forms hold their residues in ``bytes``."""
+    return isinstance(ring, (PrimeFieldRing, IntegersMod)) and ring.item_top < 128
 
 
 def _canonical_values(ring, elements):
@@ -718,15 +726,23 @@ def test_integer_path_matches_plain_product(ring):
 
 
 def _watch_packing(monkeypatch):
-    """A list that records (ints, width, signed) for each ``rings._pack`` call."""
+    """A list that records (ints, width, signed) for each operand the
+    kernel packs: each ``rings._pack`` call, and each ``rings._widened``
+    call, which packs the bytes of Fp and Z/n up to m = 128 in unsigned
+    slots."""
     packed = []
-    pack = rings._pack
+    pack, widened = rings._pack, rings._widened
 
     def watched(ints, width, signed):
         packed.append((ints, width, signed))
         return pack(ints, width, signed)
 
+    def watched_bytes(items, width):
+        packed.append((items, width, False))
+        return widened(items, width)
+
     monkeypatch.setattr(rings, "_pack", watched)
+    monkeypatch.setattr(rings, "_widened", watched_bytes)
     return packed
 
 
@@ -769,7 +785,13 @@ def test_unsigned_slots_hold_the_largest_residue_sums(ring, terms, width, monkey
         (scattered, [top] * terms),
     ):
         for n in (len(a), len(a) + len(b) - 1, len(a) + len(b) + 2):
-            assert ring.convolve(a[:n], b[:n], n) == _plain_product(a[:n], b[:n], n)
+            (fa, _), (fb, _) = ring.integer_form(a[:n]), ring.integer_form(b[:n])
+            got = ring.convolve(fa, fb, n)
+            if _byte_items(ring):  # slots come back congruent mod m
+                got, want = list(ring.canonical_form(got, 1)[0]), _plain_product(a[:n], b[:n], n, top + 1)
+            else:
+                want = _plain_product(a[:n], b[:n], n)
+            assert got == want
     assert packed and {(w, signed) for _, w, signed in packed} == {(width, False)}
     series = TruncatedSeries(ring, [top] * terms, terms)
     square = _plain_product([top] * terms, [top] * terms, terms, _modulus(ring))
@@ -784,13 +806,15 @@ RESIDUE_RINGS = [PrimeFieldRing(5), PrimeFieldRing(7), IntegersMod(9), IntegersM
 def test_residue_products_see_only_canonical_residues(ring, monkeypatch):
     """Unsigned slots hold the sums of residues in [0, m), so every int
     operand of a product in a lift, a preparation and a division must be
-    one; ``_int_product`` serves both ``Ring.convolve`` and the Artinian
-    slices."""
+    one; ``_byte_product`` serves the byte forms of Fp and Z/n, and
+    ``_int_product`` the Artinian slices."""
     base = ring.base if isinstance(ring, ArtinianLocalRing) else ring
     seen = []
-    product = rings._int_product
+    product, byte_product = rings._int_product, rings._byte_product
     monkeypatch.setattr(rings, "_int_product",
                         lambda a, b, n, top=None: seen.append((a, b, top)) or product(a, b, n, top))
+    monkeypatch.setattr(rings, "_byte_product",
+                        lambda a, b, n, m: seen.append((a, b, m - 1)) or byte_product(a, b, n, m))
     rng = random.Random(41)
     n = 64
     cusp = PolyMap(("x", "y"), 1, [MultiPoly(2, {(0, 2): 1, (3, 0): -1})])
@@ -837,9 +861,12 @@ def test_integer_rings_invert_without_payload_ops(ring, monkeypatch):
 
 
 def test_artinian_and_colimit_rings_override_convolve():
-    for ring in INTEGER_RINGS:
-        assert type(ring).convolve is Ring.convolve
-        assert type(ring).invert_series is Ring.invert_series
+    # Fp and Z/n route their byte forms to the byte kernel and larger
+    # moduli to Ring's, in one override shared by both families
+    for ring in INTEGER_RINGS + [PrimeFieldRing(131), IntegersMod(2**40)]:
+        owner = Ring if ring == RationalRing() else rings._ResidueRing
+        assert type(ring).convolve is owner.convolve
+        assert type(ring).invert_series is owner.invert_series
     for ring in (F5eps(), ArtinianLocalRing(RationalRing(), ["a", "b"], 3)):
         assert type(ring).invert_series is not Ring.invert_series
     for ring in (F5eps(), ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),

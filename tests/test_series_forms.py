@@ -179,14 +179,17 @@ def _check_form(x):
     if isinstance(ring, ArtinianLocalRing):
         _check_slices(x)
         return
-    assert type(items) is tuple and len(items) == x.precision
+    # one item type per ring: bytes for Fp and Z/n up to m = 128
+    residues = isinstance(ring, (PrimeFieldRing, IntegersMod))
+    assert type(items) is (bytes if residues and ring.item_top < 128 else tuple)
+    assert len(items) == x.precision
     if ring == Q:
         assert all(type(c) is int for c in items)
         assert scale > 0 and math.gcd(scale, *items) == 1
         assert all(type(c) is Fraction for c in x.payloads)
         return
-    assert scale == 1 and x.payloads == items
-    if isinstance(ring, (PrimeFieldRing, IntegersMod)):
+    assert scale == 1 and x.payloads == tuple(items)
+    if residues:
         m = ring.p if isinstance(ring, PrimeFieldRing) else ring.n
         assert all(type(c) is int and 0 <= c < m for c in items)
     else:

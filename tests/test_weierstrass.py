@@ -299,12 +299,12 @@ def _check_division(ring, f, q, monkeypatch):
     """divide_by_monic of the elements f by q against the oracle: equal
     coefficients, and both results canonical forms.  A division by a power
     of t runs with the ring's payload operations refused."""
-    items, scale = ring.integer_form([c.value for c in f])
+    form = ring.integer_form([c.value for c in f])
     with monkeypatch.context() as m:
         if q.is_t_power():
             for name in PAYLOAD_OPS:
                 m.setattr(ring, name, _refuse)
-        quot, rem = divide_by_monic((tuple(items), scale), q)
+        quot, rem = divide_by_monic(form, q)
     want_quot, want_rem = _synthetic_division(f, q)
     assert ring.form_len(quot[0]) == len(want_quot)
     assert list(map(ring.element, ring.from_integer_form(*quot))) == want_quot

@@ -1,7 +1,9 @@
 """Print µs per series operation for each ring family, best of k, as a table.
 
 Each row is one ring and one operation on ``TruncatedSeries``; the columns
-are N = 24 and N = 96.  The operands are seeded random series whose every
+are N = 24 and N = 96.  Fp(5) and Zmod(27) keep their series as byte
+strings and Fp(131), above the byte bound of modulus 128, as int tuples,
+so the table shows both encodings of the residue rings.  The operands are seeded random series whose every
 coefficient is nonzero, with a unit constant term:
 
 * ``mul``: x * y;
@@ -37,7 +39,7 @@ from arclift import (  # noqa: E402
 from arclift.errors import ArcliftError  # noqa: E402
 from arclift.weierstrass import divide_by_monic  # noqa: E402
 
-RINGS = ("Fp(5)", "Zmod(27)", "Q", "Artin(Fp(5); eps; 2)", "Artin(Fp(2); s1, s2; 3)",
+RINGS = ("Fp(5)", "Zmod(27)", "Fp(131)", "Q", "Artin(Fp(5); eps; 2)", "Artin(Fp(2); s1, s2; 3)",
          "Artin(Q; a, b; 3)", "ArcKernel(Fp(5))")
 SIZES = (24, 96)
 OPS = {
