@@ -31,14 +31,16 @@ scaling, equality, zero, leading or trailing zeros and reduced order), to
 ``canonical_form``, to ``convolve``, the product of two forms' items
 (``_byte_product`` for byte forms, ``_int_product`` for int tuples and
 once per slice pair for Artinian rings, payload products for colimit
-models), and to ``invert_series``, the inverse of a short series: the
-fraction-free recurrence over one common denominator for Fp, Z/n and Q
-(over bytes with each coefficient reduced as it is formed), the payload
-recurrence on payloads for Artinian and colimit rings.  The ``Ring``
-defaults of the form operations take one item per coefficient and do their
-arithmetic through ``item_ring``: plain ints for Q and for residue moduli
-above 128, the ring's own payload operations for colimit models;
-``_ResidueRing`` overrides each of them for byte forms.  From
+models), and to ``invert_series``, the canonical form of the inverse of
+a short series, one body per family: the fraction-free recurrence over
+one common denominator for Q, the same recurrence with each coefficient
+reduced mod m as it is formed for Fp and Z/n (bytes and int tuples
+alike), the payload recurrence on payload dicts for Artinian rings;
+colimit models refuse it, as they refuse every element inverse.  The
+``Ring`` defaults of the form operations take one item per coefficient
+and do their arithmetic through ``item_ring``: plain ints for Q and for
+residue moduli above 128, the ring's own payload operations for colimit
+models; ``_ResidueRing`` overrides each of them for byte forms.  From
 ``NEWTON_INVERT_MIN`` known orders on, ``TruncatedSeries.invert`` calls
 ``invert_series`` only at the base of a Newton doubling, whose products go
 through ``convolve``; Q opts out and inverts by the recurrence at every
@@ -69,11 +71,15 @@ bound without reading the operands; Q's ints, which have no bound, are
 scanned and packed in signed slots.
 
 Element-level bodies have one home each.  ``Ring`` tests a payload for
-zero as ``a == 0`` and formats it with ``str``; ``_ResidueRing`` holds
-``payload_from_int``, ``payload_neg`` and ``payload_sub`` for Fp and Z/n,
-modulo ``item_top`` + 1; ``_Field`` holds units, locality and the residue
-field for Fp and Q.  ``payload_add`` and ``payload_mul`` stay on each
-family's own class, where the benchmark's tracer counts them.
+zero as ``a == 0``, compares forms as they are and formats a payload with
+``str``; ``_ResidueRing`` holds ``payload_from_int``, ``payload_neg``,
+``payload_sub``, ``invert`` and ``invert_series`` for Fp and Z/n, modulo
+``item_top`` + 1; ``_Field`` holds units, locality, the residue field and
+the reduced order of a form for Fp and Q; ``PayloadRing`` holds the
+colimit models' level-raising form equality and their refusals of the
+reduced order and the series inverse.  ``payload_add`` and
+``payload_mul`` stay on each family's own class, where the benchmark's
+tracer counts them.
 
 Every ring is immutable and every operation is a pure function, so values
 can be shared freely across threads.
@@ -454,10 +460,11 @@ class RingElement:
         return power(self, k, mul, self.ring.one)
 
     def __eq__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
+        """Equality with elements only: an int is never equal, since no hash
+        could agree with all of its images (3 and 8 in Fp(5))."""
+        if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring.payload_eq(self.value, v)
+        return self.ring.payload_eq(self.value, self._coerce(other))
 
     def __bool__(self):
         return not self.ring.payload_is_zero(self.value)
@@ -602,10 +609,9 @@ class Ring:
 
     def form_eq(self, a, b):
         """Whether the canonical items a and b, over one scale and of one
-        length, hold equal coefficients.  Canonical items compare equal as
-        they are, except colimit payloads, whose ``payload_eq`` first
-        raises both to a common level."""
-        return a == b or all(map(self.item_ring.payload_eq, a, b))
+        length, hold equal coefficients: canonical items compare equal as
+        they are."""
+        return a == b
 
     def form_is_zero(self, items):
         return all(map(self.item_ring.payload_is_zero, items))
@@ -615,20 +621,6 @@ class Ring:
         of them for zero)."""
         nonzero = map(not_, map(self.item_ring.payload_is_zero, items))
         return next(compress(count(), nonzero), len(items))
-
-    def form_reduced_order(self, items, scale):
-        """The index of the first coefficient with a nonzero residue, or
-        the number of coefficients when there is none.  Over a field that
-        is the first nonzero coefficient; otherwise the default reads the
-        payloads through ``residue`` (colimit rings, which then refuse as
-        ``residue`` does)."""
-        if self.is_field:
-            return self.form_leading_zeros(items)
-        residue, element = self.residue, self.element
-        for d, v in enumerate(self.from_integer_form(items, scale)):
-            if residue(element(v)):
-                return d
-        return self.form_len(items)
 
     def form_trimmed_len(self, items):
         """How many coefficients are left without the trailing zero ones."""
@@ -649,19 +641,19 @@ class Ring:
         return _int_product(a[:n], b[:n], n, self.item_top)
 
     def invert_series(self, ints, scale):
-        """A series form, not necessarily canonical, of the inverse mod t^n
-        of the series form (ints, scale) of n items, whose constant term is
-        a unit.  ``TruncatedSeries.invert`` calls it below
+        """The canonical series form of the inverse mod t^n of the
+        canonical series form (ints, scale) of n items, whose constant term
+        is a unit.  ``TruncatedSeries.invert`` calls it below
         ``NEWTON_INVERT_MIN`` items, and at the base of its Newton doubling
-        from there on.
+        from there on.  Each family has one body: this one serves Q.
 
         The fraction-free recurrence (von zur Gathen and Gerhard, *Modern
         Computer Algebra*, section 9.1): the scale cancels from every term
         but the first, and the inverse is kept as ints O over one common
         denominator L, coefficient k being -sum_{i=1..k} A_i O_{k-i} /
         (A_0 L); L grows to the lcm of the denominators met so far, and the
-        earlier O are rescaled when it does.  1/A_0 is brought to canonical
-        form once, so a residue ring inverts A_0 once, not per coefficient.
+        earlier O are rescaled when it does.  The result is brought to
+        canonical form once, at the end.
         """
         tail = ints[1:]
         (inv_num,), inv_den = self.canonical_form([1], ints[0])
@@ -674,7 +666,7 @@ class Ring:
                 nums = [x * f for x in nums]
                 den *= f
             nums.append(num * (den // d))
-        return nums, den
+        return self.canonical_form(nums, den)
 
     NEWTON_INVERT_MIN = 48
     """The precision from which ``TruncatedSeries.invert`` doubles by
@@ -777,9 +769,10 @@ class _ResidueRing(Ring):
     windows are slices, the zero tests strip zero bytes, and ``convolve``
     multiplies the strings by Kronecker substitution (``_byte_product``).
     For larger m the items are a tuple of ints, and a sum, negation or
-    scaling reduces each item as it forms it, in one pass.  Each subclass
-    keeps its own ``payload_add`` and ``payload_mul``, which the benchmark
-    tracer counts per class."""
+    scaling reduces each item as it forms it, in one pass.  The element
+    inverse and the series inverse have one body each for both item
+    types.  Each subclass keeps its own ``payload_add`` and
+    ``payload_mul``, which the benchmark tracer counts per class."""
 
     def payload_from_int(self, k):
         return k % (self.item_top + 1)
@@ -853,17 +846,22 @@ class _ResidueRing(Ring):
         return super().convolve(a, b, n)
 
     def invert_series(self, ints, scale):
-        """Over bytes, the recurrence of ``Ring.invert_series`` with each
-        coefficient reduced mod m as it is formed: over scale 1 the common
-        denominator stays 1, so no coefficient needs ``canonical_form``."""
-        if self.item_top > _BYTE_TOP:
-            return super().invert_series(ints, scale)
+        """The recurrence of ``Ring.invert_series`` with each coefficient
+        reduced mod m as it is formed, for bytes and int tuples alike: over
+        scale 1 the common denominator stays 1, so no coefficient needs
+        ``canonical_form``."""
         m = self.item_top + 1
         tail, out = ints[1:], [pow(ints[0], -1, m)]
         f = m - out[0]  # -1/A_0 mod m
         for _ in range(1, len(ints)):
             out.append(sum(map(mul, tail, reversed(out))) * f % m)
-        return bytes(out), 1
+        return self.integer_form(out)
+
+    def invert(self, a):
+        try:
+            return self.element(pow(a.value, -1, self.item_top + 1))
+        except ValueError:
+            raise NotAUnit(f"{a.value} is not a unit mod {self.item_top + 1}") from None
 
 
 class _Field(Ring):
@@ -888,6 +886,13 @@ class _Field(Ring):
     def residue(self, a):
         return a
 
+    def form_reduced_order(self, items, scale):
+        """The index of the first coefficient with a nonzero residue, or
+        the number of coefficients when there is none: over a field, the
+        first nonzero coefficient.  Each other family has its own (Z/p^e,
+        Artinian rings), and colimit models refuse (``PayloadRing``)."""
+        return self.form_leading_zeros(items)
+
 
 class PrimeFieldRing(_ResidueRing, _Field):
     def __init__(self, p: int):
@@ -911,11 +916,6 @@ class PrimeFieldRing(_ResidueRing, _Field):
 
     def payload_mul(self, a, b):
         return (a * b) % self.p
-
-    def invert(self, a):
-        if a.value == 0:
-            raise NotAUnit("0 is not invertible")
-        return self.element(pow(a.value, -1, self.p))
 
     def elements(self):
         return [self.element(k) for k in range(self.p)]
@@ -1008,12 +1008,6 @@ class IntegersMod(_ResidueRing):
     def is_unit(self, a):
         return math.gcd(a.value, self.n) == 1
 
-    def invert(self, a):
-        try:
-            return self.element(pow(a.value, -1, self.n))
-        except ValueError:
-            raise NotAUnit(f"gcd({a.value}, {self.n}) != 1") from None
-
     @property
     def is_local(self):
         return self._pe is not None
@@ -1039,28 +1033,14 @@ class IntegersMod(_ResidueRing):
         return next(compress(count(), [c % p for c in items]), len(items))
 
 
-def _payload_inverse(ring, payloads):
-    """The payloads of the inverse mod t^n of n payloads, whose first is a
-    unit, by the recurrence: one ``payload_mul`` and one ``payload_add``
-    per term, after ``invert`` of the constant term."""
-    inv0 = ring.invert(RingElement(ring, payloads[0])).value
-    out = [inv0]
-    padd, pmul = ring.payload_add, ring.payload_mul
-    neg_inv0 = ring.payload_neg(inv0)
-    for k in range(1, len(payloads)):
-        acc = None
-        for i in range(1, k + 1):
-            term = pmul(payloads[i], out[k - i])
-            acc = term if acc is None else padd(acc, term)
-        out.append(pmul(neg_inv0, acc))
-    return out
-
-
 class PayloadRing(Ring):
     """A ring whose series form is its canonical payloads over scale 1, so
     ``integer_form``, ``from_integer_form`` and ``canonical_form`` pass them
     through, and the ring's own payload operations are its item arithmetic.
-    Subclasses implement ``convolve`` on payloads."""
+    Subclasses implement ``convolve`` on payloads.  These are the colimit
+    models: they have no residue field and invert no element, so the
+    reduced order and the series inverse refuse here, before any payload
+    is read."""
 
     @property
     def item_ring(self):
@@ -1072,9 +1052,16 @@ class PayloadRing(Ring):
     def form_ints(self, items, scale):
         return ()
 
-    def invert_series(self, payloads, scale):
-        """``Ring.invert_series`` by the payload recurrence."""
-        return _payload_inverse(self, payloads), 1
+    def form_eq(self, a, b):
+        """Equal as they are, or coefficient by coefficient once
+        ``payload_eq`` has raised each pair to a common level."""
+        return a == b or all(map(self.payload_eq, a, b))
+
+    def form_reduced_order(self, items, scale):
+        raise NonLocalRing("colimit models have no single residue field")
+
+    def invert_series(self, items, scale):
+        raise NonLocalRing("inversion is not part of the colimit model")
 
 
 class ArtinianLocalRing(Ring):
@@ -1272,9 +1259,6 @@ class ArtinianLocalRing(Ring):
         slots = self._slice_products(items[1], slices_c, lambda a, b: [v * b[0] for v in a])
         return self.canonical_form((items[0], slots), scale * cs)
 
-    def form_eq(self, a, b):
-        return a == b
-
     def form_is_zero(self, items):
         return not items[1]
 
@@ -1300,9 +1284,7 @@ class ArtinianLocalRing(Ring):
         return top
 
     def form_ints(self, items, scale):
-        if self.base.item_top is not None:
-            return ()
-        return [c for _, _, s in items[1] for c in s] + [scale]
+        return self.base.form_ints([c for _, _, s in items[1] for c in s], scale)
 
     def convolve(self, a, b, n):
         """``Ring.convolve`` slice pair by slice pair, each pair of total
@@ -1332,9 +1314,21 @@ class ArtinianLocalRing(Ring):
         return slots.values()
 
     def invert_series(self, items, scale):
-        """``Ring.invert_series`` by the payload recurrence, on the payload
-        dicts of the form."""
-        return self.integer_form(_payload_inverse(self, self.from_integer_form(items, scale)))
+        """``Ring.invert_series`` by the payload recurrence on the payload
+        dicts of the form: one ``payload_mul`` and one ``payload_add`` per
+        term, after ``invert`` of the constant term."""
+        payloads = self.from_integer_form(items, scale)
+        inv0 = self.invert(RingElement(self, payloads[0])).value
+        out = [inv0]
+        padd, pmul = self.payload_add, self.payload_mul
+        neg_inv0 = self.payload_neg(inv0)
+        for k in range(1, len(payloads)):
+            acc = None
+            for i in range(1, k + 1):
+                term = pmul(payloads[i], out[k - i])
+                acc = term if acc is None else padd(acc, term)
+            out.append(pmul(neg_inv0, acc))
+        return self.integer_form(out)
 
     def generators(self):
         out = {}

@@ -14,7 +14,8 @@ operations (``Ring.form_sum``, ``form_neg``, ``form_scale``,
 ``form_window``), products hand the items to ``Ring.convolve`` and bring
 the result to canonical form once (``Ring.canonical_form``), and
 ``invert`` checks the constant term and hands the form to
-``Ring.invert_series``: at full length below the ring's
+``Ring.invert_series``, which returns the inverse's canonical form, stored
+as it is: at full length below the ring's
 ``NEWTON_INVERT_MIN`` orders, and from there on at the base of a Newton
 doubling whose steps are two series products each.  Payloads are built
 from the form only when something reads them (over Fp and Z/n the
@@ -256,8 +257,7 @@ class TruncatedSeries:
         while ladder[-1] >= ring.NEWTON_INVERT_MIN:
             ladder.append((ladder[-1] + 1) // 2)
         h = ladder.pop()
-        items, scale = ring.invert_series(*self.truncate(h).form)
-        g = _series(ring, *ring.canonical_form(items, scale), h)
+        g = _series(ring, *ring.invert_series(*self.truncate(h).form), h)
         for n in reversed(ladder):
             g = self.truncate(n).refine_inverse(g)
         return g

@@ -319,17 +319,22 @@ def kernel_fiber_basis(q: MonicPoly, precision: int):
 
     With e the multiplicity of t in q, the remainders a = t^i for
     i = e..d-1 are exactly divisible by q inside k[[t]], and the resulting
-    pairs (t^i, -t^i/q) span the d-e dimensional fiber.
+    pairs (t^i, -t^i/q) span the d-e dimensional fiber.  Dividing by q
+    prepares it strictly, which over a field needs N >= 2e known orders;
+    a shorter N is refused before any division.
     """
     ring = q.ring
     if not ring.is_field:
         raise InvalidDescriptor("fiber computation requires field coefficients")
     if q.is_t_power():
         return []  # the fiber is zero, and nothing needs dividing
-    d = q.degree
+    d, e = q.degree, q.t_multiplicity()
+    if precision < 2 * e:
+        raise InsufficientPrecision(
+            f"the fiber of a q of t-multiplicity {e} needs N >= {2 * e}, got {precision}")
     divide = laurent_divider(q.as_series(precision))
     out = []
-    for i in range(q.t_multiplicity(), d):
+    for i in range(e, d):
         a = LowPoly(ring, d, [ring.zero] * i + [ring.one])
         quotient = divide((-a).as_series(precision))
         v = quotient.power_series_part()

@@ -124,6 +124,21 @@ def test_fiber_command(capsys):
     assert payload["dimension"] == 2
 
 
+@pytest.mark.parametrize("poly, mult", [("t^2 + t", 1), ("t^3 + 2*t^2", 2), ("t^4 + t^3", 3)])
+def test_fiber_below_twice_the_t_multiplicity_is_refused_as_too_short(capsys, poly, mult):
+    # dividing by q prepares it strictly, which over a field needs N >= 2e
+    # for e the multiplicity of t in q: a shorter N is a refusal (exit 1),
+    # not an Indeterminate verdict (exit 2), since q is exact
+    for n in range(1, 2 * mult + 1):
+        code = main(["fiber", "--ring", "Fp(7)", "--poly", poly, "--N", str(n)])
+        err = capsys.readouterr().err
+        if n < 2 * mult:
+            assert code == 1 and f"InsufficientPrecision: the fiber of a q of t-multiplicity {mult} " \
+                f"needs N >= {2 * mult}, got {n}" in err, (n, err)
+        else:
+            assert code == 0, err
+
+
 def test_patho_identities_table(capsys):
     code, out = run_cli(capsys, "patho", "--check", "identities", "--bound", "8")
     assert code == 0

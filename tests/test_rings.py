@@ -14,7 +14,8 @@ from arclift import (
     RationalRing,
     make_ring,
 )
-from arclift.rings import MAX_MODULUS, MAX_MONOMIALS
+from arclift.pathology import arc_kernel_ring, sawed_plane_ring
+from arclift.rings import MAX_MODULUS, MAX_MONOMIALS, PayloadRing, Ring
 
 from _helpers import acceptance_rings, random_element, random_nilpotent
 
@@ -157,6 +158,9 @@ def test_randomized_unit_inverses(ring):
         if ring.is_unit(a):
             seen_units += 1
             assert a * ring.invert(a) == ring.one
+        else:  # zero in Fp(5) and Q, 3 and 6 in Z/9, nilpotents in Artin
+            with pytest.raises(NotAUnit):
+                ring.invert(a)
     assert seen_units > 100
 
 
@@ -206,19 +210,68 @@ def test_difference_is_the_sum_with_the_negation(ring):
 
 
 def test_residue_and_field_bodies_have_one_home():
-    # _ResidueRing holds the residue bodies, _Field the field ones and Ring
-    # the zero test and the formatting; each class keeps the payload_add and
-    # payload_mul that the benchmark tracer reads through vars(cls)
-    shared = {"payload_is_zero", "format_element"}
-    residue = {"payload_from_int", "payload_neg", "payload_sub"}
-    field = {"is_unit", "is_local", "nilpotency_exponent", "residue_field", "residue"}
+    # _ResidueRing holds the residue bodies (both inverses among them),
+    # _Field the field ones (the reduced order among them) and Ring the zero
+    # test, the form equality and the formatting; each class keeps the
+    # payload_add and payload_mul that the benchmark tracer reads through
+    # vars(cls)
+    shared = {"payload_is_zero", "format_element", "form_eq"}
+    residue = {"payload_from_int", "payload_neg", "payload_sub", "invert", "invert_series"}
+    field = {"is_unit", "is_local", "nilpotency_exponent", "residue_field", "residue",
+             "form_reduced_order"}
     for cls, moved in (
         (PrimeFieldRing, shared | residue | field),
         (IntegersMod, shared | residue),
         (RationalRing, shared | field),
+        (ArtinianLocalRing, {"form_eq"}),
     ):
         assert not moved & set(vars(cls)), cls
         assert {"payload_add", "payload_mul"} <= set(vars(cls)), cls
+    # the reduced order has a body per family, and colimit rings refuse it
+    assert "form_reduced_order" not in vars(Ring)
+
+
+@pytest.mark.parametrize("ring, value", [
+    (PrimeFieldRing(5), 0), (PrimeFieldRing(131), 0), (IntegersMod(9), 6), (IntegersMod(129), 86),
+], ids=repr)
+def test_residue_non_units_name_the_value_and_the_modulus(ring, value):
+    with pytest.raises(NotAUnit, match=f"^{value} is not a unit mod {ring.item_top + 1}$"):
+        ring.invert(ring.element(value))
+
+
+def _equal_pairs(ring, rng):
+    """Pairs of equal elements reached by different routes: a and
+    (a + c) - c, and over a colimit ring x_n and -q0 * x_(n+1), which sit at
+    different presentation levels."""
+    if isinstance(ring, PayloadRing):  # a colimit model
+        q0, x = ring.q0(), ring.x
+        yield x(2), -q0 * x(3)
+        yield ring.one + x(1), ring.one - q0 * x(2)
+        draws = [ring.one, q0, x(1), q0 * x(4), ring.one + q0]
+    else:
+        draws = [random_element(ring, rng) for _ in range(40)]
+    for a in draws:
+        for c in (rng.choice(draws), ring.one):
+            yield a, (a + c) - c
+
+
+@pytest.mark.parametrize("ring", acceptance_rings() + [
+    PrimeFieldRing(131), IntegersMod(129), IntegersMod(2**40),
+    ArtinianLocalRing(RationalRing(), ["a", "b"], 3),
+    arc_kernel_ring(PrimeFieldRing(5)), sawed_plane_ring(PrimeFieldRing(5)),
+], ids=repr)
+def test_elements_equal_no_int_and_equal_elements_hash_equally(ring):
+    # an int has many images (3 and 8 in Fp(5)), and no hash agrees with
+    # all of them, so an element never equals an int; arithmetic with ints
+    # still coerces
+    rng = random.Random(505)
+    for a, b in _equal_pairs(ring, rng):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (a, b)
+        for k in (-1, 0, 1, 2, 3, 8, 10**20):
+            assert not a == k and not k == a and a != k, (a, k)
+            assert a + k == a + ring.from_int(k) and k * a == ring.from_int(k) * a
+    for k in (-1, 0, 1, 3, 10**20):
+        assert ring.from_int(k) != k and k != ring.from_int(k), k
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

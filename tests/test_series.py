@@ -170,6 +170,42 @@ def test_colimit_series_inversion_is_refused():
             TruncatedSeries(ring, [ring.one, ring.q0()], n).invert()
 
 
+def test_colimit_series_have_no_reduced_order():
+    # no single residue field: the reduced order and the non-degeneracy
+    # verdict are refused whatever the coefficients, zero ones included
+    ring = arc_kernel_ring(PrimeFieldRing(5))
+    for coeffs in ([ring.one, ring.q0()], [ring.zero] * 3, [ring.x(1), ring.one]):
+        x = TruncatedSeries(ring, coeffs, len(coeffs))
+        with pytest.raises(NonLocalRing):
+            reduced_order(x)
+        with pytest.raises(NonLocalRing):
+            is_nondegenerate(x)
+
+
+@pytest.mark.parametrize("ring", [
+    PrimeFieldRing(5), PrimeFieldRing(131), IntegersMod(129), IntegersMod(2**40), RationalRing(),
+    F5eps(), ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
+    ArtinianLocalRing(RationalRing(), ["a", "b"], 3),
+], ids=repr)
+def test_invert_series_hands_back_the_canonical_inverse(ring):
+    # TruncatedSeries.invert stores what invert_series returns as it is, so
+    # each family's body returns a canonical form of the ring's item type:
+    # bytes and int tuples on both sides of the byte bound, a non-local
+    # Z/n, Q over a scale, and Artinian slices over an Fp and a Q base
+    rng = random.Random(41)
+    draws = [[random_unit(ring, rng)] + [random_element(ring, rng) for _ in range(n - 1)]
+             for n in (1, 2, 7, 24, 47)]
+    if ring == RationalRing():  # the recurrence's denominator 12 carries a content: 3/4 + t/4
+        draws.append([ring.element(Fraction(4, 3)), ring.element(Fraction(-4, 9))])
+    for coeffs in draws:
+        n = len(coeffs)
+        x = TruncatedSeries(ring, coeffs, n)
+        got = ring.invert_series(*x.form)
+        assert got == ring.canonical_form(*got), n
+        assert type(got[0]) is type(x.form[0]), n
+        assert x * TruncatedSeries._of_form(ring, *got, n) == TruncatedSeries.constant(ring.one, n)
+
+
 # -- Newton inversion from NEWTON_INVERT_MIN on ------------------------------
 
 NEWTON_RINGS = [

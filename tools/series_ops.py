@@ -2,8 +2,9 @@
 
 Each row is one ring and one operation on ``TruncatedSeries``; the columns
 are N = 24 and N = 96.  Fp(5) and Zmod(27) keep their series as byte
-strings and Fp(131), above the byte bound of modulus 128, as int tuples,
-so the table shows both encodings of the residue rings.  The operands are seeded random series whose every
+strings, and Fp(131) and Zmod(129) (not local), above the byte bound of
+modulus 128, as int tuples, so the table shows both encodings of the
+residue rings.  The operands are seeded random series whose every
 coefficient is nonzero, with a unit constant term:
 
 * ``mul``: x * y;
@@ -15,14 +16,18 @@ coefficient is nonzero, with a unit constant term:
 * ``divide q``: ``divide_by_monic`` of x by t^3 + y_2 t^2 + y_1 t + y_0,
   a monic with nonzero low terms, by synthetic division.
 
-A cell runs the operation in a loop of at least 20 ms, k times, and
-reports the fastest loop's time per call.  Standard library only; run from
-the repository root:
+Before a cell is timed, its result is checked once: x * x^-1 = 1 for
+``invert``, and q * quot + rem = x for both divisions.  A cell whose check
+fails reads ``wrong``, and the script then exits 1 after the table.  A cell
+runs the operation in a loop of at least 20 ms, k times, and reports the
+fastest loop's time per call.  Standard library only; run from the
+repository root:
 
     python3 tools/series_ops.py [--repeats K]
 """
 
 import argparse
+import math
 import platform
 import random
 import sys
@@ -37,10 +42,10 @@ from arclift import (  # noqa: E402
     arc_kernel_ring, make_ring,
 )
 from arclift.errors import ArcliftError  # noqa: E402
-from arclift.weierstrass import divide_by_monic  # noqa: E402
+from arclift.weierstrass import divide_by_monic, recombine_division  # noqa: E402
 
-RINGS = ("Fp(5)", "Zmod(27)", "Fp(131)", "Q", "Artin(Fp(5); eps; 2)", "Artin(Fp(2); s1, s2; 3)",
-         "Artin(Q; a, b; 3)", "ArcKernel(Fp(5))")
+RINGS = ("Fp(5)", "Zmod(27)", "Fp(131)", "Zmod(129)", "Q", "Artin(Fp(5); eps; 2)",
+         "Artin(Fp(2); s1, s2; 3)", "Artin(Q; a, b; 3)", "ArcKernel(Fp(5))")
 SIZES = (24, 96)
 OPS = {
     "mul": lambda x, y: x * y,
@@ -54,6 +59,20 @@ OPS = {
 SECOND = {  # an op's second operand, from y, when it is not y itself
     "divide t^3": lambda y: MonicPoly.t_power(y.ring, 3),
     "divide q": lambda y: MonicPoly(y.ring, y.coeffs[:3]),
+}
+
+
+def divides_back(x, q, out):
+    """Whether q * quot + rem = x mod t^N, N the precision of x, for the
+    quotient's form and the remainder ``out`` of x divided by q."""
+    quot, rem = out
+    return recombine_division(q, rem, TruncatedSeries._of_form(x.ring, *quot, x.precision)) == x
+
+
+CHECKS = {  # what an op's result must satisfy, for its operands x and y
+    "invert": lambda x, y, inv: x * inv == TruncatedSeries.constant(x.ring.one, x.precision),
+    "divide t^3": divides_back,
+    "divide q": divides_back,
 }
 SEED = 1
 MIN_LOOP_S = 0.02
@@ -71,7 +90,7 @@ def nonzero_element(ring, rng):
     if isinstance(ring, PrimeFieldRing):
         return ring.from_int(rng.randint(1, ring.p - 1))
     if isinstance(ring, IntegersMod):
-        return ring.from_int(rng.choice([k for k in range(1, ring.n) if k % 3]))
+        return ring.from_int(rng.choice([k for k in range(1, ring.n) if math.gcd(k, ring.n) == 1]))
     if isinstance(ring, RationalRing):
         return ring.from_fraction(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30)))
     if isinstance(ring, ArtinianLocalRing):
@@ -109,6 +128,7 @@ def main(argv=None):
     print()
     print("| ring | op | " + " | ".join(f"N={n}" for n in SIZES) + " |")
     print("|---|---|" + "---|" * len(SIZES))
+    wrong = []
     for desc in RINGS:
         ring = build_ring(desc)
         rng = random.Random(f"{SEED}/{desc}")
@@ -120,10 +140,16 @@ def main(argv=None):
                 try:
                     x, y = operands[n]
                     y = SECOND.get(name, lambda y: y)(y)
+                    if not CHECKS.get(name, lambda *_: True)(x, y, op(x, y)):
+                        wrong.append(f"{desc} {name} N={n}")
+                        cells.append("wrong")
+                        continue
                     cells.append(f"{best_us(op, x, y, args.repeats):.1f}")
                 except ArcliftError:
                     cells.append("-")
             print(f"| {desc} | {name} | " + " | ".join(cells) + " |", flush=True)
+    if wrong:
+        sys.exit("wrong results: " + "; ".join(wrong))
 
 
 if __name__ == "__main__":
