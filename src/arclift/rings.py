@@ -651,13 +651,15 @@ class Ring:
         Computer Algebra*, section 9.1): the scale cancels from every term
         but the first, and the inverse is kept as ints O over one common
         denominator L, coefficient k being -sum_{i=1..k} A_i O_{k-i} /
-        (A_0 L); L grows to the lcm of the denominators met so far, and the
-        earlier O are rescaled when it does.  The result is brought to
-        canonical form once, at the end.
+        (A_0 L); L grows to the lcm of the reduced denominators met so far,
+        the first one's included, and the earlier O are rescaled when it
+        does.  So the running ints never carry a content, and the final
+        ``canonical_form`` finds none to divide out.
         """
         tail = ints[1:]
         (inv_num,), inv_den = self.canonical_form([1], ints[0])
-        nums, den = [scale * inv_num], inv_den
+        (first,), den = self.canonical_form([scale * inv_num], inv_den)
+        nums = [first]
         for _ in range(1, len(ints)):
             dot = sum(map(mul, tail, reversed(nums)))
             (num,), d = self.canonical_form([-dot * inv_num], inv_den * den)

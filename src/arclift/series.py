@@ -407,6 +407,11 @@ def laurent_divider(b: TruncatedSeries):
     the shape of q': when q is a power of t, as it is for every b over a
     field, q' is too, its division takes two windows and the product is a
     shift.
+
+    u^{-1} is ``fact.u.invert()``, not the inverse ``strict_prepare`` made:
+    that one is of its first u, right only mod the maximal ideal, and over
+    a field it makes none.  Handing a refined inverse over waits on the
+    benchmark's per-item memory (ROADMAP items 1 and 2).
     """
     from .weierstrass import divides_power_of_t, strict_prepare
 

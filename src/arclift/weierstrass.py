@@ -7,12 +7,14 @@ series over a local Artinian ring factors uniquely as x = u * q with u a
 unit series and q strict, and this module computes that factorization
 exactly at the stated truncation.
 
-The preparation algorithm is a Newton iteration on the pair (u, q): each
-round Euclidean-divides the unit-normalized defect by the current q and
-absorbs the remainder into q and the quotient into u.  The defect shrinks
-by at least one power of the maximal ideal per round (quadratically away
-from the truncation boundary), so at most e rounds are needed and the exit
-test is exact equality u * q = x mod t^N.
+The preparation algorithm is a chord iteration on the pair (u, q), the
+simplified Newton (Hensel) lifting of von zur Gathen and Gerhard, *Modern
+Computer Algebra*, ch. 15: each round Euclidean-divides the defect, times
+one inverse w of the first u, by the current q and absorbs the remainder
+into q and the quotient into u.  Every later u agrees with the first mod
+the maximal ideal m, so w is right mod m and each round moves the defect
+one power of m deeper; the first defect lies in m, so at most e - 1 rounds
+have a defect, and the exit test is exact equality u * q = x mod t^N.
 
 ``divide_by_monic`` is the package's only Euclidean division: every
 reduction by a monic polynomial, here, in ``jets`` and in ``pathology``,
@@ -222,7 +224,10 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
 
     Each round's defect x - u * q is one ``MonicPoly.times``.  The first
     round starts from q = t^d, so its u * q is a shift of u; over a field
-    that defect is zero and the preparation makes no series product.
+    that defect is zero and the preparation makes no series product.  The
+    first round with a defect inverts u, and every later round reuses that
+    inverse (the chord iteration of the module docstring), so a preparation
+    makes at most one series inverse and at most e - 1 rounds with a defect.
     """
     ring = x.ring
     if not ring.is_local:
@@ -236,13 +241,16 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
         )
     u = x.drop(d)
     q = MonicPoly.t_power(ring, d)
+    w = None
     for _ in range(e + 1):
         # u has degree < N - d, so u * q is exact at precision N
         u_padded = u.pad(big_n)
         defect = x - q.times(u_padded)
         if defect.is_zero():
             return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n)
-        g, dq = divide_by_monic((u_padded.invert() * defect).form, q)
+        if w is None:  # right mod m for every later u, which is all a round needs
+            w = u_padded.invert()
+        g, dq = divide_by_monic((w * defect).form, q)
         q = MonicPoly._of_form(ring, *(q.as_series(d + 1) + dq.as_series(d + 1)).form)
         n = u.precision
         u = u + u * TruncatedSeries._of_form(ring, *g, n)

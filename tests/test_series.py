@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -195,7 +196,7 @@ def test_invert_series_hands_back_the_canonical_inverse(ring):
     rng = random.Random(41)
     draws = [[random_unit(ring, rng)] + [random_element(ring, rng) for _ in range(n - 1)]
              for n in (1, 2, 7, 24, 47)]
-    if ring == RationalRing():  # the recurrence's denominator 12 carries a content: 3/4 + t/4
+    if ring == RationalRing():  # 3/4 + t/4, whose recurrence once carried a content over 12
         draws.append([ring.element(Fraction(4, 3)), ring.element(Fraction(-4, 9))])
     for coeffs in draws:
         n = len(coeffs)
@@ -204,6 +205,33 @@ def test_invert_series_hands_back_the_canonical_inverse(ring):
         assert got == ring.canonical_form(*got), n
         assert type(got[0]) is type(x.form[0]), n
         assert x * TruncatedSeries._of_form(ring, *got, n) == TruncatedSeries.constant(ring.one, n)
+
+
+def test_q_inverse_recurrence_runs_without_a_content(monkeypatch):
+    # The recurrence starts from scale/A_0 reduced, so its ints never carry a
+    # content and the last canonical_form, which gets them all, divides out
+    # nothing: 4/3 - 4t/9 reached it as (9, 3) over 12 when scale/A_0 = 3/4
+    # started unreduced as 9/12
+    ring = RationalRing()
+    seen = []
+    canonical = ring.canonical_form
+
+    def watch(ints, scale):
+        seen.append((tuple(ints), scale))
+        return canonical(ints, scale)
+
+    monkeypatch.setattr(ring, "canonical_form", watch)
+    rng = random.Random(29)
+    draws = [[Fraction(4, 3), Fraction(-4, 9)], [Fraction(10), Fraction(-11, 3), Fraction(-2, 9)]]
+    draws += [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))]
+              + [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+              for _ in range(100)]
+    for values in draws:
+        x = TruncatedSeries(ring, [ring.element(v) for v in values], len(values))
+        seen.clear()
+        ring.invert_series(*x.form)
+        ints, scale = seen[-1]
+        assert math.gcd(scale, *ints) == 1, values
 
 
 # -- Newton inversion from NEWTON_INVERT_MIN on ------------------------------

@@ -106,7 +106,17 @@ def test_prepare_requires_local_ring_and_precision():
         strict_prepare(TruncatedSeries(r, [eps, eps], 4))
 
 
-@pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
+# Beyond the acceptance rings: e = 4 and 5, where strict_prepare's chord
+# iteration (one inverse, reused) can take more rounds than re-inverting u
+# in each round would, and an Artinian ring over Q
+CHORD_RINGS = [
+    IntegersMod(81),
+    ArtinianLocalRing(PrimeFieldRing(3), ["eps"], 5),
+    ArtinianLocalRing(RationalRing(), ["a", "b"], 3),
+]
+
+
+@pytest.mark.parametrize("ring", acceptance_rings() + CHORD_RINGS, ids=repr)
 def test_prepare_reconstructs_and_matches_linear_oracle(ring):
     rng = random.Random(42)
     for _ in range(60):
@@ -258,6 +268,34 @@ def test_strict_prepare_over_a_field_makes_no_product(ring, monkeypatch):
             m.setattr(ring, "convolve", refuse)
             fact = strict_prepare(x)
         assert fact.q == MonicPoly.t_power(ring, d)
+        assert reconstruct_factorization(fact) == x
+
+
+@pytest.mark.parametrize("ring", [
+    *(IntegersMod(3**e) for e in range(2, 9)),
+    *(ArtinianLocalRing(PrimeFieldRing(2), ["eps"], e) for e in range(2, 9)),
+    ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
+    *CHORD_RINGS[1:],
+], ids=repr)
+def test_strict_prepare_inverts_once_and_needs_at_most_e_minus_1_defect_rounds(ring, monkeypatch):
+    # u is inverted once, at the first round with a defect, and that inverse
+    # serves every later round: it is right mod m for each later u, so each
+    # round moves the defect one power of m deeper.  The first defect
+    # x mod t^d lies in m, so at most e - 1 rounds (divide_by_monic calls)
+    # have one, and none, with no inverse, when x mod t^d is zero.
+    inverts, divides = [], []
+    invert, divide = TruncatedSeries.invert, weierstrass.divide_by_monic
+    monkeypatch.setattr(TruncatedSeries, "invert", lambda x: inverts.append(1) or invert(x))
+    monkeypatch.setattr(weierstrass, "divide_by_monic", lambda *a: divides.append(1) or divide(*a))
+    e = ring.nilpotency_exponent()
+    rng = random.Random(29)
+    for _ in range(40):
+        x, d = random_nondegenerate(ring, rng)
+        inverts.clear()
+        divides.clear()
+        fact = strict_prepare(x)
+        assert len(inverts) == any(x.coeffs[:d])
+        assert len(divides) <= e - 1
         assert reconstruct_factorization(fact) == x
 
 

@@ -1,11 +1,12 @@
 """Print µs per series operation for each ring family, best of k, as a table.
 
 Each row is one ring and one operation on ``TruncatedSeries``; the columns
-are N = 24 and N = 96.  Fp(5) and Zmod(27) keep their series as byte
-strings, and Fp(131) and Zmod(129) (not local), above the byte bound of
-modulus 128, as int tuples, so the table shows both encodings of the
-residue rings.  The operands are seeded random series whose every
-coefficient is nonzero, with a unit constant term:
+are N = 24 and N = 96.  Fp(5), Zmod(27) and Zmod(81) keep their series as
+byte strings, and Fp(131) and Zmod(129) (not local), above the byte bound
+of modulus 128, as int tuples, so the table shows both encodings of the
+residue rings; Zmod(81), with m^4 = 0, is the residue ring whose
+preparations take the most rounds.  The operands are seeded random series
+whose every coefficient is nonzero, with a unit constant term:
 
 * ``mul``: x * y;
 * ``sum``: x + y;
@@ -14,14 +15,17 @@ coefficient is nonzero, with a unit constant term:
 * ``invert``: x.invert() (a colimit ring refuses it: ``-``);
 * ``divide t^3``: ``divide_by_monic`` of x by t^3, two windows of x;
 * ``divide q``: ``divide_by_monic`` of x by t^3 + y_2 t^2 + y_1 t + y_0,
-  a monic with nonzero low terms, by synthetic division.
+  a monic with nonzero low terms, by synthetic division;
+* ``prepare``: ``strict_prepare`` of x with its three lowest coefficients
+  made nilpotent (zero over a field), so of reduced order 3 (a non-local
+  or colimit ring refuses it: ``-``).
 
 Before a cell is timed, its result is checked once: x * x^-1 = 1 for
-``invert``, and q * quot + rem = x for both divisions.  A cell whose check
-fails reads ``wrong``, and the script then exits 1 after the table.  A cell
-runs the operation in a loop of at least 20 ms, k times, and reports the
-fastest loop's time per call.  Standard library only; run from the
-repository root:
+``invert``, q * quot + rem = x for both divisions, and u * q = x mod t^N
+with q strict for ``prepare``.  A cell whose check fails reads ``wrong``,
+and the script then exits 1 after the table.  A cell runs the operation in
+a loop of at least 20 ms, k times, and reports the fastest loop's time per
+call.  Standard library only; run from the repository root:
 
     python3 tools/series_ops.py [--repeats K]
 """
@@ -39,12 +43,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from arclift import (  # noqa: E402
     ArtinianLocalRing, IntegersMod, MonicPoly, PrimeFieldRing, RationalRing, TruncatedSeries,
-    arc_kernel_ring, make_ring,
+    arc_kernel_ring, make_ring, recombine_factorization, strict_prepare,
 )
 from arclift.errors import ArcliftError  # noqa: E402
 from arclift.weierstrass import divide_by_monic, recombine_division  # noqa: E402
 
-RINGS = ("Fp(5)", "Zmod(27)", "Fp(131)", "Zmod(129)", "Q", "Artin(Fp(5); eps; 2)",
+RINGS = ("Fp(5)", "Zmod(27)", "Zmod(81)", "Fp(131)", "Zmod(129)", "Q", "Artin(Fp(5); eps; 2)",
          "Artin(Fp(2); s1, s2; 3)", "Artin(Q; a, b; 3)", "ArcKernel(Fp(5))")
 SIZES = (24, 96)
 OPS = {
@@ -55,6 +59,10 @@ OPS = {
     "invert": lambda x, y: x.invert(),
     "divide t^3": lambda x, q: divide_by_monic(x.form, q),
     "divide q": lambda x, q: divide_by_monic(x.form, q),
+    "prepare": lambda x, y: strict_prepare(x),
+}
+FIRST = {  # an op's first operand, from x, when it is not x itself
+    "prepare": lambda x: nilpotent_low(x, 3),
 }
 SECOND = {  # an op's second operand, from y, when it is not y itself
     "divide t^3": lambda y: MonicPoly.t_power(y.ring, 3),
@@ -73,6 +81,8 @@ CHECKS = {  # what an op's result must satisfy, for its operands x and y
     "invert": lambda x, y, inv: x * inv == TruncatedSeries.constant(x.ring.one, x.precision),
     "divide t^3": divides_back,
     "divide q": divides_back,
+    "prepare": lambda x, y, fact: (
+        fact.q.is_strict() and recombine_factorization(fact.q, fact.u.pad(x.precision)) == x),
 }
 SEED = 1
 MIN_LOOP_S = 0.02
@@ -96,6 +106,22 @@ def nonzero_element(ring, rng):
     if isinstance(ring, ArtinianLocalRing):
         return ring.element({x: nonzero_element(ring.base, rng).value for x in ring.monomials()})
     return rng.choice([ring.one, ring.one + ring.q0(), ring.one + ring.x(1), ring.one + ring.q0() * ring.x(2)])
+
+
+def nilpotent_low(x, d):
+    """x with its d lowest coefficients moved into the maximal ideal: zero
+    over a field, times p over Z/p^e, without their constant slice over an
+    Artinian ring.  A ring that is not local keeps x as it is."""
+    ring = x.ring
+    if not ring.is_local:
+        return x
+    if ring.is_field:
+        low = [ring.zero] * d
+    elif isinstance(ring, ArtinianLocalRing):
+        low = [ring.element({k: v for k, v in c.value.items() if any(k)}) for c in x.coeffs[:d]]
+    else:
+        low = [c * ring.residue_field().p for c in x.coeffs[:d]]
+    return TruncatedSeries(ring, low + list(x.coeffs[d:]), x.precision)
 
 
 def best_us(op, x, y, repeats):
@@ -139,6 +165,7 @@ def main(argv=None):
             for n in SIZES:
                 try:
                     x, y = operands[n]
+                    x = FIRST.get(name, lambda x: x)(x)
                     y = SECOND.get(name, lambda y: y)(y)
                     if not CHECKS.get(name, lambda *_: True)(x, y, op(x, y)):
                         wrong.append(f"{desc} {name} N={n}")
