@@ -408,17 +408,29 @@ def laurent_divider(b: TruncatedSeries):
     field, q' is too, its division takes two windows and the product is a
     shift.
 
-    u^{-1} is ``fact.u.invert()``, not the inverse ``strict_prepare`` made:
-    that one is of its first u, right only mod the maximal ideal, and over
-    a field it makes none.  Handing a refined inverse over waits on the
-    benchmark's per-item memory (ROADMAP items 1 and 2).
+    u^{-1} comes from the inverse w that ``strict_prepare`` made of its
+    first u, which is right for the final u mod the maximal ideal m: each
+    m-adic Newton step g <- g + g*(1 - u*g) squares the error ideal, so
+    ceil(log2 e) of them, two series products each, reach u^{-1} where
+    m^e = 0.  Where the preparation made no inverse (over a field, or when
+    b mod t^d is zero) it is ``fact.u.invert()``.
     """
     from .weierstrass import divides_power_of_t, strict_prepare
 
     fact = strict_prepare(b)
     n = fact.certificate_n
     qprime = divides_power_of_t(fact.q, n)
-    u_inv = fact.u.invert()
+    u, u_inv = fact.u, fact._w
+    if u_inv is None:
+        u_inv = u.invert()
+    else:
+        u_inv = u_inv.truncate(u.precision)
+        one = TruncatedSeries.constant(u.ring.one, u.precision)
+        for _ in range((u.ring.nilpotency_exponent() - 1).bit_length()):
+            error = one - u * u_inv
+            if error.is_zero():
+                break
+            u_inv = u_inv + u_inv * error
 
     def divide(a: TruncatedSeries) -> LaurentSeries:
         b._check(a)

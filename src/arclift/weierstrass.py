@@ -14,7 +14,9 @@ one inverse w of the first u, by the current q and absorbs the remainder
 into q and the quotient into u.  Every later u agrees with the first mod
 the maximal ideal m, so w is right mod m and each round moves the defect
 one power of m deeper; the first defect lies in m, so at most e - 1 rounds
-have a defect, and the exit test is exact equality u * q = x mod t^N.
+have a defect, and the exit test is exact equality u * q = x mod t^N.  The
+factorization carries w, and ``series.laurent_divider`` refines it to
+u^{-1} by m-adic Newton steps instead of inverting u a second time.
 
 ``divide_by_monic`` is the package's only Euclidean division: every
 reduction by a monic polynomial, here, in ``jets`` and in ``pathology``,
@@ -26,7 +28,7 @@ through ``low`` or ``coeffs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     InsufficientPrecision,
@@ -163,12 +165,18 @@ class LowPoly(_ExactPoly):
 
 @dataclass(frozen=True)
 class StrictFactorization:
-    """x = u * q mod t^precision, with q strict and q * q' = t^certificate_n."""
+    """x = u * q mod t^precision, with q strict and q * q' = t^certificate_n.
+
+    ``_w`` is the inverse ``strict_prepare`` made, right for u mod the
+    maximal ideal, or None where it made none; ``laurent_divider`` refines
+    it to u^{-1}.  It is hidden from repr and equality.
+    """
 
     u: TruncatedSeries
     q: MonicPoly
     certificate_n: int
     precision: int
+    _w: TruncatedSeries | None = field(default=None, repr=False, compare=False)
 
 
 def poly_mul(a, b, ring):
@@ -228,6 +236,8 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
     first round with a defect inverts u, and every later round reuses that
     inverse (the chord iteration of the module docstring), so a preparation
     makes at most one series inverse and at most e - 1 rounds with a defect.
+    That inverse rides on the result, hidden from repr and equality, for
+    ``laurent_divider``, which needs u^{-1}.
     """
     ring = x.ring
     if not ring.is_local:
@@ -247,7 +257,7 @@ def strict_prepare(x: TruncatedSeries) -> StrictFactorization:
         u_padded = u.pad(big_n)
         defect = x - q.times(u_padded)
         if defect.is_zero():
-            return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n)
+            return StrictFactorization(u=u, q=q, certificate_n=d * e, precision=big_n, _w=w)
         if w is None:  # right mod m for every later u, which is all a round needs
             w = u_padded.invert()
         g, dq = divide_by_monic((w * defect).form, q)

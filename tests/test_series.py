@@ -331,6 +331,66 @@ def test_rationals_invert_by_the_recurrence_at_every_length(monkeypatch):
         assert calls == [n]
 
 
+# -- the Artinian inverse against a per-monomial recurrence -----------------
+
+def _monomial_recurrence_inverse(ring, x):
+    """The inverse of a series x over ``ring`` = base[s]/(deg >= e), as one
+    list of base values (ints mod p over Fp, Fractions over Q) per monomial,
+    by solving x * c = 1 one (t-degree k, monomial z) at a time in order of
+    k and then of deg z:
+    c[z][k] = a_00^-1 (delta - sum over (i, y) != (0, 0) of a[y][i] c[z-y][k-i]).
+    Plain int and Fraction arithmetic on the test's own lists: apart from
+    ``payload_mul``, the slice products and Newton's steps."""
+    n, base = x.precision, ring.base
+    prime = base.p if isinstance(base, PrimeFieldRing) else None
+    monos = ring.monomials()
+    zero = 0 if prime else Fraction(0)
+    a = {z: [zero] * n for z in monos}
+    for k, c in enumerate(x.payloads):
+        for z, v in c.items():
+            a[z][k] = v
+    unit = (0,) * ring.m
+    inv00 = pow(a[unit][0], -1, prime) if prime else 1 / a[unit][0]
+    terms = [(y, i, v) for y in monos for i, v in enumerate(a[y]) if v and (i or y != unit)]
+    c = {z: [zero] * n for z in monos}
+    for k in range(n):
+        for z in monos:
+            acc = 1 if (k, z) == (0, unit) else zero
+            for y, i, v in terms:
+                rest = tuple(zi - yi for zi, yi in zip(z, y))
+                if i <= k and min(rest) >= 0:
+                    acc -= v * c[rest][k - i]
+            c[z][k] = acc * inv00 % prime if prime else acc * inv00
+    return c
+
+
+@pytest.mark.parametrize("base", [PrimeFieldRing(5), RationalRing()], ids=repr)
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_artinian_inverse_matches_a_per_monomial_recurrence(base, e):
+    """``TruncatedSeries.invert`` over Artin(Fp(5); eps; e) and
+    Artin(Q; a,b; e) on both sides of ``NEWTON_INVERT_MIN``, against the
+    recurrence above: a gate for any new body of the Artinian inverse."""
+    ring = ArtinianLocalRing(base, ["eps"] if isinstance(base, PrimeFieldRing) else ["a", "b"], e)
+    assert ring.NEWTON_INVERT_MIN == 48
+    rng = random.Random(f"gate/{e}")
+    monos = ring.monomials()
+
+    def draw(constant):
+        small = (lambda: rng.randint(0, 4)) if isinstance(base, PrimeFieldRing) else (
+            lambda: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))))
+        out = {z: base.from_int(1).value if constant and not any(z) else small() for z in monos}
+        return ring.element({z: v for z, v in out.items() if v})
+
+    for n in (8, 47, 48, 96):
+        x = TruncatedSeries(ring, [draw(True)] + [draw(False) for _ in range(n - 1)], n)
+        c = _monomial_recurrence_inverse(ring, x)
+        want = TruncatedSeries(ring, [ring.element({z: c[z][k] for z in monos if c[z][k]})
+                                      for k in range(n)], n)
+        got = x.invert()
+        assert got.form == want.form
+        assert got == want
+
+
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)
 def test_double_inverse_is_identity(ring):
     rng = random.Random(7)
@@ -560,6 +620,107 @@ def test_laurent_division_exhausts_precision():
     a = TruncatedSeries(r, [r.one], 2)
     with pytest.raises(PrecisionExhausted):
         laurent_divide(a, b)
+
+
+@pytest.mark.parametrize("ring", [
+    IntegersMod(9),
+    IntegersMod(27),
+    IntegersMod(81),
+    F5eps(),
+    ArtinianLocalRing(PrimeFieldRing(2), ["s1", "s2"], 3),
+    ArtinianLocalRing(RationalRing(), ["a", "b"], 3),
+    PrimeFieldRing(5),
+    RationalRing(),
+], ids=repr)
+def test_laurent_divide_makes_one_series_inverse(ring, monkeypatch):
+    """``strict_prepare`` inverts its first u when x mod t^d is nonzero, and
+    ``laurent_divider`` refines that inverse to u^-1 instead of inverting
+    fact.u again; over a field the preparation makes none and the divider
+    makes the one.  The quotient equals the one built from
+    ``fact.u.invert()``, and the inverse the factorization carries is
+    hidden from its repr, equality and hash."""
+    from arclift import StrictFactorization, divides_power_of_t
+    from arclift.series import LaurentSeries
+
+    inverts = []
+    invert = TruncatedSeries.invert
+    rng = random.Random(30)
+    cases = 0
+    while cases < 12:
+        x, d = random_nondegenerate(ring, rng)
+        if not ring.is_field and not any(x.coeffs[:d]):
+            continue
+        cases += 1
+        n = x.precision
+        y = TruncatedSeries(ring, [random_element(ring, rng) for _ in range(n)], n)
+        fact = strict_prepare(x)
+        bare = StrictFactorization(fact.u, fact.q, fact.certificate_n, fact.precision)
+        assert (fact, hash(fact), repr(fact)) == (bare, hash(bare), repr(bare))
+        m = fact.certificate_n
+        want = LaurentSeries(-m, divides_power_of_t(fact.q, m).times(y)).normalize()
+        want = want.times_series(fact.u.invert()).normalize()
+        with monkeypatch.context() as patch:
+            patch.setattr(TruncatedSeries, "invert", lambda s: inverts.append(1) or invert(s))
+            inverts.clear()
+            got = laurent_divide(y, x)
+        assert len(inverts) == 1
+        assert (got.offset, got.body.form) == (want.offset, want.body.form)
+
+
+def _inverse_mod_m(u):
+    """A w with u * w = 1 mod the maximal ideal and no better in general:
+    over Z/p^e the inverse over Fp of u's residues mod p, read back as
+    ints below p; over base[eps]/(eps^e) the base inverse of u's
+    constant-monomial slice."""
+    ring, n = u.ring, u.precision
+    if isinstance(ring, IntegersMod):
+        fp = PrimeFieldRing(ring.residue_field().p)
+        inv = TruncatedSeries(fp, [c.value % fp.p for c in u.coeffs], n).invert()
+        return TruncatedSeries(ring, [c.value for c in inv.coeffs], n)
+    base = ring.base
+    constant = TruncatedSeries(base, [c.value.get((0,), 0) for c in u.coeffs], n).invert()
+    return TruncatedSeries(ring, [ring.element({(0,): c.value} if c else {}) for c in constant.coeffs], n)
+
+
+@pytest.mark.parametrize("e", range(2, 9))
+@pytest.mark.parametrize("family", ["Zmod(3^e)", "Artin(Fp(2); eps; e)"])
+def test_newton_steps_from_an_inverse_mod_m_reach_the_inverse(family, e, monkeypatch):
+    """From a w right only mod m, where m^e = 0, each step
+    g <- g + g*(1 - u*g) squares the error ideal: ceil(log2 e) steps give
+    u^-1 and one step fewer does not for some draw.  ``laurent_divider``
+    handed such a w by the preparation makes no inverse and at most
+    2*ceil(log2 e) products before the one with the dividend."""
+    from arclift import StrictFactorization, weierstrass
+
+    ring = IntegersMod(3**e) if family.startswith("Zmod") else ArtinianLocalRing(PrimeFieldRing(2), ["eps"], e)
+    steps = math.ceil(math.log2(e))
+    rng = random.Random(f"{family}/{e}")
+    short_of_it = []
+    for _ in range(10):
+        n = rng.randint(2, 30)
+        u = TruncatedSeries(ring, [random_unit(ring, rng)] + [random_element(ring, rng) for _ in range(n - 1)], n)
+        exact = u.invert()
+        w = g = _inverse_mod_m(u)
+        assert ring.residue((u * w).coefficient(0)) == ring.residue_field().one
+        assert not any(ring.residue(c) for c in (u * w).coeffs[1:])
+        one = TruncatedSeries.constant(ring.one, n)
+        for k in range(steps):
+            if k == steps - 1:
+                short_of_it.append(g != exact)
+            g = g + g * (one - u * g)
+        assert g == exact
+
+        fact = StrictFactorization(u=u, q=MonicPoly.t_power(ring, 0), certificate_n=0, precision=n, _w=w)
+        products, inverts = [], []
+        mul, invert = TruncatedSeries.__mul__, TruncatedSeries.invert
+        with monkeypatch.context() as patch:
+            patch.setattr(weierstrass, "strict_prepare", lambda x: fact)
+            patch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+            patch.setattr(TruncatedSeries, "invert", lambda a: inverts.append(1) or invert(a))
+            quotient = laurent_divide(one, u)
+        assert not inverts and len(products) <= 2 * steps + 1
+        assert (quotient.offset, quotient.body) == (0, exact)
+    assert any(short_of_it)
 
 
 @pytest.mark.parametrize("ring", acceptance_rings(), ids=repr)

@@ -18,11 +18,14 @@ whose every coefficient is nonzero, with a unit constant term:
   a monic with nonzero low terms, by synthetic division;
 * ``prepare``: ``strict_prepare`` of x with its three lowest coefficients
   made nilpotent (zero over a field), so of reduced order 3 (a non-local
-  or colimit ring refuses it: ``-``).
+  or colimit ring refuses it: ``-``);
+* ``laurent``: ``laurent_divide(y, x)`` for that same x, so the
+  preparation, q' and u^-1 for one dividend (refused where ``prepare`` is).
 
 Before a cell is timed, its result is checked once: x * x^-1 = 1 for
-``invert``, q * quot + rem = x for both divisions, and u * q = x mod t^N
-with q strict for ``prepare``.  A cell whose check fails reads ``wrong``,
+``invert``, q * quot + rem = x for both divisions, u * q = x mod t^N
+with q strict for ``prepare``, and quotient * x = y on the window both
+factors determine for ``laurent``.  A cell whose check fails reads ``wrong``,
 and the script then exits 1 after the table.  A cell runs the operation in
 a loop of at least 20 ms, k times, and reports the fastest loop's time per
 call.  Standard library only; run from the repository root:
@@ -43,7 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from arclift import (  # noqa: E402
     ArtinianLocalRing, IntegersMod, MonicPoly, PrimeFieldRing, RationalRing, TruncatedSeries,
-    arc_kernel_ring, make_ring, recombine_factorization, strict_prepare,
+    arc_kernel_ring, laurent_divide, make_ring, recombine_factorization, strict_prepare,
 )
 from arclift.errors import ArcliftError  # noqa: E402
 from arclift.weierstrass import divide_by_monic, recombine_division  # noqa: E402
@@ -60,9 +63,11 @@ OPS = {
     "divide t^3": lambda x, q: divide_by_monic(x.form, q),
     "divide q": lambda x, q: divide_by_monic(x.form, q),
     "prepare": lambda x, y: strict_prepare(x),
+    "laurent": lambda x, y: laurent_divide(y, x),
 }
 FIRST = {  # an op's first operand, from x, when it is not x itself
     "prepare": lambda x: nilpotent_low(x, 3),
+    "laurent": lambda x: nilpotent_low(x, 3),
 }
 SECOND = {  # an op's second operand, from y, when it is not y itself
     "divide t^3": lambda y: MonicPoly.t_power(y.ring, 3),
@@ -77,12 +82,20 @@ def divides_back(x, q, out):
     return recombine_division(q, rem, TruncatedSeries._of_form(x.ring, *quot, x.precision)) == x
 
 
+def multiplies_back(x, y, quotient):
+    """Whether the Laurent quotient times x is y on the exponents from 0
+    up to the window both factors determine."""
+    product = quotient.times_series(x).power_series_part()
+    return product is not None and product.agrees(y)
+
+
 CHECKS = {  # what an op's result must satisfy, for its operands x and y
     "invert": lambda x, y, inv: x * inv == TruncatedSeries.constant(x.ring.one, x.precision),
     "divide t^3": divides_back,
     "divide q": divides_back,
     "prepare": lambda x, y, fact: (
         fact.q.is_strict() and recombine_factorization(fact.q, fact.u.pad(x.precision)) == x),
+    "laurent": multiplies_back,
 }
 SEED = 1
 MIN_LOOP_S = 0.02
